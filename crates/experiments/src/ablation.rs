@@ -18,6 +18,7 @@ use wsu_core::modes::{OperatingMode, SequentialOrder};
 use wsu_simcore::par::{par_map, par_map_slice, Jobs};
 use wsu_simcore::rng::MasterSeed;
 use wsu_simcore::time::SimDuration;
+use wsu_workload::demand::DemandPlanner;
 use wsu_workload::outcomes::CorrelatedOutcomes;
 use wsu_workload::runs::RunSpec;
 use wsu_workload::scenario::Scenario;
@@ -52,8 +53,7 @@ pub fn run_adjudicator_ablation_jobs(
 ) -> Vec<AdjudicatorRow> {
     let spec = RunSpec::run1();
     let gen = CorrelatedOutcomes::from_run(&spec);
-    let mut planner =
-        wsu_workload::demand::DemandPlanner::new(&gen, ExecTimeModel::paper(), "invoke");
+    let mut planner = DemandPlanner::new(&gen, ExecTimeModel::paper());
     let mut plan_rng = seed.stream("ablation/adjudicators/plan");
     let plan = planner.plan_batch(requests as usize, &mut plan_rng);
     const POLICIES: [SelectionPolicy; 3] = [
@@ -94,8 +94,7 @@ pub fn run_mode_ablation(seed: MasterSeed, requests: u64) -> Vec<ModeRow> {
 pub fn run_mode_ablation_jobs(seed: MasterSeed, requests: u64, jobs: Jobs) -> Vec<ModeRow> {
     let spec = RunSpec::run2();
     let gen = CorrelatedOutcomes::from_run(&spec);
-    let mut planner =
-        wsu_workload::demand::DemandPlanner::new(&gen, ExecTimeModel::paper(), "invoke");
+    let mut planner = DemandPlanner::new(&gen, ExecTimeModel::paper());
     let mut plan_rng = seed.stream("ablation/modes/plan");
     let plan = planner.plan_batch(requests as usize, &mut plan_rng);
     let modes = [

@@ -15,6 +15,7 @@ use wsu_core::monitor::{MonitoringSubsystem, ReleaseStats, SystemStats};
 use wsu_core::release::ReleaseId;
 use wsu_obs::{SharedRecorder, SharedRegistry};
 use wsu_simcore::engine::{Engine, Handler};
+use wsu_simcore::par::Jobs;
 use wsu_simcore::rng::{MasterSeed, StreamRng};
 use wsu_simcore::shard::{shard_pipeline, Shards};
 use wsu_simcore::time::SimTime;
@@ -24,6 +25,8 @@ use wsu_workload::timing::ExecTimeModel;
 use wsu_wstack::endpoint::ScriptedEndpoint;
 use wsu_wstack::message::Envelope;
 use wsu_wstack::outcome::ResponseClass;
+
+use crate::replicate::run_replications;
 
 /// Optional observability sinks threaded through a simulation.
 ///
@@ -371,10 +374,10 @@ pub fn simulate_run(
 /// Plans one run's demands: the joint outcomes and execution times all
 /// timeout columns of that run replay.
 ///
-/// The plan stream is derived from `(seed, run_tag)` alone, so any
-/// replication (or worker thread) re-deriving the plan for the same run
-/// obtains the identical batch — the property the parallel runner
-/// relies on when each `(run, timeout)` cell replans independently.
+/// The plan stream is derived from `(seed, run_tag)` alone, so the plan
+/// is a pure function of its arguments: planning a run once and lending
+/// the plan to every timeout column, as the tables do, is
+/// indistinguishable from planning it per column.
 pub fn plan_run(
     outcomes: &dyn OutcomePairGen,
     timing: ExecTimeModel,
@@ -382,13 +385,60 @@ pub fn plan_run(
     seed: MasterSeed,
     run_tag: &str,
 ) -> Vec<PlannedDemand> {
-    let mut planner = DemandPlanner::new(outcomes, timing, "invoke");
+    let mut planner = DemandPlanner::new(outcomes, timing);
     let mut plan_rng = seed.stream(&format!("midsim/plan/{run_tag}"));
     planner.plan_batch(requests as usize, &mut plan_rng)
 }
 
+/// One planned run: its tag and the demands every timeout column of the
+/// run replays.
+#[derive(Debug)]
+pub(crate) struct RunPlan {
+    /// The run's tag; each column's engine gauges are labelled
+    /// `"{tag}/t{timeout}"`.
+    pub(crate) tag: String,
+    /// The run's demands, from [`plan_run`].
+    pub(crate) demands: Vec<PlannedDemand>,
+}
+
+/// Simulates every timeout column of every planned run over the run's
+/// borrowed plan.
+///
+/// Each `(run, timeout)` cell is one replication of
+/// [`run_replications`], run-major and timeout-minor, with its own RNG
+/// streams and its own private observability sinks. The replications'
+/// sinks merge in that cell order, which fixes the floating-point
+/// grouping of the `.prom` histogram sums, so the output is
+/// byte-identical for any `jobs` and `shards` (see
+/// [`simulate_cell_sharded`]).
+pub(crate) fn simulate_planned_runs(
+    runs: &[RunPlan],
+    timeouts: &[f64],
+    seed: MasterSeed,
+    sinks: &ObsSinks,
+    jobs: Jobs,
+    shards: Shards,
+) -> Vec<CellResult> {
+    run_replications(jobs, runs.len() * timeouts.len(), sinks, |r, local| {
+        let run = &runs[r / timeouts.len()];
+        let timeout = timeouts[r % timeouts.len()];
+        simulate_cell_sharded(
+            &run.demands,
+            MiddlewareConfig::paper(timeout),
+            seed,
+            local,
+            &format!("{}/t{timeout}", run.tag),
+            shards,
+        )
+    })
+}
+
 /// [`simulate_run`] with observability sinks attached; each timeout
 /// column's engine gauges are tagged `"{run_tag}/t{timeout}"`.
+///
+/// Each column runs the way a table's cells run, as one replication
+/// with private observability sinks merged in column order; this is the
+/// tables' per-run code for a single run, run serially.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_run_observed(
     outcomes: &dyn OutcomePairGen,
@@ -399,14 +449,18 @@ pub fn simulate_run_observed(
     run_tag: &str,
     sinks: &ObsSinks,
 ) -> Vec<CellResult> {
-    let plan = plan_run(outcomes, timing, requests, seed, run_tag);
-    timeouts
-        .iter()
-        .map(|&t| {
-            let tag = format!("{run_tag}/t{t}");
-            simulate_cell_observed(&plan, MiddlewareConfig::paper(t), seed, sinks, &tag)
-        })
-        .collect()
+    let run = RunPlan {
+        tag: run_tag.to_owned(),
+        demands: plan_run(outcomes, timing, requests, seed, run_tag),
+    };
+    simulate_planned_runs(
+        &[run],
+        timeouts,
+        seed,
+        sinks,
+        Jobs::serial(),
+        Shards::serial(),
+    )
 }
 
 #[cfg(test)]

@@ -5,16 +5,14 @@
 //! 10,000 requests each, reporting per release and for the system: MET,
 //! CR, EER, NER, Total and NRDT.
 
-use wsu_core::middleware::MiddlewareConfig;
-use wsu_simcore::par::Jobs;
+use wsu_simcore::par::{par_map_slice, Jobs};
 use wsu_simcore::rng::MasterSeed;
 use wsu_simcore::shard::Shards;
 use wsu_workload::outcomes::CorrelatedOutcomes;
 use wsu_workload::runs::RunSpec;
 use wsu_workload::timing::ExecTimeModel;
 
-use crate::midsim::{plan_run, simulate_cell_sharded, CellResult, ObsSinks};
-use crate::replicate::run_replications;
+use crate::midsim::{plan_run, simulate_planned_runs, CellResult, ObsSinks, RunPlan};
 use crate::report::TextTable;
 use crate::{PAPER_REQUESTS, PAPER_TIMEOUTS};
 
@@ -161,11 +159,12 @@ pub fn run_table5_sharded(
     }
 }
 
-/// Fans the `(run, timeout)` grid out as replications, run-major and
-/// timeout-minor (the sequential iteration order). Each cell re-derives
-/// its run's demand plan — identical for every cell of the run, see
-/// [`plan_run`] — and simulates its own timeout column with its own
-/// generator, RNG streams and observability sinks.
+/// Plans each run once — the runs' plans are built on the worker pool
+/// before any cell starts — then fans the `(run, timeout)` grid out as
+/// replications, run-major and timeout-minor (the sequential iteration
+/// order). Every cell of a run replays that run's one borrowed plan and
+/// simulates its own timeout column with its own RNG streams and
+/// observability sinks (see [`simulate_planned_runs`]).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn simulate_table_cells<G, F>(
     table_tag: &str,
@@ -183,21 +182,12 @@ where
     G: wsu_workload::outcomes::OutcomePairGen,
     F: Fn(&RunSpec) -> G + Sync,
 {
-    run_replications(jobs, specs.len() * timeouts.len(), sinks, |r, local| {
-        let spec = &specs[r / timeouts.len()];
-        let timeout = timeouts[r % timeouts.len()];
-        let gen = make_gen(spec);
-        let run_tag = format!("{table_tag}/run{}", spec.run);
-        let plan = plan_run(&gen, timing, requests, seed, &run_tag);
-        simulate_cell_sharded(
-            &plan,
-            MiddlewareConfig::paper(timeout),
-            seed,
-            local,
-            &format!("{run_tag}/t{timeout}"),
-            shards,
-        )
-    })
+    let runs = par_map_slice(jobs, specs, |_, spec| {
+        let tag = format!("{table_tag}/run{}", spec.run);
+        let demands = plan_run(&make_gen(spec), timing, requests, seed, &tag);
+        RunPlan { tag, demands }
+    });
+    simulate_planned_runs(&runs, timeouts, seed, sinks, jobs, shards)
 }
 
 /// Groups a flat cell vector (run-major, timeout-minor) back into
@@ -220,6 +210,8 @@ pub(crate) fn group_cells(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::midsim::simulate_run_observed;
+    use wsu_obs::{SharedRecorder, SharedRegistry};
 
     fn quick() -> SimulationTable {
         run_table5_with(
@@ -263,6 +255,47 @@ mod tests {
             rel_gap_run4 > rel_gap_run1,
             "gap run4 {rel_gap_run4} !> gap run1 {rel_gap_run1}"
         );
+    }
+
+    #[test]
+    fn single_run_path_matches_the_table_path() {
+        // `simulate_run_observed` is the tables' per-run code run
+        // serially: the same cells, trace and metrics as the table path
+        // at any jobs/shards.
+        let observed = || ObsSinks {
+            recorder: Some(SharedRecorder::new()),
+            metrics: Some(SharedRegistry::new()),
+        };
+        let (seed, timing, timeouts) = (MasterSeed::new(41), ExecTimeModel::paper(), [1.5, 3.0]);
+        let spec = RunSpec::run2();
+        let table_sinks = observed();
+        let table_cells = simulate_table_cells(
+            "table5",
+            std::slice::from_ref(&spec),
+            1_000,
+            &timeouts,
+            timing,
+            seed,
+            &table_sinks,
+            Jobs::new(2),
+            Shards::new(2),
+            CorrelatedOutcomes::from_run,
+        );
+        let run_sinks = observed();
+        let run_cells = simulate_run_observed(
+            &CorrelatedOutcomes::from_run(&spec),
+            timing,
+            1_000,
+            &timeouts,
+            seed,
+            "table5/run2",
+            &run_sinks,
+        );
+        assert_eq!(run_cells, table_cells);
+        let trace = |sinks: &ObsSinks| sinks.recorder.as_ref().map(SharedRecorder::snapshot);
+        assert_eq!(trace(&run_sinks), trace(&table_sinks));
+        let prom = |sinks: &ObsSinks| sinks.metrics.as_ref().map(SharedRegistry::render_snapshot);
+        assert_eq!(prom(&run_sinks), prom(&table_sinks));
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Snapshot tests: the committed `results/` artefacts must be exactly
 //! reproducible from the current code.
 //!
-//! The full-scale tests are `#[ignore]`d because they take minutes in a
-//! debug build; CI's perf-smoke job (and `cargo test --release -p
-//! wsu-experiments -- --ignored`) runs them at release speed. A quick
-//! reduced-scale determinism check runs unconditionally.
+//! The full-scale Bayesian and campaign tests are `#[ignore]`d because
+//! they take minutes in a debug build; CI's perf-smoke job (and `cargo
+//! test --release -p wsu-experiments -- --ignored`) runs them at release
+//! speed. Tables 5–6 (and their calibrated variants) at paper size, the
+//! Table 5 metrics snapshot and quick reduced-scale determinism checks
+//! run unconditionally.
 
 use std::path::PathBuf;
 
@@ -12,13 +14,40 @@ use wsu_bayes::whitebox::Resolution;
 use wsu_experiments::bayes_study::StudyConfig;
 use wsu_experiments::campaign::{run_campaign_jobs, standard_plans, CampaignConfig};
 use wsu_experiments::midsim::ObsSinks;
-use wsu_experiments::{figures, table2, DEFAULT_SEED};
+use wsu_experiments::table5::{run_table5_jobs, run_table5_sharded, SimulationTable};
+use wsu_experiments::table6::run_table6_jobs;
+use wsu_experiments::{figures, table2, DEFAULT_SEED, PAPER_REQUESTS, PAPER_TIMEOUTS};
+use wsu_obs::SharedRegistry;
 use wsu_simcore::par::Jobs;
+use wsu_simcore::rng::MasterSeed;
+use wsu_simcore::shard::Shards;
+use wsu_workload::timing::ExecTimeModel;
 
 fn results_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join("results")
+}
+
+fn golden(file: &str) -> String {
+    std::fs::read_to_string(results_dir().join(file))
+        .unwrap_or_else(|e| panic!("committed results/{file}: {e}"))
+}
+
+type TableRunner = fn(MasterSeed, u64, &[f64], ExecTimeModel, &ObsSinks, Jobs) -> SimulationTable;
+
+/// A simulation table at paper size, built the way the `all` binary
+/// builds `results/table{5,6}[_calibrated].txt`.
+fn paper_table(run: TableRunner, timing: ExecTimeModel) -> String {
+    run(
+        DEFAULT_SEED,
+        PAPER_REQUESTS,
+        &PAPER_TIMEOUTS,
+        timing,
+        &ObsSinks::default(),
+        Jobs::new(2),
+    )
+    .render()
 }
 
 fn paper_study1() -> StudyConfig {
@@ -77,6 +106,64 @@ fn faultcampaign_artefact_is_reproducible() {
     )
     .render();
     assert_eq!(rendered, golden, "results/faultcampaign.txt drifted");
+}
+
+#[test]
+fn table5_artefact_is_reproducible() {
+    let rendered = paper_table(run_table5_jobs, ExecTimeModel::paper());
+    assert_eq!(rendered, golden("table5.txt"), "results/table5.txt drifted");
+}
+
+#[test]
+fn table6_artefact_is_reproducible() {
+    let rendered = paper_table(run_table6_jobs, ExecTimeModel::paper());
+    assert_eq!(rendered, golden("table6.txt"), "results/table6.txt drifted");
+}
+
+#[test]
+fn table5_calibrated_artefact_is_reproducible() {
+    let rendered = paper_table(run_table5_jobs, ExecTimeModel::calibrated());
+    assert_eq!(
+        rendered,
+        golden("table5_calibrated.txt"),
+        "results/table5_calibrated.txt drifted"
+    );
+}
+
+#[test]
+fn table6_calibrated_artefact_is_reproducible() {
+    let rendered = paper_table(run_table6_jobs, ExecTimeModel::calibrated());
+    assert_eq!(
+        rendered,
+        golden("table6_calibrated.txt"),
+        "results/table6_calibrated.txt drifted"
+    );
+}
+
+/// `results/table5.prom` is the snapshot `table5 --quick --metrics PATH`
+/// writes: 2,000 requests per cell, a metrics registry and no
+/// wall-clock phase gauges.
+#[test]
+fn table5_metrics_snapshot_is_reproducible() {
+    let sinks = ObsSinks {
+        recorder: None,
+        metrics: Some(SharedRegistry::new()),
+    };
+    run_table5_sharded(
+        DEFAULT_SEED,
+        2_000,
+        &PAPER_TIMEOUTS,
+        ExecTimeModel::paper(),
+        &sinks,
+        Jobs::new(2),
+        Shards::serial(),
+    );
+    let rendered = sinks.metrics.expect("registry attached").render_snapshot();
+    assert_eq!(
+        rendered,
+        golden("table5.prom"),
+        "results/table5.prom drifted"
+    );
 }
 
 #[test]

@@ -9,8 +9,10 @@
 //! Two executors are provided, matching the two shapes of hot loop in
 //! this workspace:
 //!
-//! 1. [`run_epochs`] — conservative parallel discrete-event simulation.
-//!    Each shard owns a private calendar queue (via
+//! 1. [`run_epochs_local`] — conservative parallel discrete-event
+//!    simulation. Each shard's world is built, run and consumed on its
+//!    own thread, so worlds need not be `Send`. Each shard owns a
+//!    private calendar queue (via
 //!    [`Engine::run_window`](crate::engine::Engine::run_window)), RNG
 //!    streams, scratch buffers and metric sinks, and advances through
 //!    virtual time in fixed *epochs* (windows one calendar-bucket wide
@@ -180,61 +182,14 @@ pub trait ShardWorld {
     ) -> bool;
 }
 
-impl<W: ShardWorld + ?Sized> ShardWorld for &mut W {
-    type Msg = W::Msg;
-
-    fn epoch(
-        &mut self,
-        epoch: u64,
-        inbox: Vec<(usize, Self::Msg)>,
-        outbox: &mut Outbox<Self::Msg>,
-    ) -> bool {
-        (**self).epoch(epoch, inbox, outbox)
-    }
-}
-
 /// What one shard deposits at the barrier each epoch.
 struct EpochPost<M> {
     lanes: Vec<Vec<M>>,
     pending: bool,
 }
 
-/// Runs every shard in `worlds` to global quiescence under the epoch
-/// barrier, returning the number of epochs executed.
-///
-/// Each epoch: all shards run [`ShardWorld::epoch`] concurrently, hit a
-/// barrier, the barrier leader redistributes every staged lane to its
-/// destination inbox (in source order, preserving per-lane FIFO — the
-/// `(epoch, src, seq)` drain order), and checks termination: the run
-/// ends after an epoch in which no shard has pending work and no
-/// message was staged. With one shard everything runs inline on the
-/// calling thread — byte-for-byte the serial engine.
-///
-/// # Panics
-///
-/// Propagates a panic from any shard (the scope joins all workers).
-pub fn run_epochs<W: ShardWorld + Send>(worlds: &mut [W]) -> u64 {
-    let k = worlds.len();
-    assert!(k > 0, "run_epochs needs at least one shard");
-    // Hand each scoped thread its `&mut W` through a take-once slot;
-    // the blanket `ShardWorld for &mut W` impl does the rest.
-    let slots: Vec<Mutex<Option<&mut W>>> =
-        worlds.iter_mut().map(|w| Mutex::new(Some(w))).collect();
-    let (_, epochs) = run_epochs_local(
-        Shards::new(k),
-        |shard| {
-            slots[shard]
-                .lock()
-                .expect("world slot")
-                .take()
-                .expect("each shard's world is taken exactly once")
-        },
-        |_, _| (),
-    );
-    epochs
-}
-
-/// [`run_epochs`] for worlds that cannot cross threads.
+/// Runs one world per shard to global quiescence under the epoch
+/// barrier.
 ///
 /// `build(shard)` constructs shard `shard`'s world *on the thread that
 /// will run it*, and `finish(shard, world)` consumes the world there
@@ -243,6 +198,13 @@ pub fn run_epochs<W: ShardWorld + Send>(worlds: &mut [W]) -> u64 {
 /// is the blueprint idiom (`ServeSpec::worker`) applied to the epoch
 /// runner, and it is how middleware worlds (whose endpoints hand out
 /// `Rc`-pooled envelopes) shard across cores.
+///
+/// Each epoch: all shards run [`ShardWorld::epoch`] concurrently, hit a
+/// barrier, the barrier leader redistributes every staged lane to its
+/// destination inbox (in source order, preserving per-lane FIFO — the
+/// `(epoch, src, seq)` drain order), and checks termination: the run
+/// ends after an epoch in which no shard has pending work and no
+/// message was staged.
 ///
 /// Returns the per-shard summaries in shard order plus the number of
 /// epochs executed. With one shard everything runs inline on the
@@ -751,22 +713,26 @@ mod tests {
     fn run_ring(k: usize) -> Vec<(u64, u64)> {
         let shards = Shards::new(k);
         let entities = 10u64;
-        let mut worlds: Vec<RingShard> = (0..k)
-            .map(|s| RingShard::new(s, shards, entities))
-            .collect();
-        // Seed: every entity starts one token at t = 0.5 with ttl 20.
-        for id in 0..entities {
-            let owner = shards.owner_of(id);
-            let hop = Hop {
-                due: SimTime::from_secs(0.5),
-                id,
-                ttl: 20,
-            };
-            worlds[owner].engine.schedule_at(hop.due, hop);
-        }
-        let epochs = run_epochs(&mut worlds);
+        let (logs, epochs) = run_epochs_local(
+            shards,
+            |shard| {
+                let mut world = RingShard::new(shard, shards, entities);
+                // Seed: every entity starts one token at t = 0.5 with
+                // ttl 20, on the shard that owns it.
+                for id in (0..entities).filter(|&id| shards.owner_of(id) == shard) {
+                    let hop = Hop {
+                        due: SimTime::from_secs(0.5),
+                        id,
+                        ttl: 20,
+                    };
+                    world.engine.schedule_at(hop.due, hop);
+                }
+                world
+            },
+            |_, world| world.log,
+        );
         assert!(epochs >= 20, "token ttl spans at least 20 epochs");
-        let mut log: Vec<(u64, u64)> = worlds.into_iter().flat_map(|w| w.log).collect();
+        let mut log: Vec<(u64, u64)> = logs.into_iter().flatten().collect();
         log.sort_unstable();
         log
     }
@@ -806,19 +772,20 @@ mod tests {
                 false
             }
         }
-        let mut worlds: Vec<Sender> = (0..3)
-            .map(|shard| Sender {
+        let (seen, _) = run_epochs_local(
+            Shards::new(3),
+            |shard| Sender {
                 shard,
                 seen: Vec::new(),
                 rounds: 0,
-            })
-            .collect();
-        run_epochs(&mut worlds);
+            },
+            |_, world| world.seen,
+        );
         assert_eq!(
-            worlds[0].seen,
+            seen[0],
             vec![(0, 0), (0, 1), (1, 10), (1, 11), (2, 20), (2, 21)]
         );
-        assert!(worlds[1].seen.is_empty());
+        assert!(seen[1].is_empty());
     }
 
     /// The whole point of `run_epochs_local`: worlds holding non-`Send`
@@ -887,9 +854,12 @@ mod tests {
                 false
             }
         }
-        let mut worlds = vec![SelfSend { got: Vec::new() }];
-        let epochs = run_epochs(&mut worlds);
-        assert_eq!(worlds[0].got, vec![0, 1, 2]);
+        let (got, epochs) = run_epochs_local(
+            Shards::serial(),
+            |_| SelfSend { got: Vec::new() },
+            |_, world| world.got,
+        );
+        assert_eq!(got, vec![vec![0, 1, 2]]);
         assert!(epochs >= 4);
     }
 }

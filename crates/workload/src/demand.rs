@@ -1,26 +1,25 @@
-//! Demand streams: requests plus per-release planned responses.
+//! Demand streams: per-release planned responses.
 //!
-//! The middleware simulation needs, for each demand, a request envelope
-//! and the jointly sampled behaviour of both releases: outcome classes
-//! (from an [`OutcomePairGen`]) and execution times (from an
+//! The middleware simulation needs, for each demand, the jointly
+//! sampled behaviour of both releases: outcome classes (from an
+//! [`OutcomePairGen`]) and execution times (from an
 //! [`ExecTimeModel`]). [`DemandPlanner`] bundles the two; the experiment
 //! harness feeds each half of the plan into a scripted endpoint or
 //! directly into the middleware.
+//!
+//! A plan is a flat `Vec<PlannedDemand>` of plain `Copy` values: nothing
+//! per demand lives on the heap, so planning a batch costs one
+//! allocation however many demands it holds.
 
 use wsu_simcore::rng::StreamRng;
 use wsu_wstack::endpoint::PlannedResponse;
-use wsu_wstack::message::Envelope;
 
 use crate::outcomes::OutcomePairGen;
 use crate::timing::ExecTimeModel;
 
-/// One fully planned demand.
-#[derive(Debug, Clone, PartialEq)]
+/// One fully planned demand: how each release will answer it.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlannedDemand {
-    /// Sequence number, from 0.
-    pub seq: u64,
-    /// The consumer's request.
-    pub request: Envelope,
     /// Release 1's planned behaviour.
     pub rel1: PlannedResponse,
     /// Release 2's planned behaviour.
@@ -31,34 +30,26 @@ pub struct PlannedDemand {
 pub struct DemandPlanner<'a> {
     outcomes: &'a dyn OutcomePairGen,
     timing: ExecTimeModel,
-    operation: String,
-    next_seq: u64,
+    planned: u64,
 }
 
 impl<'a> DemandPlanner<'a> {
-    /// Creates a planner issuing requests against `operation`.
-    pub fn new(
-        outcomes: &'a dyn OutcomePairGen,
-        timing: ExecTimeModel,
-        operation: impl Into<String>,
-    ) -> DemandPlanner<'a> {
+    /// Creates a planner drawing outcomes from `outcomes` and execution
+    /// times from `timing`.
+    pub fn new(outcomes: &'a dyn OutcomePairGen, timing: ExecTimeModel) -> DemandPlanner<'a> {
         DemandPlanner {
             outcomes,
             timing,
-            operation: operation.into(),
-            next_seq: 0,
+            planned: 0,
         }
     }
 
     /// Plans the next demand.
     pub fn plan(&mut self, rng: &mut StreamRng) -> PlannedDemand {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        self.planned += 1;
         let (class1, class2) = self.outcomes.sample_pair(rng);
         let (t1, t2) = self.timing.sample_pair(rng);
         PlannedDemand {
-            seq,
-            request: Envelope::request(self.operation.clone()).with_part("seq", seq as i64),
             rel1: PlannedResponse {
                 class: class1,
                 exec_time: t1,
@@ -70,14 +61,14 @@ impl<'a> DemandPlanner<'a> {
         }
     }
 
-    /// Plans a batch of `n` demands.
+    /// Plans a batch of `n` demands into one exactly sized buffer.
     pub fn plan_batch(&mut self, n: usize, rng: &mut StreamRng) -> Vec<PlannedDemand> {
         (0..n).map(|_| self.plan(rng)).collect()
     }
 
     /// Demands planned so far.
     pub fn planned(&self) -> u64 {
-        self.next_seq
+        self.planned
     }
 }
 
@@ -86,8 +77,7 @@ impl std::fmt::Debug for DemandPlanner<'_> {
         f.debug_struct("DemandPlanner")
             .field("outcomes", &self.outcomes.label())
             .field("timing", &self.timing)
-            .field("operation", &self.operation)
-            .field("planned", &self.next_seq)
+            .field("planned", &self.planned)
             .finish()
     }
 }
@@ -97,40 +87,39 @@ mod tests {
     use super::*;
     use crate::outcomes::CorrelatedOutcomes;
     use crate::runs::RunSpec;
-    use wsu_wstack::message::Value;
     use wsu_wstack::outcome::ResponseClass;
 
     #[test]
-    fn plans_are_sequenced_and_tagged() {
+    fn single_plans_replay_the_batch() {
         let run = RunSpec::run1();
         let outcomes = CorrelatedOutcomes::from_run(&run);
-        let mut planner = DemandPlanner::new(&outcomes, ExecTimeModel::paper(), "invoke");
+        let mut planner = DemandPlanner::new(&outcomes, ExecTimeModel::paper());
         let mut rng = StreamRng::from_seed(1);
         let d0 = planner.plan(&mut rng);
         let d1 = planner.plan(&mut rng);
-        assert_eq!(d0.seq, 0);
-        assert_eq!(d1.seq, 1);
-        assert_eq!(d0.request.operation(), "invoke");
-        assert_eq!(d0.request.part("seq").and_then(Value::as_int), Some(0));
         assert_eq!(planner.planned(), 2);
+        let mut batch_planner = DemandPlanner::new(&outcomes, ExecTimeModel::paper());
+        let batch = batch_planner.plan_batch(2, &mut StreamRng::from_seed(1));
+        assert_eq!(batch, vec![d0, d1]);
     }
 
     #[test]
     fn batch_planning() {
         let run = RunSpec::run1();
         let outcomes = CorrelatedOutcomes::from_run(&run);
-        let mut planner = DemandPlanner::new(&outcomes, ExecTimeModel::paper(), "invoke");
+        let mut planner = DemandPlanner::new(&outcomes, ExecTimeModel::paper());
         let mut rng = StreamRng::from_seed(2);
         let batch = planner.plan_batch(100, &mut rng);
         assert_eq!(batch.len(), 100);
-        assert_eq!(batch[99].seq, 99);
+        assert_eq!(batch.capacity(), 100);
+        assert_eq!(planner.planned(), 100);
     }
 
     #[test]
     fn planned_outcomes_follow_generator() {
         let run = RunSpec::run1();
         let outcomes = CorrelatedOutcomes::from_run(&run);
-        let mut planner = DemandPlanner::new(&outcomes, ExecTimeModel::paper(), "invoke");
+        let mut planner = DemandPlanner::new(&outcomes, ExecTimeModel::paper());
         let mut rng = StreamRng::from_seed(3);
         let n = 50_000;
         let batch = planner.plan_batch(n, &mut rng);
@@ -151,7 +140,7 @@ mod tests {
     fn exec_times_are_positive_and_distinct() {
         let run = RunSpec::run1();
         let outcomes = CorrelatedOutcomes::from_run(&run);
-        let mut planner = DemandPlanner::new(&outcomes, ExecTimeModel::paper(), "invoke");
+        let mut planner = DemandPlanner::new(&outcomes, ExecTimeModel::paper());
         let mut rng = StreamRng::from_seed(4);
         let d = planner.plan(&mut rng);
         assert!(d.rel1.exec_time.as_secs() > 0.0);
@@ -163,7 +152,7 @@ mod tests {
     fn debug_format_mentions_label() {
         let run = RunSpec::run1();
         let outcomes = CorrelatedOutcomes::from_run(&run);
-        let planner = DemandPlanner::new(&outcomes, ExecTimeModel::paper(), "invoke");
+        let planner = DemandPlanner::new(&outcomes, ExecTimeModel::paper());
         assert!(format!("{planner:?}").contains("correlated"));
     }
 }
