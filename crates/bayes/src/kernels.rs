@@ -18,7 +18,8 @@
 //!   `x[i] = exp(w[i] − max)` (optionally fused with the marginal
 //!   stride sums), with a branch that skips the `exp` call — and the
 //!   `+= 0.0` that would follow — wherever the result provably
-//!   underflows to exactly `0.0`.
+//!   underflows to exactly `0.0`; [`exp_stride_sums_rows`] restricts
+//!   the fused pass to one span of blocks per grid row.
 //!
 //! # Bit-compatibility contract
 //!
@@ -34,7 +35,10 @@
 //! * `exp(v)` underflows to exactly `+0.0` for every `v ≤`
 //!   [`EXP_UNDERFLOW`], and `acc += 0.0` leaves a non-negative `acc`
 //!   bit-unchanged, so the skip branch removes work without touching
-//!   results.
+//!   results. The same fact lets the white-box rebase skip whole grid
+//!   blocks: a cell proved to lie [`SKIP_MARGIN`] below the maximum
+//!   contributes `+0.0`, so [`exp_stride_sums_rows`] may leave it out —
+//!   and need not even read it — without moving a bit.
 //!
 //! Two further ingredients carry the exponentiation pass, which
 //! dominates a checkpoint once the additive sweeps are fused:
@@ -74,6 +78,13 @@ pub const LANES: usize = 4;
 /// the threshold and the cutoff still go through `exp`, which keeps the
 /// kernels bit-identical to the always-exp reference.
 pub const EXP_UNDERFLOW: f64 = -750.0;
+
+/// How far below the posterior's maximum log-weight a cell must provably
+/// lie for the pruned rebase to skip it: one nat beyond
+/// `-`[`EXP_UNDERFLOW`], so that `w − max` stays at or below
+/// [`EXP_UNDERFLOW`] even after the threshold `lower_bound − SKIP_MARGIN`
+/// is itself rounded. Such a cell's `exp` is exactly `+0.0`.
+pub const SKIP_MARGIN: f64 = 751.0;
 
 /// One additive term of a fused update: the per-cell log-probability
 /// table of an event class and the (non-zero) count delta to apply.
@@ -879,6 +890,10 @@ pub fn exp_weights(w: &[f64], max: f64, x: &mut [f64]) {
 /// for custom resolutions far off the paper's grid).
 const QBUF: usize = 64;
 
+/// The live `b` blocks of one `a` row, as a half-open range `lo..hi` of
+/// block indices (see [`exp_stride_sums_rows`]).
+pub type RowSpan = (usize, usize);
+
 /// Fused exponentiation + marginal stride sums, bit-identical to
 /// [`scalar::exp_stride_sums`]: every marginal accumulator is a plain
 /// *element-wise serial chain* in grid order — `a_sums[a]` adds its
@@ -898,6 +913,9 @@ const QBUF: usize = 64;
 /// their `exp` changes nothing. Leftover rows (`na mod 4`) run the
 /// scalar order directly.
 ///
+/// This is the all-live case of [`exp_stride_sums_rows`]: every row
+/// spans all `nb` blocks.
+///
 /// `w` may be lane-padded beyond the structural cell count; only the
 /// first `a_sums.len()·b_sums.len()·q` cells are read.
 ///
@@ -905,6 +923,73 @@ const QBUF: usize = 64;
 ///
 /// Panics if `w` is shorter than the structural cell count.
 pub fn exp_stride_sums(w: &[f64], max: f64, q: usize, a_sums: &mut [f64], b_sums: &mut [f64]) {
+    let nb = b_sums.len();
+    stride_sums(w, max, q, |_| (0, nb), a_sums, b_sums);
+}
+
+/// [`exp_stride_sums`] restricted to one span of `b` blocks per `a`
+/// row: row `a` reads only the cells of blocks `rows[a].0..rows[a].1`
+/// and every cell outside its span counts as exactly `+0.0` — whatever
+/// `w` holds there. When the caller has proved that every cell outside
+/// the spans has `w ≤ max −` [`SKIP_MARGIN`], those cells would have
+/// contributed exactly `+0.0` anyway (their shifted log-weight is at or
+/// below [`EXP_UNDERFLOW`]), so the sums are bit-identical to the
+/// full-grid [`scalar::exp_stride_sums`]. A row with an empty span sums
+/// to `+0.0`.
+///
+/// Same four-row interleave as [`exp_stride_sums`]: each group of four
+/// rows walks the union of its non-empty spans, and a lane outside its
+/// own span feeds `+0.0` into its chains.
+///
+/// # Panics
+///
+/// Panics if `rows.len() != a_sums.len()`, a span is inverted or ends
+/// past `b_sums.len()`, or `w` is shorter than the structural cell
+/// count.
+pub fn exp_stride_sums_rows(
+    w: &[f64],
+    max: f64,
+    q: usize,
+    rows: &[RowSpan],
+    a_sums: &mut [f64],
+    b_sums: &mut [f64],
+) {
+    let nb = b_sums.len();
+    assert_eq!(rows.len(), a_sums.len(), "one span per a row");
+    assert!(
+        rows.iter().all(|&(lo, hi)| lo <= hi && hi <= nb),
+        "row span outside 0..{nb}"
+    );
+    stride_sums(w, max, q, |a| rows[a], a_sums, b_sums);
+}
+
+/// `exp(v)` for four lanes, `+0.0` wherever `v` is at or below
+/// [`EXP_UNDERFLOW`] (including `-inf`).
+#[inline(always)]
+fn exp4_or_zero(v: [f64; LANES]) -> [f64; LANES] {
+    if all_fast_path(v) {
+        return exp4_core(v);
+    }
+    let mut e = [0.0f64; LANES];
+    for l in 0..LANES {
+        if v[l] >= EXP_UNDERFLOW {
+            e[l] = fast_exp(v[l]);
+        }
+    }
+    e
+}
+
+/// The one implementation behind [`exp_stride_sums`] and
+/// [`exp_stride_sums_rows`]; `span(a)` is row `a`'s live block range.
+#[inline(always)]
+fn stride_sums(
+    w: &[f64],
+    max: f64,
+    q: usize,
+    span: impl Fn(usize) -> RowSpan,
+    a_sums: &mut [f64],
+    b_sums: &mut [f64],
+) {
     let na = a_sums.len();
     let nb = b_sums.len();
     let row = nb * q;
@@ -915,52 +1000,30 @@ pub fn exp_stride_sums(w: &[f64], max: f64, q: usize, a_sums: &mut [f64], b_sums
     if q <= QBUF {
         let mut eb = [[0.0f64; QBUF]; LANES];
         while a0 + LANES <= na {
-            let mut aacc = [0.0f64; LANES];
-            let mut j = 0;
-            for b_slot in b_sums.iter_mut() {
-                for k in 0..q {
-                    let mut v = [0.0f64; LANES];
-                    for l in 0..LANES {
-                        v[l] = w[(a0 + l) * row + j + k] - max;
-                    }
-                    let e = if all_fast_path(v) {
-                        exp4_core(v)
-                    } else {
-                        let mut e = [0.0f64; LANES];
-                        for l in 0..LANES {
-                            if v[l] >= EXP_UNDERFLOW {
-                                e[l] = fast_exp(v[l]);
-                            }
-                        }
-                        e
-                    };
-                    for l in 0..LANES {
-                        aacc[l] += e[l];
-                        eb[l][k] = e[l];
-                    }
-                }
-                // Drain in (row, k) order: lane 0's whole block before
-                // lane 1's — the exact scalar b-chain.
-                let mut acc = *b_slot;
-                for lane in &eb {
-                    for &e in &lane[..q] {
-                        acc += e;
-                    }
-                }
-                *b_slot = acc;
-                j += q;
-            }
-            for (l, &acc) in aacc.iter().enumerate() {
-                a_sums[a0 + l] = acc;
-            }
+            let spans: [RowSpan; LANES] = std::array::from_fn(|l| span(a0 + l));
+            let group = RowGroup {
+                w,
+                max,
+                q,
+                first: a0 * row,
+                row,
+            };
+            // Four whole rows take the loop without per-lane span tests.
+            let sums = if spans == [(0, nb); LANES] {
+                group.sums::<true>(spans, &mut eb, b_sums)
+            } else {
+                group.sums::<false>(spans, &mut eb, b_sums)
+            };
+            a_sums[a0..a0 + LANES].copy_from_slice(&sums);
             a0 += LANES;
         }
     }
     // Leftover rows (and the q > QBUF fallback): the scalar order, with
     // the same exp-skip for provably underflowed cells.
-    let mut idx = a0 * row;
-    for a_slot in a_sums.iter_mut().skip(a0) {
-        for b_slot in b_sums.iter_mut() {
+    for (a, a_slot) in a_sums.iter_mut().enumerate().skip(a0) {
+        let (lo, hi) = span(a);
+        for (jb, b_slot) in b_sums.iter_mut().enumerate().take(hi).skip(lo) {
+            let idx = a * row + jb * q;
             for &wv in &w[idx..idx + q] {
                 let v = wv - max;
                 if v >= EXP_UNDERFLOW {
@@ -969,8 +1032,75 @@ pub fn exp_stride_sums(w: &[f64], max: f64, q: usize, a_sums: &mut [f64], b_sums
                     *b_slot += e;
                 }
             }
-            idx += q;
         }
+    }
+}
+
+/// Four consecutive grid rows walked in lockstep by [`stride_sums`].
+struct RowGroup<'a> {
+    w: &'a [f64],
+    max: f64,
+    q: usize,
+    /// Index of the group's first cell.
+    first: usize,
+    /// Cells per row.
+    row: usize,
+}
+
+impl RowGroup<'_> {
+    /// Accumulates the group's cells into `b_sums` and returns its four
+    /// `a` sums. With `ALL_LIVE` every span must be the whole row.
+    #[inline(always)]
+    fn sums<const ALL_LIVE: bool>(
+        &self,
+        spans: [RowSpan; LANES],
+        eb: &mut [[f64; QBUF]; LANES],
+        b_sums: &mut [f64],
+    ) -> [f64; LANES] {
+        let RowGroup {
+            w,
+            max,
+            q,
+            first,
+            row,
+        } = *self;
+        // The union of the non-empty spans: an empty row's `(0, 0)` must
+        // not stretch the walk back to block 0. An all-empty group walks
+        // nothing.
+        let live_spans = || spans.iter().filter(|s| s.0 < s.1);
+        let lo = live_spans().map(|s| s.0).min().unwrap_or(0);
+        let hi = live_spans().map(|s| s.1).max().unwrap_or(0);
+        let mut aacc = [0.0f64; LANES];
+        for (jb, b_slot) in b_sums.iter_mut().enumerate().take(hi).skip(lo) {
+            let j = first + jb * q;
+            let live: [bool; LANES] =
+                std::array::from_fn(|l| ALL_LIVE || (spans[l].0 <= jb && jb < spans[l].1));
+            for k in 0..q {
+                // A lane outside its row's span feeds -inf, which
+                // exponentiates to +0.0 without reading its cell.
+                let mut v = [f64::NEG_INFINITY; LANES];
+                for l in 0..LANES {
+                    if live[l] {
+                        v[l] = w[l * row + j + k] - max;
+                    }
+                }
+                let e = exp4_or_zero(v);
+                for l in 0..LANES {
+                    aacc[l] += e[l];
+                    eb[l][k] = e[l];
+                }
+            }
+            // Drain in (row, k) order: lane 0's whole block before
+            // lane 1's — the exact scalar b-chain.
+            let mut acc = *b_slot;
+            for lane in eb.iter() {
+                for &e in &lane[..q] {
+                    acc += e;
+                }
+            }
+            *b_slot = acc;
+        }
+        aacc
     }
 }
 
@@ -1127,6 +1257,41 @@ mod tests {
         assert_eq!((EXP_UNDERFLOW - 1.0).exp(), 0.0);
         assert_eq!((2.0 * EXP_UNDERFLOW).exp(), 0.0);
         assert!(EXP_UNDERFLOW.exp().is_sign_positive());
+    }
+
+    #[test]
+    fn row_spans_sum_only_their_blocks() {
+        // Two four-row groups (one mixing empty rows with late spans, one
+        // all empty) and two leftover rows. Cells outside the spans hold
+        // a value whose exp overflows, so reading one would show.
+        let (na, nb, q) = (10, 12, 5);
+        let spans: [RowSpan; 10] = [
+            (0, 0),
+            (5, 9),
+            (7, 12),
+            (0, 0),
+            (0, 0),
+            (0, 0),
+            (0, 0),
+            (0, 0),
+            (3, 4),
+            (0, 0),
+        ];
+        let mut w = vec![1e3; na * nb * q];
+        let mut reference = vec![f64::NEG_INFINITY; na * nb * q];
+        for (a, &(lo, hi)) in spans.iter().enumerate() {
+            for cell in (a * nb + lo) * q..(a * nb + hi) * q {
+                w[cell] = -((cell % 13) as f64) * 0.25;
+                reference[cell] = w[cell];
+            }
+        }
+        let (mut a_got, mut b_got) = (vec![0.0; na], vec![0.0; nb]);
+        let (mut a_want, mut b_want) = (vec![0.0; na], vec![0.0; nb]);
+        exp_stride_sums_rows(&w, 0.0, q, &spans, &mut a_got, &mut b_got);
+        scalar::exp_stride_sums(&reference, 0.0, q, &mut a_want, &mut b_want);
+        let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a_got), bits(&a_want));
+        assert_eq!(bits(&b_got), bits(&b_want));
     }
 
     #[test]

@@ -21,12 +21,39 @@
 //! `p_AB = q · min(p_A, p_B)`; a uniform `q` on `[0, 1]` is *exactly* the
 //! indifference prior, and other [`CoincidencePrior`] variants support the
 //! prior-sensitivity ablation.
+//!
+//! # Skipping blocks that cannot carry mass
+//!
+//! The managed upgrade re-assesses from total counts every interval
+//! ([`PosteriorUpdater::rebase`]). As evidence accumulates, the
+//! posterior concentrates on a few `(p_A, p_B)` cells: after 4M demands
+//! of a typical upgrade, 0.2% of the grid lies within 750 nats of the
+//! maximum log-weight. Every other cell exponentiates to exactly `+0.0`
+//! (`exp` underflows below about −745.1; see [`kernels::EXP_UNDERFLOW`])
+//! and adds exactly nothing to the marginals.
+//!
+//! So each block of `q` cells sharing one `(p_A, p_B)` keeps, per half
+//! of its `q` range, the maximum of the log prior and of each event's
+//! log-probability. The recompute of a cell is `ln prior + Σ d·ln p`,
+//! each term a separately rounded `+=`; the same sequence over the
+//! maxima is an upper bound on every cell of the half block, because
+//! IEEE rounding is monotone. A rebase bounds every half block, takes an
+//! exact lower bound `L` on the grid maximum from two recomputed blocks,
+//! and recomputes only the blocks whose bound reaches
+//! `L −` [`kernels::SKIP_MARGIN`]. A skipped cell is at least 751 nats
+//! below the true maximum, so it would have contributed `+0.0`; the
+//! marginals, their percentiles and every switching decision are
+//! bit-identical to the full recompute, which
+//! [`WhiteBoxInference::posterior`] still performs and the tests compare
+//! against. While the posterior is broad, every block is live and the
+//! rebase is the full recompute.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::beta::ScaledBeta;
 use crate::counts::JointCounts;
-use crate::kernels::{self, LaneBuf, Term};
+use crate::kernels::{self, LaneBuf, RowSpan, Term, SKIP_MARGIN};
 use crate::posterior::{self, GridPosterior, MarginalView};
 
 /// The conditional prior of the coincident-failure probability
@@ -117,8 +144,11 @@ pub struct Resolution {
 
 impl Default for Resolution {
     /// 96 × 96 × 32 — accurate to well under a grid cell for the paper's
-    /// scenarios while keeping a posterior update around a millisecond in
-    /// release builds.
+    /// scenarios. In release builds on a 2-vCPU x86-64 host, a
+    /// full-grid update (a delta checkpoint, or a rebase while the
+    /// posterior is still broad) costs 1–3 ms; once the evidence
+    /// concentrates the posterior, a rebase recomputes only the blocks
+    /// that can carry mass and costs about 0.1 ms.
     fn default() -> Resolution {
         Resolution {
             a_cells: 96,
@@ -140,9 +170,10 @@ impl Resolution {
 }
 
 /// The precomputed grid tables — prior masses, per-cell event
-/// log-probabilities, `p_AB` values and axis edges. Shared via [`Arc`]
-/// between the engine, every posterior it produces and any incremental
-/// updaters, so queries never copy the ~300k `f64` of tables.
+/// log-probabilities, their maxima over runs of cells, the coincidence grid and
+/// axis edges. Shared via [`Arc`] between the engine, every posterior it
+/// produces and any incremental updaters, so queries never copy the
+/// ~300k `f64` of tables.
 ///
 /// The log tables live in cache-aligned, lane-padded [`LaneBuf`]s
 /// (structure-of-arrays): each of the four event classes is its own
@@ -150,6 +181,14 @@ impl Resolution {
 /// multiple, so the chunked kernels in [`crate::kernels`] sweep whole
 /// lanes with no tail inside the per-term loops and no per-cell
 /// liveness branch.
+///
+/// Cells are laid out `(a, b, q)`-major: the `q` cells of one `(a, b)`
+/// pair form a contiguous *block*, and block `a·nb + b` covers cells
+/// `(a·nb + b)·q ..` of every table. Each block is split into at most
+/// [`RUNS`] runs of consecutive `q` cells, and each run keeps the
+/// maximum of every table over its cells, from which
+/// [`PosteriorUpdater::rebase`] bounds the block's log-weights without
+/// touching its cells.
 #[derive(Debug)]
 pub(crate) struct GridTables {
     pub(crate) a_edges: Vec<f64>,
@@ -161,12 +200,53 @@ pub(crate) struct GridTables {
     ln_p10: LaneBuf,
     ln_p01: LaneBuf,
     ln_p00: LaneBuf,
-    /// Per-cell `p_AB` values, for the coincidence marginal.
-    p_ab: Vec<f64>,
+    /// Per-run maximum of `ln_prior`, run `r` of block `k` at
+    /// `k·runs + r`.
+    run_prior: Vec<f64>,
+    /// Per-run maxima of the four event tables, in `ln_p11..ln_p00`
+    /// order.
+    run_p: [Vec<f64>; 4],
+    /// Runs per block: [`RUNS`], or 1 when a block has a single cell.
+    runs: usize,
+    /// The coincidence grid points, in cell order within a block.
+    q_grid: Vec<QPoint>,
     /// Number of q points actually used.
     pub(crate) q_points: usize,
     /// Support of the coincidence marginal, `min(range_A, range_B)`.
     pab_range: f64,
+}
+
+/// Most runs a block's `q` cells are split into for the log-weight
+/// bounds of [`PosteriorUpdater::rebase`]. Within a block, `p10`, `p01`
+/// fall and `p00` rises with `q`, so one maximum per table over the
+/// whole block pairs the best of opposite ends; halving the block
+/// roughly halves that slack for 0.35 MiB more summaries on the
+/// default grid.
+const RUNS: usize = 2;
+
+/// The count of each Table 1 event class, in the reference order
+/// `r1..r4` (both failed, only A, only B, both succeeded).
+fn event_counts(counts: &JointCounts) -> [f64; 4] {
+    [
+        counts.both_failed() as f64,
+        counts.only_a_failed() as f64,
+        counts.only_b_failed() as f64,
+        counts.both_succeeded() as f64,
+    ]
+}
+
+/// The live (count > 0) likelihood terms over `tables` in the reference
+/// order `r1..r4`. Returns the filled prefix length; no allocation.
+fn live_terms<'a>(tables: [&'a [f64]; 4], deltas: [f64; 4]) -> ([Term<'a>; 4], usize) {
+    let mut terms: [Term<'a>; 4] = [(&[], 0.0); 4];
+    let mut n = 0;
+    for (&d, table) in deltas.iter().zip(tables) {
+        if d > 0.0 {
+            terms[n] = (table, d);
+            n += 1;
+        }
+    }
+    (terms, n)
 }
 
 impl GridTables {
@@ -188,48 +268,55 @@ impl GridTables {
         self.b_edges.len() - 1
     }
 
-    /// The live (count > 0) likelihood terms in the reference order
-    /// `r1..r4`, as lane-padded table slices. Returns the filled prefix
-    /// length; no allocation.
-    fn live_terms<'a>(&'a self, deltas: [f64; 4]) -> ([Term<'a>; 4], usize) {
-        let tables: [&'a [f64]; 4] = [
+    /// The block holding the maximum-likelihood estimate of `(P_A,
+    /// P_B)` under `counts`, clamped into the grid (block 0 without
+    /// demands).
+    fn block_of(&self, counts: &JointCounts) -> usize {
+        let n = counts.demands() as f64;
+        let pa = (counts.both_failed() + counts.only_a_failed()) as f64 / n;
+        let pb = (counts.both_failed() + counts.only_b_failed()) as f64 / n;
+        // `as usize` saturates: below the grid (and NaN) maps to 0.
+        let cell = |edges: &[f64], p: f64| {
+            let (lo, hi) = (edges[0], edges[edges.len() - 1]);
+            (((p - lo) / (hi - lo) * (edges.len() - 1) as f64) as usize).min(edges.len() - 2)
+        };
+        cell(&self.a_edges, pa) * self.b_cells() + cell(&self.b_edges, pb)
+    }
+
+    /// The four per-cell event tables, lane-padded.
+    fn cell_tables(&self) -> [&[f64]; 4] {
+        [
             self.ln_p11.padded(),
             self.ln_p10.padded(),
             self.ln_p01.padded(),
             self.ln_p00.padded(),
-        ];
-        let mut terms: [Term<'a>; 4] = [(&[], 0.0); 4];
-        let mut n = 0;
-        for (&d, &table) in deltas.iter().zip(&tables) {
-            if d > 0.0 {
-                terms[n] = (table, d);
-                n += 1;
-            }
-        }
-        (terms, n)
+        ]
     }
 
-    /// Recomputes `ln_w` (a lane-padded buffer) from total counts via
-    /// the one shared batch kernel, returning the running maximum. The
+    /// Recomputes the cells of `blocks` in `ln_w` from total counts
+    /// via the one shared batch kernel, returning their maximum. The
     /// operation order — prior, then the `r1..r4` terms guarded on
     /// positive counts, each a separately rounded `+=` — is the
-    /// reference order every other path must reproduce. Dead and
-    /// padding cells come out `-inf` (`-inf + d·(-inf)` for the live
-    /// deltas), exactly as they went in.
+    /// reference order every other path must reproduce. Dead cells
+    /// come out `-inf` (`-inf + d·(-inf)` for the live counts), exactly
+    /// as they went in, and cells outside `blocks` are not touched.
     ///
     /// This is the **single** recompute path: both
-    /// [`WhiteBoxInference::posterior`] and [`PosteriorUpdater::rebase`]
+    /// [`WhiteBoxInference::posterior`] (all blocks) and
+    /// [`PosteriorUpdater::rebase`] (the blocks that can carry mass)
     /// call it, which is what makes batch and rebased-incremental
     /// results bit-identical by construction.
-    pub(crate) fn recompute_into(&self, counts: &JointCounts, ln_w: &mut [f64]) -> f64 {
-        let deltas = [
-            counts.both_failed() as f64,
-            counts.only_a_failed() as f64,
-            counts.only_b_failed() as f64,
-            counts.both_succeeded() as f64,
-        ];
-        let (terms, n) = self.live_terms(deltas);
-        kernels::recompute_max(ln_w, self.ln_prior.padded(), &terms[..n])
+    fn recompute_blocks(&self, counts: [f64; 4], ln_w: &mut [f64], blocks: Range<usize>) -> f64 {
+        let cells = blocks.start * self.q_points..blocks.end * self.q_points;
+        let (mut terms, n) = live_terms(self.cell_tables(), counts);
+        for term in &mut terms[..n] {
+            term.0 = &term.0[cells.clone()];
+        }
+        kernels::recompute_max(
+            &mut ln_w[cells.clone()],
+            &self.ln_prior.padded()[cells],
+            &terms[..n],
+        )
     }
 }
 
@@ -331,44 +418,54 @@ impl WhiteBoxInference {
         let q_points = q_grid.len();
 
         let cells = na * nb * q_points;
-        let mut ln_prior = Vec::with_capacity(cells);
-        let mut ln_p11 = Vec::with_capacity(cells);
-        let mut ln_p10 = Vec::with_capacity(cells);
-        let mut ln_p01 = Vec::with_capacity(cells);
-        let mut ln_p00 = Vec::with_capacity(cells);
-        let mut p_ab_values = Vec::with_capacity(cells);
+        // ln_prior, ln_p11, ln_p10, ln_p01, ln_p00: per cell, and the
+        // maximum over each run of a block's cells.
+        let mut columns: [Vec<f64>; 5] = std::array::from_fn(|_| Vec::with_capacity(cells));
+        let run_len = q_points.div_ceil(RUNS);
+        let runs = q_points.div_ceil(run_len);
+        let mut run_columns: [Vec<f64>; 5] =
+            std::array::from_fn(|_| Vec::with_capacity(na * nb * runs));
 
         for i in 0..na {
             let pa = 0.5 * (a_edges[i] + a_edges[i + 1]);
             for j in 0..nb {
                 let pb = 0.5 * (b_edges[j] + b_edges[j + 1]);
                 let base_mass = a_mass[i] * b_mass[j];
-                for &(qp, q_mass) in &q_grid {
+                let mut run_max = [[f64::NEG_INFINITY; 5]; RUNS];
+                for (k, &(qp, q_mass)) in q_grid.iter().enumerate() {
                     let p11 = qp.p_ab(pa, pb);
                     let p10 = pa - p11;
                     let p01 = pb - p11;
                     let p00 = 1.0 - pa - pb + p11;
                     let prior = base_mass * q_mass;
                     let valid = prior > 0.0 && p11 >= 0.0 && p10 >= 0.0 && p01 >= 0.0 && p00 > 0.0;
-                    if valid {
-                        ln_prior.push(prior.ln());
-                        // ln(0) = -inf is fine: xlny handles zero counts.
-                        ln_p11.push(p11.ln());
-                        ln_p10.push(p10.ln());
-                        ln_p01.push(p01.ln());
-                        ln_p00.push(p00.ln());
+                    // ln(0) = -inf is fine: xlny handles zero counts.
+                    let logs = if valid {
+                        [prior.ln(), p11.ln(), p10.ln(), p01.ln(), p00.ln()]
                     } else {
-                        ln_prior.push(f64::NEG_INFINITY);
-                        ln_p11.push(f64::NEG_INFINITY);
-                        ln_p10.push(f64::NEG_INFINITY);
-                        ln_p01.push(f64::NEG_INFINITY);
-                        ln_p00.push(f64::NEG_INFINITY);
+                        [f64::NEG_INFINITY; 5]
+                    };
+                    let maxima = &mut run_max[k / run_len];
+                    for ((column, max), v) in columns.iter_mut().zip(maxima).zip(logs) {
+                        column.push(v);
+                        if v > *max {
+                            *max = v;
+                        }
                     }
-                    p_ab_values.push(p11);
+                }
+                for maxima in &run_max[..runs] {
+                    for (column, &max) in run_columns.iter_mut().zip(maxima) {
+                        column.push(max);
+                    }
                 }
             }
         }
 
+        // Pad with the dead-cell encoding so chunked sweeps can cover
+        // the padding lanes without affecting any result.
+        let [ln_prior, ln_p11, ln_p10, ln_p01, ln_p00] =
+            columns.map(|column| LaneBuf::new(&column, f64::NEG_INFINITY));
+        let [run_prior, run_p @ ..] = run_columns;
         WhiteBoxInference {
             prior_a,
             prior_b,
@@ -377,14 +474,15 @@ impl WhiteBoxInference {
             tables: Arc::new(GridTables {
                 a_edges,
                 b_edges,
-                // Pad with the dead-cell encoding so chunked sweeps can
-                // cover the padding lanes without affecting any result.
-                ln_prior: LaneBuf::new(&ln_prior, f64::NEG_INFINITY),
-                ln_p11: LaneBuf::new(&ln_p11, f64::NEG_INFINITY),
-                ln_p10: LaneBuf::new(&ln_p10, f64::NEG_INFINITY),
-                ln_p01: LaneBuf::new(&ln_p01, f64::NEG_INFINITY),
-                ln_p00: LaneBuf::new(&ln_p00, f64::NEG_INFINITY),
-                p_ab: p_ab_values,
+                ln_prior,
+                ln_p11,
+                ln_p10,
+                ln_p01,
+                ln_p00,
+                run_prior,
+                run_p,
+                runs,
+                q_grid: q_grid.iter().map(|&(qp, _)| qp).collect(),
                 q_points,
                 pab_range: prior_a.range().min(prior_b.range()),
             }),
@@ -413,20 +511,24 @@ impl WhiteBoxInference {
 
     /// Computes the joint posterior given observed counts.
     ///
-    /// A thin wrapper over the incremental engine's recompute kernel: the
-    /// floating-point operation order is identical, so batch and
-    /// incremental results agree bit-for-bit at the same totals.
+    /// Sweeps every block of the grid through the incremental engine's
+    /// recompute kernel: the floating-point operation order is
+    /// identical, so batch and incremental results agree bit-for-bit at
+    /// the same totals. This full sweep is the independent reference the
+    /// pruned [`PosteriorUpdater::rebase`] is tested against.
     pub fn posterior(&self, counts: &JointCounts) -> WhiteBoxPosterior {
-        let mut ln_w = vec![f64::NEG_INFINITY; self.tables.padded_cells()];
-        let max = self.tables.recompute_into(counts, &mut ln_w);
+        let tables = &self.tables;
+        let mut ln_w = vec![f64::NEG_INFINITY; tables.padded_cells()];
+        let blocks = tables.a_cells() * tables.b_cells();
+        let max = tables.recompute_blocks(event_counts(counts), &mut ln_w, 0..blocks);
         assert!(
             max.is_finite(),
             "posterior vanished everywhere: counts {counts} are impossible under the prior"
         );
-        let mut weights = vec![0.0; self.tables.cells()];
-        kernels::exp_weights(&ln_w[..self.tables.cells()], max, &mut weights);
+        let mut weights = vec![0.0; tables.cells()];
+        kernels::exp_weights(&ln_w[..tables.cells()], max, &mut weights);
         WhiteBoxPosterior {
-            tables: Arc::clone(&self.tables),
+            tables: Arc::clone(tables),
             weights,
         }
     }
@@ -436,23 +538,56 @@ impl WhiteBoxInference {
         self.posterior(&JointCounts::new())
     }
 
+    /// The grid's per-cell log tables in kernel layout, for reference
+    /// computations against the [`kernels::scalar`] implementations.
+    pub fn log_tables(&self) -> LogTables<'_> {
+        let t = &self.tables;
+        LogTables {
+            ln_prior: t.ln_prior.as_slice(),
+            ln_p: [
+                t.ln_p11.as_slice(),
+                t.ln_p10.as_slice(),
+                t.ln_p01.as_slice(),
+                t.ln_p00.as_slice(),
+            ],
+            q_points: t.q_points,
+        }
+    }
+
     /// Creates an incremental updater positioned at the prior (zero
     /// counts). All scratch buffers are allocated here, once; steady-state
-    /// [`PosteriorUpdater::update_to`] calls are allocation-free.
+    /// [`PosteriorUpdater::update_to`] and [`PosteriorUpdater::rebase`]
+    /// calls are allocation-free.
     pub fn updater(&self) -> PosteriorUpdater {
+        let (na, nb) = (self.tables.a_cells(), self.tables.b_cells());
         let mut updater = PosteriorUpdater {
             tables: Arc::clone(&self.tables),
             counts: JointCounts::new(),
             ln_w: LaneBuf::filled(self.tables.cells(), f64::NEG_INFINITY),
             max: f64::NEG_INFINITY,
-            a_weights: vec![0.0; self.tables.a_cells()],
-            b_weights: vec![0.0; self.tables.b_cells()],
-            a_masses: vec![0.0; self.tables.a_cells()],
-            b_masses: vec![0.0; self.tables.b_cells()],
+            bounds: vec![f64::NEG_INFINITY; self.tables.run_prior.len()],
+            spans: vec![(0, nb); na],
+            a_weights: vec![0.0; na],
+            b_weights: vec![0.0; nb],
+            a_masses: vec![0.0; na],
+            b_masses: vec![0.0; nb],
         };
         updater.rebase(&JointCounts::new());
         updater
     }
+}
+
+/// Borrowed per-cell log tables of a [`WhiteBoxInference`] grid
+/// (unpadded, `(a, b, q)`-major cell order).
+#[derive(Debug, Clone, Copy)]
+pub struct LogTables<'a> {
+    /// Log prior mass per cell; `-inf` for dead cells.
+    pub ln_prior: &'a [f64],
+    /// `ln` of the four event probabilities per cell, in the reference
+    /// order `p11, p10, p01, p00` (Table 1's `r1..r4`).
+    pub ln_p: [&'a [f64]; 4],
+    /// Cells per `(a, b)` block (coincidence grid points).
+    pub q_points: usize,
 }
 
 /// The (unnormalised) joint posterior on the grid, with marginalisation
@@ -509,15 +644,25 @@ impl WhiteBoxPosterior {
     /// Panics if `bins == 0`.
     pub fn marginal_ab(&self, bins: usize) -> GridPosterior {
         assert!(bins > 0, "need at least one bin");
-        let range = self.tables.pab_range;
+        let t = &self.tables;
+        let range = t.pab_range;
         let mut sums = vec![0.0; bins];
-        for (c, &w) in self.weights.iter().enumerate() {
-            if w == 0.0 {
-                continue;
+        let mut cells = self.weights.chunks_exact(t.q_points);
+        // p_AB per cell from the cell's midpoints, exactly as the
+        // construction computes p11.
+        for i in 0..t.a_cells() {
+            let pa = 0.5 * (t.a_edges[i] + t.a_edges[i + 1]);
+            for j in 0..t.b_cells() {
+                let pb = 0.5 * (t.b_edges[j] + t.b_edges[j + 1]);
+                let block = cells.next().expect("one block per (a, b) pair");
+                for (&w, &qp) in block.iter().zip(&t.q_grid) {
+                    if w == 0.0 {
+                        continue;
+                    }
+                    let bin = ((qp.p_ab(pa, pb) / range) * bins as f64) as usize;
+                    sums[bin.min(bins - 1)] += w;
+                }
             }
-            let v = self.tables.p_ab[c];
-            let bin = ((v / range) * bins as f64) as usize;
-            sums[bin.min(bins - 1)] += w;
         }
         let edges: Vec<f64> = (0..=bins).map(|i| range * i as f64 / bins as f64).collect();
         GridPosterior::from_weights(edges, sums)
@@ -534,19 +679,20 @@ impl WhiteBoxPosterior {
 ///   is a term of the same sweep, with the running max for stable
 ///   renormalisation folded in, so a checkpoint touches the ~300k-cell
 ///   buffer once instead of once per class;
-/// * one further fused pass ([`kernels::exp_stride_sums`])
-///   exponentiates the grid and accumulates both marginal stride sums,
-///   in the same order as the batch marginals — skipping the `exp` for
-///   cells that provably underflow to exactly `0.0` — so at equal
-///   `ln_w` the marginals agree bit-for-bit;
+/// * `rebase` recomputes from total counts only the blocks that can
+///   still carry posterior mass (see [`PosteriorUpdater::rebase`]);
+/// * one further fused pass ([`kernels::exp_stride_sums_rows`])
+///   exponentiates the current cells and accumulates both marginal
+///   stride sums, in the same order as the batch marginals — skipping
+///   the `exp` for cells that provably underflow to exactly `0.0` — so
+///   at equal `ln_w` the marginals agree bit-for-bit;
 /// * [`PosteriorUpdater::marginal_a`]/[`PosteriorUpdater::marginal_b`]
 ///   return borrowed [`MarginalView`]s over the cached masses instead of
 ///   freshly allocated grids.
 ///
 /// Counts normally grow monotonically; if a checkpoint moves any count
-/// backwards the updater transparently **rebases** — an exact in-place
-/// recompute from the new totals through [`GridTables::recompute_into`],
-/// the same kernel call [`WhiteBoxInference::posterior`] makes, so the
+/// backwards the updater transparently **rebases**, through the same
+/// recompute kernel call [`WhiteBoxInference::posterior`] makes, so the
 /// two stay bit-identical by construction. Repeated counts are a no-op.
 /// The accumulated delta path can drift from the batch result by a few
 /// units in the last place of `ln_w` (one rounding per update);
@@ -555,8 +701,15 @@ impl WhiteBoxPosterior {
 pub struct PosteriorUpdater {
     tables: Arc<GridTables>,
     counts: JointCounts,
+    /// Log-weights at `counts`. Only the cells inside `spans` are
+    /// current; a pruned rebase leaves the rest stale.
     ln_w: LaneBuf,
     max: f64,
+    /// Reused buffer: the upper bound of every run's log-weights.
+    bounds: Vec<f64>,
+    /// Per `a` row, the blocks of `ln_w` that are current: `(0, nb)`
+    /// everywhere except after a pruned rebase.
+    spans: Vec<RowSpan>,
     a_weights: Vec<f64>,
     b_weights: Vec<f64>,
     a_masses: Vec<f64>,
@@ -589,7 +742,8 @@ impl PosteriorUpdater {
         if deltas.iter().all(|&d| d == 0.0) {
             return; // zero-delta checkpoint: nothing moved
         }
-        let (terms, n) = self.tables.live_terms(deltas);
+        self.restore_skipped();
+        let (terms, n) = live_terms(self.tables.cell_tables(), deltas);
         self.max = kernels::fused_axpy_max(self.ln_w.padded_mut(), &terms[..n]);
         self.counts = *counts;
         self.finish_update();
@@ -597,10 +751,89 @@ impl PosteriorUpdater {
 
     /// Exact in-place recompute from total counts, restoring batch-path
     /// bits (also the escape hatch for non-monotone count sequences).
+    ///
+    /// Only the blocks that can carry posterior mass are recomputed:
+    ///
+    /// 1. every run of every block is bounded from its per-table maxima
+    ///    with the cell recompute's own operation sequence (the prior,
+    ///    then one rounded `+= d·max` per live term). Rounding is
+    ///    monotone, so no cell of a run exceeds its bound;
+    /// 2. the block with the largest bound and the block holding the
+    ///    counts' maximum-likelihood `(P_A, P_B)` are recomputed
+    ///    exactly; the larger of their maxima, `L`, is a lower bound on
+    ///    the grid maximum `M`;
+    /// 3. each `a` row recomputes the range of blocks from its first to
+    ///    its last block with a run bound of at least `L −`
+    ///    [`kernels::SKIP_MARGIN`].
+    ///
+    /// Every skipped cell lies below `M − SKIP_MARGIN`, so its `exp`
+    /// against `M` is exactly `+0.0` and its contribution to the
+    /// marginals is the `+0.0` the full recompute would add; the block
+    /// holding `M` is never skipped, so the maximum itself is exact.
+    /// The marginals therefore equal the full recompute's bit for bit.
+    /// With a broad posterior every block is live and this is the full
+    /// recompute.
     pub fn rebase(&mut self, counts: &JointCounts) {
-        self.max = self.tables.recompute_into(counts, self.ln_w.padded_mut());
+        let tables = &*self.tables;
+        let counts_by_class = event_counts(counts);
+        let (run_terms, n) =
+            live_terms(tables.run_p.each_ref().map(Vec::as_slice), counts_by_class);
+        let top_bound =
+            kernels::recompute_max(&mut self.bounds, &tables.run_prior, &run_terms[..n]);
+        let top = self
+            .bounds
+            .iter()
+            .position(|&b| b == top_bound)
+            .unwrap_or(0)
+            / tables.runs;
+        let likeliest = tables.block_of(counts);
+        let ln_w = self.ln_w.padded_mut();
+        let lower = tables
+            .recompute_blocks(counts_by_class, ln_w, top..top + 1)
+            .max(tables.recompute_blocks(counts_by_class, ln_w, likeliest..likeliest + 1));
+        let floor = lower - SKIP_MARGIN;
+        let nb = tables.b_cells();
+        let mut max = f64::NEG_INFINITY;
+        let rows = self.bounds.chunks_exact(nb * tables.runs);
+        for (a, (span, bounds)) in self.spans.iter_mut().zip(rows).enumerate() {
+            let mut live = bounds
+                .chunks_exact(tables.runs)
+                .map(|runs| runs.iter().any(|&b| b >= floor));
+            *span = match live.position(|live| live) {
+                Some(lo) => (
+                    lo,
+                    nb - live.rev().position(|live| live).unwrap_or(nb - lo - 1),
+                ),
+                None => (0, 0),
+            };
+            let row = a * nb;
+            let row_max =
+                tables.recompute_blocks(counts_by_class, ln_w, row + span.0..row + span.1);
+            if row_max > max {
+                max = row_max;
+            }
+        }
+        self.max = max;
         self.counts = *counts;
         self.finish_update();
+    }
+
+    /// Recomputes, at the current counts, the cells a pruned rebase
+    /// skipped, so the delta path continues from the full grid's bits.
+    /// The skipped cells all lie far below the maximum, which stays.
+    fn restore_skipped(&mut self) {
+        let tables = &*self.tables;
+        let nb = tables.b_cells();
+        let counts_by_class = event_counts(&self.counts);
+        let ln_w = self.ln_w.padded_mut();
+        for (a, span) in self.spans.iter_mut().enumerate() {
+            if *span != (0, nb) {
+                let row = a * nb;
+                tables.recompute_blocks(counts_by_class, ln_w, row..row + span.0);
+                tables.recompute_blocks(counts_by_class, ln_w, row + span.1..row + nb);
+                *span = (0, nb);
+            }
+        }
     }
 
     fn finish_update(&mut self) {
@@ -612,17 +845,19 @@ impl PosteriorUpdater {
         self.refresh_marginals();
     }
 
-    /// One fused pass: exponentiate every cell against the running max
-    /// and accumulate both marginal stride sums in grid order (the exact
-    /// addition order of the batch marginals), then normalise into the
-    /// cached mass buffers. Cells whose shifted log-weight provably
-    /// underflows to `0.0` skip both the `exp` and the no-op additions
-    /// (bit-identical; see [`kernels::EXP_UNDERFLOW`]).
+    /// One fused pass: exponentiate every current cell against the
+    /// running max and accumulate both marginal stride sums in grid
+    /// order (the exact addition order of the batch marginals), then
+    /// normalise into the cached mass buffers. Cells whose shifted
+    /// log-weight provably underflows to `0.0` — including every cell a
+    /// pruned rebase skipped — skip both the `exp` and the no-op
+    /// additions (bit-identical; see [`kernels::EXP_UNDERFLOW`]).
     fn refresh_marginals(&mut self) {
-        kernels::exp_stride_sums(
+        kernels::exp_stride_sums_rows(
             self.ln_w.padded(),
             self.max,
             self.tables.q_points,
+            &self.spans,
             &mut self.a_weights,
             &mut self.b_weights,
         );
@@ -633,6 +868,13 @@ impl PosteriorUpdater {
     /// The cumulative counts the posterior currently reflects.
     pub fn counts(&self) -> JointCounts {
         self.counts
+    }
+
+    /// How many `(a, b)` blocks of the grid hold current log-weights:
+    /// those the last [`Self::rebase`] recomputed, or every block after
+    /// [`Self::update_to`] moved the counts.
+    pub fn live_blocks(&self) -> usize {
+        self.spans.iter().map(|&(lo, hi)| hi - lo).sum()
     }
 
     /// Borrowed marginal of `P_A` (eq. (4)); allocation-free.
@@ -832,5 +1074,110 @@ mod tests {
         assert_eq!(engine.coincidence(), CoincidencePrior::IndifferenceUniform);
         assert_eq!(engine.prior_a().alpha(), 20.0);
         assert_eq!(engine.prior_b().alpha(), 2.0);
+    }
+
+    /// FNV-1a over the bits of a marginal's edges and masses.
+    fn bits_digest(marginal: &GridPosterior) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for &v in marginal.grid().iter().chain(marginal.masses()) {
+            for byte in v.to_bits().to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    #[test]
+    fn marginal_ab_bits_are_pinned() {
+        // Digests recorded when marginal_ab still read a stored per-cell
+        // p_AB table; the per-cell recomputation must bin every weight
+        // exactly as before.
+        let prior = ScaledBeta::new(2.0, 3.0, 0.002).unwrap();
+        let scaled = WhiteBoxInference::with_resolution(
+            prior,
+            ScaledBeta::new(20.0, 20.0, 0.003).unwrap(),
+            CoincidencePrior::ScaledUniform(0.5),
+            Resolution {
+                a_cells: 24,
+                b_cells: 20,
+                q_cells: 6,
+            },
+        );
+        let independent = WhiteBoxInference::with_resolution(
+            prior,
+            prior,
+            CoincidencePrior::Independent,
+            small(),
+        );
+        let indifference = scenario1_engine(small());
+        let digests = [
+            bits_digest(
+                &indifference
+                    .posterior(&JointCounts::from_raw(10_000, 20, 3, 1))
+                    .marginal_ab(64),
+            ),
+            bits_digest(
+                &scaled
+                    .posterior(&JointCounts::from_raw(50_000, 15, 35, 25))
+                    .marginal_ab(64),
+            ),
+            bits_digest(&independent.prior_posterior().marginal_ab(64)),
+        ];
+        assert_eq!(
+            digests,
+            [
+                0xd874_4601_3715_d7e6,
+                0x434a_c6d6_7914_4501,
+                0x8a82_6bdf_fc11_bc1d
+            ]
+        );
+    }
+
+    #[test]
+    fn skipped_blocks_lie_below_the_underflow_floor() {
+        let engine = WhiteBoxInference::new(
+            ScaledBeta::new(1.0, 10.0, 0.01).unwrap(),
+            ScaledBeta::new(2.0, 3.0, 0.01).unwrap(),
+            CoincidencePrior::IndifferenceUniform,
+        );
+        let tables = &engine.tables;
+        let (na, nb, q) = (tables.a_cells(), tables.b_cells(), tables.q_points);
+        let mut updater = engine.updater();
+        let mut skipped_somewhere = false;
+        for counts in [
+            JointCounts::new(),
+            JointCounts::from_raw(2_500, 0, 4, 1),
+            JointCounts::from_raw(400_000, 3, 700, 190),
+            JointCounts::from_raw(4_096_000, 0, 7_173, 1_934),
+            JointCounts::from_raw(10_000_000, 900, 17_000, 5_000),
+        ] {
+            updater.rebase(&counts);
+            let mut exact = vec![f64::NEG_INFINITY; tables.padded_cells()];
+            let max = tables.recompute_blocks(event_counts(&counts), &mut exact, 0..na * nb);
+            assert_eq!(updater.max.to_bits(), max.to_bits(), "{counts}");
+            for a in 0..na {
+                let (lo, hi) = updater.spans[a];
+                for b in 0..nb {
+                    let block = (a * nb + b) * q..(a * nb + b + 1) * q;
+                    if (lo..hi).contains(&b) {
+                        for c in block {
+                            assert_eq!(updater.ln_w.as_slice()[c].to_bits(), exact[c].to_bits());
+                        }
+                    } else {
+                        skipped_somewhere = true;
+                        for &w in &exact[block] {
+                            assert!(
+                                w < max - 750.0,
+                                "{counts}: block ({a}, {b}) cell {w} vs max {max}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            skipped_somewhere,
+            "concentrated counts must prune some blocks"
+        );
     }
 }

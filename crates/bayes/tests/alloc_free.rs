@@ -1,7 +1,7 @@
 //! Asserts the zero-steady-state-allocation contract of the incremental
 //! engines: once a `PosteriorUpdater`/`BlackBoxUpdater` exists, applying
-//! monotone count deltas and reading marginal views must not touch the
-//! heap.
+//! monotone count deltas, rebasing from total counts and reading
+//! marginal views must not touch the heap.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator. This
 //! file deliberately contains a single `#[test]` — the counter is
@@ -84,6 +84,33 @@ fn steady_state_updates_do_not_allocate() {
     assert_eq!(
         whitebox_allocs, 0,
         "white-box steady state allocated {whitebox_allocs} times"
+    );
+
+    // Rebases from total counts — the managed upgrade's assessment
+    // path — including pruned ones on concentrated counts and the
+    // update_to that then restores the skipped cells.
+    let mut pruned = false;
+    let before = allocation_count();
+    for step in 1..=40u64 {
+        let counts = JointCounts::from_raw(step * 50_000, step, step * 60, step * 40);
+        updater.rebase(&counts);
+        pruned |= updater.live_blocks() < 32 * 32;
+        if step % 10 == 0 {
+            updater.update_to(&JointCounts::from_raw(
+                counts.demands() + 500,
+                step,
+                step * 60 + 1,
+                step * 40,
+            ));
+        }
+        let b99 = updater.marginal_b().percentile(0.99);
+        assert!(b99.is_finite());
+    }
+    let rebase_allocs = allocation_count() - before;
+    assert!(pruned, "concentrated counts must prune some rebases");
+    assert_eq!(
+        rebase_allocs, 0,
+        "white-box rebases allocated {rebase_allocs} times"
     );
 
     // --- Black-box engine ---

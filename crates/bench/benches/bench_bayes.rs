@@ -10,6 +10,7 @@ use wsu_bayes::counts::JointCounts;
 use wsu_bayes::kernels;
 use wsu_bayes::whitebox::{CoincidencePrior, Resolution, WhiteBoxInference};
 use wsu_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use wsu_core::upgrade::UpgradeConfig;
 
 fn whitebox_engine(res: Resolution) -> WhiteBoxInference {
     WhiteBoxInference::with_resolution(
@@ -119,6 +120,37 @@ fn whitebox_incremental(c: &mut Criterion) {
             black_box(updater.marginal_a().percentile(0.99) + updater.marginal_b().percentile(0.99))
         });
     });
+    group.finish();
+}
+
+/// `PosteriorUpdater::rebase`, the managed upgrade's per-assessment
+/// recompute, on the default `UpgradeConfig` engine at both ends of a
+/// run: at the prior every block can carry mass and the whole grid is
+/// recomputed (the first assessments, and every plan of a short fault
+/// campaign); at the counts the `upgrade-whitebox` workload reaches
+/// after about 4M demands the posterior fills ~1% of the blocks and the
+/// rest are skipped.
+fn whitebox_rebase(c: &mut Criterion) {
+    let mut group = c.benchmark_group("bayes/rebase");
+    let config = UpgradeConfig::default();
+    let engine = WhiteBoxInference::with_resolution(
+        config.prior_a,
+        config.prior_b,
+        config.coincidence,
+        config.resolution,
+    );
+    let mut updater = engine.updater();
+    for (label, counts) in [
+        ("prior", JointCounts::new()),
+        ("n4m", JointCounts::from_raw(4_096_000, 0, 7_173, 1_934)),
+    ] {
+        group.bench_function(format!("96x96x32/{label}"), |b| {
+            b.iter(|| {
+                updater.rebase(black_box(&counts));
+                black_box(updater.marginal_b().percentile(0.99))
+            });
+        });
+    }
     group.finish();
 }
 
@@ -258,6 +290,7 @@ criterion_group!(
     benches,
     whitebox_posterior,
     whitebox_incremental,
+    whitebox_rebase,
     whitebox_kernels,
     whitebox_adaptive,
     whitebox_marginals,

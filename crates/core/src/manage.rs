@@ -13,12 +13,14 @@
 //! * **Criterion 3** — with a given confidence B is better than A *now*:
 //!   the posterior percentiles satisfy `T_B(c) ≤ T_A(c)`.
 
+use std::cell::Cell;
+
 use wsu_bayes::adaptive::{AdaptiveResolution, AdaptiveUpdater, AdaptiveWhiteBox};
 use wsu_bayes::beta::ScaledBeta;
 use wsu_bayes::counts::JointCounts;
 use wsu_bayes::posterior::{GridPosterior, MarginalView, PosteriorQueries};
 use wsu_bayes::whitebox::{CoincidencePrior, PosteriorUpdater, Resolution, WhiteBoxInference};
-use wsu_obs::SharedRegistry;
+use wsu_obs::{CounterId, GaugeId, SharedRegistry};
 
 use crate::error::CoreError;
 use crate::release::{ReleaseId, ReleaseSet, ReleaseState};
@@ -294,7 +296,7 @@ impl RecoveryStrategy {
 /// coarse-to-fine engine ([`wsu_bayes::adaptive`]).
 #[derive(Debug, Clone)]
 enum AssessmentEngine {
-    Fixed(PosteriorUpdater),
+    Fixed(Box<PosteriorUpdater>),
     Adaptive(Box<AdaptiveUpdater>),
 }
 
@@ -310,6 +312,32 @@ pub struct ManagementSubsystem {
     criterion: SwitchCriterion,
     recovery: Option<RecoveryPolicy>,
     metrics: Option<SharedRegistry>,
+    handles: AssessmentMetricHandles,
+}
+
+/// Lazily resolved ids of the per-assessment metric series. Each id is
+/// resolved on the first write that creates its series, so the exported
+/// series — and their order in rendered snapshots — match the
+/// String-keyed writes exactly; afterwards a write is an array index.
+/// Cells, because the batch [`ManagementSubsystem::assess`] records
+/// through `&self`.
+#[derive(Debug, Clone, Default)]
+struct AssessmentMetricHandles {
+    assessments: Cell<Option<CounterId>>,
+    /// `wsu_posterior_p99` for the old and the new release.
+    p99: [Cell<Option<GaugeId>>; 2],
+    /// `wsu_criterion_evaluations_total` for `switch` and `keep`.
+    evaluations: [Cell<Option<CounterId>>; 2],
+}
+
+/// The id in `slot`, resolving it with `resolve` on first use.
+fn resolved<T: Copy>(slot: &Cell<Option<T>>, resolve: impl FnOnce() -> T) -> T {
+    if let Some(id) = slot.get() {
+        return id;
+    }
+    let id = resolve();
+    slot.set(Some(id));
+    id
 }
 
 impl ManagementSubsystem {
@@ -342,10 +370,11 @@ impl ManagementSubsystem {
         let updater = inference.updater();
         ManagementSubsystem {
             inference,
-            engine: AssessmentEngine::Fixed(updater),
+            engine: AssessmentEngine::Fixed(Box::new(updater)),
             criterion,
             recovery: Some(RecoveryPolicy::default()),
             metrics: None,
+            handles: AssessmentMetricHandles::default(),
         }
     }
 
@@ -374,6 +403,7 @@ impl ManagementSubsystem {
             criterion,
             recovery: Some(RecoveryPolicy::default()),
             metrics: None,
+            handles: AssessmentMetricHandles::default(),
         }
     }
 
@@ -391,6 +421,8 @@ impl ManagementSubsystem {
     /// the `wsu_posterior_p99` gauges).
     pub fn set_metrics(&mut self, metrics: SharedRegistry) {
         self.metrics = Some(metrics);
+        // Resolved ids index into the previous registry.
+        self.handles = AssessmentMetricHandles::default();
     }
 
     /// Counts an *executed* switching decision (a switch or an abort)
@@ -497,16 +529,28 @@ impl ManagementSubsystem {
     }
 
     fn record_assessment_metrics(&self, old_p99: f64, new_p99: f64, decision: SwitchDecision) {
-        if let Some(metrics) = &self.metrics {
-            metrics.inc_counter("wsu_assessments_total", &[]);
-            metrics.set_gauge("wsu_posterior_p99", &[("release", "old")], old_p99);
-            metrics.set_gauge("wsu_posterior_p99", &[("release", "new")], new_p99);
-            let label = match decision {
-                SwitchDecision::SwitchToNew => "switch",
-                SwitchDecision::KeepTransitional => "keep",
-            };
-            metrics.inc_counter("wsu_criterion_evaluations_total", &[("decision", label)]);
+        let Some(metrics) = &self.metrics else {
+            return;
+        };
+        let handles = &self.handles;
+        let id = resolved(&handles.assessments, || {
+            metrics.counter_id("wsu_assessments_total", &[])
+        });
+        metrics.inc_counter_id(id);
+        for (slot, (release, p99)) in handles.p99.iter().zip([("old", old_p99), ("new", new_p99)]) {
+            let id = resolved(slot, || {
+                metrics.gauge_id("wsu_posterior_p99", &[("release", release)])
+            });
+            metrics.set_gauge_id(id, p99);
         }
+        let (slot, label) = match decision {
+            SwitchDecision::SwitchToNew => (&handles.evaluations[0], "switch"),
+            SwitchDecision::KeepTransitional => (&handles.evaluations[1], "keep"),
+        };
+        let id = resolved(slot, || {
+            metrics.counter_id("wsu_criterion_evaluations_total", &[("decision", label)])
+        });
+        metrics.inc_counter_id(id);
     }
 
     /// Applies the recovery policy to the release set, suspending
@@ -525,18 +569,20 @@ impl ManagementSubsystem {
             return Ok(Vec::new());
         };
         let mut actions = Vec::new();
-        for info in releases.infos() {
-            match info.state {
+        // By index rather than through `infos()`: this sweep runs before
+        // every demand and must not allocate when there is nothing to do.
+        for id in (0..releases.len()).map(ReleaseId::new) {
+            match releases.state(id)? {
                 ReleaseState::Active => {
-                    let streak = releases.consecutive_evident_failures(info.id)?;
+                    let streak = releases.consecutive_evident_failures(id)?;
                     if streak >= policy.suspend_after {
-                        releases.suspend(info.id)?;
-                        actions.push(RecoveryAction::Suspended(info.id));
+                        releases.suspend(id)?;
+                        actions.push(RecoveryAction::Suspended(id));
                     }
                 }
                 ReleaseState::Suspended if policy.auto_restart => {
-                    releases.restart(info.id)?;
-                    actions.push(RecoveryAction::Restarted(info.id));
+                    releases.restart(id)?;
+                    actions.push(RecoveryAction::Restarted(id));
                 }
                 _ => {}
             }
@@ -546,11 +592,11 @@ impl ManagementSubsystem {
         // correlated burst after an abort already phased one release out
         // — restart the suspended ones immediately instead of waiting a
         // demand.
-        if policy.auto_restart && releases.active_ids().is_empty() {
-            for info in releases.infos() {
-                if info.state == ReleaseState::Suspended {
-                    releases.restart(info.id)?;
-                    actions.push(RecoveryAction::Restarted(info.id));
+        if policy.auto_restart && releases.active_slice().is_empty() {
+            for id in (0..releases.len()).map(ReleaseId::new) {
+                if releases.state(id)? == ReleaseState::Suspended {
+                    releases.restart(id)?;
+                    actions.push(RecoveryAction::Restarted(id));
                 }
             }
         }

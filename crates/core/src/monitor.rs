@@ -398,9 +398,23 @@ impl MonitoringSubsystem {
 
         if self.recent_capacity > 0 {
             if self.recent.len() == self.recent_capacity {
-                self.recent.pop_front();
+                // Overwrite the evicted record in place: its buffer is
+                // reused, so a full ring takes no allocation per demand.
+                let DemandRecord {
+                    seq,
+                    t,
+                    per_release,
+                    system,
+                } = record;
+                let mut slot = self.recent.pop_front().expect("ring is full");
+                slot.seq = *seq;
+                slot.t = *t;
+                slot.per_release.clone_from(per_release);
+                slot.system = *system;
+                self.recent.push_back(slot);
+            } else {
+                self.recent.push_back(record.clone());
             }
-            self.recent.push_back(record.clone());
         }
 
         if let Some(metrics) = &self.metrics {

@@ -242,7 +242,9 @@ pub struct ManagedUpgrade {
     phase: UpgradePhase,
     old: ReleaseId,
     new: ReleaseId,
-    operation: String,
+    /// The one request envelope every demand sends, built once so the
+    /// demand path does not allocate.
+    request: Envelope,
     assess_interval: u64,
     auto_switch: bool,
     abort: Option<crate::manage::AbortPolicy>,
@@ -306,7 +308,7 @@ impl ManagedUpgrade {
             phase: UpgradePhase::Transitional,
             old: old_id,
             new: new_id,
-            operation: config.operation,
+            request: Envelope::request(config.operation),
             assess_interval: config.assess_interval,
             auto_switch: config.auto_switch,
             abort: config.abort,
@@ -375,10 +377,9 @@ impl ManagedUpgrade {
             }
         }
         self.middleware.set_virtual_time(self.virtual_time);
-        let request = Envelope::request(self.operation.clone());
         let record = self
             .middleware
-            .process(&request, &mut self.demand_rng)
+            .process(&self.request, &mut self.demand_rng)
             .expect("at least one active release");
         self.monitor.observe(&record, &mut self.monitor_rng);
         // Same phase attribution as the middleware's SpanClosed event:
@@ -402,9 +403,9 @@ impl ManagedUpgrade {
             && self.monitor.demands().is_multiple_of(self.assess_interval)
             && (self.auto_switch || self.abort.is_some())
         {
-            // Incremental assessment: the posterior advances in place by
-            // the count deltas since the last interval — no per-interval
-            // grid allocation.
+            // Incremental assessment: the posterior is rebased in place to
+            // the cumulative counts, recomputing only the grid blocks that
+            // can still carry mass — no per-interval grid allocation.
             let counts = self
                 .monitor
                 .pair()

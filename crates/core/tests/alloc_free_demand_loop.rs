@@ -332,3 +332,63 @@ fn weighted_fleet_demand_loop_does_not_allocate() {
         assert_eq!(r.counter("wsu_demands_total", &[]), WARMUP + MEASURED);
     });
 }
+
+/// The managed upgrade's demand path — recovery sweep, middleware,
+/// monitor (with its recent-record ring full), span profile and, every
+/// interval, the white-box assessment with its metrics — must not
+/// allocate once warm. The criterion is out of reach, so the upgrade
+/// stays transitional and every interval assesses.
+#[test]
+fn managed_upgrade_demands_do_not_allocate() {
+    use wsu_bayes::whitebox::Resolution;
+    use wsu_core::manage::SwitchCriterion;
+    use wsu_core::upgrade::{DetectorKind, ManagedUpgrade, UpgradeConfig, UpgradePhase};
+    use wsu_wstack::endpoint::SyntheticService;
+    use wsu_wstack::outcome::OutcomeProfile;
+
+    const INTERVAL: u64 = 100;
+    let old = SyntheticService::builder("QuoteService", "1.0")
+        .outcomes(OutcomeProfile::new(0.99, 0.005, 0.005))
+        .exec_time_mean(0.2)
+        .build();
+    let new = SyntheticService::builder("QuoteService", "1.1")
+        .outcomes(OutcomeProfile::new(0.995, 0.0025, 0.0025))
+        .exec_time_mean(0.2)
+        .build();
+    let config = UpgradeConfig::default()
+        .with_criterion(SwitchCriterion::reach_target(1e-9, 0.99))
+        .with_detector(DetectorKind::BackToBackThenOmission(0.15))
+        .with_resolution(Resolution {
+            a_cells: 24,
+            b_cells: 24,
+            q_cells: 8,
+        })
+        .with_assess_interval(INTERVAL);
+    let mut upgrade = ManagedUpgrade::new(old, new, config, MasterSeed::new(99));
+    let registry = SharedRegistry::new();
+    upgrade.attach_metrics(&registry);
+    let run = |upgrade: &mut ManagedUpgrade, demands: u64| {
+        for _ in 0..demands {
+            let record = upgrade.run_demand();
+            upgrade.middleware_mut().recycle(record);
+        }
+    };
+    // Long enough to fill the monitor's ring and to resolve every
+    // metric series the measured window writes.
+    run(&mut upgrade, 20 * INTERVAL);
+
+    let before = allocation_count();
+    run(&mut upgrade, 10 * INTERVAL);
+    let allocs = allocation_count() - before;
+    assert_eq!(
+        allocs, 0,
+        "managed-upgrade demands allocated {allocs} times over 10 assessment intervals"
+    );
+
+    assert_eq!(upgrade.phase(), UpgradePhase::Transitional);
+    assert_eq!(upgrade.demands(), 30 * INTERVAL);
+    registry.with(|r| {
+        assert_eq!(r.counter("wsu_assessments_total", &[]), 30);
+        assert_eq!(r.counter("wsu_demands_total", &[]), 30 * INTERVAL);
+    });
+}

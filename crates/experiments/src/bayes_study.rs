@@ -117,7 +117,7 @@ impl StudyConfig {
 /// The incremental engine of one study run: fixed grid or adaptive
 /// coarse-to-fine, behind one interface for the checkpoint loop.
 enum StudyUpdater {
-    Fixed(PosteriorUpdater),
+    Fixed(Box<PosteriorUpdater>),
     Adaptive(Box<AdaptiveUpdater>),
 }
 
@@ -221,7 +221,7 @@ pub fn run_study(scenario: &Scenario, detection: Detection, config: &StudyConfig
     );
     let priors = scenario.priors;
     let mut updater = match config.adaptive {
-        None => StudyUpdater::Fixed(
+        None => StudyUpdater::Fixed(Box::new(
             WhiteBoxInference::with_resolution(
                 priors.prior_a,
                 priors.prior_b,
@@ -229,7 +229,7 @@ pub fn run_study(scenario: &Scenario, detection: Detection, config: &StudyConfig
                 config.resolution,
             )
             .updater(),
-        ),
+        )),
         Some(adaptive) => StudyUpdater::Adaptive(Box::new(
             AdaptiveWhiteBox::new(priors.prior_a, priors.prior_b, priors.coincidence, adaptive)
                 .updater(),
