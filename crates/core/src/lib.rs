@@ -68,7 +68,6 @@ pub mod composite;
 pub mod confidence_pub;
 pub mod error;
 pub mod fleet;
-pub mod log;
 pub mod manage;
 pub mod middleware;
 pub mod modes;

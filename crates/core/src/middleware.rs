@@ -254,56 +254,6 @@ impl UpgradeMiddleware {
         Ok(record)
     }
 
-    /// Processes one demand whose per-release outcomes were prepared
-    /// elsewhere — the commit half of the sharded prepare/commit
-    /// pipeline (`wsu_simcore::shard::shard_pipeline`). Shard workers
-    /// resolve each release's response class and execution time from
-    /// plan data without touching this middleware; the sequential
-    /// committer then calls this with the prepared observations so
-    /// that sequence numbers, adjudication RNG draws, traces, and
-    /// float accumulation happen in exactly the serial order.
-    ///
-    /// Draw-for-draw identical to [`process`](UpgradeMiddleware::process)
-    /// for the parallel modes when `per_release` matches what the invoke
-    /// loop would have produced (entries in active-release order, with
-    /// `within_timeout = exec_time <= config.timeout`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::NoActiveReleases`] if `per_release` is empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics for the sequential and weighted-fleet modes: those draw
-    /// RNG *during* dispatch (visit order, traffic routing), so their
-    /// outcomes cannot be prepared ahead of the commit point.
-    pub fn process_prepared(
-        &mut self,
-        per_release: Vec<ReleaseObservation>,
-        rng: &mut StreamRng,
-    ) -> Result<DemandRecord, CoreError> {
-        assert!(
-            !matches!(
-                self.config.mode,
-                OperatingMode::Sequential { .. } | OperatingMode::WeightedFleet
-            ),
-            "process_prepared supports the parallel modes only: \
-             sequential and weighted-fleet draw RNG during dispatch"
-        );
-        if per_release.is_empty() {
-            return Err(CoreError::NoActiveReleases);
-        }
-        self.releases.advance_clock(self.clock);
-        let releases = per_release.len();
-        let seq = self.demands;
-        self.demands += 1;
-        let record = self.collect_parallel(seq, per_release, rng);
-        if self.recorder.enabled() {
-            self.emit_trace(&record, releases);
-        }
-        Ok(record)
-    }
-
     /// Returns a processed record's per-release buffer to the pool so a
     /// later demand can reuse it instead of allocating. Closed-loop
     /// drivers call this once the record has been fully observed.
@@ -372,7 +322,9 @@ impl UpgradeMiddleware {
         });
     }
 
-    /// Parallel modes: invoke everyone, then collect per the mode.
+    /// Parallel modes: invoke everyone, then collect the responses in
+    /// arrival order per the mode, adjudicate, and charge the eq. (8)
+    /// wait.
     fn process_parallel(
         &mut self,
         seq: u64,
@@ -381,6 +333,7 @@ impl UpgradeMiddleware {
         rng: &mut StreamRng,
     ) -> Result<DemandRecord, CoreError> {
         let timeout = self.config.timeout;
+        let dt = self.config.adjudication_delay;
         let mut per_release = self.record_pool.pop().unwrap_or_default();
         per_release.clear();
         per_release.reserve(active.len());
@@ -393,23 +346,6 @@ impl UpgradeMiddleware {
                 within_timeout: inv.exec_time <= timeout,
             });
         }
-        Ok(self.collect_parallel(seq, per_release, rng))
-    }
-
-    /// The post-invoke half of the parallel modes: arrival ordering,
-    /// collection per the mode, adjudication, and the eq. (8) wait.
-    /// Shared between [`process_parallel`](UpgradeMiddleware::process_parallel)
-    /// (which invokes the releases first) and
-    /// [`process_prepared`](UpgradeMiddleware::process_prepared)
-    /// (whose observations were prepared by shard workers).
-    fn collect_parallel(
-        &mut self,
-        seq: u64,
-        per_release: Vec<ReleaseObservation>,
-        rng: &mut StreamRng,
-    ) -> DemandRecord {
-        let timeout = self.config.timeout;
-        let dt = self.config.adjudication_delay;
 
         // Responses in arrival order, truncated to the timeout. Indices
         // into `per_release`; the (exec_time, index) key reproduces the
@@ -516,12 +452,12 @@ impl UpgradeMiddleware {
         arrived.clear();
         self.arrived_scratch = arrived;
 
-        DemandRecord {
+        Ok(DemandRecord {
             seq,
             t: self.clock,
             per_release,
             system,
-        }
+        })
     }
 
     /// Weighted-fleet mode: a single uniform draw routes the demand to
@@ -1005,95 +941,6 @@ mod tests {
         // No recorder attached: processing works and no trace exists.
         let rec = run_one(&mut mw, 2);
         assert!(rec.system.verdict.is_correct());
-    }
-
-    #[test]
-    fn process_prepared_matches_process_draw_for_draw() {
-        // The commit half must reproduce the serial path exactly:
-        // same records, same RNG consumption, same demand counter.
-        let plans = [
-            [(ResponseClass::Correct, 0.4), (ResponseClass::Correct, 0.9)],
-            [
-                (ResponseClass::NonEvidentFailure, 0.2),
-                (ResponseClass::Correct, 2.5),
-            ],
-            [
-                (ResponseClass::EvidentFailure, 0.3),
-                (ResponseClass::EvidentFailure, 0.7),
-            ],
-            [(ResponseClass::Correct, 9.0), (ResponseClass::Correct, 9.0)],
-        ];
-        for mode in [
-            OperatingMode::ParallelReliability,
-            OperatingMode::ParallelResponsiveness,
-            OperatingMode::ParallelDynamic { quorum: 2 },
-        ] {
-            let mut config = MiddlewareConfig::paper(1.5);
-            config.mode = mode;
-            let timeout = config.timeout;
-
-            let mut serial = UpgradeMiddleware::new(config);
-            let r0: Vec<_> = plans.iter().map(|p| p[0]).collect();
-            let r1: Vec<_> = plans.iter().map(|p| p[1]).collect();
-            serial.deploy(scripted("1.0", &r0));
-            serial.deploy(scripted("1.1", &r1));
-
-            let mut prepared = UpgradeMiddleware::new(config);
-
-            let mut rng_a = StreamRng::from_seed(42);
-            let mut rng_b = StreamRng::from_seed(42);
-            for plan in &plans {
-                let a = serial
-                    .process(&Envelope::request("invoke"), &mut rng_a)
-                    .unwrap();
-                let obs: Vec<ReleaseObservation> = plan
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &(class, secs))| {
-                        let exec_time = SimDuration::from_secs(secs);
-                        ReleaseObservation {
-                            release: ReleaseId::new(i),
-                            class,
-                            exec_time,
-                            within_timeout: exec_time <= timeout,
-                        }
-                    })
-                    .collect();
-                let b = prepared.process_prepared(obs, &mut rng_b).unwrap();
-                assert_eq!(a, b, "mode {mode:?}");
-                serial.recycle(a);
-                prepared.recycle(b);
-            }
-            // Identical draw counts: the streams stay in lockstep.
-            assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "mode {mode:?}");
-            assert_eq!(serial.demands(), prepared.demands());
-        }
-    }
-
-    #[test]
-    fn process_prepared_empty_is_an_error() {
-        let mut mw = UpgradeMiddleware::new(MiddlewareConfig::default());
-        let mut rng = StreamRng::from_seed(1);
-        assert_eq!(
-            mw.process_prepared(Vec::new(), &mut rng),
-            Err(CoreError::NoActiveReleases)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "parallel modes only")]
-    fn process_prepared_rejects_weighted_fleet() {
-        let mut config = MiddlewareConfig::paper(1.5);
-        config.mode = OperatingMode::WeightedFleet;
-        let mut mw = UpgradeMiddleware::new(config);
-        let mut rng = StreamRng::from_seed(1);
-        let obs = vec![ReleaseObservation {
-            release: ReleaseId::new(0),
-            class: ResponseClass::Correct,
-            exec_time: SimDuration::from_secs(0.1),
-            within_timeout: true,
-        }];
-        let _ = mw.process_prepared(obs, &mut rng);
     }
 
     #[test]

@@ -27,9 +27,6 @@ use wsu_wstack::message::Envelope;
 use wsu_wstack::registry::PublishedConfidence;
 
 use crate::error::CoreError;
-#[allow(deprecated)]
-use crate::log::EventLog;
-use crate::log::LogLevel;
 use crate::manage::{
     Assessment, ManagementSubsystem, RecoveryAction, SwitchCriterion, SwitchDecision,
 };
@@ -91,8 +88,6 @@ pub struct UpgradeConfig {
     pub assess_interval: u64,
     /// How many recent demand records the monitor retains.
     pub recent_capacity: usize,
-    /// How many log entries are retained.
-    pub log_capacity: usize,
     /// The operation invoked on the releases.
     pub operation: String,
     /// Whether the orchestrator switches automatically when the
@@ -119,7 +114,6 @@ impl Default for UpgradeConfig {
             resolution: Resolution::default(),
             assess_interval: 500,
             recent_capacity: 128,
-            log_capacity: 256,
             operation: "invoke".to_owned(),
             auto_switch: true,
             abort: None,
@@ -233,12 +227,14 @@ pub struct ConfidenceReport {
 }
 
 /// The managed upgrade of one component WS from an old to a new release.
-#[allow(deprecated)]
+///
+/// Lifecycle decisions reach an attached recorder as trace events:
+/// `SwitchDecision` (`switch-to-new`, `abort-upgrade`) and
+/// `ReleaseSuspended` for each recovery action.
 pub struct ManagedUpgrade {
     middleware: UpgradeMiddleware,
     monitor: MonitoringSubsystem,
     manager: ManagementSubsystem,
-    log: EventLog,
     phase: UpgradePhase,
     old: ReleaseId,
     new: ReleaseId,
@@ -261,7 +257,6 @@ pub struct ManagedUpgrade {
     span_profile: SpanProfile,
 }
 
-#[allow(deprecated)]
 impl ManagedUpgrade {
     /// Deploys `old` and `new` behind the middleware and starts the
     /// managed upgrade in the transitional phase.
@@ -290,21 +285,10 @@ impl ManagedUpgrade {
             config.criterion,
             config.resolution,
         );
-        let mut log = EventLog::new(config.log_capacity);
-        log.push(
-            0,
-            LogLevel::Info,
-            format!(
-                "managed upgrade started: criterion {}, detector {:?}",
-                config.criterion.label(),
-                config.detector
-            ),
-        );
         ManagedUpgrade {
             middleware,
             monitor,
             manager,
-            log,
             phase: UpgradePhase::Transitional,
             old: old_id,
             new: new_id,
@@ -355,22 +339,15 @@ impl ManagedUpgrade {
             .manager
             .apply_recovery(self.middleware.releases_mut())
             .expect("recovery over known releases");
-        for action in actions {
-            let demand = self.middleware.demands();
-            self.log.push_at(
-                self.virtual_time,
-                demand,
-                LogLevel::Warning,
-                format!("recovery action: {action:?}"),
-            );
-            if self.recorder.enabled() {
+        if self.recorder.enabled() {
+            for action in actions {
                 let (release, act) = match action {
                     RecoveryAction::Suspended(id) => (id.index(), "suspended"),
                     RecoveryAction::Restarted(id) => (id.index(), "restarted"),
                 };
                 self.recorder.record(TraceEvent::ReleaseSuspended {
                     t: self.virtual_time,
-                    demand,
+                    demand: self.middleware.demands(),
                     release,
                     action: act.to_string(),
                 });
@@ -471,12 +448,6 @@ impl ManagedUpgrade {
             .phase_out(self.old)
             .expect("old release can be phased out once");
         self.phase = UpgradePhase::Switched { at_demand };
-        self.log.push_at(
-            self.virtual_time,
-            at_demand,
-            LogLevel::Decision,
-            format!("switched to new release after {at_demand} demands"),
-        );
         self.manager.count_decision("switch");
         if self.recorder.enabled() {
             self.recorder.record(TraceEvent::SwitchDecision {
@@ -505,12 +476,6 @@ impl ManagedUpgrade {
             .phase_out(self.new)
             .expect("new release can be phased out once");
         self.phase = UpgradePhase::Aborted { at_demand };
-        self.log.push_at(
-            self.virtual_time,
-            at_demand,
-            LogLevel::Decision,
-            format!("upgrade aborted after {at_demand} demands: new release judged worse"),
-        );
         self.manager.count_decision("abort");
         if self.recorder.enabled() {
             self.recorder.record(TraceEvent::SwitchDecision {
@@ -571,11 +536,6 @@ impl ManagedUpgrade {
     /// Mutable access to the middleware.
     pub fn middleware_mut(&mut self) -> &mut UpgradeMiddleware {
         &mut self.middleware
-    }
-
-    /// The event log.
-    pub fn log(&self) -> &EventLog {
-        &self.log
     }
 
     /// A consumer-facing confidence summary (Section 6.1: "the user can
@@ -655,6 +615,18 @@ mod tests {
         }
     }
 
+    /// The `decision` labels of the recorded `SwitchDecision` events.
+    fn decisions(recorder: &wsu_obs::SharedRecorder) -> Vec<String> {
+        recorder
+            .snapshot()
+            .into_iter()
+            .filter_map(|e| match e {
+                TraceEvent::SwitchDecision { decision, .. } => Some(decision),
+                _ => None,
+            })
+            .collect()
+    }
+
     fn upgrade_with(
         old_profile: OutcomeProfile,
         new_profile: OutcomeProfile,
@@ -684,6 +656,8 @@ mod tests {
             OutcomeProfile::always_correct(),
             config,
         );
+        let recorder = wsu_obs::SharedRecorder::new();
+        upgrade.attach_recorder(recorder.clone());
         upgrade.run_demands(2_000);
         match upgrade.phase() {
             UpgradePhase::Switched { at_demand } => {
@@ -696,12 +670,8 @@ mod tests {
         let infos = upgrade.middleware().release_infos();
         assert_eq!(infos[0].state, crate::release::ReleaseState::PhasedOut);
         assert_eq!(infos[1].state, crate::release::ReleaseState::Active);
-        // The decision was logged.
-        assert!(upgrade
-            .log()
-            .entries_at(LogLevel::Decision)
-            .iter()
-            .any(|e| e.message.contains("switched")));
+        // The decision was traced.
+        assert_eq!(decisions(&recorder), ["switch-to-new"]);
     }
 
     #[test]
@@ -833,6 +803,8 @@ mod tests {
             OutcomeProfile::new(0.8, 0.1, 0.1),
             config,
         );
+        let recorder = wsu_obs::SharedRecorder::new();
+        upgrade.attach_recorder(recorder.clone());
         upgrade.run_demands(3_000);
         let UpgradePhase::Aborted { at_demand } = upgrade.phase() else {
             panic!("expected an abort, got {:?}", upgrade.phase());
@@ -842,12 +814,8 @@ mod tests {
         let record = upgrade.run_demand();
         assert_eq!(record.per_release.len(), 1);
         assert_eq!(record.per_release[0].release, upgrade.old_release());
-        // The decision was logged.
-        assert!(upgrade
-            .log()
-            .entries_at(LogLevel::Decision)
-            .iter()
-            .any(|e| e.message.contains("aborted")));
+        // The decision was traced.
+        assert_eq!(decisions(&recorder), ["abort-upgrade"]);
     }
 
     #[test]

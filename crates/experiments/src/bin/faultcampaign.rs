@@ -2,32 +2,29 @@
 //! detection-coverage table.
 //!
 //! Usage: `faultcampaign [--quick] [--plan NAME] [--jobs N]
-//! [--shards K] [--trace PATH] [--metrics PATH] [--serve-metrics PORT]
+//! [--trace PATH] [--metrics PATH] [--serve-metrics PORT]
 //! [--serve-hold SECS] [--phase-metrics]` — `--plan` restricts the
 //! matrix to the named plan (repeatable); `--quick` runs a reduced
 //! demand count; `--jobs` picks the replication worker-pool size
 //! (default: one per hardware thread) without changing any output;
-//! `--shards` is accepted for CLI uniformity with table5/table6 but
-//! this world draws RNG *during* dispatch (synthetic services and
-//! fault injectors sample outcomes inside `invoke`), so the demand
-//! loop cannot be split into an RNG-free prepare phase — it stays
-//! serial and the output is identical at any `--shards` by
-//! construction; `--trace`/`--metrics` write a JSONL event trace and
-//! a metrics snapshot without changing the table on stdout;
-//! `--serve-metrics` serves the snapshot on `/metrics` and the
-//! per-plan dependability snapshots on `/snapshot`;
-//! `--phase-metrics` adds the wall-clock `wsu_phase_seconds` gauges.
+//! `--trace`/`--metrics` write a JSONL event trace and a metrics
+//! snapshot without changing the table on stdout; `--serve-metrics`
+//! serves the snapshot on `/metrics` and the per-plan dependability
+//! snapshots on `/snapshot`; `--phase-metrics` adds the wall-clock
+//! `wsu_phase_seconds` gauges. Any other argument exits with status 2.
 
 use wsu_experiments::campaign::{run_campaign_jobs, standard_plans, CampaignConfig};
-use wsu_experiments::obs::{jobs_from_env, shards_from_env, ObsOptions};
+use wsu_experiments::obs::{exit_on_unknown_flag, jobs_from_env, ObsOptions};
 use wsu_experiments::DEFAULT_SEED;
+
+const USAGE: &str = "usage: faultcampaign [--quick] [--plan NAME] [--jobs N] [--trace PATH] \
+                     [--metrics PATH] [--serve-metrics PORT] [--serve-hold SECS] \
+                     [--phase-metrics]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    exit_on_unknown_flag(&args, &[("--quick", false), ("--plan", true)], USAGE);
     let quick = args.iter().any(|a| a == "--quick");
-    // Parsed for flag validation; see the module docs for why this
-    // world's demand loop stays serial at any shard count.
-    let _shards = shards_from_env();
     let wanted: Vec<&String> = args
         .iter()
         .enumerate()

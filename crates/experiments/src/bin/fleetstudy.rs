@@ -1,32 +1,29 @@
 //! Runs the fleet study and prints the per-cell recovery table.
 //!
-//! Usage: `fleetstudy [--quick] [--cell NAME] [--jobs N] [--shards K]
+//! Usage: `fleetstudy [--quick] [--cell NAME] [--jobs N]
 //! [--trace PATH] [--metrics PATH] [--serve-metrics PORT]
 //! [--serve-hold SECS] [--phase-metrics]` — `--cell` restricts the
 //! matrix to the named cell (repeatable); `--quick` runs a reduced
 //! demand count; `--jobs` picks the replication worker-pool size
 //! (default: one per hardware thread) without changing any output;
-//! `--shards` is accepted for CLI uniformity with table5/table6 but
-//! the fleet world draws RNG *during* dispatch (weighted routing and
-//! synthetic outcomes are sampled inside the demand), so the demand
-//! loop cannot be split into an RNG-free prepare phase — it stays
-//! serial and the output is identical at any `--shards` by
-//! construction; `--trace`/`--metrics` write a JSONL event trace and
-//! a metrics snapshot without changing the table on stdout;
-//! `--serve-metrics` serves the snapshot on `/metrics` and the
-//! per-cell results on `/snapshot`; `--phase-metrics` adds the
-//! wall-clock `wsu_phase_seconds` gauges.
+//! `--trace`/`--metrics` write a JSONL event trace and a metrics
+//! snapshot without changing the table on stdout; `--serve-metrics`
+//! serves the snapshot on `/metrics` and the per-cell results on
+//! `/snapshot`; `--phase-metrics` adds the wall-clock
+//! `wsu_phase_seconds` gauges. Any other argument exits with status 2.
 
 use wsu_experiments::fleetstudy::{run_fleetstudy_jobs, standard_cells, FleetStudyConfig};
-use wsu_experiments::obs::{jobs_from_env, shards_from_env, ObsOptions};
+use wsu_experiments::obs::{exit_on_unknown_flag, jobs_from_env, ObsOptions};
 use wsu_experiments::DEFAULT_SEED;
+
+const USAGE: &str = "usage: fleetstudy [--quick] [--cell NAME] [--jobs N] [--trace PATH] \
+                     [--metrics PATH] [--serve-metrics PORT] [--serve-hold SECS] \
+                     [--phase-metrics]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    exit_on_unknown_flag(&args, &[("--quick", false), ("--cell", true)], USAGE);
     let quick = args.iter().any(|a| a == "--quick");
-    // Parsed for flag validation; see the module docs for why the
-    // fleet demand loop stays serial at any shard count.
-    let _shards = shards_from_env();
     let wanted: Vec<&String> = args
         .iter()
         .enumerate()

@@ -1,22 +1,26 @@
 //! Regenerates Table 6 (independent release failures).
 //!
-//! Usage: `table6 [--quick] [--calibrated] [--jobs N] [--shards K]
-//! [--trace PATH] [--metrics PATH]` plus the shared observability
-//! flags `--serve-metrics PORT`, `--serve-hold SECS` and
-//! `--phase-metrics`. `--shards` adds intra-cell prepare/commit
-//! parallelism (`0` = one per hardware thread; default: serial)
-//! without changing any output.
+//! Usage: `table6 [--quick] [--calibrated] [--jobs N] [--trace PATH]
+//! [--metrics PATH]` plus the shared observability flags
+//! `--serve-metrics PORT`, `--serve-hold SECS` and `--phase-metrics`,
+//! with the same meanings as for `table5`. Any other argument exits
+//! with status 2.
 
-use wsu_experiments::obs::{jobs_from_env, shards_from_env, ObsOptions};
-use wsu_experiments::table6::run_table6_sharded;
+use wsu_experiments::obs::{exit_on_unknown_flag, jobs_from_env, ObsOptions};
+use wsu_experiments::table6::run_table6_jobs;
 use wsu_experiments::{DEFAULT_SEED, PAPER_REQUESTS, PAPER_TIMEOUTS};
 use wsu_workload::timing::ExecTimeModel;
 
+const USAGE: &str = "usage: table6 [--quick] [--calibrated] [--jobs N] [--trace PATH] \
+                     [--metrics PATH] [--serve-metrics PORT] [--serve-hold SECS] \
+                     [--phase-metrics]";
+
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let calibrated = std::env::args().any(|a| a == "--calibrated");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    exit_on_unknown_flag(&args, &[("--quick", false), ("--calibrated", false)], USAGE);
+    let quick = args.iter().any(|a| a == "--quick");
+    let calibrated = args.iter().any(|a| a == "--calibrated");
     let jobs = jobs_from_env();
-    let shards = shards_from_env();
     let mut ctx = ObsOptions::from_env().context();
     let timing = if calibrated {
         ExecTimeModel::calibrated()
@@ -26,14 +30,13 @@ fn main() {
     let requests = if quick { 2_000 } else { PAPER_REQUESTS };
     let sinks = ctx.sinks();
     let table = ctx.time("table6/simulate", || {
-        run_table6_sharded(
+        run_table6_jobs(
             DEFAULT_SEED,
             requests,
             &PAPER_TIMEOUTS,
             timing,
             &sinks,
             jobs,
-            shards,
         )
     });
     print!("{}", table.render());

@@ -10,14 +10,13 @@
 //! planned demands, so differences between columns are purely the
 //! timeout's effect.
 
-use wsu_core::middleware::{MiddlewareConfig, ReleaseObservation, UpgradeMiddleware};
+use wsu_core::middleware::{MiddlewareConfig, UpgradeMiddleware};
 use wsu_core::monitor::{MonitoringSubsystem, ReleaseStats, SystemStats};
 use wsu_core::release::ReleaseId;
 use wsu_obs::{SharedRecorder, SharedRegistry};
 use wsu_simcore::engine::{Engine, Handler};
 use wsu_simcore::par::Jobs;
 use wsu_simcore::rng::{MasterSeed, StreamRng};
-use wsu_simcore::shard::{shard_pipeline, Shards};
 use wsu_simcore::time::SimTime;
 use wsu_workload::demand::{DemandPlanner, PlannedDemand};
 use wsu_workload::outcomes::OutcomePairGen;
@@ -250,106 +249,6 @@ pub fn simulate_cell_observed(
     }
 }
 
-/// [`simulate_cell_observed`] with intra-cell sharding: the demand loop
-/// runs as a prepare/commit pipeline (see
-/// [`wsu_simcore::shard::shard_pipeline`]).
-///
-/// Shard workers resolve each demand's per-release observations
-/// straight from the plan — plan-determined data, no RNG — while the
-/// sequential committer replays the serial loop exactly: demand
-/// sequence numbers, adjudication RNG draws, monitor float
-/// accumulation, trace emission, and the closed-loop clock all happen
-/// in demand order, so the result (tables, `.prom` snapshots, JSONL
-/// traces) is **byte-identical at any shard count**, including
-/// [`Shards::serial`], which delegates to the serial engine outright.
-///
-/// # Panics
-///
-/// Panics if `demands` is empty.
-pub fn simulate_cell_sharded(
-    demands: &[PlannedDemand],
-    config: MiddlewareConfig,
-    seed: MasterSeed,
-    sinks: &ObsSinks,
-    tag: &str,
-    shards: Shards,
-) -> CellResult {
-    if shards.get() <= 1 {
-        return simulate_cell_observed(demands, config, seed, sinks, tag);
-    }
-    assert!(!demands.is_empty(), "need at least one planned demand");
-    let mut middleware = UpgradeMiddleware::new(config);
-    if let Some(recorder) = &sinks.recorder {
-        middleware.set_recorder(recorder.clone());
-    }
-    let mut monitor = MonitoringSubsystem::new(0);
-    if let Some(metrics) = &sinks.metrics {
-        monitor.set_metrics(metrics.clone());
-    }
-    let mut mw_rng = seed.stream("midsim/middleware");
-    let mut mon_rng = seed.stream("midsim/monitor");
-    let timeout = config.timeout;
-    // The closed-loop clock, accumulated with the same f64 additions the
-    // serial engine performs (`due = now + wait`), so trace timestamps
-    // match bit for bit.
-    let mut clock = 0.0_f64;
-    shard_pipeline(
-        shards,
-        demands.len(),
-        |i| {
-            let d = &demands[i];
-            vec![
-                ReleaseObservation {
-                    release: ReleaseId::new(0),
-                    class: d.rel1.class,
-                    exec_time: d.rel1.exec_time,
-                    within_timeout: d.rel1.exec_time <= timeout,
-                },
-                ReleaseObservation {
-                    release: ReleaseId::new(1),
-                    class: d.rel2.class,
-                    exec_time: d.rel2.exec_time,
-                    within_timeout: d.rel2.exec_time <= timeout,
-                },
-            ]
-        },
-        |_, per_release| {
-            middleware.set_virtual_time(clock);
-            let record = middleware
-                .process_prepared(per_release, &mut mw_rng)
-                .expect("prepared observations are non-empty");
-            let wait = record.system.response_time;
-            monitor.observe(&record, &mut mon_rng);
-            middleware.recycle(record);
-            clock += wait.as_secs();
-        },
-    );
-    if let Some(metrics) = &sinks.metrics {
-        // What the serial engine reports for this world: one event per
-        // demand, never more than one in flight.
-        metrics.set_gauge(
-            "wsu_engine_events_processed",
-            &[("cell", tag)],
-            demands.len() as f64,
-        );
-        metrics.set_gauge("wsu_engine_queue_high_water", &[("cell", tag)], 1.0);
-    }
-
-    let r1 = monitor
-        .release_stats(ReleaseId::new(0))
-        .expect("release 1 observed");
-    let r2 = monitor
-        .release_stats(ReleaseId::new(1))
-        .expect("release 2 observed");
-    CellResult {
-        timeout: config.timeout.as_secs(),
-        requests: demands.len() as u64,
-        rel1: GroupStats::from_release(r1),
-        rel2: GroupStats::from_release(r2),
-        system: GroupStats::from_system(monitor.system_stats()),
-    }
-}
-
 /// Plans `requests` demands for a run and simulates every timeout column
 /// over the *same* plan.
 pub fn simulate_run(
@@ -409,26 +308,23 @@ pub(crate) struct RunPlan {
 /// streams and its own private observability sinks. The replications'
 /// sinks merge in that cell order, which fixes the floating-point
 /// grouping of the `.prom` histogram sums, so the output is
-/// byte-identical for any `jobs` and `shards` (see
-/// [`simulate_cell_sharded`]).
+/// byte-identical for any `jobs`.
 pub(crate) fn simulate_planned_runs(
     runs: &[RunPlan],
     timeouts: &[f64],
     seed: MasterSeed,
     sinks: &ObsSinks,
     jobs: Jobs,
-    shards: Shards,
 ) -> Vec<CellResult> {
     run_replications(jobs, runs.len() * timeouts.len(), sinks, |r, local| {
         let run = &runs[r / timeouts.len()];
         let timeout = timeouts[r % timeouts.len()];
-        simulate_cell_sharded(
+        simulate_cell_observed(
             &run.demands,
             MiddlewareConfig::paper(timeout),
             seed,
             local,
             &format!("{}/t{timeout}", run.tag),
-            shards,
         )
     })
 }
@@ -453,14 +349,7 @@ pub fn simulate_run_observed(
         tag: run_tag.to_owned(),
         demands: plan_run(outcomes, timing, requests, seed, run_tag),
     };
-    simulate_planned_runs(
-        &[run],
-        timeouts,
-        seed,
-        sinks,
-        Jobs::serial(),
-        Shards::serial(),
-    )
+    simulate_planned_runs(&[run], timeouts, seed, sinks, Jobs::serial())
 }
 
 #[cfg(test)]
@@ -571,35 +460,5 @@ mod tests {
     #[should_panic(expected = "at least one planned demand")]
     fn empty_plan_rejected() {
         let _ = simulate_cell(&[], MiddlewareConfig::paper(1.5), MasterSeed::new(1));
-    }
-
-    #[test]
-    fn sharded_cell_is_byte_identical_to_serial() {
-        let run = RunSpec::run1();
-        let gen = CorrelatedOutcomes::from_run(&run);
-        let seed = MasterSeed::new(77);
-        let plan = plan_run(&gen, ExecTimeModel::paper(), 1_500, seed, "shardcell");
-        let config = MiddlewareConfig::paper(2.0);
-        let mut outputs = Vec::new();
-        for k in [1usize, 2, 3, 4, 8] {
-            let sinks = ObsSinks {
-                recorder: Some(SharedRecorder::new()),
-                metrics: Some(SharedRegistry::new()),
-            };
-            let cell = simulate_cell_sharded(&plan, config, seed, &sinks, "cell", Shards::new(k));
-            let trace = wsu_obs::jsonl::render_events(&sinks.recorder.as_ref().unwrap().snapshot());
-            let prom = sinks.metrics.as_ref().unwrap().render_snapshot();
-            outputs.push((cell, trace, prom));
-        }
-        // Shards(1) runs the serial engine outright; the unobserved
-        // serial cell must agree with it too.
-        let serial = simulate_cell_observed(&plan, config, seed, &ObsSinks::default(), "cell");
-        assert_eq!(outputs[0].0, serial);
-        assert!(outputs[0].1.contains("DemandDispatched"));
-        for (cell, trace, prom) in &outputs[1..] {
-            assert_eq!(cell, &outputs[0].0);
-            assert_eq!(trace, &outputs[0].1);
-            assert_eq!(prom, &outputs[0].2);
-        }
     }
 }

@@ -12,6 +12,11 @@
 //!   gauges in the snapshot. Off by default: wall-clock values differ
 //!   run to run, so the default snapshot is deterministic.
 //!
+//! `table5`, `table6`, `faultcampaign` and `fleetstudy` also pass their
+//! own flags to [`exit_on_unknown_flag`], which rejects any other
+//! argument, so a misspelt or removed flag stops the run instead of
+//! being ignored.
+//!
 //! With no flag nothing is attached anywhere: the middleware keeps
 //! its [`wsu_obs::NullRecorder`], the monitor records no metrics, and
 //! stdout stays byte-identical to the unobserved run. Diagnostics about
@@ -25,7 +30,6 @@ use wsu_obs::{
     MetricsExporter, PhaseTimings, Recorder, SharedRecorder, SharedRegistry, TraceEvent,
 };
 use wsu_simcore::par::Jobs;
-use wsu_simcore::shard::Shards;
 
 use crate::bayes_study::StudyRun;
 use crate::midsim::ObsSinks;
@@ -94,25 +98,43 @@ pub fn jobs_from_env() -> Jobs {
     jobs_from_args(&args)
 }
 
-/// Parses the shared `--shards N` flag: `N` intra-replication shards
-/// (`0` means one per available hardware thread). Absent or
-/// non-numeric means serial — sharding is opt-in, unlike `--jobs`.
-/// Like the worker count, the shard count never changes any output:
-/// the prepare/commit pipeline keeps every sequential effect in
-/// demand order (see [`wsu_simcore::shard`]).
-pub fn shards_from_args(args: &[String]) -> Shards {
-    Shards::from_request(
-        args.iter()
-            .position(|a| a == "--shards")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse::<usize>().ok()),
-    )
+/// The flags every experiment binary shares, each with whether it
+/// takes a value: the observability flags of [`ObsOptions`] and
+/// `--jobs`.
+const SHARED_FLAGS: &[(&str, bool)] = &[
+    ("--trace", true),
+    ("--metrics", true),
+    ("--serve-metrics", true),
+    ("--serve-hold", true),
+    ("--phase-metrics", false),
+    ("--jobs", true),
+];
+
+/// The first argument in `args` that is neither a shared flag, one of
+/// the binary's `own` flags (`(name, takes_value)`), nor the value
+/// following a flag that takes one.
+pub fn unknown_flag<'a>(args: &'a [String], own: &[(&str, bool)]) -> Option<&'a str> {
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match SHARED_FLAGS.iter().chain(own).find(|(name, _)| name == arg) {
+            Some((_, true)) => {
+                args.next();
+            }
+            Some((_, false)) => {}
+            None => return Some(arg),
+        }
+    }
+    None
 }
 
-/// [`shards_from_args`] on the current process's arguments.
-pub fn shards_from_env() -> Shards {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    shards_from_args(&args)
+/// Exits with status 2, printing the offending argument and `usage` on
+/// stderr, when [`unknown_flag`] finds one in `args`.
+pub fn exit_on_unknown_flag(args: &[String], own: &[(&str, bool)], usage: &str) {
+    if let Some(flag) = unknown_flag(args, own) {
+        eprintln!("unknown argument {flag}");
+        eprintln!("{usage}");
+        std::process::exit(2);
+    }
 }
 
 impl ObsOptions {
@@ -345,17 +367,71 @@ mod tests {
         assert_eq!(opts.serve, None);
     }
 
+    const TABLE_FLAGS: &[(&str, bool)] = &[("--quick", false), ("--calibrated", false)];
+    const CAMPAIGN_FLAGS: &[(&str, bool)] = &[("--quick", false), ("--plan", true)];
+    const FLEET_FLAGS: &[(&str, bool)] = &[("--quick", false), ("--cell", true)];
+
     #[test]
-    fn shards_flag_is_opt_in() {
-        // Absent (or garbage) means serial; 0 means auto; N means N.
-        assert_eq!(shards_from_args(&strs(&["--quick"])), Shards::serial());
-        assert_eq!(
-            shards_from_args(&strs(&["--shards", "lots"])),
-            Shards::serial()
-        );
-        assert_eq!(shards_from_args(&strs(&["--shards", "4"])).get(), 4);
-        assert_eq!(shards_from_args(&strs(&["--shards", "1"])).get(), 1);
-        assert!(shards_from_args(&strs(&["--shards", "0"])).get() >= 1);
+    fn every_ci_invocation_passes_the_flag_check() {
+        let table5 = [
+            "--quick --trace obs-out/table5.jsonl --metrics obs-out/table5.prom",
+            "--quick --serve-metrics 9184 --serve-hold 60",
+            "--quick --jobs 1 --trace bench-out/t5-j1.jsonl --metrics bench-out/t5-j1.prom",
+            "--quick --jobs 4 --trace bench-out/t5-j4.jsonl --metrics bench-out/t5-j4.prom",
+        ];
+        let campaign = [
+            "",
+            "--quick --jobs 1 --trace bench-out/fc-j1.jsonl --metrics bench-out/fc-j1.prom",
+            "--quick --jobs 4 --trace bench-out/fc-j4.jsonl --metrics bench-out/fc-j4.prom",
+        ];
+        let fleet = [
+            "",
+            "--quick --jobs 1 --trace bench-out/fs-j1.jsonl --metrics bench-out/fs-j1.prom",
+            "--quick --jobs 4 --trace bench-out/fs-j4.jsonl --metrics bench-out/fs-j4.prom",
+        ];
+        let line = |l: &str| strs(&l.split_whitespace().collect::<Vec<_>>());
+        for l in table5 {
+            assert_eq!(unknown_flag(&line(l), TABLE_FLAGS), None, "{l}");
+        }
+        for l in campaign {
+            assert_eq!(unknown_flag(&line(l), CAMPAIGN_FLAGS), None, "{l}");
+        }
+        for l in fleet {
+            assert_eq!(unknown_flag(&line(l), FLEET_FLAGS), None, "{l}");
+        }
+        let calibrated = strs(&["--calibrated", "--phase-metrics", "--jobs", "2"]);
+        assert_eq!(unknown_flag(&calibrated, TABLE_FLAGS), None);
+        let plans = strs(&["--plan", "omission", "--plan", "crash"]);
+        assert_eq!(unknown_flag(&plans, CAMPAIGN_FLAGS), None);
+    }
+
+    #[test]
+    fn removed_and_misspelt_flags_are_rejected() {
+        let shards = strs(&["--quick", "--shards", "2"]);
+        assert_eq!(unknown_flag(&shards, TABLE_FLAGS), Some("--shards"));
+        assert_eq!(unknown_flag(&shards, CAMPAIGN_FLAGS), Some("--shards"));
+        assert_eq!(unknown_flag(&shards, FLEET_FLAGS), Some("--shards"));
+        let typo = strs(&["--qiuck"]);
+        assert_eq!(unknown_flag(&typo, TABLE_FLAGS), Some("--qiuck"));
+        // One binary's own flag is unknown to another.
+        let cell = strs(&["--cell", "restart"]);
+        assert_eq!(unknown_flag(&cell, TABLE_FLAGS), Some("--cell"));
+    }
+
+    #[test]
+    fn flag_values_are_never_read_as_flags() {
+        // Each value follows a flag that takes one, so it is skipped
+        // even when it looks like a flag itself.
+        let args = strs(&["--trace", "--shards", "--metrics", "--qiuck", "--jobs", "x"]);
+        assert_eq!(unknown_flag(&args, TABLE_FLAGS), None);
+        let plan = strs(&["--plan", "--calibrated"]);
+        assert_eq!(unknown_flag(&plan, CAMPAIGN_FLAGS), None);
+        // A flag without its value at the end of the line is accepted,
+        // as `ObsOptions::parse` ignores it.
+        assert_eq!(unknown_flag(&strs(&["--trace"]), TABLE_FLAGS), None);
+        // A value-less flag does not swallow the argument after it.
+        let quick = strs(&["--quick", "--shards"]);
+        assert_eq!(unknown_flag(&quick, TABLE_FLAGS), Some("--shards"));
     }
 
     #[test]

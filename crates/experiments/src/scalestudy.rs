@@ -1,12 +1,13 @@
 //! Scale study: throughput of the sharded demand loop at 1M+ demands.
 //!
-//! The `--shards` machinery exists to make million-demand runs cheap,
-//! so this experiment measures exactly that: one large weighted-fleet
-//! deployment served at shard counts {1, 2, 4, 8}, reporting
-//! demands/sec per configuration, speedup versus the serial run and
-//! the cost of the final merge — while *asserting* the sharding
-//! determinism contract on every run (the merged dependability digest
-//! must be byte-identical at every shard count, or the study panics).
+//! The epoch runner ([`run_epochs_local`]) exists to make
+//! million-demand runs cheap, so this experiment measures exactly
+//! that: one large weighted-fleet deployment served at shard counts
+//! {1, 2, 4, 8}, reporting demands/sec per configuration, speedup
+//! versus the serial run and the cost of the final merge — while
+//! *asserting* the sharding determinism contract on every run (the
+//! merged dependability digest must be byte-identical at every shard
+//! count, or the study panics).
 //!
 //! # The shard-native world
 //!

@@ -7,7 +7,6 @@
 
 use wsu_simcore::par::{par_map_slice, Jobs};
 use wsu_simcore::rng::MasterSeed;
-use wsu_simcore::shard::Shards;
 use wsu_workload::outcomes::CorrelatedOutcomes;
 use wsu_workload::runs::RunSpec;
 use wsu_workload::timing::ExecTimeModel;
@@ -89,24 +88,21 @@ pub fn run_table5_with(
     timeouts: &[f64],
     timing: ExecTimeModel,
 ) -> SimulationTable {
-    run_table5_observed(seed, requests, timeouts, timing, &ObsSinks::default())
+    run_table5_jobs(
+        seed,
+        requests,
+        timeouts,
+        timing,
+        &ObsSinks::default(),
+        Jobs::serial(),
+    )
 }
 
 /// [`run_table5_with`] with observability sinks threaded into every
-/// simulated cell (tagged `table5/run{n}/t{timeout}`).
-pub fn run_table5_observed(
-    seed: MasterSeed,
-    requests: u64,
-    timeouts: &[f64],
-    timing: ExecTimeModel,
-    sinks: &ObsSinks,
-) -> SimulationTable {
-    run_table5_jobs(seed, requests, timeouts, timing, sinks, Jobs::serial())
-}
-
-/// [`run_table5_observed`] over a worker pool: every `(run, timeout)`
-/// cell is one replication. Results, traces and metrics are merged in
-/// replication order, so the output is byte-identical for any `jobs`.
+/// simulated cell (tagged `table5/run{n}/t{timeout}`), over a worker
+/// pool: every `(run, timeout)` cell is one replication. Results,
+/// traces and metrics are merged in replication order, so the output is
+/// byte-identical for any `jobs`.
 pub fn run_table5_jobs(
     seed: MasterSeed,
     requests: u64,
@@ -114,31 +110,6 @@ pub fn run_table5_jobs(
     timing: ExecTimeModel,
     sinks: &ObsSinks,
     jobs: Jobs,
-) -> SimulationTable {
-    run_table5_sharded(
-        seed,
-        requests,
-        timeouts,
-        timing,
-        sinks,
-        jobs,
-        Shards::serial(),
-    )
-}
-
-/// [`run_table5_jobs`] with intra-cell sharding on top: each cell's
-/// demand loop runs as a prepare/commit pipeline over `shards` workers
-/// (see [`crate::midsim::simulate_cell_sharded`]). Neither knob changes
-/// a byte of output.
-#[allow(clippy::too_many_arguments)]
-pub fn run_table5_sharded(
-    seed: MasterSeed,
-    requests: u64,
-    timeouts: &[f64],
-    timing: ExecTimeModel,
-    sinks: &ObsSinks,
-    jobs: Jobs,
-    shards: Shards,
 ) -> SimulationTable {
     let specs = RunSpec::all();
     let cells = simulate_table_cells(
@@ -150,7 +121,6 @@ pub fn run_table5_sharded(
         seed,
         sinks,
         jobs,
-        shards,
         CorrelatedOutcomes::from_run,
     );
     SimulationTable {
@@ -175,7 +145,6 @@ pub(crate) fn simulate_table_cells<G, F>(
     seed: MasterSeed,
     sinks: &ObsSinks,
     jobs: Jobs,
-    shards: Shards,
     make_gen: F,
 ) -> Vec<CellResult>
 where
@@ -187,7 +156,7 @@ where
         let demands = plan_run(&make_gen(spec), timing, requests, seed, &tag);
         RunPlan { tag, demands }
     });
-    simulate_planned_runs(&runs, timeouts, seed, sinks, jobs, shards)
+    simulate_planned_runs(&runs, timeouts, seed, sinks, jobs)
 }
 
 /// Groups a flat cell vector (run-major, timeout-minor) back into
@@ -261,7 +230,7 @@ mod tests {
     fn single_run_path_matches_the_table_path() {
         // `simulate_run_observed` is the tables' per-run code run
         // serially: the same cells, trace and metrics as the table path
-        // at any jobs/shards.
+        // at any jobs.
         let observed = || ObsSinks {
             recorder: Some(SharedRecorder::new()),
             metrics: Some(SharedRegistry::new()),
@@ -278,7 +247,6 @@ mod tests {
             seed,
             &table_sinks,
             Jobs::new(2),
-            Shards::new(2),
             CorrelatedOutcomes::from_run,
         );
         let run_sinks = observed();

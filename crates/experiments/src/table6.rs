@@ -9,7 +9,6 @@
 
 use wsu_simcore::par::Jobs;
 use wsu_simcore::rng::MasterSeed;
-use wsu_simcore::shard::Shards;
 use wsu_workload::outcomes::IndependentOutcomes;
 use wsu_workload::runs::RunSpec;
 use wsu_workload::timing::ExecTimeModel;
@@ -35,24 +34,21 @@ pub fn run_table6_with(
     timeouts: &[f64],
     timing: ExecTimeModel,
 ) -> SimulationTable {
-    run_table6_observed(seed, requests, timeouts, timing, &ObsSinks::default())
+    run_table6_jobs(
+        seed,
+        requests,
+        timeouts,
+        timing,
+        &ObsSinks::default(),
+        Jobs::serial(),
+    )
 }
 
 /// [`run_table6_with`] with observability sinks threaded into every
-/// simulated cell (tagged `table6/run{n}/t{timeout}`).
-pub fn run_table6_observed(
-    seed: MasterSeed,
-    requests: u64,
-    timeouts: &[f64],
-    timing: ExecTimeModel,
-    sinks: &ObsSinks,
-) -> SimulationTable {
-    run_table6_jobs(seed, requests, timeouts, timing, sinks, Jobs::serial())
-}
-
-/// [`run_table6_observed`] over a worker pool: every `(run, timeout)`
-/// cell is one replication. Results, traces and metrics are merged in
-/// replication order, so the output is byte-identical for any `jobs`.
+/// simulated cell (tagged `table6/run{n}/t{timeout}`), over a worker
+/// pool: every `(run, timeout)` cell is one replication. Results,
+/// traces and metrics are merged in replication order, so the output is
+/// byte-identical for any `jobs`.
 pub fn run_table6_jobs(
     seed: MasterSeed,
     requests: u64,
@@ -60,31 +56,6 @@ pub fn run_table6_jobs(
     timing: ExecTimeModel,
     sinks: &ObsSinks,
     jobs: Jobs,
-) -> SimulationTable {
-    run_table6_sharded(
-        seed,
-        requests,
-        timeouts,
-        timing,
-        sinks,
-        jobs,
-        Shards::serial(),
-    )
-}
-
-/// [`run_table6_jobs`] with intra-cell sharding on top: each cell's
-/// demand loop runs as a prepare/commit pipeline over `shards` workers
-/// (see [`crate::midsim::simulate_cell_sharded`]). Neither knob changes
-/// a byte of output.
-#[allow(clippy::too_many_arguments)]
-pub fn run_table6_sharded(
-    seed: MasterSeed,
-    requests: u64,
-    timeouts: &[f64],
-    timing: ExecTimeModel,
-    sinks: &ObsSinks,
-    jobs: Jobs,
-    shards: Shards,
 ) -> SimulationTable {
     let specs = RunSpec::all();
     let cells = simulate_table_cells(
@@ -96,7 +67,6 @@ pub fn run_table6_sharded(
         seed,
         sinks,
         jobs,
-        shards,
         IndependentOutcomes::from_run,
     );
     SimulationTable {

@@ -14,13 +14,12 @@ use wsu_bayes::whitebox::Resolution;
 use wsu_experiments::bayes_study::StudyConfig;
 use wsu_experiments::campaign::{run_campaign_jobs, standard_plans, CampaignConfig};
 use wsu_experiments::midsim::ObsSinks;
-use wsu_experiments::table5::{run_table5_jobs, run_table5_sharded, SimulationTable};
+use wsu_experiments::table5::{run_table5_jobs, SimulationTable};
 use wsu_experiments::table6::run_table6_jobs;
 use wsu_experiments::{figures, table2, DEFAULT_SEED, PAPER_REQUESTS, PAPER_TIMEOUTS};
 use wsu_obs::SharedRegistry;
 use wsu_simcore::par::Jobs;
 use wsu_simcore::rng::MasterSeed;
-use wsu_simcore::shard::Shards;
 use wsu_workload::timing::ExecTimeModel;
 
 fn results_dir() -> PathBuf {
@@ -149,14 +148,13 @@ fn table5_metrics_snapshot_is_reproducible() {
         recorder: None,
         metrics: Some(SharedRegistry::new()),
     };
-    run_table5_sharded(
+    run_table5_jobs(
         DEFAULT_SEED,
         2_000,
         &PAPER_TIMEOUTS,
         ExecTimeModel::paper(),
         &sinks,
         Jobs::new(2),
-        Shards::serial(),
     );
     let rendered = sinks.metrics.expect("registry attached").render_snapshot();
     assert_eq!(

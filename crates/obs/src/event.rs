@@ -145,7 +145,8 @@ pub enum TraceEvent {
         /// Time attributed to recovery actions, in seconds.
         recovery: f64,
     },
-    /// A free-form log line (the `EventLog` compatibility path).
+    /// A free-form log line, such as a binary's wall-clock phase
+    /// timing.
     Log {
         /// Virtual time, in seconds (0 when the logger has no clock).
         t: f64,

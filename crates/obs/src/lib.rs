@@ -13,9 +13,7 @@
 //!   [`recorder::NullRecorder`] is the no-op default (uninstrumented
 //!   runs stay bit-identical and near-zero-cost);
 //!   [`recorder::MemoryRecorder`] collects events in memory;
-//!   [`recorder::SharedRecorder`] shares one sink between subsystems;
-//!   [`recorder::TraceRing`] is a bounded ring used by the `EventLog`
-//!   compatibility shim.
+//!   [`recorder::SharedRecorder`] shares one sink between subsystems.
 //! * [`metrics::MetricsRegistry`] — labeled counters, gauges and
 //!   fixed-bucket histograms, snapshotable to a Prometheus-text-style
 //!   string and mergeable across runs.
@@ -84,6 +82,6 @@ pub use http::{http_get, HttpClient, HttpConn, HttpResponse};
 pub use jsonl::{parse_jsonl, JsonValue};
 pub use metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry, SharedRegistry, SketchId};
 pub use quantile::QuantileSketch;
-pub use recorder::{MemoryRecorder, NullRecorder, Recorder, SharedRecorder, TraceRing};
+pub use recorder::{MemoryRecorder, NullRecorder, Recorder, SharedRecorder};
 pub use slo::{DependabilitySnapshot, SloConfig, SloObservation, SloWindow};
 pub use span::{DemandSpan, PhaseTimings, SpanProfile, SPAN_PHASES};

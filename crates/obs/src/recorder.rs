@@ -6,7 +6,6 @@
 //! `false` per potential event — no allocation, no formatting.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::io;
 use std::path::Path;
 use std::rc::Rc;
@@ -144,77 +143,6 @@ impl Recorder for SharedRecorder {
     }
 }
 
-/// A bounded ring of events: once `capacity` is reached, the oldest
-/// event is evicted and counted as dropped. Backs the `EventLog`
-/// compatibility shim in `wsu-core`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceRing {
-    capacity: usize,
-    events: VecDeque<TraceEvent>,
-    dropped: u64,
-}
-
-impl TraceRing {
-    /// A ring holding at most `capacity` events (minimum 1).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            capacity: capacity.max(1),
-            events: VecDeque::new(),
-            dropped: 0,
-        }
-    }
-
-    /// Iterates over the retained events, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the ring is empty.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// How many events have been evicted to make room.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Discards all retained events (the dropped count is kept).
-    pub fn clear(&mut self) {
-        self.events.clear();
-    }
-}
-
-impl Default for TraceRing {
-    fn default() -> Self {
-        Self::new(1024)
-    }
-}
-
-impl Recorder for TraceRing {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record(&mut self, event: TraceEvent) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(event);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,17 +184,5 @@ mod tests {
         b.record(ev(2));
         assert_eq!(shared.len(), 2);
         assert_eq!(shared.snapshot()[1].demand(), 2);
-    }
-
-    #[test]
-    fn ring_evicts_oldest() {
-        let mut ring = TraceRing::new(2);
-        ring.record(ev(1));
-        ring.record(ev(2));
-        ring.record(ev(3));
-        assert_eq!(ring.len(), 2);
-        assert_eq!(ring.dropped(), 1);
-        let demands: Vec<u64> = ring.iter().map(|e| e.demand()).collect();
-        assert_eq!(demands, vec![2, 3]);
     }
 }

@@ -15,8 +15,7 @@
 //!   for any worker count);
 //! * [`shard`] — deterministic intra-replication parallelism: per-core
 //!   shards synchronized by a virtual-time epoch barrier with a
-//!   `(epoch, src, seq)`-ordered cross-shard mailbox, plus a
-//!   prepare/commit pipeline for the demand loop — outputs are
+//!   `(epoch, src, seq)`-ordered cross-shard mailbox — outputs are
 //!   byte-identical at any shard count;
 //! * [`queue`] — a stable priority queue of timestamped events;
 //! * [`engine`] — a minimal event-driven simulation loop over a

@@ -6,31 +6,26 @@
 //! while keeping every observable output **byte-identical at any shard
 //! count** (the `--jobs` contract, one level down).
 //!
-//! Two executors are provided, matching the two shapes of hot loop in
-//! this workspace:
+//! The executor is [`run_epochs_local`], a conservative parallel
+//! discrete-event simulation. Each shard's world is built, run and
+//! consumed on its own thread, so worlds need not be `Send`. Each shard
+//! owns a private calendar queue (via
+//! [`Engine::run_window`](crate::engine::Engine::run_window)), RNG
+//! streams, scratch buffers and metric sinks, and advances through
+//! virtual time in fixed *epochs* (windows one calendar-bucket wide by
+//! convention) separated by a barrier. Events destined for another
+//! shard are staged in a per-`(src, dst)` [`Outbox`] lane and delivered
+//! at the epoch boundary in `(epoch, src, seq)` order, so the
+//! destination shard enqueues them identically however many shards the
+//! sources were spread over. The scheme is correct when every
+//! cross-shard event carries at least one epoch of lookahead (delay ≥
+//! epoch width), the classic conservative-PDES constraint.
 //!
-//! 1. [`run_epochs_local`] — conservative parallel discrete-event
-//!    simulation. Each shard's world is built, run and consumed on its
-//!    own thread, so worlds need not be `Send`. Each shard owns a
-//!    private calendar queue (via
-//!    [`Engine::run_window`](crate::engine::Engine::run_window)), RNG
-//!    streams, scratch buffers and metric sinks, and advances through
-//!    virtual time in fixed *epochs* (windows one calendar-bucket wide
-//!    by convention) separated by a barrier. Events destined for
-//!    another shard are staged in a per-`(src, dst)` [`Outbox`] lane
-//!    and delivered at the epoch boundary in `(epoch, src, seq)` order,
-//!    so the destination shard enqueues them identically however many
-//!    shards the sources were spread over. The scheme is correct when
-//!    every cross-shard event carries at least one epoch of lookahead
-//!    (delay ≥ epoch width), the classic conservative-PDES constraint.
-//!
-//! 2. [`shard_pipeline`] — prepare/commit two-phase execution for the
-//!    closed demand loop. Demands are hash-partitioned by demand id
-//!    (`id % K`); workers run the RNG-free *prepare* phase in parallel
-//!    while a single committer replays RNG draws, float accumulation
-//!    and trace emission **in demand-id order**, so the sequential
-//!    streams (middleware RNG, monitor RNG, `Summary` sums) see the
-//!    exact same draw/accumulate order as a serial run.
+//! A closed demand loop — each demand issued when the previous response
+//! arrives, as in the paper's Tables 5–6 — has no such lookahead: its
+//! RNG draws, float sums and clock advance in demand order, so it runs
+//! on one [`Engine`](crate::engine::Engine) and parallelises across
+//! replications with [`par`](crate::par) instead.
 //!
 //! # Determinism contract
 //!
@@ -44,16 +39,13 @@
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Barrier, Condvar, Mutex};
+use std::sync::{Barrier, Mutex};
 use std::thread;
 
-use crate::rng::{MasterSeed, StreamRng};
-
-/// Shard count for intra-replication parallelism.
+/// Shard count for [`run_epochs_local`].
 ///
-/// The knob mirrors [`Jobs`](crate::par::Jobs): `--shards 1` is the
-/// serial engine, `--shards 0`/unset means one shard per hardware
-/// thread.
+/// One shard is the serial engine: no threads are spawned. The scale
+/// study sweeps this count (`scalestudy --shards-list`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Shards(NonZeroUsize);
 
@@ -66,25 +58,6 @@ impl Shards {
     /// `n` shards; `0` is clamped to 1.
     pub fn new(n: usize) -> Shards {
         Shards(NonZeroUsize::new(n).unwrap_or(NonZeroUsize::MIN))
-    }
-
-    /// One shard per available hardware thread (the `--shards` default
-    /// when a bare `--shards` is given).
-    pub fn auto() -> Shards {
-        Shards(thread::available_parallelism().unwrap_or(NonZeroUsize::MIN))
-    }
-
-    /// `Some(n)` → `n` shards (0 clamped to 1); `None` → [`Shards::serial`].
-    ///
-    /// Unlike [`Jobs`](crate::par::Jobs), the unset default is *serial*:
-    /// sharding changes which thread touches which cache lines, so it
-    /// is opt-in per invocation.
-    pub fn from_request(requested: Option<usize>) -> Shards {
-        match requested {
-            Some(0) => Shards::auto(),
-            Some(n) => Shards::new(n),
-            None => Shards::serial(),
-        }
     }
 
     /// The shard count.
@@ -106,15 +79,6 @@ impl Default for Shards {
     fn default() -> Shards {
         Shards::serial()
     }
-}
-
-/// The per-shard RNG stream named by the sharding convention:
-/// `MasterSeed::indexed_stream("shard", k)`. Use it only for
-/// shard-local scratch randomness that never reaches an output; any
-/// draw that affects output must come from an entity-id-derived stream
-/// or the output would depend on the partition.
-pub fn shard_stream(seed: &MasterSeed, shard: usize) -> StreamRng {
-    seed.indexed_stream("shard", shard as u64)
 }
 
 /// Cross-shard messages staged by one shard during one epoch.
@@ -316,154 +280,6 @@ where
     (out, total)
 }
 
-/// Bounded lookahead of the prepare/commit pipeline: how far (in
-/// demand ids) workers may run ahead of the committer. Large enough to
-/// hide commit latency, small enough to bound memory.
-const PIPELINE_WINDOW: usize = 256;
-
-/// Slot ring shared between prepare workers and the committer.
-struct Ring<P> {
-    slots: Vec<Option<P>>,
-    /// Items `0..committed` have been handed to the committer.
-    committed: usize,
-    /// Prepare workers still running.
-    workers: usize,
-    /// Set when the committer is gone (normally or by panic) so
-    /// workers never block on a dead consumer.
-    aborted: bool,
-}
-
-/// Decrements the live-worker count on scope exit — including panic —
-/// so the committer can distinguish "not yet prepared" from "never
-/// coming" instead of deadlocking.
-struct WorkerGuard<'a, P> {
-    ring: &'a Mutex<Ring<P>>,
-    filled: &'a Condvar,
-}
-
-impl<P> Drop for WorkerGuard<'_, P> {
-    fn drop(&mut self) {
-        let mut g = match self.ring.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        g.workers -= 1;
-        drop(g);
-        self.filled.notify_all();
-    }
-}
-
-/// Unblocks prepare workers when the committer exits — normally or by
-/// panic — so a failing `commit` propagates instead of deadlocking.
-struct CommitterGuard<'a, P> {
-    ring: &'a Mutex<Ring<P>>,
-    drained: &'a Condvar,
-}
-
-impl<P> Drop for CommitterGuard<'_, P> {
-    fn drop(&mut self) {
-        let mut g = match self.ring.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        g.aborted = true;
-        drop(g);
-        self.drained.notify_all();
-    }
-}
-
-/// Two-phase prepare/commit execution of `count` items on `shards`
-/// workers, committing strictly in item order.
-///
-/// `prepare(i)` runs in parallel — items are hash-partitioned across
-/// workers by `i % K`, the same partition [`Shards::owner_of`] gives
-/// for demand ids — and must be deterministic in `i` and immutable
-/// captures (in the middleware loop: everything *except* the RNG draws,
-/// which live in commit). `commit(i, prepared)` runs on the calling
-/// thread for `i = 0, 1, …, count-1` in exactly that order, so
-/// sequential state (RNG streams, float accumulators, trace writers)
-/// observes the same history as a serial run. Workers run at most
-/// [`PIPELINE_WINDOW`] items ahead of the committer.
-///
-/// With one shard (or fewer than two items) everything runs inline:
-/// `commit(i, prepare(i))` in a plain loop — the serial engine.
-///
-/// # Panics
-///
-/// Propagates a panic from `prepare` or `commit` (no deadlock: each
-/// side detects the other's death).
-pub fn shard_pipeline<P, F, C>(shards: Shards, count: usize, prepare: F, mut commit: C)
-where
-    P: Send,
-    F: Fn(usize) -> P + Sync,
-    C: FnMut(usize, P),
-{
-    let k = shards.get();
-    if k <= 1 || count <= 1 {
-        for i in 0..count {
-            commit(i, prepare(i));
-        }
-        return;
-    }
-    let ring = Mutex::new(Ring {
-        slots: (0..PIPELINE_WINDOW).map(|_| None).collect(),
-        committed: 0,
-        workers: k,
-        aborted: false,
-    });
-    let filled = Condvar::new();
-    let drained = Condvar::new();
-    thread::scope(|scope| {
-        for w in 0..k {
-            let ring = &ring;
-            let filled = &filled;
-            let drained = &drained;
-            let prepare = &prepare;
-            scope.spawn(move || {
-                let _guard = WorkerGuard { ring, filled };
-                let mut i = w;
-                while i < count {
-                    let item = prepare(i);
-                    let mut g = ring.lock().expect("pipeline ring");
-                    while !g.aborted && i >= g.committed + PIPELINE_WINDOW {
-                        g = drained.wait(g).expect("pipeline ring");
-                    }
-                    if g.aborted {
-                        return;
-                    }
-                    g.slots[i % PIPELINE_WINDOW] = Some(item);
-                    drop(g);
-                    filled.notify_all();
-                    i += k;
-                }
-            });
-        }
-        // The committer runs here on the calling thread, inside the
-        // scope, concurrently with the workers it feeds from.
-        let _guard = CommitterGuard {
-            ring: &ring,
-            drained: &drained,
-        };
-        for i in 0..count {
-            let mut g = ring.lock().expect("pipeline ring");
-            let item = loop {
-                if let Some(item) = g.slots[i % PIPELINE_WINDOW].take() {
-                    break item;
-                }
-                assert!(
-                    g.workers > 0,
-                    "prepare worker for item {i} died before filling its slot"
-                );
-                g = filled.wait(g).expect("pipeline ring");
-            };
-            g.committed = i + 1;
-            drop(g);
-            drained.notify_all();
-            commit(i, item);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -475,22 +291,9 @@ mod tests {
         assert_eq!(Shards::serial().get(), 1);
         assert_eq!(Shards::new(0).get(), 1);
         assert_eq!(Shards::new(6).get(), 6);
-        assert_eq!(Shards::from_request(Some(3)).get(), 3);
-        assert_eq!(Shards::from_request(None).get(), 1);
-        assert!(Shards::from_request(Some(0)).get() >= 1);
         assert_eq!(Shards::default().get(), 1);
-        assert!(Shards::auto().get() >= 1);
         assert_eq!(Shards::new(4).owner_of(10), 2);
         assert_eq!(Shards::serial().owner_of(10), 0);
-    }
-
-    #[test]
-    fn shard_stream_matches_indexed_stream() {
-        let seed = MasterSeed::new(9);
-        assert_eq!(
-            shard_stream(&seed, 3).next_u64(),
-            seed.indexed_stream("shard", 3).next_u64()
-        );
     }
 
     #[test]
@@ -503,120 +306,6 @@ mod tests {
         assert_eq!(outbox.staged(), 3);
         let lanes = outbox.take_lanes();
         assert_eq!(lanes, vec![vec![20], vec![10, 30]]);
-    }
-
-    #[test]
-    fn pipeline_commits_in_order_for_any_shard_count() {
-        let serial: Vec<(usize, u64)> = {
-            let mut out = Vec::new();
-            shard_pipeline(
-                Shards::serial(),
-                500,
-                |i| (i as u64).wrapping_mul(0x9E37_79B9),
-                |i, p| out.push((i, p)),
-            );
-            out
-        };
-        for k in [2, 3, 4, 8] {
-            let mut out = Vec::new();
-            shard_pipeline(
-                Shards::new(k),
-                500,
-                |i| (i as u64).wrapping_mul(0x9E37_79B9),
-                |i, p| out.push((i, p)),
-            );
-            assert_eq!(out, serial, "shards {k}");
-        }
-    }
-
-    #[test]
-    fn pipeline_sequential_commit_state_is_partition_independent() {
-        // The committer threads a sequential RNG through the commits —
-        // exactly the middleware/monitor stream shape. Identical draws
-        // at any K proves the draw order is partition-independent.
-        let run = |k: usize| {
-            let seed = MasterSeed::new(77);
-            let mut rng = seed.stream("commit");
-            let mut acc = Vec::new();
-            shard_pipeline(
-                Shards::new(k),
-                300,
-                |i| i as u64 + 1,
-                |_, p| acc.push(rng.next_below(p)),
-            );
-            acc
-        };
-        let serial = run(1);
-        for k in [2, 4, 8] {
-            assert_eq!(run(k), serial, "shards {k}");
-        }
-    }
-
-    #[test]
-    fn pipeline_handles_tiny_and_empty_counts() {
-        let mut out = Vec::new();
-        shard_pipeline(Shards::new(4), 0, |i| i, |i, p| out.push((i, p)));
-        assert!(out.is_empty());
-        shard_pipeline(Shards::new(4), 1, |i| i + 7, |i, p| out.push((i, p)));
-        assert_eq!(out, vec![(0, 7)]);
-        // More shards than items.
-        out.clear();
-        shard_pipeline(Shards::new(16), 3, |i| i, |i, p| out.push((i, p)));
-        assert_eq!(out, vec![(0, 0), (1, 1), (2, 2)]);
-    }
-
-    #[test]
-    fn pipeline_wraps_the_window_many_times() {
-        let count = PIPELINE_WINDOW * 5 + 13;
-        let mut sum = 0u64;
-        let mut last = None;
-        shard_pipeline(
-            Shards::new(3),
-            count,
-            |i| i as u64,
-            |i, p| {
-                assert_eq!(i as u64, p);
-                assert_eq!(last.map_or(0, |l: usize| l + 1), i, "order");
-                last = Some(i);
-                sum += p;
-            },
-        );
-        assert_eq!(sum, (count as u64 - 1) * count as u64 / 2);
-    }
-
-    #[test]
-    fn pipeline_prepare_panic_propagates() {
-        let result = std::panic::catch_unwind(|| {
-            shard_pipeline(
-                Shards::new(2),
-                64,
-                |i| {
-                    if i == 33 {
-                        panic!("prepare 33 exploded");
-                    }
-                    i
-                },
-                |_, _| {},
-            )
-        });
-        assert!(result.is_err());
-    }
-
-    #[test]
-    fn pipeline_commit_panic_propagates() {
-        let result = std::panic::catch_unwind(|| {
-            shard_pipeline(
-                Shards::new(4),
-                10_000,
-                |i| i,
-                |i, _| {
-                    if i == 5 {
-                        panic!("commit 5 exploded");
-                    }
-                },
-            )
-        });
-        assert!(result.is_err());
     }
 
     /// A ring of logical counters hash-partitioned across shards. Each

@@ -18,6 +18,7 @@ use composite_ws_upgrade::core::manage::{RecoveryPolicy, SwitchCriterion};
 use composite_ws_upgrade::core::middleware::MiddlewareConfig;
 use composite_ws_upgrade::core::modes::{OperatingMode, SequentialOrder};
 use composite_ws_upgrade::core::upgrade::{ManagedUpgrade, UpgradeConfig, UpgradePhase};
+use composite_ws_upgrade::obs::{SharedRecorder, TraceEvent};
 use composite_ws_upgrade::simcore::dist::DelayModel;
 use composite_ws_upgrade::simcore::rng::{MasterSeed, StreamRng};
 use composite_ws_upgrade::simcore::time::SimDuration;
@@ -85,6 +86,9 @@ fn main() {
             suspend_after: 5,
             auto_restart: true,
         }));
+    // Recovery actions and the switch are trace events; record them.
+    let recorder = SharedRecorder::new();
+    upgrade.attach_recorder(recorder.clone());
 
     println!("processing 10,000 payment authorizations in sequential mode ...");
     upgrade.run_demands(10_000);
@@ -119,10 +123,24 @@ fn main() {
         );
     }
 
-    // The injected outage should show up as recovery actions in the log.
-    println!("\nrecovery/decision log:");
-    for entry in upgrade.log().entries() {
-        println!("  {entry}");
+    // The injected outage should show up as recovery actions.
+    println!("\nrecovery/decision events:");
+    for event in recorder.snapshot() {
+        match event {
+            TraceEvent::ReleaseSuspended {
+                t,
+                demand,
+                release,
+                action,
+            } => println!("  [demand {demand}, t={t:.1}s] release {release} {action}"),
+            TraceEvent::SwitchDecision {
+                t,
+                demand,
+                decision,
+                reason,
+            } => println!("  [demand {demand}, t={t:.1}s] {decision}: {reason}"),
+            _ => {}
+        }
     }
 
     let sys = upgrade.monitor().system_stats();

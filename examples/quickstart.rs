@@ -10,6 +10,7 @@ use composite_ws_upgrade::core::manage::SwitchCriterion;
 use composite_ws_upgrade::core::upgrade::{
     DetectorKind, ManagedUpgrade, UpgradeConfig, UpgradePhase,
 };
+use composite_ws_upgrade::obs::{SharedRecorder, TraceEvent};
 use composite_ws_upgrade::simcore::rng::MasterSeed;
 use composite_ws_upgrade::wstack::endpoint::SyntheticService;
 use composite_ws_upgrade::wstack::outcome::OutcomeProfile;
@@ -35,6 +36,9 @@ fn main() {
         .with_assess_interval(500);
 
     let mut upgrade = ManagedUpgrade::new(old, new, config, MasterSeed::new(2024));
+    // The management decisions are trace events; record them.
+    let recorder = SharedRecorder::new();
+    upgrade.attach_recorder(recorder.clone());
 
     println!("demands  old P99 pfd   new P99 pfd   criterion met  phase");
     for round in 1..=20 {
@@ -68,8 +72,16 @@ fn main() {
         sys.total_responses()
     );
     println!("\n{}", upgrade.monitor().render_report());
-    println!("management log:");
-    for entry in upgrade.log().entries() {
-        println!("  {entry}");
+    println!("management decisions:");
+    for event in recorder.snapshot() {
+        if let TraceEvent::SwitchDecision {
+            t,
+            demand,
+            decision,
+            reason,
+        } = event
+        {
+            println!("  [demand {demand}, t={t:.1}s] {decision}: {reason}");
+        }
     }
 }

@@ -1,124 +1,11 @@
-//! Intra-replication sharding (`--shards`) must be invisible in every
-//! output, exactly like the replication pool (`--jobs`, pinned by
-//! `parallel_determinism.rs`) one level up: tables, metric snapshots,
-//! event traces and merged dependability digests are byte-identical at
-//! any shard count. These tests pin that contract for the three worlds
-//! the issue names — table5, fault-campaign plan 0 and a three-release
-//! fleet run.
+//! Intra-replication sharding must be invisible in every output,
+//! exactly like the replication pool (`--jobs`, pinned by
+//! `parallel_determinism.rs`) one level up: the merged dependability
+//! digest of the epoch runner's world is byte-identical at any shard
+//! count.
 
-use wsu_experiments::campaign::{run_campaign_jobs, standard_plans, CampaignConfig};
-use wsu_experiments::midsim::ObsSinks;
 use wsu_experiments::scalestudy::{run_scale, run_scalestudy, ScaleConfig};
-use wsu_experiments::table5::{run_table5_jobs, run_table5_sharded};
-use wsu_obs::{SharedRecorder, SharedRegistry, TraceEvent};
-use wsu_simcore::par::Jobs;
-use wsu_simcore::rng::MasterSeed;
 use wsu_simcore::shard::Shards;
-use wsu_workload::timing::ExecTimeModel;
-
-const SEED: MasterSeed = MasterSeed::new(0x0BAD_5EED);
-
-/// One observed table5 run at the given shard count, returning the
-/// rendered table, the metrics snapshot and the event trace.
-fn observed_table5(shards: Shards) -> (String, String, Vec<TraceEvent>) {
-    let sinks = ObsSinks {
-        recorder: Some(SharedRecorder::new()),
-        metrics: Some(SharedRegistry::new()),
-    };
-    let table = run_table5_sharded(
-        SEED,
-        400,
-        &[1.5, 3.0],
-        ExecTimeModel::paper(),
-        &sinks,
-        Jobs::serial(),
-        shards,
-    );
-    (
-        table.render(),
-        sinks.metrics.as_ref().unwrap().render_snapshot(),
-        sinks.recorder.as_ref().unwrap().snapshot(),
-    )
-}
-
-#[test]
-fn table5_is_shard_invariant_across_all_outputs() {
-    let serial = observed_table5(Shards::serial());
-    for k in [2, 4] {
-        let sharded = observed_table5(Shards::new(k));
-        assert_eq!(serial.0, sharded.0, "rendered table differs at shards={k}");
-        assert_eq!(
-            serial.1, sharded.1,
-            "metrics snapshot differs at shards={k}"
-        );
-        assert_eq!(serial.2, sharded.2, "event trace differs at shards={k}");
-    }
-    assert!(!serial.2.is_empty(), "trace should carry simulation events");
-}
-
-/// The sharded entry point must also be byte-identical to the pre-shard
-/// serial runner — `--shards 1` is the old engine, not a lookalike.
-#[test]
-fn sharded_table5_matches_the_unsharded_runner() {
-    let sinks = ObsSinks::default();
-    let old = run_table5_jobs(
-        SEED,
-        400,
-        &[1.5],
-        ExecTimeModel::paper(),
-        &sinks,
-        Jobs::serial(),
-    )
-    .render();
-    for k in [1, 2, 4] {
-        let new = observed_table5_text(Shards::new(k));
-        assert_eq!(old, new, "shards={k} deviates from the unsharded runner");
-    }
-}
-
-fn observed_table5_text(shards: Shards) -> String {
-    run_table5_sharded(
-        SEED,
-        400,
-        &[1.5],
-        ExecTimeModel::paper(),
-        &ObsSinks::default(),
-        Jobs::serial(),
-        shards,
-    )
-    .render()
-}
-
-/// The fault campaign draws RNG *during* dispatch (synthetic services
-/// and injectors sample inside `invoke`), so its demand loop stays
-/// serial at any `--shards` — the flag is accepted and the output is
-/// identical by construction. Pin plan 0's rendered table and snapshot
-/// JSON across repeated runs so a future attempt to wire sharding into
-/// this world cannot silently change them.
-#[test]
-fn campaign_plan0_output_is_stable_at_any_shard_request() {
-    let plan0 = vec![standard_plans().remove(0)];
-    let config = CampaignConfig::quick();
-    let run = || {
-        let sinks = ObsSinks {
-            recorder: Some(SharedRecorder::new()),
-            metrics: Some(SharedRegistry::new()),
-        };
-        let table = run_campaign_jobs(&plan0, &config, SEED, &sinks, Jobs::serial());
-        (
-            table.render(),
-            table.snapshots_json(),
-            sinks.metrics.as_ref().unwrap().render_snapshot(),
-        )
-    };
-    // One run per accepted shard request: the flag never reaches the
-    // demand loop, so every run must agree byte for byte.
-    let baseline = run();
-    for k in [2usize, 4] {
-        let _requested = Shards::new(k); // parsed, then deliberately unused
-        assert_eq!(baseline, run(), "campaign output drifted at shards={k}");
-    }
-}
 
 /// The three-release fleet run: the scalestudy world (weighted fleet,
 /// mid-run promotion broadcast through the epoch mailbox) must produce
