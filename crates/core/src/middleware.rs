@@ -126,11 +126,10 @@ pub struct UpgradeMiddleware {
     /// caller (orchestrator or simulation driver) owns the clock.
     clock: f64,
     /// Scratch buffers reused across demands so the steady-state path
-    /// does not allocate: the active-release snapshot, arrival order
-    /// (indices into `per_release`), adjudication input, and the
+    /// does not allocate: the active-release snapshot, the responses
+    /// collected within the timeout in arrival order, and the
     /// sequential visit order.
     active_scratch: Vec<ReleaseId>,
-    arrived_scratch: Vec<usize>,
     collected_scratch: Vec<CollectedResponse>,
     order_scratch: Vec<ReleaseId>,
     /// Recycled `per_release` buffers, returned via [`recycle`].
@@ -149,7 +148,6 @@ impl UpgradeMiddleware {
             recorder: Box::new(NullRecorder),
             clock: 0.0,
             active_scratch: Vec::new(),
-            arrived_scratch: Vec::new(),
             collected_scratch: Vec::new(),
             order_scratch: Vec::new(),
             record_pool: Vec::new(),
@@ -347,27 +345,23 @@ impl UpgradeMiddleware {
             });
         }
 
-        // Responses in arrival order, truncated to the timeout. Indices
-        // into `per_release`; the (exec_time, index) key reproduces the
-        // stable sort a plain sort-by-exec-time would give.
-        let mut arrived = std::mem::take(&mut self.arrived_scratch);
-        arrived.clear();
-        arrived.extend((0..per_release.len()).filter(|&i| per_release[i].within_timeout));
-        arrived.sort_unstable_by_key(|&i| (per_release[i].exec_time, i));
-
+        // Responses in arrival order, truncated to the timeout.
+        // `per_release` follows `active`, which is in release order, so
+        // the (exec_time, release) key reproduces the stable sort a
+        // plain sort-by-exec-time would give.
         let mut collected = std::mem::take(&mut self.collected_scratch);
         collected.clear();
+        collected.extend(per_release.iter().filter(|o| o.within_timeout).map(|o| {
+            CollectedResponse {
+                release: o.release,
+                class: o.class,
+                exec_time: o.exec_time,
+            }
+        }));
+        collected.sort_unstable_by_key(|c| (c.exec_time, c.release));
 
         let system = match self.config.mode {
             OperatingMode::ParallelReliability => {
-                collected.extend(arrived.iter().map(|&i| {
-                    let o = &per_release[i];
-                    CollectedResponse {
-                        release: o.release,
-                        class: o.class,
-                        exec_time: o.exec_time,
-                    }
-                }));
                 let adj = self.config.adjudicator.adjudicate(&collected, rng);
                 // Wait for everyone or the timeout, whichever first.
                 let all_in = per_release.iter().all(|o| o.within_timeout);
@@ -388,24 +382,20 @@ impl UpgradeMiddleware {
             }
             OperatingMode::ParallelResponsiveness => {
                 // Return the first valid response as soon as it arrives.
-                match arrived
-                    .iter()
-                    .map(|&i| &per_release[i])
-                    .find(|o| o.class.is_valid())
-                {
+                match collected.iter().find(|c| c.class.is_valid()) {
                     Some(first_valid) => SystemObservation {
                         verdict: SystemVerdict::Response(first_valid.class),
                         response_time: first_valid.exec_time + dt,
                         source: Some(first_valid.release),
-                        responders: arrived.len(),
+                        responders: collected.len(),
                     },
-                    None if !arrived.is_empty() => SystemObservation {
+                    None if !collected.is_empty() => SystemObservation {
                         // Only evident failures arrived; the middleware
                         // learns this for sure when the timeout expires.
                         verdict: SystemVerdict::Response(ResponseClass::EvidentFailure),
                         response_time: timeout + dt,
                         source: None,
-                        responders: arrived.len(),
+                        responders: collected.len(),
                     },
                     None => SystemObservation {
                         verdict: SystemVerdict::Unavailable,
@@ -417,17 +407,10 @@ impl UpgradeMiddleware {
             }
             OperatingMode::ParallelDynamic { quorum } => {
                 let quorum = quorum.max(1);
-                collected.extend(arrived.iter().take(quorum).map(|&i| {
-                    let o = &per_release[i];
-                    CollectedResponse {
-                        release: o.release,
-                        class: o.class,
-                        exec_time: o.exec_time,
-                    }
-                }));
-                let adj = self.config.adjudicator.adjudicate(&collected, rng);
-                let wait = if arrived.len() >= quorum {
-                    collected
+                let first = &collected[..quorum.min(collected.len())];
+                let adj = self.config.adjudicator.adjudicate(first, rng);
+                let wait = if collected.len() >= quorum {
+                    first
                         .iter()
                         .map(|c| c.exec_time)
                         .fold(SimDuration::ZERO, SimDuration::max)
@@ -439,7 +422,7 @@ impl UpgradeMiddleware {
                     verdict: adj.verdict,
                     response_time: wait + dt,
                     source: adj.source,
-                    responders: collected.len(),
+                    responders: first.len(),
                 }
             }
             OperatingMode::Sequential { .. } | OperatingMode::WeightedFleet => {
@@ -449,8 +432,6 @@ impl UpgradeMiddleware {
 
         collected.clear();
         self.collected_scratch = collected;
-        arrived.clear();
-        self.arrived_scratch = arrived;
 
         Ok(DemandRecord {
             seq,

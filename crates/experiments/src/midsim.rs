@@ -1,10 +1,17 @@
-//! The event-driven middleware simulation (paper Section 5.2).
+//! The closed-loop middleware simulation (paper Section 5.2).
 //!
 //! Reproduces the paper's model: 10,000 requests processed closed-loop
 //! (each new request is issued when the previous adjudicated response is
 //! delivered), two releases whose joint outcomes come from a workload
 //! generator, execution times from eq. (7), and the parallel-reliability
 //! middleware with timeouts of 1.5/2.0/3.0 s and `dT = 0.1 s`.
+//!
+//! A closed loop holds one demand in flight, so a cell needs no event
+//! queue: it is a plain loop that advances the virtual clock by each
+//! demand's response time, the same `SimTime + SimDuration` addition
+//! the simcore engine would make. The cell's `wsu_engine_*` gauges
+//! report what an engine would: one event per demand and a queue high
+//! water of 1.
 //!
 //! As in the paper, all timeout columns of one run replay the *same*
 //! planned demands, so differences between columns are purely the
@@ -14,9 +21,8 @@ use wsu_core::middleware::{MiddlewareConfig, UpgradeMiddleware};
 use wsu_core::monitor::{MonitoringSubsystem, ReleaseStats, SystemStats};
 use wsu_core::release::ReleaseId;
 use wsu_obs::{SharedRecorder, SharedRegistry};
-use wsu_simcore::engine::{Engine, Handler};
 use wsu_simcore::par::Jobs;
-use wsu_simcore::rng::{MasterSeed, StreamRng};
+use wsu_simcore::rng::MasterSeed;
 use wsu_simcore::time::SimTime;
 use wsu_workload::demand::{DemandPlanner, PlannedDemand};
 use wsu_workload::outcomes::OutcomePairGen;
@@ -115,47 +121,6 @@ pub struct CellResult {
     pub system: GroupStats,
 }
 
-/// The closed-loop demand event.
-#[derive(Debug)]
-struct NextDemand;
-
-/// The simulation world: middleware + monitor + remaining demands.
-struct World {
-    middleware: UpgradeMiddleware,
-    monitor: MonitoringSubsystem,
-    remaining: u64,
-    request: Envelope,
-    mw_rng: StreamRng,
-    mon_rng: StreamRng,
-}
-
-impl Handler<NextDemand> for World {
-    fn handle(&mut self, engine: &mut Engine<NextDemand>, _event: NextDemand) {
-        if self.remaining == 0 {
-            return;
-        }
-        self.remaining -= 1;
-        // Stamp the demand's trace events with its dispatch instant. This
-        // is a plain field store, so the unobserved simulation is
-        // unaffected.
-        self.middleware.set_virtual_time(engine.now().as_secs());
-        let record = self
-            .middleware
-            .process(&self.request, &mut self.mw_rng)
-            .expect("releases deployed");
-        let wait = record.system.response_time;
-        self.monitor.observe(&record, &mut self.mon_rng);
-        // The record has been fully observed; hand its buffers back so
-        // the next demand reuses them instead of allocating.
-        self.middleware.recycle(record);
-        if self.remaining > 0 {
-            // Closed loop: the next request leaves when this response
-            // reaches the consumer.
-            engine.schedule_in(wait, NextDemand);
-        }
-    }
-}
-
 /// Simulates one cell: the given planned demands through a middleware
 /// with the given configuration.
 ///
@@ -173,10 +138,10 @@ pub fn simulate_cell(
 /// [`simulate_cell`] with observability sinks attached.
 ///
 /// When a recorder is present the middleware emits per-demand trace
-/// events stamped with the engine's virtual time; when a registry is
-/// present the monitor mirrors its counts into it and the engine's
-/// post-run totals land in `wsu_engine_events_processed` /
-/// `wsu_engine_queue_high_water` gauges labelled with `tag`.
+/// events stamped with the cell's virtual time; when a registry is
+/// present the monitor mirrors its counts into it, and the loop's
+/// totals land in `wsu_engine_events_processed` (the demand count) and
+/// `wsu_engine_queue_high_water` (1) gauges labelled with `tag`.
 ///
 /// # Panics
 ///
@@ -191,10 +156,8 @@ pub fn simulate_cell_observed(
     assert!(!demands.is_empty(), "need at least one planned demand");
     let mut rel1 = ScriptedEndpoint::new("Component", "1.0");
     let mut rel2 = ScriptedEndpoint::new("Component", "1.1");
-    for d in demands {
-        rel1.push(d.rel1);
-        rel2.push(d.rel2);
-    }
+    rel1.extend(demands.iter().map(|d| d.rel1));
+    rel2.extend(demands.iter().map(|d| d.rel2));
     let mut middleware = UpgradeMiddleware::new(config);
     let id1 = middleware.deploy(rel1);
     let id2 = middleware.deploy(rel2);
@@ -208,36 +171,39 @@ pub fn simulate_cell_observed(
         monitor.set_metrics(metrics.clone());
     }
 
-    let mut world = World {
-        middleware,
-        monitor,
-        remaining: demands.len() as u64,
-        request: Envelope::request("invoke"),
-        mw_rng: seed.stream("midsim/middleware"),
-        mon_rng: seed.stream("midsim/monitor"),
-    };
-    let mut engine = Engine::new();
-    engine.schedule_at(SimTime::ZERO, NextDemand);
-    engine.run(&mut world);
+    let request = Envelope::request("invoke");
+    let mut mw_rng = seed.stream("midsim/middleware");
+    let mut mon_rng = seed.stream("midsim/monitor");
+    let mut now = SimTime::ZERO;
+    for _ in demands {
+        // Stamp the demand's trace events with its dispatch instant. This
+        // is a plain field store, so the unobserved simulation is
+        // unaffected.
+        middleware.set_virtual_time(now.as_secs());
+        let record = middleware
+            .process(&request, &mut mw_rng)
+            .expect("releases deployed");
+        // Closed loop: the next request leaves when this response
+        // reaches the consumer.
+        now += record.system.response_time;
+        monitor.observe(&record, &mut mon_rng);
+        // The record has been fully observed; hand its buffers back so
+        // the next demand reuses them instead of allocating.
+        middleware.recycle(record);
+    }
     if let Some(metrics) = &sinks.metrics {
         metrics.set_gauge(
             "wsu_engine_events_processed",
             &[("cell", tag)],
-            engine.processed() as f64,
+            demands.len() as f64,
         );
-        metrics.set_gauge(
-            "wsu_engine_queue_high_water",
-            &[("cell", tag)],
-            engine.queue_high_water() as f64,
-        );
+        metrics.set_gauge("wsu_engine_queue_high_water", &[("cell", tag)], 1.0);
     }
 
-    let r1 = world
-        .monitor
+    let r1 = monitor
         .release_stats(ReleaseId::new(0))
         .expect("release 1 observed");
-    let r2 = world
-        .monitor
+    let r2 = monitor
         .release_stats(ReleaseId::new(1))
         .expect("release 2 observed");
     CellResult {
@@ -245,7 +211,7 @@ pub fn simulate_cell_observed(
         requests: demands.len() as u64,
         rel1: GroupStats::from_release(r1),
         rel2: GroupStats::from_release(r2),
-        system: GroupStats::from_system(world.monitor.system_stats()),
+        system: GroupStats::from_system(monitor.system_stats()),
     }
 }
 

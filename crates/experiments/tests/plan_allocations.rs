@@ -1,11 +1,14 @@
-//! Pins the flat demand plan: planning `n` demands costs a constant
-//! number of heap allocations, independent of `n`.
+//! Pins the flat demand plan and the cell loop that replays it:
+//! planning `n` demands, and simulating a cell over them, each cost a
+//! constant number of heap allocations, independent of `n`.
 //!
 //! A plan is a `Vec` of plain `Copy` values, so `DemandPlanner::plan_batch`
 //! allocates exactly the one exactly-sized buffer, and `midsim::plan_run`
-//! adds only the constant set-up around it (the stream name). A
-//! per-demand allocation — an owned request envelope, a label string —
-//! would make the counts grow with `n` and fail this test.
+//! adds only the constant set-up around it (the stream name). A cell
+//! copies the plan into its two scripted endpoints with one exact-size
+//! `extend` each. A per-demand allocation — an owned request envelope,
+//! a label string, a queue that regrows as it is filled — would make the
+//! counts grow with `n` and fail these tests.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator. The
 //! counter is a const-initialised thread-local, so allocations made by
@@ -15,7 +18,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use wsu_experiments::midsim::plan_run;
+use wsu_core::middleware::MiddlewareConfig;
+use wsu_experiments::midsim::{plan_run, simulate_cell};
 use wsu_simcore::rng::{MasterSeed, StreamRng};
 use wsu_workload::demand::DemandPlanner;
 use wsu_workload::outcomes::CorrelatedOutcomes;
@@ -107,5 +111,27 @@ fn plan_run_allocations_do_not_grow_with_the_plan() {
     assert_eq!(
         counts[0], counts[1],
         "plan_run allocations grew with the plan: {counts:?} for n = {SIZES:?}"
+    );
+}
+
+#[test]
+fn simulate_cell_allocations_do_not_grow_with_the_plan() {
+    let gen = CorrelatedOutcomes::from_run(&RunSpec::run1());
+    let seed = MasterSeed::new(13);
+    let plan = plan_run(&gen, ExecTimeModel::paper(), 10_000, seed, "table5/run1");
+    let config = MiddlewareConfig::paper(2.0);
+    // A first cell builds the process-wide default sketch index.
+    simulate_cell(&plan[..10], config, seed);
+    let counts: Vec<u64> = SIZES
+        .iter()
+        .map(|&n| {
+            let (allocations, cell) = allocations_of(|| simulate_cell(&plan[..n], config, seed));
+            assert_eq!(cell.requests, n as u64);
+            allocations
+        })
+        .collect();
+    assert_eq!(
+        counts[0], counts[1],
+        "simulate_cell allocations grew with the plan: {counts:?} for n = {SIZES:?}"
     );
 }

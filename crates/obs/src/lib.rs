@@ -19,7 +19,8 @@
 //!   string and mergeable across runs.
 //! * [`quantile::QuantileSketch`] — a log-scale-bucket quantile sketch
 //!   with an exact relative-error bound, mergeable across replication
-//!   shards, rendered as Prometheus summary series by the registry.
+//!   shards, rendered as Prometheus summary series by the registry. Its
+//!   buckets are found by an exact table lookup, not a logarithm.
 //! * [`slo::SloWindow`] — a ring of virtual-time windows tracking
 //!   availability, fault rate, false-alarm rate and latency-threshold
 //!   violations, polled as a [`slo::DependabilitySnapshot`].
@@ -35,10 +36,11 @@
 //! * [`export::MetricsExporter`] — a `/metrics` + `/health` +
 //!   `/snapshot` endpoint built on that layer.
 //!
-//! Everything is plain `std`: the crate adds no dependencies and no
-//! global state, and the only thread it ever spawns is the opt-in
-//! metrics exporter's server thread (the simulation itself stays
-//! single-threaded).
+//! Everything is plain `std`: the crate adds no dependencies, its only
+//! global state is the default quantile sketch's bucket table (built
+//! once per process, read-only from then on), and the only thread it
+//! ever spawns is the opt-in metrics exporter's server thread (the
+//! simulation itself stays single-threaded).
 //!
 //! # Example
 //!

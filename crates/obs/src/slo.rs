@@ -135,7 +135,12 @@ impl SloWindow {
     /// Feeds one demand. Allocation-free.
     pub fn observe(&mut self, obs: SloObservation) {
         let epoch = (obs.t.max(0.0) / self.config.window_secs) as u64;
-        let slot = (epoch % self.config.windows as u64) as usize;
+        let windows = self.ring.len() as u64;
+        let slot = if windows.is_power_of_two() {
+            epoch & (windows - 1)
+        } else {
+            epoch % windows
+        } as usize;
         let w = &mut self.ring[slot];
         if !w.used || w.epoch != epoch {
             if w.used && w.demands > 0 {

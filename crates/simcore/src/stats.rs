@@ -21,14 +21,33 @@ use std::fmt;
 /// assert_eq!(s.mean(), 2.0);
 /// assert_eq!(s.min(), Some(1.0));
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     count: u64,
+    /// `count` as an `f64`, exact below 2^53, so the mean update
+    /// divides without converting the count.
+    n: f64,
     mean: f64,
     m2: f64,
-    min: Option<f64>,
-    max: Option<f64>,
+    /// Smallest observation; `+∞` while empty.
+    min: f64,
+    /// Largest observation; `−∞` while empty.
+    max: f64,
     sum: f64,
+}
+
+impl Default for Summary {
+    fn default() -> Summary {
+        Summary {
+            count: 0,
+            n: 0.0,
+            mean: 0.0,
+            m2: 0.0,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
+            sum: 0.0,
+        }
+    }
 }
 
 impl Summary {
@@ -45,12 +64,13 @@ impl Summary {
     pub fn record(&mut self, x: f64) {
         assert!(x.is_finite(), "cannot record non-finite value {x}");
         self.count += 1;
+        self.n += 1.0;
         self.sum += x;
         let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
+        self.mean += delta / self.n;
         self.m2 += delta * (x - self.mean);
-        self.min = Some(self.min.map_or(x, |m| m.min(x)));
-        self.max = Some(self.max.map_or(x, |m| m.max(x)));
+        self.min = self.min.min(x);
+        self.max = self.max.max(x);
     }
 
     /// Number of recorded observations.
@@ -84,12 +104,12 @@ impl Summary {
 
     /// Smallest observation, if any.
     pub fn min(&self) -> Option<f64> {
-        self.min
+        (self.count > 0).then_some(self.min)
     }
 
     /// Largest observation, if any.
     pub fn max(&self) -> Option<f64> {
-        self.max
+        (self.count > 0).then_some(self.max)
     }
 
     /// Merges another summary into this one.
@@ -101,22 +121,16 @@ impl Summary {
             *self = *other;
             return;
         }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
+        let (n1, n2) = (self.n, other.n);
         let delta = other.mean - self.mean;
         let total = n1 + n2;
         self.m2 += other.m2 + delta * delta * n1 * n2 / total;
         self.mean += delta * n2 / total;
         self.count += other.count;
+        self.n = total;
         self.sum += other.sum;
-        self.min = match (self.min, other.min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.max = match (self.max, other.max) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
     }
 }
 
@@ -128,8 +142,8 @@ impl fmt::Display for Summary {
             self.count,
             self.mean,
             self.std_dev(),
-            self.min.unwrap_or(f64::NAN),
-            self.max.unwrap_or(f64::NAN)
+            self.min().unwrap_or(f64::NAN),
+            self.max().unwrap_or(f64::NAN)
         )
     }
 }

@@ -59,6 +59,135 @@ fn summary_merge_is_concatenation() {
     }
 }
 
+/// `Summary` as it was before it kept its count as an `f64` and its
+/// extremes as ±∞ sentinels: the reference the current form must match
+/// bit for bit.
+#[derive(Clone, Copy, Default)]
+struct OptionSummary {
+    count: u64,
+    mean: f64,
+    m2: f64,
+    min: Option<f64>,
+    max: Option<f64>,
+    sum: f64,
+}
+
+impl OptionSummary {
+    fn record(&mut self, x: f64) {
+        self.count += 1;
+        self.sum += x;
+        let delta = x - self.mean;
+        self.mean += delta / self.count as f64;
+        self.m2 += delta * (x - self.mean);
+        self.min = Some(self.min.map_or(x, |m| m.min(x)));
+        self.max = Some(self.max.map_or(x, |m| m.max(x)));
+    }
+
+    fn variance(&self) -> f64 {
+        if self.count < 2 {
+            0.0
+        } else {
+            self.m2 / (self.count - 1) as f64
+        }
+    }
+
+    fn merge(&mut self, other: &OptionSummary) {
+        if other.count == 0 {
+            return;
+        }
+        if self.count == 0 {
+            *self = *other;
+            return;
+        }
+        let n1 = self.count as f64;
+        let n2 = other.count as f64;
+        let delta = other.mean - self.mean;
+        let total = n1 + n2;
+        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
+        self.mean += delta * n2 / total;
+        self.count += other.count;
+        self.sum += other.sum;
+        self.min = match (self.min, other.min) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        self.max = match (self.max, other.max) {
+            (Some(a), Some(b)) => Some(a.max(b)),
+            (a, b) => a.or(b),
+        };
+    }
+}
+
+fn assert_bit_equal(summary: &Summary, reference: &OptionSummary, case: &str) {
+    let bits = |x: Option<f64>| x.map(f64::to_bits);
+    assert_eq!(summary.count(), reference.count, "{case}: count");
+    assert_eq!(
+        summary.mean().to_bits(),
+        reference.mean.to_bits(),
+        "{case}: mean"
+    );
+    assert_eq!(
+        summary.variance().to_bits(),
+        reference.variance().to_bits(),
+        "{case}: variance"
+    );
+    assert_eq!(
+        summary.sum().to_bits(),
+        reference.sum.to_bits(),
+        "{case}: sum"
+    );
+    assert_eq!(bits(summary.min()), bits(reference.min), "{case}: min");
+    assert_eq!(bits(summary.max()), bits(reference.max), "{case}: max");
+}
+
+/// `Summary` equals the `Option`-based Welford summary bit for bit on
+/// 32 seeds of random sequences (empty and one-element ones included),
+/// after every observation and after merging two halves in either
+/// order.
+#[test]
+fn summary_matches_option_welford_bit_for_bit() {
+    for seed in 0..32u64 {
+        let mut rng = MasterSeed::new(seed).stream("summary_bits");
+        let values: Vec<f64> = match seed {
+            0 => Vec::new(),
+            1 => vec![f64_in(&mut rng, 0.0, 5.0)],
+            2 => vec![0.0, -0.0, 0.0, -0.0, 1.0],
+            3..=15 => vec_in(&mut rng, 0.0, 5.0, 2_000),
+            _ => vec_in(&mut rng, -1e6, 1e6, 2_000),
+        };
+        let mut summary = Summary::new();
+        let mut reference = OptionSummary::default();
+        assert_bit_equal(&summary, &reference, &format!("seed {seed} empty"));
+        for (i, &x) in values.iter().enumerate() {
+            summary.record(x);
+            reference.record(x);
+            assert_bit_equal(&summary, &reference, &format!("seed {seed} after {i}"));
+        }
+
+        let cut = rng.next_below(values.len() as u64 + 1) as usize;
+        let (left, right) = values.split_at(cut);
+        let halves = |part: &[f64]| {
+            let mut s = Summary::new();
+            let mut r = OptionSummary::default();
+            for &x in part {
+                s.record(x);
+                r.record(x);
+            }
+            (s, r)
+        };
+        let ((ls, lr), (rs, rr)) = (halves(left), halves(right));
+        for (first, second, order) in [
+            ((ls, lr), (rs, rr), "left+right"),
+            ((rs, rr), (ls, lr), "right+left"),
+        ] {
+            let (mut s, mut r) = first;
+            s.merge(&second.0);
+            r.merge(&second.1);
+            assert_bit_equal(&s, &r, &format!("seed {seed} cut {cut} {order}"));
+        }
+    }
+}
+
 /// A histogram never loses observations.
 #[test]
 fn histogram_conserves_mass() {

@@ -11,7 +11,6 @@
 //!   the workload generator plans both releases' outcomes jointly and
 //!   feeds each release its half of the plan.
 
-use std::collections::VecDeque;
 use std::rc::Rc;
 
 use wsu_simcore::dist::DelayModel;
@@ -273,6 +272,12 @@ pub struct PlannedResponse {
 /// correlated model of Table 4): the workload generator plans the pair,
 /// then pushes each half into the corresponding scripted endpoint.
 ///
+/// The plan is a `Vec` read through a cursor: filling it with one
+/// exact-size [`extend`](ScriptedEndpoint::extend) is one allocation,
+/// and serving a response is an index and an increment. A fully served
+/// plan is dropped before the next push, so an endpoint fed one
+/// response at a time keeps reusing its buffer.
+///
 /// # Example
 ///
 /// ```
@@ -295,7 +300,9 @@ pub struct PlannedResponse {
 #[derive(Debug, Clone)]
 pub struct ScriptedEndpoint {
     description: ServiceDescription,
-    plan: VecDeque<PlannedResponse>,
+    /// Planned responses; `plan[next..]` are still to be served.
+    plan: Vec<PlannedResponse>,
+    next: usize,
     served: u64,
     templates: ResponseTemplates,
 }
@@ -311,7 +318,8 @@ impl ScriptedEndpoint {
         );
         ScriptedEndpoint {
             description,
-            plan: VecDeque::new(),
+            plan: Vec::new(),
+            next: 0,
             served: 0,
             templates: ResponseTemplates::new(),
         }
@@ -319,17 +327,27 @@ impl ScriptedEndpoint {
 
     /// Queues one planned response.
     pub fn push(&mut self, planned: PlannedResponse) {
-        self.plan.push_back(planned);
+        self.drop_served();
+        self.plan.push(planned);
     }
 
     /// Queues many planned responses.
     pub fn extend(&mut self, planned: impl IntoIterator<Item = PlannedResponse>) {
+        self.drop_served();
         self.plan.extend(planned);
+    }
+
+    /// Empties a fully served plan so its buffer is reused.
+    fn drop_served(&mut self) {
+        if self.next == self.plan.len() {
+            self.plan.clear();
+            self.next = 0;
+        }
     }
 
     /// Number of responses not yet served.
     pub fn remaining(&self) -> usize {
-        self.plan.len()
+        self.plan.len() - self.next
     }
 
     /// Number of invocations served.
@@ -348,10 +366,11 @@ impl ServiceEndpoint for ScriptedEndpoint {
     /// Panics if the plan is exhausted — a scripted simulation must plan
     /// exactly as many demands as it issues.
     fn invoke(&mut self, request: &Envelope, _rng: &mut StreamRng) -> Invocation {
-        let planned = self
+        let planned = *self
             .plan
-            .pop_front()
+            .get(self.next)
             .expect("scripted endpoint plan exhausted");
+        self.next += 1;
         self.served += 1;
         self.templates
             .invocation(request.operation(), planned.class, planned.exec_time)
@@ -447,6 +466,31 @@ mod tests {
         let mut ep = ScriptedEndpoint::new("S", "1.0");
         let mut rng = StreamRng::from_seed(4);
         ep.invoke(&Envelope::request("invoke"), &mut rng);
+    }
+
+    #[test]
+    fn scripted_endpoint_interleaves_pushes_and_invocations() {
+        let planned = |secs| PlannedResponse {
+            class: ResponseClass::Correct,
+            exec_time: SimDuration::from_secs(secs),
+        };
+        let mut ep = ScriptedEndpoint::new("S", "1.0");
+        let mut rng = StreamRng::from_seed(5);
+        let req = Envelope::request("invoke");
+        ep.push(planned(0.1));
+        ep.push(planned(0.2));
+        assert_eq!(ep.invoke(&req, &mut rng).exec_time.as_secs(), 0.1);
+        ep.push(planned(0.3));
+        assert_eq!(ep.remaining(), 2);
+        assert_eq!(ep.invoke(&req, &mut rng).exec_time.as_secs(), 0.2);
+        assert_eq!(ep.invoke(&req, &mut rng).exec_time.as_secs(), 0.3);
+        // Fed one response at a time, a drained plan reuses its buffer.
+        for i in 0..100 {
+            ep.push(planned(f64::from(i)));
+            assert_eq!(ep.invoke(&req, &mut rng).exec_time.as_secs(), f64::from(i));
+        }
+        assert_eq!(ep.plan.len(), 1);
+        assert_eq!((ep.remaining(), ep.served()), (0, 103));
     }
 
     #[test]
