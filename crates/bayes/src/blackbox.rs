@@ -16,6 +16,7 @@
 use std::sync::Arc;
 
 use crate::beta::ScaledBeta;
+use crate::kernels;
 use crate::posterior::{self, GridPosterior, MarginalView};
 
 /// Black-box Bayesian inference for a single release's pfd.
@@ -92,11 +93,17 @@ impl BlackBoxInference {
         let mut prior_mass = Vec::with_capacity(cells);
         let mut ln_mid = Vec::with_capacity(cells);
         let mut ln_one_minus_mid = Vec::with_capacity(cells);
+        // `prior.mass(lo, hi)` is `(cdf(hi) − cdf(lo)).max(0.0)`; each
+        // interior edge's CDF is evaluated once and reused as the next
+        // cell's lower end, with the same subtraction.
+        let mut cdf_lo = prior.cdf(edges[0]);
         for i in 0..cells {
             let lo = edges[i];
             let hi = edges[i + 1];
             let mid = 0.5 * (lo + hi);
-            prior_mass.push(prior.mass(lo, hi));
+            let cdf_hi = prior.cdf(hi);
+            prior_mass.push((cdf_hi - cdf_lo).max(0.0));
+            cdf_lo = cdf_hi;
             ln_mid.push(mid.ln());
             ln_one_minus_mid.push((1.0 - mid).ln());
         }
@@ -120,6 +127,12 @@ impl BlackBoxInference {
     /// Grid resolution.
     pub fn cells(&self) -> usize {
         self.cells
+    }
+
+    /// The prior's mass in each grid cell, in cell order (the table
+    /// every posterior starts from).
+    pub fn prior_masses(&self) -> &[f64] {
+        &self.tables.prior_mass
     }
 
     /// Posterior over the pfd after observing `failures` failures in
@@ -233,12 +246,12 @@ impl BlackBoxUpdater {
         self.refresh();
     }
 
+    /// Recomputes the weights `exp(ln w − max)` (`0.0` for dead cells)
+    /// and the normalised masses from `ln_w`. The chunked kernel is bit
+    /// for bit the plain libm loop ([`kernels::scalar::exp_weights`]).
     fn refresh(&mut self) {
         self.max = self.ln_w.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let max = self.max;
-        for (x, &w) in self.weights.iter_mut().zip(&self.ln_w) {
-            *x = if w.is_finite() { (w - max).exp() } else { 0.0 };
-        }
+        kernels::exp_weights(&self.ln_w, self.max, &mut self.weights);
         posterior::normalize_into(&self.weights, &mut self.masses);
     }
 
@@ -250,6 +263,17 @@ impl BlackBoxUpdater {
     /// Failures reflected in the posterior.
     pub fn failures(&self) -> u64 {
         self.failures
+    }
+
+    /// The cached per-cell log-weights (`-inf` where the prior
+    /// vanishes).
+    pub fn ln_weights(&self) -> &[f64] {
+        &self.ln_w
+    }
+
+    /// The cached unnormalised weights, `exp(ln w − max ln w)` per cell.
+    pub fn weights(&self) -> &[f64] {
+        &self.weights
     }
 
     /// Borrowed view of the current posterior; allocation-free.

@@ -8,6 +8,9 @@
 //!   realistic sequences the drift is ~1e-13 relative, far below the
 //!   7 significant digits the experiment artefacts print. The tests
 //!   bound it at 1e-9 relative.
+//! * the black-box grid's prior table equals `prior.mass(lo, hi)` per
+//!   cell, and its updater's weights and masses equal a plain libm
+//!   exponentiation of its own log-weights, bit for bit.
 //!
 //! Sequences are generated with a seeded LCG (the crate has no RNG
 //! dependency), covering all four [`CoincidencePrior`] variants plus
@@ -265,4 +268,97 @@ fn blackbox_out_of_order_rebases() {
         batch.masses(),
         "black-box masses after out-of-order counts",
     );
+}
+
+/// Priors whose grids cover a flat, a skewed, a narrow scaled and a
+/// U-shaped (infinite density at both ends) prior mass.
+fn blackbox_priors() -> [ScaledBeta; 4] {
+    [
+        ScaledBeta::standard(1.0, 1.0).unwrap(),
+        ScaledBeta::standard(2.0, 3.0).unwrap(),
+        ScaledBeta::new(20.0, 20.0, 0.002).unwrap(),
+        ScaledBeta::new(0.5, 0.5, 0.01).unwrap(),
+    ]
+}
+
+/// The prior table evaluates each edge's CDF once; every cell must still
+/// carry exactly `prior.mass(lo, hi)` over the grid's own edges.
+#[test]
+fn blackbox_prior_table_equals_cell_masses() {
+    for prior in blackbox_priors() {
+        for cells in [1, 16, 400, 4_096] {
+            let inference = BlackBoxInference::new(prior, cells);
+            let updater = inference.updater();
+            let edges = updater.posterior_view().edges();
+            let want: Vec<f64> = edges.windows(2).map(|e| prior.mass(e[0], e[1])).collect();
+            assert_bits_equal(
+                inference.prior_masses(),
+                &want,
+                &format!("prior table of {prior:?} at {cells} cells"),
+            );
+        }
+    }
+}
+
+/// The libm refresh the updater ran before it used the chunked kernel:
+/// weights `exp(ln w − max)` (`0.0` for dead cells), then masses
+/// `w / Σw` with the sum taken in cell order.
+fn libm_refresh(ln_w: &[f64]) -> (Vec<f64>, Vec<f64>) {
+    let max = ln_w.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let weights: Vec<f64> = ln_w
+        .iter()
+        .map(|&w| if w.is_finite() { (w - max).exp() } else { 0.0 })
+        .collect();
+    let total: f64 = weights.iter().sum();
+    let masses = weights.iter().map(|w| w / total).collect();
+    (weights, masses)
+}
+
+/// After every `update_to` — steady steps, failure bursts, jumps to 10⁷
+/// demands and out-of-order counts that rebase — the updater's weights
+/// and masses equal the libm refresh of its own log-weights, bit for
+/// bit.
+#[test]
+fn blackbox_refresh_equals_libm_reference() {
+    for (k, prior) in blackbox_priors().into_iter().enumerate() {
+        let inference = BlackBoxInference::new(prior, 400);
+        let mut updater = inference.updater();
+        let mut rng = Lcg(0xB1AC_B0C5 + k as u64);
+        let (mut demands, mut failures) = (0u64, 0u64);
+        let mut checked = 0;
+        while demands < 10_000_000 {
+            match rng.below(20) {
+                // A failure burst.
+                0 => {
+                    let burst = 1 + rng.below(200);
+                    demands += burst;
+                    failures += burst;
+                }
+                // Out of order: the counts go back, so the updater rebases.
+                1 => {
+                    demands -= demands / 8;
+                    failures = (failures - failures / 4).min(demands);
+                }
+                // A clean stretch of half the demands so far.
+                2 => demands += demands / 2 + 1,
+                // An assessment interval with a few failures.
+                _ => {
+                    let step = 100 + rng.below(400);
+                    demands += step;
+                    failures += rng.below(6).min(step);
+                }
+            }
+            updater.update_to(demands, failures);
+            let (weights, masses) = libm_refresh(updater.ln_weights());
+            let at = format!("prior {k} at ({demands}, {failures})");
+            assert_bits_equal(updater.weights(), &weights, &format!("weights, {at}"));
+            assert_bits_equal(
+                updater.posterior_view().masses(),
+                &masses,
+                &format!("masses, {at}"),
+            );
+            checked += 1;
+        }
+        assert!(checked > 250, "prior {k}: only {checked} updates checked");
+    }
 }

@@ -19,7 +19,7 @@
 
 use wsu_simcore::rng::StreamRng;
 use wsu_simcore::time::SimDuration;
-use wsu_wstack::endpoint::{Invocation, ServiceEndpoint};
+use wsu_wstack::endpoint::{Invocation, ResponseTemplates, ServiceEndpoint};
 use wsu_wstack::message::Envelope;
 use wsu_wstack::outcome::{OutcomeProfile, ResponseClass};
 use wsu_wstack::registry::PublishedConfidence;
@@ -99,15 +99,36 @@ impl CompositeService {
     /// order, aborting at the first evident failure (the consumer sees
     /// the workflow's exception).
     pub fn invoke(&mut self, request: &Envelope, rng: &mut StreamRng) -> CompositeInvocation {
+        let mut components = Vec::with_capacity(self.components.len());
+        let (class, exec_time) = self.run(request, rng, |name, class, exec_time| {
+            components.push(ComponentObservation {
+                name: name.to_owned(),
+                class,
+                exec_time,
+            });
+        });
+        CompositeInvocation {
+            class,
+            exec_time,
+            components,
+        }
+    }
+
+    /// The one composite workflow behind [`invoke`](Self::invoke) and
+    /// [`CompositeEndpoint`]: samples the glue, invokes the components
+    /// in order until the first evident failure, and reports each
+    /// invoked component to `observe`. Returns the composite's class and
+    /// total execution time; allocates nothing itself.
+    fn run(
+        &mut self,
+        request: &Envelope,
+        rng: &mut StreamRng,
+        mut observe: impl FnMut(&str, ResponseClass, SimDuration),
+    ) -> (ResponseClass, SimDuration) {
         let mut exec_time = self.glue_time;
         let glue_class = self.glue.sample(rng);
-        let mut observations = Vec::with_capacity(self.components.len());
         if glue_class == ResponseClass::EvidentFailure {
-            return CompositeInvocation {
-                class: ResponseClass::EvidentFailure,
-                exec_time,
-                components: observations,
-            };
+            return (ResponseClass::EvidentFailure, exec_time);
         }
         let mut worst = glue_class;
         for component in &mut self.components {
@@ -117,28 +138,14 @@ impl CompositeService {
                 ..
             } = component.endpoint.invoke(request, rng);
             exec_time += t;
-            observations.push(ComponentObservation {
-                name: component.name.clone(),
-                class,
-                exec_time: t,
-            });
+            observe(&component.name, class, t);
             match class {
-                ResponseClass::EvidentFailure => {
-                    return CompositeInvocation {
-                        class: ResponseClass::EvidentFailure,
-                        exec_time,
-                        components: observations,
-                    };
-                }
+                ResponseClass::EvidentFailure => return (ResponseClass::EvidentFailure, exec_time),
                 ResponseClass::NonEvidentFailure => worst = ResponseClass::NonEvidentFailure,
                 ResponseClass::Correct => {}
             }
         }
-        CompositeInvocation {
-            class: worst,
-            exec_time,
-            components: observations,
-        }
+        (worst, exec_time)
     }
 
     /// Updates the published confidence of a named component (e.g. after
@@ -198,9 +205,14 @@ impl std::fmt::Debug for CompositeService {
 /// behind the upgrade middleware — the atomic-replacement recovery
 /// story: when a release is demoted, a composite stand-in from the
 /// registry is bound in its place.
+///
+/// A demand runs the composite's workflow without recording per-component
+/// observations and answers with a pooled response envelope, so a warm
+/// stand-in serves without allocating.
 pub struct CompositeEndpoint {
     composite: CompositeService,
     description: ServiceDescription,
+    templates: ResponseTemplates,
 }
 
 impl CompositeEndpoint {
@@ -210,6 +222,7 @@ impl CompositeEndpoint {
         CompositeEndpoint {
             composite,
             description,
+            templates: ResponseTemplates::new(),
         }
     }
 
@@ -225,8 +238,9 @@ impl ServiceEndpoint for CompositeEndpoint {
     }
 
     fn invoke(&mut self, request: &Envelope, rng: &mut StreamRng) -> Invocation {
-        let inv = self.composite.invoke(request, rng);
-        Invocation::from_class(request.operation(), inv.class, inv.exec_time)
+        let (class, exec_time) = self.composite.run(request, rng, |_, _, _| {});
+        self.templates
+            .invocation(request.operation(), class, exec_time)
     }
 }
 

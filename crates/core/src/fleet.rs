@@ -37,6 +37,7 @@
 //! substitution picks registry candidates in key order.
 
 use std::collections::VecDeque;
+use std::sync::OnceLock;
 
 use wsu_bayes::beta::ScaledBeta;
 use wsu_bayes::blackbox::{BlackBoxInference, BlackBoxUpdater};
@@ -143,6 +144,9 @@ impl Default for ProbeRule {
     }
 }
 
+/// The default [`FleetPlan::posterior_cells`].
+const DEFAULT_POSTERIOR_CELLS: usize = 400;
+
 /// The full description of a staged canary chain: middleware settings,
 /// ramp/promotion/rollback rules, the recovery strategy and the
 /// assessment cadence. Endpoints are supplied separately to
@@ -189,7 +193,7 @@ impl Default for FleetPlan {
             strategy: RecoveryStrategy::RestartInPlace,
             suspend_after: 10,
             retire_on_promote: false,
-            posterior_cells: 400,
+            posterior_cells: DEFAULT_POSTERIOR_CELLS,
         }
     }
 }
@@ -435,6 +439,24 @@ struct Tally {
     failures: u64,
 }
 
+/// The canary's black-box engine over `cells` cells: an indifference
+/// prior over the full pfd range, so the canary must *earn* its
+/// confidence from canary traffic. The default resolution's engine is
+/// built once per process and shared (its tables are immutable), so an
+/// orchestrator does not recompute the prior's 400 cell masses.
+fn uniform_inference(cells: usize) -> BlackBoxInference {
+    static DEFAULT: OnceLock<BlackBoxInference> = OnceLock::new();
+    let build = || {
+        let prior = ScaledBeta::standard(1.0, 1.0).expect("uniform prior is valid");
+        BlackBoxInference::new(prior, cells)
+    };
+    if cells == DEFAULT_POSTERIOR_CELLS {
+        DEFAULT.get_or_init(build).clone()
+    } else {
+        build()
+    }
+}
+
 /// The fleet orchestrator: drives a staged canary chain demand by
 /// demand, mirroring [`crate::upgrade::ManagedUpgrade`]'s closed loop
 /// (virtual time advances by each consumer wait; assessments run on a
@@ -479,10 +501,7 @@ impl FleetOrchestrator {
         let description = stable.describe();
         let service_name = description.service().to_owned();
         let stable_id = middleware.deploy(stable);
-        // An indifference prior over the full pfd range: the canary
-        // must *earn* its confidence from canary traffic.
-        let prior = ScaledBeta::standard(1.0, 1.0).expect("uniform prior is valid");
-        let inference = BlackBoxInference::new(prior, plan.posterior_cells);
+        let inference = uniform_inference(plan.posterior_cells);
         FleetOrchestrator {
             middleware,
             plan,
@@ -943,9 +962,9 @@ impl FleetOrchestrator {
         let confidence = canary.updater.confidence(self.plan.promotion.target_pfd);
         let satisfied = canary.demands >= self.plan.promotion.min_demands
             && confidence >= self.plan.promotion.confidence;
-        let new_p99 = canary.updater.percentile(0.99);
         let stage = canary.stage;
         if self.recorder.enabled() {
+            let new_p99 = canary.updater.percentile(0.99);
             // The stable release's empirical failure rate stands in for
             // "old" in the pairwise event shape.
             let stable_tally = self.tallies[self.stable.index()];

@@ -212,28 +212,16 @@ impl ObsContext {
     }
 
     /// Runs `f`, timing it as `phase` when observability is on. The
-    /// phase table lands in the metrics snapshot (`wsu_phase_seconds`)
-    /// and, as a [`TraceEvent::Log`] line, in the trace.
+    /// wall-clock phase table goes to stderr at [`finish`], and into the
+    /// metrics snapshot (`wsu_phase_seconds`) under `--phase-metrics`;
+    /// never into the trace, so two traces of one seed are identical.
+    ///
+    /// [`finish`]: ObsContext::finish
     pub fn time<R>(&mut self, phase: &str, f: impl FnOnce() -> R) -> R {
         if !self.enabled() {
             return f();
         }
-        let result = self.timings.time(phase, f);
-        if let Some(recorder) = &self.recorder {
-            let elapsed = self
-                .timings
-                .entries()
-                .last()
-                .map(|(_, d)| d.as_secs_f64())
-                .unwrap_or(0.0);
-            recorder.clone().record(TraceEvent::Log {
-                t: 0.0,
-                demand: 0,
-                level: "info".to_owned(),
-                message: format!("phase {phase} finished in {elapsed:.3}s"),
-            });
-        }
-        result
+        self.timings.time(phase, f)
     }
 
     /// Replays a Bayesian study run into the sinks after the fact.
@@ -287,7 +275,8 @@ impl ObsContext {
 
     /// Writes the requested output files, publishes the final snapshot
     /// on the live exporter (holding it up for `--serve-hold` seconds)
-    /// and reports everything on stderr.
+    /// and reports everything on stderr, the phase times of
+    /// [`time`](ObsContext::time) first.
     ///
     /// Parent directories are created as needed. Call this once, after
     /// the binary has printed its tables.
@@ -297,6 +286,9 @@ impl ObsContext {
     /// elapsed time, so including them by default would make otherwise
     /// deterministic snapshots differ run to run.
     pub fn finish(self) -> io::Result<()> {
+        for (phase, elapsed) in self.timings.entries() {
+            eprintln!("phase {phase} finished in {:.3}s", elapsed.as_secs_f64());
+        }
         if let (Some(recorder), Some(path)) = (&self.recorder, &self.options.trace) {
             recorder.write_jsonl(path)?;
             eprintln!("trace: {} events -> {}", recorder.len(), path.display());
@@ -477,15 +469,14 @@ mod tests {
     }
 
     #[test]
-    fn timing_records_a_log_event_when_tracing() {
+    fn timing_records_nothing_in_the_trace() {
         let opts = ObsOptions {
             trace: Some(PathBuf::from("unused.jsonl")),
             ..ObsOptions::default()
         };
         let mut ctx = opts.context();
         assert_eq!(ctx.time("simulate", || 7), 7);
-        let events = ctx.recorder.as_ref().unwrap().snapshot();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].kind(), "Log");
+        assert!(ctx.recorder.as_ref().unwrap().snapshot().is_empty());
+        assert_eq!(ctx.timings.entries().len(), 1, "the phase is still timed");
     }
 }

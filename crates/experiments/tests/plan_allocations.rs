@@ -1,6 +1,8 @@
 //! Pins the flat demand plan and the cell loop that replays it:
 //! planning `n` demands, and simulating a cell over them, each cost a
-//! constant number of heap allocations, independent of `n`.
+//! constant number of heap allocations, independent of `n`. A fleet
+//! study's canary chain, once warm, serves its demands and assessments
+//! without allocating at all.
 //!
 //! A plan is a `Vec` of plain `Copy` values, so `DemandPlanner::plan_batch`
 //! allocates exactly the one exactly-sized buffer, and `midsim::plan_run`
@@ -18,13 +20,26 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use wsu_core::composite::{CompositeEndpoint, CompositeService};
+use wsu_core::fleet::{
+    FleetOrchestrator, FleetPlan, ProbeRule, PromotionRule, RollbackRule, SubstitutePool,
+    WeightRamp,
+};
+use wsu_core::manage::RecoveryStrategy;
 use wsu_core::middleware::MiddlewareConfig;
 use wsu_experiments::midsim::{plan_run, simulate_cell};
+use wsu_faults::{
+    FaultAction, FaultClause, FaultInjector, FaultTrigger, FleetFaultScenario, InjectionTally,
+};
+use wsu_simcore::dist::DelayModel;
 use wsu_simcore::rng::{MasterSeed, StreamRng};
 use wsu_workload::demand::DemandPlanner;
 use wsu_workload::outcomes::CorrelatedOutcomes;
 use wsu_workload::runs::RunSpec;
 use wsu_workload::timing::ExecTimeModel;
+use wsu_wstack::endpoint::SyntheticService;
+use wsu_wstack::registry::ServiceRecord;
+use wsu_wstack::wsdl::ServiceDescription;
 
 thread_local! {
     // `const` initialisation: reading or bumping the counter never
@@ -134,4 +149,170 @@ fn simulate_cell_allocations_do_not_grow_with_the_plan() {
         counts[0], counts[1],
         "simulate_cell allocations grew with the plan: {counts:?} for n = {SIZES:?}"
     );
+}
+
+fn fleet_service(release: &str) -> SyntheticService {
+    SyntheticService::builder("Composite", release)
+        .exec_time(DelayModel::constant(0.5))
+        .build()
+}
+
+/// A three-release canary chain built like a fleet-study cell, with no
+/// sinks: fault injectors around every release, and for the substitute
+/// strategy a composite stand-in per canary stage in the registry pool.
+///
+/// The clauses are placed so every strategy settles by the end of the
+/// warm-up yet keeps injecting both fault kinds. The first canary's
+/// crash window (its demands 40–80) declares the incident each strategy
+/// answers. The stable release returns an evident wrong value on every
+/// second demand; it stays serving under every strategy because no
+/// canary is ever promoted. A 1% coincident crash hits every release.
+/// The ramp is slowed so the substitute's stand-in passes assessments and
+/// ramps without reaching full weight: a promotion deploys the next
+/// stage, whose posterior updater is allocated by design.
+fn fleet_chain(
+    strategy: RecoveryStrategy,
+    seed: MasterSeed,
+) -> (FleetOrchestrator, Vec<InjectionTally>) {
+    let scenario = FleetFaultScenario::new("steady", 3)
+        .release_clause(
+            0,
+            FaultClause::new(
+                "persistent-wrong",
+                FaultTrigger::EveryNth { n: 2, phase: 0 },
+                FaultAction::WrongValue { evident: true },
+            ),
+        )
+        .release_clause(
+            1,
+            FaultClause::new(
+                "canary-burst",
+                FaultTrigger::DemandWindow { from: 40, to: 80 },
+                FaultAction::Crash,
+            ),
+        )
+        .coincident(FaultClause::new(
+            "co-crash",
+            FaultTrigger::Probabilistic {
+                p: 0.01,
+                stream: "fleet/co-crash".into(),
+            },
+            FaultAction::Crash,
+        ));
+    let injectors: Vec<_> = scenario
+        .plans
+        .iter()
+        .enumerate()
+        .map(|(i, plan)| FaultInjector::new(fleet_service(&format!("1.{i}")), plan.clone(), seed))
+        .collect();
+    let tallies = injectors.iter().map(FaultInjector::tally).collect();
+    let plan = FleetPlan {
+        assess_interval: 100,
+        ramp: WeightRamp {
+            initial: 0.1,
+            step: 0.001,
+            full: 1.0,
+        },
+        promotion: PromotionRule {
+            target_pfd: 0.05,
+            confidence: 0.8,
+            min_demands: 25,
+        },
+        rollback: RollbackRule {
+            window: 12,
+            max_fault_rate: 0.4,
+        },
+        probe: ProbeRule {
+            window: 30,
+            min_availability: 0.9,
+        },
+        suspend_after: 5,
+        ..FleetPlan::with_strategy(strategy)
+    };
+    let mut injectors = injectors.into_iter();
+    let mut fleet = FleetOrchestrator::new(injectors.next().expect("stable release"), plan, seed);
+    for injector in injectors {
+        fleet.push_stage(injector);
+    }
+    if strategy == RecoveryStrategy::Substitute {
+        let mut pool = SubstitutePool::new();
+        for stage in 1..3 {
+            let name = format!("CompositeAlt{stage}");
+            let composite = CompositeService::builder(name.clone())
+                .component("backend", fleet_service("1.0"))
+                .build();
+            pool.register(
+                ServiceRecord::new(
+                    &name,
+                    format!("http://standby/{name}"),
+                    "composite-equivalent",
+                    ServiceDescription::new(&name, "sub-1.0"),
+                ),
+                Box::new(CompositeEndpoint::new(composite, "sub-1.0")),
+            );
+        }
+        fleet.set_substitutes(pool, "composite-equivalent");
+    }
+    (fleet, tallies)
+}
+
+/// Injections of `kind` across the chain's releases.
+fn injected(tallies: &[InjectionTally], kind: &str) -> u64 {
+    tallies
+        .iter()
+        .flat_map(InjectionTally::by_kind)
+        .filter(|(k, _)| *k == kind)
+        .map(|(_, n)| n)
+        .sum()
+}
+
+#[test]
+fn warm_fleet_demands_and_assessments_do_not_allocate() {
+    const WARM_UP: u64 = 2_500;
+    const INTERVALS: u64 = 20;
+    for strategy in RecoveryStrategy::all() {
+        let label = strategy.label();
+        let (mut fleet, tallies) = fleet_chain(strategy, MasterSeed::new(0xF1EE7));
+        fleet.run_demands(WARM_UP);
+        let crashes = injected(&tallies, "crash");
+        let wrong = injected(&tallies, "wrong-evident");
+        let before = fleet.status();
+        let (allocations, ()) = allocations_of(|| fleet.run_demands(INTERVALS * 100));
+        let after = fleet.status();
+        assert!(
+            injected(&tallies, "crash") > crashes,
+            "{label}: no crash injected in the measured window"
+        );
+        assert!(
+            injected(&tallies, "wrong-evident") > wrong,
+            "{label}: no wrong value injected in the measured window"
+        );
+        assert_eq!(
+            (
+                after.stats.promotions,
+                after.stats.substitutions,
+                after.releases.len()
+            ),
+            (
+                before.stats.promotions,
+                before.stats.substitutions,
+                before.releases.len()
+            ),
+            "{label}: the chain was still changing in the measured window"
+        );
+        if strategy == RecoveryStrategy::Substitute {
+            let canary = after.canary.expect("the stand-in is the canary");
+            let served = canary.demands - before.canary.expect("stand-in bound").demands;
+            assert_eq!(after.releases[canary.id.index()].service, "CompositeAlt1");
+            assert!(served > 0, "the stand-in served nothing in the window");
+            assert!(
+                canary.weight > before.canary.unwrap().weight,
+                "the stand-in never ramped"
+            );
+        }
+        assert_eq!(
+            allocations, 0,
+            "{label}: {INTERVALS} warm assessment intervals made {allocations} allocations"
+        );
+    }
 }

@@ -3,13 +3,14 @@
 //! `results/` has a test here, built the way the `all` binary (or the
 //! artefact's own binary) builds it.
 //!
-//! The full-scale Bayesian, ablation, campaign and scale-study tests
-//! are `#[ignore]`d because they take from seconds (Fig. 8: about 13 s)
-//! to minutes in a debug build; CI's perf-smoke job (and `cargo test
+//! The full-scale Bayesian, ablation and scale-study tests are
+//! `#[ignore]`d because they take from seconds (Fig. 8: about 13 s) to
+//! minutes in a debug build; CI's perf-smoke job (and `cargo test
 //! --release -p wsu-experiments -- --ignored`) runs them at release
 //! speed. Tables 5–6 (and their calibrated variants) at paper size, the
-//! capacity and fleet studies, the Table 5 metrics snapshot and quick
-//! reduced-scale determinism checks run unconditionally.
+//! capacity study, the fault campaign and the fleet study, the Table 5
+//! metrics snapshot and quick reduced-scale determinism checks run
+//! unconditionally.
 
 use std::path::PathBuf;
 
@@ -101,7 +102,6 @@ fn fig7_artefact_is_reproducible() {
 }
 
 #[test]
-#[ignore = "full paper scale; run with --release (CI perf-smoke job)"]
 fn faultcampaign_artefact_is_reproducible() {
     let golden = std::fs::read_to_string(results_dir().join("faultcampaign.txt"))
         .expect("committed results/faultcampaign.txt");

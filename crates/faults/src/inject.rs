@@ -18,7 +18,7 @@ use std::rc::Rc;
 use wsu_obs::{CounterId, Recorder, SharedRecorder, SharedRegistry, TraceEvent};
 use wsu_simcore::rng::{MasterSeed, StreamRng};
 use wsu_simcore::time::SimDuration;
-use wsu_wstack::endpoint::{Invocation, ServiceEndpoint};
+use wsu_wstack::endpoint::{Invocation, ResponseTemplates, ServiceEndpoint};
 use wsu_wstack::message::{Envelope, Fault, FaultCode};
 use wsu_wstack::outcome::ResponseClass;
 
@@ -94,6 +94,51 @@ struct ArmedClause {
     rng: Option<StreamRng>,
 }
 
+/// Why an injected response is a fault envelope: one per fault reply
+/// the injector synthesises instead of the wrapped endpoint's answer.
+#[derive(Debug, Clone, Copy)]
+enum FaultReason {
+    Crashed,
+    Dropped,
+    Flapped,
+    Corrupted,
+}
+
+impl FaultReason {
+    fn fault(self) -> Fault {
+        match self {
+            FaultReason::Crashed => Fault::new(FaultCode::Timeout, "endpoint crashed"),
+            FaultReason::Dropped => Fault::new(FaultCode::Timeout, "response dropped in transit"),
+            FaultReason::Flapped => Fault::new(FaultCode::Timeout, "release flapped down"),
+            FaultReason::Corrupted => Fault::new(FaultCode::Sender, "message corrupted in transit"),
+        }
+    }
+}
+
+/// The injector's pooled replies for one operation: the class templates
+/// a wrong value answers with, and one shared fault envelope per
+/// [`FaultReason`]. Each envelope is built on its first use and rebuilt
+/// only when the operation changes, so a warm injector hands out
+/// reference-count bumps instead of fresh envelopes.
+#[derive(Debug, Default)]
+struct FaultReplies {
+    classes: ResponseTemplates,
+    operation: String,
+    faults: [Option<Rc<Envelope>>; 4],
+}
+
+impl FaultReplies {
+    fn fault(&mut self, operation: &str, reason: FaultReason) -> Rc<Envelope> {
+        if self.operation != operation {
+            self.operation.clear();
+            self.operation.push_str(operation);
+            self.faults = Default::default();
+        }
+        let slot = &mut self.faults[reason as usize];
+        Rc::clone(slot.get_or_insert_with(|| Rc::new(Envelope::fault(operation, reason.fault()))))
+    }
+}
+
 /// A fault-injecting wrapper around any [`ServiceEndpoint`].
 ///
 /// # Example
@@ -133,6 +178,7 @@ pub struct FaultInjector<S> {
     /// Resolved `wsu_fault_injected_total{kind,release}` ids, one per
     /// distinct kind seen, so repeat injections don't re-render labels.
     injected_ids: Vec<(&'static str, CounterId)>,
+    replies: FaultReplies,
 }
 
 impl<S: ServiceEndpoint> FaultInjector<S> {
@@ -163,6 +209,7 @@ impl<S: ServiceEndpoint> FaultInjector<S> {
             recorder: None,
             metrics: None,
             injected_ids: Vec::new(),
+            replies: FaultReplies::default(),
         }
     }
 
@@ -245,15 +292,19 @@ impl<S: ServiceEndpoint> FaultInjector<S> {
     }
 
     /// A response that never reaches the consumer: ground-truth `class`,
-    /// an execution time beyond any timeout and a fault envelope.
-    fn never_arrives(operation: &str, class: ResponseClass, reason: &str) -> Invocation {
-        let mut invocation =
-            Invocation::from_class(operation, class, SimDuration::from_secs(NEVER_SECS));
-        invocation.response = std::rc::Rc::new(Envelope::fault(
-            operation,
-            Fault::new(FaultCode::Timeout, reason),
-        ));
-        invocation
+    /// an execution time beyond any timeout and the pooled fault
+    /// envelope for `reason`.
+    fn never_arrives(
+        &mut self,
+        operation: &str,
+        class: ResponseClass,
+        reason: FaultReason,
+    ) -> Invocation {
+        Invocation {
+            class,
+            exec_time: SimDuration::from_secs(NEVER_SECS),
+            response: self.replies.fault(operation, reason),
+        }
     }
 
     fn record_injection(&mut self, clause_index: usize, kind: &'static str, demand: u64) {
@@ -297,11 +348,11 @@ impl<S: ServiceEndpoint> ServiceEndpoint for FaultInjector<S> {
             return self.endpoint.invoke(request, rng);
         };
         let action = self.clauses[i].clause.action.clone();
-        let op = request.operation().to_owned();
+        let op = request.operation();
         let invocation = match &action {
             FaultAction::Crash => {
                 // Down: the request is never served.
-                Self::never_arrives(&op, ResponseClass::EvidentFailure, "endpoint crashed")
+                self.never_arrives(op, ResponseClass::EvidentFailure, FaultReason::Crashed)
             }
             FaultAction::Hang { delay_secs } => {
                 let mut inv = self.endpoint.invoke(request, rng);
@@ -315,7 +366,7 @@ impl<S: ServiceEndpoint> ServiceEndpoint for FaultInjector<S> {
                 } else {
                     ResponseClass::NonEvidentFailure
                 };
-                Invocation::from_class(&op, class, inner.exec_time)
+                self.replies.classes.invocation(op, class, inner.exec_time)
             }
             FaultAction::LatencySpike { extra_secs } => {
                 let mut inv = self.endpoint.invoke(request, rng);
@@ -334,7 +385,7 @@ impl<S: ServiceEndpoint> ServiceEndpoint for FaultInjector<S> {
                 // The service executed — its ground-truth class is
                 // preserved — but the response is lost on the way back.
                 let inner = self.endpoint.invoke(request, rng);
-                Self::never_arrives(&op, inner.class, "response dropped in transit")
+                self.never_arrives(op, inner.class, FaultReason::Dropped)
             }
             FaultAction::DuplicateRequest => {
                 // The request is delivered twice; the first response is
@@ -345,17 +396,15 @@ impl<S: ServiceEndpoint> ServiceEndpoint for FaultInjector<S> {
             }
             FaultAction::CorruptMessage => {
                 let inner = self.endpoint.invoke(request, rng);
-                let mut inv =
-                    Invocation::from_class(&op, ResponseClass::EvidentFailure, inner.exec_time);
-                inv.response = std::rc::Rc::new(Envelope::fault(
-                    &op,
-                    Fault::new(FaultCode::Sender, "message corrupted in transit"),
-                ));
-                inv
+                Invocation {
+                    class: ResponseClass::EvidentFailure,
+                    exec_time: inner.exec_time,
+                    response: self.replies.fault(op, FaultReason::Corrupted),
+                }
             }
             FaultAction::Flap { period } => {
                 if (index / period) % 2 == 1 {
-                    Self::never_arrives(&op, ResponseClass::EvidentFailure, "release flapped down")
+                    self.never_arrives(op, ResponseClass::EvidentFailure, FaultReason::Flapped)
                 } else {
                     // Up phase: unperturbed, and not counted as injected.
                     return self.endpoint.invoke(request, rng);
