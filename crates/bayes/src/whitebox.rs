@@ -22,31 +22,45 @@
 //! indifference prior, and other [`CoincidencePrior`] variants support the
 //! prior-sensitivity ablation.
 //!
-//! # Skipping blocks that cannot carry mass
+//! # Skipping cells that cannot carry mass
 //!
 //! The managed upgrade re-assesses from total counts every interval
 //! ([`PosteriorUpdater::rebase`]). As evidence accumulates, the
-//! posterior concentrates on a few `(p_A, p_B)` cells: after 4M demands
-//! of a typical upgrade, 0.2% of the grid lies within 750 nats of the
-//! maximum log-weight. Every other cell exponentiates to exactly `+0.0`
-//! (`exp` underflows below about −745.1; see [`kernels::EXP_UNDERFLOW`])
-//! and adds exactly nothing to the marginals.
+//! posterior concentrates on a few `(p_A, p_B)` cells: after 5M demands
+//! of a typical upgrade, under 1% of the grid's blocks hold a cell
+//! within 750 nats of the maximum log-weight. Every other cell
+//! exponentiates to exactly `+0.0` (`exp` underflows below about
+//! −745.1; see [`kernels::EXP_UNDERFLOW`]) and adds exactly nothing to
+//! the marginals. A rebase rules such cells out in two stages before it
+//! recomputes any, each against an exact lower bound on the grid
+//! maximum taken from recomputed blocks:
 //!
-//! So each block of `q` cells sharing one `(p_A, p_B)` keeps, per half
-//! of its `q` range, the maximum of the log prior and of each event's
-//! log-probability. The recompute of a cell is `ln prior + Σ d·ln p`,
-//! each term a separately rounded `+=`; the same sequence over the
-//! maxima is an upper bound on every cell of the half block, because
-//! IEEE rounding is monotone. A rebase bounds every half block, takes an
-//! exact lower bound `L` on the grid maximum from two recomputed blocks,
-//! and recomputes only the blocks whose bound reaches
-//! `L −` [`kernels::SKIP_MARGIN`]. A skipped cell is at least 751 nats
-//! below the true maximum, so it would have contributed `+0.0`; the
-//! marginals, their percentiles and every switching decision are
-//! bit-identical to the full recompute, which
-//! [`WhiteBoxInference::posterior`] still performs and the tests compare
-//! against. While the posterior is broad, every block is live and the
-//! rebase is the full recompute.
+//! 1. **Whole rows and columns.** Every cell of grid row `a` splits A's
+//!    failures between two events with `p11 + p10 = p_A`, and A's
+//!    successes between two with `p01 + p00 = 1 − p_A`. By Gibbs'
+//!    inequality neither split can beat the pooled Bernoulli, so every
+//!    cell of the row has
+//!    `ℓ ≤ max ln prior + (r1+r2)·ln p_A + (r3+r4)·ln(1−p_A) + H(r1,r2) + H(r3,r4)`,
+//!    where `H(r,s) = r·ln(r/(r+s)) + s·ln(s/(r+s))` and `0·ln 0 = 0`.
+//!    Column `b` has the same bound over `(r1+r3, r2+r4)` with `p_B`.
+//!    Each line costs three stored terms and a few flops, and only the
+//!    rectangle spanned by the rows and columns that can reach the
+//!    maximum survives.
+//! 2. **Runs of `q` cells inside that rectangle.** Each block of `q`
+//!    cells sharing one `(p_A, p_B)` keeps, per half of its `q` range,
+//!    the maximum of the log prior and of each event's log-probability.
+//!    The recompute of a cell is `ln prior + Σ d·ln p`, each term a
+//!    separately rounded `+=`; the same sequence over the maxima is an
+//!    upper bound on every cell of the half block, because IEEE rounding
+//!    is monotone. Only the blocks whose bound reaches the lower bound
+//!    minus [`kernels::SKIP_MARGIN`] are recomputed.
+//!
+//! A skipped cell is at least 751 nats below the true maximum, so it
+//! would have contributed `+0.0`; the marginals, their percentiles and
+//! every switching decision are bit-identical to the full recompute,
+//! which [`WhiteBoxInference::posterior`] still performs and the tests
+//! compare against. While the posterior is broad, every block is live
+//! and the rebase is the full recompute.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -148,7 +162,9 @@ impl Default for Resolution {
     /// full-grid update (a delta checkpoint, or a rebase while the
     /// posterior is still broad) costs 1–3 ms; once the evidence
     /// concentrates the posterior, a rebase recomputes only the blocks
-    /// that can carry mass and costs about 0.1 ms.
+    /// that can carry mass, inside the rows and columns that can, and
+    /// costs tens of microseconds once a typical upgrade has seen 2M
+    /// demands (see EXPERIMENTS.md).
     fn default() -> Resolution {
         Resolution {
             a_cells: 96,
@@ -186,9 +202,10 @@ impl Resolution {
 /// pair form a contiguous *block*, and block `a·nb + b` covers cells
 /// `(a·nb + b)·q ..` of every table. Each block is split into at most
 /// [`RUNS`] runs of consecutive `q` cells, and each run keeps the
-/// maximum of every table over its cells, from which
-/// [`PosteriorUpdater::rebase`] bounds the block's log-weights without
-/// touching its cells.
+/// maximum of every table over its cells; each grid row and column
+/// keeps the three [`Line`] terms of its Gibbs bound. From these
+/// [`PosteriorUpdater::rebase`] bounds the log-weights of whole lines
+/// and of single runs without touching their cells.
 #[derive(Debug)]
 pub(crate) struct GridTables {
     pub(crate) a_edges: Vec<f64>,
@@ -208,6 +225,14 @@ pub(crate) struct GridTables {
     run_p: [Vec<f64>; 4],
     /// Runs per block: [`RUNS`], or 1 when a block has a single cell.
     runs: usize,
+    /// The Gibbs-bound terms of every `a` row, at `p = p_A`.
+    rows: Vec<Line>,
+    /// The Gibbs-bound terms of every `b` column, at `p = p_B`.
+    cols: Vec<Line>,
+    /// `1/(1 − p)` at the largest grid point of either axis, which
+    /// scales the rounding allowance of the line bounds (see
+    /// [`PosteriorUpdater::rebase`]).
+    line_slack: f64,
     /// The coincidence grid points, in cell order within a block.
     q_grid: Vec<QPoint>,
     /// Number of q points actually used.
@@ -223,6 +248,56 @@ pub(crate) struct GridTables {
 /// roughly halves that slack for 0.35 MiB more summaries on the
 /// default grid.
 const RUNS: usize = 2;
+
+/// The three terms of the Gibbs bound on one grid row (fixed `p_A`) or
+/// column (fixed `p_B`); see [`PosteriorUpdater::rebase`].
+#[derive(Debug, Clone, Copy)]
+struct Line {
+    /// The largest `ln_prior` over the line's cells (`-inf` when every
+    /// cell is dead).
+    ln_prior: f64,
+    /// `ln p` at the line's grid point.
+    ln_p: f64,
+    /// `ln(1 − p)` at the line's grid point.
+    ln_1mp: f64,
+}
+
+impl Line {
+    fn new(p: f64, ln_prior: f64) -> Line {
+        Line {
+            ln_prior,
+            ln_p: p.ln(),
+            ln_1mp: (-p).ln_1p(),
+        }
+    }
+
+    /// The bound on every cell of the line: `ln_prior + hits·ln p +
+    /// misses·ln(1 − p) + entropy`, with `entropy` the two `H` terms.
+    fn bound(self, [hits, misses]: [f64; 2], entropy: f64) -> f64 {
+        self.ln_prior + hits * self.ln_p + misses * self.ln_1mp + entropy
+    }
+}
+
+/// The smallest range of `lines` holding every line whose bound reaches
+/// `floor`; empty when none does.
+fn live_lines(lines: &[Line], counts: [f64; 2], entropy: f64, floor: f64) -> Range<usize> {
+    let live = |line: &Line| line.bound(counts, entropy) >= floor;
+    match (lines.iter().position(live), lines.iter().rposition(live)) {
+        (Some(lo), Some(hi)) => lo..hi + 1,
+        _ => 0..0,
+    }
+}
+
+/// `H(r, s) = r·ln(r/(r+s)) + s·ln(s/(r+s))`, with `0·ln 0 = 0`: the
+/// largest value of `r·ln x + s·ln(1 − x)` over `x` in `[0, 1]`
+/// (Gibbs' inequality).
+fn gibbs(r: f64, s: f64) -> f64 {
+    if r == 0.0 || s == 0.0 {
+        return 0.0;
+    }
+    let n = r + s;
+    r * (r / n).ln() + s * (s / n).ln()
+}
 
 /// The count of each Table 1 event class, in the reference order
 /// `r1..r4` (both failed, only A, only B, both succeeded).
@@ -308,16 +383,45 @@ impl GridTables {
     /// results bit-identical by construction.
     fn recompute_blocks(&self, counts: [f64; 4], ln_w: &mut [f64], blocks: Range<usize>) -> f64 {
         let cells = blocks.start * self.q_points..blocks.end * self.q_points;
-        let (mut terms, n) = live_terms(self.cell_tables(), counts);
-        for term in &mut terms[..n] {
-            term.0 = &term.0[cells.clone()];
-        }
-        kernels::recompute_max(
+        recompute_range(
+            self.ln_prior.padded(),
+            self.cell_tables(),
+            counts,
             &mut ln_w[cells.clone()],
-            &self.ln_prior.padded()[cells],
-            &terms[..n],
+            cells,
         )
     }
+
+    /// Bounds every run of `blocks` into `bounds` (one entry per run,
+    /// `bounds` covering exactly those runs) with the cell recompute's
+    /// operation sequence over the runs' maxima, returning the largest
+    /// bound.
+    fn bound_runs(&self, counts: [f64; 4], bounds: &mut [f64], blocks: Range<usize>) -> f64 {
+        recompute_range(
+            &self.run_prior,
+            self.run_p.each_ref().map(Vec::as_slice),
+            counts,
+            bounds,
+            blocks.start * self.runs..blocks.end * self.runs,
+        )
+    }
+}
+
+/// `out = prior + Σ d·table` over `range` of the tables, through the
+/// shared batch kernel, in the reference order of
+/// [`GridTables::recompute_blocks`]; returns the maximum.
+fn recompute_range(
+    prior: &[f64],
+    tables: [&[f64]; 4],
+    counts: [f64; 4],
+    out: &mut [f64],
+    range: Range<usize>,
+) -> f64 {
+    let (mut terms, n) = live_terms(tables, counts);
+    for term in &mut terms[..n] {
+        term.0 = &term.0[range.clone()];
+    }
+    kernels::recompute_max(out, &prior[range], &terms[..n])
 }
 
 /// White-box inference engine. Construction precomputes the prior masses
@@ -408,6 +512,18 @@ impl WhiteBoxInference {
         let b_edges: Vec<f64> = (0..=nb)
             .map(|j| b_window.0 + (b_window.1 - b_window.0) * j as f64 / nb as f64)
             .collect();
+        let midpoint = |edges: &[f64], k: usize| 0.5 * (edges[k] + edges[k + 1]);
+        // The lines' log-prior maxima start at -inf and grow with the
+        // blocks below. Allocated before the multi-megabyte tables, like
+        // the edges: small long-lived allocations between those tables
+        // kept freed table memory from being reused when engines were
+        // built and dropped in turn, and raised peak RSS.
+        let mut rows: Vec<Line> = (0..na)
+            .map(|i| Line::new(midpoint(&a_edges, i), f64::NEG_INFINITY))
+            .collect();
+        let mut cols: Vec<Line> = (0..nb)
+            .map(|j| Line::new(midpoint(&b_edges, j), f64::NEG_INFINITY))
+            .collect();
         let a_mass: Vec<f64> = (0..na)
             .map(|i| prior_a.mass(a_edges[i], a_edges[i + 1]))
             .collect();
@@ -427,9 +543,9 @@ impl WhiteBoxInference {
             std::array::from_fn(|_| Vec::with_capacity(na * nb * runs));
 
         for i in 0..na {
-            let pa = 0.5 * (a_edges[i] + a_edges[i + 1]);
+            let pa = midpoint(&a_edges, i);
             for j in 0..nb {
-                let pb = 0.5 * (b_edges[j] + b_edges[j + 1]);
+                let pb = midpoint(&b_edges, j);
                 let base_mass = a_mass[i] * b_mass[j];
                 let mut run_max = [[f64::NEG_INFINITY; 5]; RUNS];
                 for (k, &(qp, q_mass)) in q_grid.iter().enumerate() {
@@ -457,9 +573,12 @@ impl WhiteBoxInference {
                     for (column, &max) in run_columns.iter_mut().zip(maxima) {
                         column.push(max);
                     }
+                    rows[i].ln_prior = rows[i].ln_prior.max(maxima[0]);
+                    cols[j].ln_prior = cols[j].ln_prior.max(maxima[0]);
                 }
             }
         }
+        let p_max = midpoint(&a_edges, na - 1).max(midpoint(&b_edges, nb - 1));
 
         // Pad with the dead-cell encoding so chunked sweeps can cover
         // the padding lanes without affecting any result.
@@ -482,6 +601,9 @@ impl WhiteBoxInference {
                 run_prior,
                 run_p,
                 runs,
+                rows,
+                cols,
+                line_slack: 1.0 / (1.0 - p_max),
                 q_grid: q_grid.iter().map(|&(qp, _)| qp).collect(),
                 q_points,
                 pab_range: prior_a.range().min(prior_b.range()),
@@ -705,7 +827,9 @@ pub struct PosteriorUpdater {
     /// current; a pruned rebase leaves the rest stale.
     ln_w: LaneBuf,
     max: f64,
-    /// Reused buffer: the upper bound of every run's log-weights.
+    /// Reused buffer: the upper bound of every run's log-weights. Only
+    /// the runs inside the last rebase's surviving rectangle are
+    /// current.
     bounds: Vec<f64>,
     /// Per `a` row, the blocks of `ln_w` that are current: `(0, nb)`
     /// everywhere except after a pruned rebase.
@@ -754,17 +878,24 @@ impl PosteriorUpdater {
     ///
     /// Only the blocks that can carry posterior mass are recomputed:
     ///
-    /// 1. every run of every block is bounded from its per-table maxima
-    ///    with the cell recompute's own operation sequence (the prior,
-    ///    then one rounded `+= d·max` per live term). Rounding is
-    ///    monotone, so no cell of a run exceeds its bound;
-    /// 2. the block with the largest bound and the block holding the
-    ///    counts' maximum-likelihood `(P_A, P_B)` are recomputed
-    ///    exactly; the larger of their maxima, `L`, is a lower bound on
+    /// 1. the block holding the counts' maximum-likelihood `(P_A, P_B)`
+    ///    is recomputed exactly; its maximum `L₀` is a lower bound on
     ///    the grid maximum `M`;
-    /// 3. each `a` row recomputes the range of blocks from its first to
-    ///    its last block with a run bound of at least `L −`
-    ///    [`kernels::SKIP_MARGIN`].
+    /// 2. every `a` row and every `b` column is bounded by Gibbs'
+    ///    inequality from its three stored line terms (see the module
+    ///    docs), and only the rectangle spanned by the lines whose
+    ///    bound reaches `L₀ −` [`kernels::SKIP_MARGIN`] `− slack`
+    ///    survives;
+    /// 3. inside the rectangle, every run of every block is bounded from
+    ///    its per-table maxima with the cell recompute's own operation
+    ///    sequence (the prior, then one rounded `+= d·max` per live
+    ///    term). Rounding is monotone, so no cell of a run exceeds its
+    ///    bound. The block with the largest run bound is recomputed
+    ///    too, and `L`, the larger of its maximum and `L₀`, is again a
+    ///    lower bound on `M`;
+    /// 4. each `a` row of the rectangle recomputes the range of blocks
+    ///    from its first to its last block with a run bound of at least
+    ///    `L − SKIP_MARGIN`.
     ///
     /// Every skipped cell lies below `M − SKIP_MARGIN`, so its `exp`
     /// against `M` is exactly `+0.0` and its contribution to the
@@ -773,44 +904,96 @@ impl PosteriorUpdater {
     /// The marginals therefore equal the full recompute's bit for bit.
     /// With a broad posterior every block is live and this is the full
     /// recompute.
+    ///
+    /// # The slack of the line bounds
+    ///
+    /// The run bounds of step 3 repeat the cells' own rounded
+    /// operations; the line bounds of step 2 do not, so they carry a
+    /// rounding allowance. Write `u = 2⁻⁵³`, `n` for the demands and
+    /// `F = L₀ − SKIP_MARGIN`. Every table entry is `≤ 0` (masses and
+    /// probabilities are `≤ 1`), so every sum below adds terms of one
+    /// sign. Take a cell whose computed log-weight `v` reaches `F`:
+    ///
+    /// * its exact sum `V` of table entries is within `5u|V|` of `v`
+    ///   (four rounded products and additions), so `V ≥ F − 6u|F|`;
+    /// * each table entry is within one ulp, `2u|ln p|`, of the exact
+    ///   log of its rounded probability: another `2u|V|`;
+    /// * the rounded `p11 + p10` of a cell is at most `p_A(1 + u)`, and
+    ///   its rounded `p01 + p00` exceeds `1 − p_A` by at most `4u`, as
+    ///   every operand is at most 1 (likewise for columns), so pooling
+    ///   loses at most `4u·n/(1 − p)` with `p` the largest grid point
+    ///   (`GridTables::line_slack`);
+    /// * the line bound itself rounds `ln p` and `ln(1 − p)` (via
+    ///   `ln_1p`) to one ulp, `H` to `u·n + 4u|H|` and its four
+    ///   additions to `γ₄`: within `8u|B| + u·n` of exact.
+    ///
+    /// So the cell's line bound is at least `F − 17u|F| − 5u·n/(1 − p)`,
+    /// and `slack = 16ε·(|F| + n/(1 − p))` (`ε = 2u`) covers that with
+    /// room for the rounding of `F − slack` itself. At 2⁴⁰ demands on
+    /// the default grid the slack is about 0.004 nats: it hardly ever
+    /// decides a line, but it keeps the skip rule a proof.
     pub fn rebase(&mut self, counts: &JointCounts) {
         let tables = &*self.tables;
-        let counts_by_class = event_counts(counts);
-        let (run_terms, n) =
-            live_terms(tables.run_p.each_ref().map(Vec::as_slice), counts_by_class);
-        let top_bound =
-            kernels::recompute_max(&mut self.bounds, &tables.run_prior, &run_terms[..n]);
-        let top = self
-            .bounds
-            .iter()
-            .position(|&b| b == top_bound)
-            .unwrap_or(0)
-            / tables.runs;
-        let likeliest = tables.block_of(counts);
+        let d = event_counts(counts);
+        let [r1, r2, r3, r4] = d;
+        let (nb, runs) = (tables.b_cells(), tables.runs);
         let ln_w = self.ln_w.padded_mut();
-        let lower = tables
-            .recompute_blocks(counts_by_class, ln_w, top..top + 1)
-            .max(tables.recompute_blocks(counts_by_class, ln_w, likeliest..likeliest + 1));
+
+        // 1. The exact lower bound L₀.
+        let likeliest = tables.block_of(counts);
+        let lower = tables.recompute_blocks(d, ln_w, likeliest..likeliest + 1);
+
+        // 2. The rows and columns that can reach L₀ − SKIP_MARGIN.
         let floor = lower - SKIP_MARGIN;
-        let nb = tables.b_cells();
+        let n = counts.demands() as f64;
+        let slack = 16.0 * f64::EPSILON * (floor.abs() + n * tables.line_slack);
+        let line_floor = floor - slack;
+        let rows = live_lines(
+            &tables.rows,
+            [r1 + r2, r3 + r4],
+            gibbs(r1, r2) + gibbs(r3, r4),
+            line_floor,
+        );
+        let cols = live_lines(
+            &tables.cols,
+            [r1 + r3, r2 + r4],
+            gibbs(r1, r3) + gibbs(r2, r4),
+            line_floor,
+        );
+
+        // 3. Run bounds inside the rectangle, and the block with the
+        //    largest (the first one in grid order on a tie).
+        let mut top = (f64::NEG_INFINITY, likeliest);
+        for a in rows.clone() {
+            let blocks = a * nb + cols.start..a * nb + cols.end;
+            let bounds = &mut self.bounds[blocks.start * runs..blocks.end * runs];
+            let row_top = tables.bound_runs(d, bounds, blocks.clone());
+            if row_top > top.0 {
+                let at = bounds.iter().position(|&b| b == row_top).unwrap_or(0);
+                top = (row_top, blocks.start + at / runs);
+            }
+        }
+        let lower = if top.1 == likeliest {
+            lower
+        } else {
+            lower.max(tables.recompute_blocks(d, ln_w, top.1..top.1 + 1))
+        };
+
+        // 4. Each row's span of blocks that can reach L − SKIP_MARGIN.
+        let floor = lower - SKIP_MARGIN;
+        let live = |block: &[f64]| block.iter().any(|&b| b >= floor);
         let mut max = f64::NEG_INFINITY;
-        let rows = self.bounds.chunks_exact(nb * tables.runs);
-        for (a, (span, bounds)) in self.spans.iter_mut().zip(rows).enumerate() {
-            let mut live = bounds
-                .chunks_exact(tables.runs)
-                .map(|runs| runs.iter().any(|&b| b >= floor));
-            *span = match live.position(|live| live) {
-                Some(lo) => (
-                    lo,
-                    nb - live.rev().position(|live| live).unwrap_or(nb - lo - 1),
-                ),
-                None => (0, 0),
-            };
+        for (a, span) in self.spans.iter_mut().enumerate() {
+            *span = (0, 0);
+            if !rows.contains(&a) {
+                continue;
+            }
             let row = a * nb;
-            let row_max =
-                tables.recompute_blocks(counts_by_class, ln_w, row + span.0..row + span.1);
-            if row_max > max {
-                max = row_max;
+            let bounds = &self.bounds[(row + cols.start) * runs..(row + cols.end) * runs];
+            let blocks = || bounds.chunks_exact(runs);
+            if let (Some(lo), Some(hi)) = (blocks().position(live), blocks().rposition(live)) {
+                *span = (cols.start + lo, cols.start + hi + 1);
+                max = max.max(tables.recompute_blocks(d, ln_w, row + span.0..row + span.1));
             }
         }
         self.max = max;
@@ -875,6 +1058,12 @@ impl PosteriorUpdater {
     /// [`Self::update_to`] moved the counts.
     pub fn live_blocks(&self) -> usize {
         self.spans.iter().map(|&(lo, hi)| hi - lo).sum()
+    }
+
+    /// Per `a` row, the range `lo..hi` of `b` blocks that hold current
+    /// log-weights (the blocks [`Self::live_blocks`] counts).
+    pub fn live_spans(&self) -> &[RowSpan] {
+        &self.spans
     }
 
     /// Borrowed marginal of `P_A` (eq. (4)); allocation-free.

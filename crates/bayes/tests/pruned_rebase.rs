@@ -6,8 +6,9 @@
 //! A 32-seed sweep over all four coincidence priors, full-support,
 //! windowed (adaptive-fine) and dead-cell grids (prior ranges near 1,
 //! so cells with `p00 ≤ 0` die), and count trajectories that
-//! concentrate up to 10M demands — with `r1 = 0` throughout or with
-//! `r1` bursts — checks three bit-for-bit equalities:
+//! concentrate up to 2⁴⁰ demands (where the rounding allowance of the
+//! row and column bounds grows to thousandths of a nat) — with `r1 = 0`
+//! throughout or with `r1` bursts — checks three bit-for-bit equalities:
 //!
 //! 1. `rebase` marginals and p99s equal `engine.posterior()` and a full
 //!    `kernels::scalar::recompute_max` + `scalar::exp_stride_sums`;
@@ -15,10 +16,16 @@
 //!    run on the full grid with the scalar kernels;
 //! 3. in particular, `update_to` after a pruned rebase equals
 //!    `update_to` after a full one.
+//!
+//! Each rebase must also keep no block that the whole-grid run-bound
+//! rule (every half block bounded, recomputed here from `LogTables`)
+//! would skip: the row and column bounds only ever remove blocks. On
+//! the default grid with counts like the benchmark's managed upgrade,
+//! the number of live blocks is pinned.
 
 use wsu_bayes::beta::ScaledBeta;
 use wsu_bayes::counts::JointCounts;
-use wsu_bayes::kernels::{scalar, Term};
+use wsu_bayes::kernels::{scalar, RowSpan, Term, SKIP_MARGIN};
 use wsu_bayes::posterior::GridPosterior;
 use wsu_bayes::whitebox::{
     CoincidencePrior, LogTables, PosteriorUpdater, Resolution, WhiteBoxInference,
@@ -74,8 +81,8 @@ fn engine(seed: u64, rng: &mut StreamRng) -> WhiteBoxInference {
 
 /// Monotone cumulative counts along a run that concentrates the
 /// posterior: the demand count grows about tenfold per checkpoint up to
-/// 10M, with one checkpoint repeated (a zero-delta update). Odd seeds
-/// keep `r1 = 0`; even seeds add `r1` bursts.
+/// 10M, then to 2³⁰ and 2⁴⁰, with one checkpoint repeated (a zero-delta
+/// update). Odd seeds keep `r1 = 0`; even seeds add `r1` bursts.
 fn trajectory(seed: u64, dead_cells: bool, rng: &mut StreamRng) -> Vec<JointCounts> {
     let (pa, pb) = if dead_cells {
         (rng.uniform(0.05, 0.4), rng.uniform(0.05, 0.4))
@@ -86,7 +93,15 @@ fn trajectory(seed: u64, dead_cells: bool, rng: &mut StreamRng) -> Vec<JointCoun
     let mut points = vec![JointCounts::new()];
     let (mut r1, mut r2, mut r3) = (0u64, 0u64, 0u64);
     for n in [
-        300u64, 2_500, 20_000, 150_000, 1_000_000, 4_096_000, 10_000_000,
+        300u64,
+        2_500,
+        20_000,
+        150_000,
+        1_000_000,
+        4_096_000,
+        10_000_000,
+        1 << 30,
+        1 << 40,
     ] {
         if bursts && rng.bernoulli(0.5) {
             r1 += 1 + rng.next_below(n / 2_000 + 2);
@@ -230,6 +245,88 @@ fn assert_marginals(updater: &PosteriorUpdater, a: &GridPosterior, b: &GridPoste
     }
 }
 
+/// The live spans of the whole-grid run-bound rule: every block's
+/// cells split into two runs, each run bounded by the recompute over
+/// its per-table maxima; an exact lower bound `L` from the block with
+/// the largest bound (the first on a tie) and the block holding the
+/// maximum-likelihood `(P_A, P_B)`; per `a` row, the blocks from the
+/// first to the last with a run bound of at least `L − SKIP_MARGIN`.
+fn run_bound_spans(
+    engine: &WhiteBoxInference,
+    edges: [&[f64]; 2],
+    counts: &JointCounts,
+) -> Vec<RowSpan> {
+    let tables = engine.log_tables();
+    let [a_edges, b_edges] = edges;
+    let (na, nb, q) = (a_edges.len() - 1, b_edges.len() - 1, tables.q_points);
+    let run_len = q.div_ceil(2);
+    let runs = q.div_ceil(run_len);
+    let d = class_counts(counts);
+
+    let mut cells = vec![f64::NEG_INFINITY; tables.ln_prior.len()];
+    scalar::recompute_max(&mut cells, tables.ln_prior, &terms(&tables, d));
+    let run_max = |table: &[f64]| -> Vec<f64> {
+        (0..na * nb * runs)
+            .map(|run| {
+                let start = (run / runs) * q + (run % runs) * run_len;
+                let end = ((run / runs) * q + q).min(start + run_len);
+                table[start..end]
+                    .iter()
+                    .fold(f64::NEG_INFINITY, |max, &v| if v > max { v } else { max })
+            })
+            .collect()
+    };
+    let run_prior = run_max(tables.ln_prior);
+    let run_p: Vec<Vec<f64>> = tables.ln_p.iter().map(|table| run_max(table)).collect();
+    let run_tables = LogTables {
+        ln_prior: &run_prior,
+        ln_p: [&run_p[0], &run_p[1], &run_p[2], &run_p[3]],
+        q_points: runs,
+    };
+    let mut bounds = vec![f64::NEG_INFINITY; run_prior.len()];
+    let top_bound = scalar::recompute_max(&mut bounds, &run_prior, &terms(&run_tables, d));
+    let top = bounds.iter().position(|&b| b == top_bound).unwrap_or(0) / runs;
+
+    let n = counts.demands() as f64;
+    let cell = |edges: &[f64], p: f64| {
+        let (lo, hi) = (edges[0], edges[edges.len() - 1]);
+        (((p - lo) / (hi - lo) * (edges.len() - 1) as f64) as usize).min(edges.len() - 2)
+    };
+    let likeliest = cell(a_edges, (d[0] + d[1]) / n) * nb + cell(b_edges, (d[0] + d[2]) / n);
+    let block_max = |block: usize| {
+        cells[block * q..(block + 1) * q]
+            .iter()
+            .fold(f64::NEG_INFINITY, |max, &v| max.max(v))
+    };
+    let floor = block_max(top).max(block_max(likeliest)) - SKIP_MARGIN;
+    bounds
+        .chunks_exact(nb * runs)
+        .map(|row| {
+            let live = |block: &[f64]| block.iter().any(|&b| b >= floor);
+            let blocks = || row.chunks_exact(runs);
+            match (blocks().position(live), blocks().rposition(live)) {
+                (Some(lo), Some(hi)) => (lo, hi + 1),
+                _ => (0, 0),
+            }
+        })
+        .collect()
+}
+
+/// Every block `updater`'s last rebase recomputed is one the whole-grid
+/// run-bound rule recomputes too.
+fn assert_live_subset(engine: &WhiteBoxInference, updater: &PosteriorUpdater, what: &str) {
+    let edges = [updater.marginal_a().edges(), updater.marginal_b().edges()];
+    let reference = run_bound_spans(engine, edges, &updater.counts());
+    for (a, (&(lo, hi), &(ref_lo, ref_hi))) in
+        updater.live_spans().iter().zip(&reference).enumerate()
+    {
+        assert!(
+            lo == hi || (ref_lo <= lo && hi <= ref_hi),
+            "{what}: row {a} keeps blocks {lo}..{hi} outside the run-bound span {ref_lo}..{ref_hi}"
+        );
+    }
+}
+
 #[test]
 fn pruned_rebase_is_bit_identical_to_the_full_grid() {
     let mut pruned_rebases = 0;
@@ -252,6 +349,7 @@ fn pruned_rebase_is_bit_identical_to_the_full_grid() {
             let batch = engine.posterior(counts);
             let what = format!("seed {seed} rebase {counts}");
             assert_marginals(&updater, &batch.marginal_a(), &batch.marginal_b(), &what);
+            assert_live_subset(&engine, &updater, &what);
             full.rebase(counts);
             assert_marginals(&updater, &full.a, &full.b, &what);
         }
@@ -280,4 +378,37 @@ fn pruned_rebase_is_bit_identical_to_the_full_grid() {
         pruned_rebases >= SEEDS as usize,
         "the sweep must exercise pruning: {pruned_rebases} pruned rebases"
     );
+}
+
+/// The default grid and priors of a managed upgrade, with counts like
+/// the benchmark's `upgrade-whitebox` run (`p_A ≈ 1.75e-3`,
+/// `p_B ≈ 4.8e-4`, no coincident failure): the row and column bounds
+/// leave about a hundred live blocks of 9,216 at 5M demands, where the
+/// run bounds alone kept about 400.
+#[test]
+fn benchmark_like_counts_leave_few_live_blocks() {
+    let engine = WhiteBoxInference::new(
+        ScaledBeta::new(1.0, 10.0, 0.01).unwrap(),
+        ScaledBeta::new(2.0, 3.0, 0.01).unwrap(),
+        CoincidencePrior::IndifferenceUniform,
+    );
+    let mut updater = engine.updater();
+    for (n, most) in [(5_000_000u64, 110), (10_000_000, 70)] {
+        let counts = JointCounts::from_raw(
+            n,
+            0,
+            (n as f64 * 1.75e-3) as u64,
+            (n as f64 * 4.8e-4) as u64,
+        );
+        updater.rebase(&counts);
+        let what = format!("default grid {counts}");
+        let live = updater.live_blocks();
+        assert!(
+            live <= most,
+            "{what}: {live} live blocks, at most {most} expected"
+        );
+        let batch = engine.posterior(&counts);
+        assert_marginals(&updater, &batch.marginal_a(), &batch.marginal_b(), &what);
+        assert_live_subset(&engine, &updater, &what);
+    }
 }

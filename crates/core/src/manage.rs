@@ -474,11 +474,7 @@ impl ManagementSubsystem {
             } else {
                 SwitchDecision::KeepTransitional
             };
-        self.record_assessment_metrics(
-            marginal_a.percentile(0.99),
-            marginal_b.percentile(0.99),
-            decision,
-        );
+        self.record_assessment_metrics(marginal_a.as_view(), marginal_b.as_view(), decision);
         Assessment {
             demands: counts.demands(),
             marginal_a,
@@ -515,11 +511,7 @@ impl ManagementSubsystem {
             } else {
                 SwitchDecision::KeepTransitional
             };
-        self.record_assessment_metrics(
-            marginal_a.percentile(0.99),
-            marginal_b.percentile(0.99),
-            decision,
-        );
+        self.record_assessment_metrics(marginal_a, marginal_b, decision);
         AssessmentView {
             demands: counts.demands(),
             marginal_a,
@@ -528,7 +520,14 @@ impl ManagementSubsystem {
         }
     }
 
-    fn record_assessment_metrics(&self, old_p99: f64, new_p99: f64, decision: SwitchDecision) {
+    /// Counts the assessment and publishes both marginals' p99s, which
+    /// are computed only when a registry is attached.
+    fn record_assessment_metrics(
+        &self,
+        marginal_a: MarginalView<'_>,
+        marginal_b: MarginalView<'_>,
+        decision: SwitchDecision,
+    ) {
         let Some(metrics) = &self.metrics else {
             return;
         };
@@ -537,7 +536,11 @@ impl ManagementSubsystem {
             metrics.counter_id("wsu_assessments_total", &[])
         });
         metrics.inc_counter_id(id);
-        for (slot, (release, p99)) in handles.p99.iter().zip([("old", old_p99), ("new", new_p99)]) {
+        let p99s = [
+            ("old", marginal_a.percentile(0.99)),
+            ("new", marginal_b.percentile(0.99)),
+        ];
+        for (slot, (release, p99)) in handles.p99.iter().zip(p99s) {
             let id = resolved(slot, || {
                 metrics.gauge_id("wsu_posterior_p99", &[("release", release)])
             });

@@ -389,18 +389,24 @@ impl ManagedUpgrade {
                 .map(|p| p.observed())
                 .unwrap_or_default();
             let abort = self.abort;
-            let (old_p99, new_p99, decision, abort_now) = {
+            let recording = self.recorder.enabled();
+            let (p99s, decision, abort_now) = {
                 let assessment = self.manager.assess_incremental(&counts);
                 (
-                    assessment.marginal_a.percentile(0.99),
-                    assessment.marginal_b.percentile(0.99),
+                    // Only the trace reads the p99s.
+                    recording.then(|| {
+                        (
+                            assessment.marginal_a.percentile(0.99),
+                            assessment.marginal_b.percentile(0.99),
+                        )
+                    }),
                     assessment.decision,
                     abort.is_some_and(|policy| {
                         policy.should_abort(&assessment.marginal_a, &assessment.marginal_b)
                     }),
                 )
             };
-            if self.recorder.enabled() {
+            if let Some((old_p99, new_p99)) = p99s {
                 self.recorder.record(TraceEvent::ConfidenceUpdated {
                     t: self.virtual_time,
                     demand: self.monitor.demands(),

@@ -371,6 +371,8 @@ mod tests {
             "--quick --jobs 1 --trace bench-out/t5-j1.jsonl --metrics bench-out/t5-j1.prom",
             "--quick --jobs 4 --trace bench-out/t5-j4.jsonl --metrics bench-out/t5-j4.prom",
         ];
+        // The campaign and fleet-study runs below are the ones
+        // tests/parallel_determinism.rs now compares in process.
         let campaign = [
             "",
             "--quick --jobs 1 --trace bench-out/fc-j1.jsonl --metrics bench-out/fc-j1.prom",

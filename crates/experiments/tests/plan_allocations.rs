@@ -2,7 +2,8 @@
 //! planning `n` demands, and simulating a cell over them, each cost a
 //! constant number of heap allocations, independent of `n`. A fleet
 //! study's canary chain, once warm, serves its demands and assessments
-//! without allocating at all.
+//! without allocating at all, with or without a metrics registry. An
+//! endpoint's response pool builds only the envelopes it hands out.
 //!
 //! A plan is a `Vec` of plain `Copy` values, so `DemandPlanner::plan_batch`
 //! allocates exactly the one exactly-sized buffer, and `midsim::plan_run`
@@ -31,13 +32,16 @@ use wsu_experiments::midsim::{plan_run, simulate_cell};
 use wsu_faults::{
     FaultAction, FaultClause, FaultInjector, FaultTrigger, FleetFaultScenario, InjectionTally,
 };
+use wsu_obs::SharedRegistry;
 use wsu_simcore::dist::DelayModel;
 use wsu_simcore::rng::{MasterSeed, StreamRng};
+use wsu_simcore::time::SimDuration;
 use wsu_workload::demand::DemandPlanner;
 use wsu_workload::outcomes::CorrelatedOutcomes;
 use wsu_workload::runs::RunSpec;
 use wsu_workload::timing::ExecTimeModel;
-use wsu_wstack::endpoint::SyntheticService;
+use wsu_wstack::endpoint::{ResponseTemplates, SyntheticService};
+use wsu_wstack::outcome::ResponseClass;
 use wsu_wstack::registry::ServiceRecord;
 use wsu_wstack::wsdl::ServiceDescription;
 
@@ -270,9 +274,23 @@ fn injected(tallies: &[InjectionTally], kind: &str) -> u64 {
 fn warm_fleet_demands_and_assessments_do_not_allocate() {
     const WARM_UP: u64 = 2_500;
     const INTERVALS: u64 = 20;
-    for strategy in RecoveryStrategy::all() {
-        let label = strategy.label();
+    // Each strategy without sinks, then with a metrics registry
+    // attached: the fleet gauges resolve every series on its first
+    // write, during the warm-up.
+    for (strategy, attached) in RecoveryStrategy::all()
+        .into_iter()
+        .flat_map(|strategy| [(strategy, false), (strategy, true)])
+    {
+        let label = if attached {
+            format!("{} with a registry", strategy.label())
+        } else {
+            strategy.label().to_owned()
+        };
         let (mut fleet, tallies) = fleet_chain(strategy, MasterSeed::new(0xF1EE7));
+        let registry = SharedRegistry::new();
+        if attached {
+            fleet.attach_metrics(&registry);
+        }
         fleet.run_demands(WARM_UP);
         let crashes = injected(&tallies, "crash");
         let wrong = injected(&tallies, "wrong-evident");
@@ -314,5 +332,33 @@ fn warm_fleet_demands_and_assessments_do_not_allocate() {
             allocations, 0,
             "{label}: {INTERVALS} warm assessment intervals made {allocations} allocations"
         );
+        if attached {
+            let rendered = registry.render_snapshot();
+            for series in ["wsu_fleet_weight", "wsu_fleet_incidents_total"] {
+                assert!(
+                    rendered.contains(series),
+                    "{label}: no {series} in {rendered}"
+                );
+            }
+        }
     }
+}
+
+/// The first invoke copies the operation name (one allocation) and
+/// builds the correct envelope (five: the `Rc`, the operation, the part
+/// list and the part's name and value), not the two failure envelopes
+/// as well.
+#[test]
+fn a_response_pool_builds_only_the_class_it_hands_out() {
+    let mut templates = ResponseTemplates::new();
+    let mut invoke =
+        |class| allocations_of(|| templates.invocation("getQuote", class, SimDuration::ZERO)).0;
+    assert_eq!(invoke(ResponseClass::Correct), 6, "first invoke");
+    assert_eq!(invoke(ResponseClass::Correct), 0, "a pooled class");
+    assert_eq!(
+        invoke(ResponseClass::EvidentFailure),
+        3,
+        "a second class builds only its own envelope"
+    );
+    assert_eq!(invoke(ResponseClass::EvidentFailure), 0, "a pooled class");
 }

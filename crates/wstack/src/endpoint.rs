@@ -68,39 +68,27 @@ fn synthesise_response(operation: &str, class: ResponseClass) -> Envelope {
     }
 }
 
-/// A per-endpoint pool of the three class-synthesised response
-/// envelopes for one operation.
+/// A per-endpoint pool of the class-synthesised response envelopes for
+/// one operation.
 ///
-/// The envelopes are built once (per operation seen — rebuilding only
-/// when the operation changes, which simulation workloads never do) and
-/// handed out as shared [`Rc`]s, so the steady-state invoke path costs
-/// a reference-count bump instead of an envelope construction.
+/// Each class's envelope is built on the first request for that class
+/// (an always-correct endpoint never builds the two failure envelopes)
+/// and handed out as a shared [`Rc`] afterwards, so the steady-state
+/// invoke path costs one operation compare, one slot read and a
+/// reference-count bump instead of an envelope construction. A change
+/// of operation, which simulation workloads never make, empties the
+/// pool.
 #[derive(Debug, Clone, Default)]
 pub struct ResponseTemplates {
     operation: String,
-    templates: Option<[Rc<Envelope>; 3]>,
+    /// The envelope per [`ResponseClass::index`], once built.
+    templates: [Option<Rc<Envelope>>; 3],
 }
 
 impl ResponseTemplates {
     /// An empty pool; templates are built on first use.
     pub fn new() -> ResponseTemplates {
         ResponseTemplates::default()
-    }
-
-    fn rebuild(&mut self, operation: &str) {
-        self.operation.clear();
-        self.operation.push_str(operation);
-        self.templates = Some([
-            Rc::new(synthesise_response(operation, ResponseClass::Correct)),
-            Rc::new(synthesise_response(
-                operation,
-                ResponseClass::EvidentFailure,
-            )),
-            Rc::new(synthesise_response(
-                operation,
-                ResponseClass::NonEvidentFailure,
-            )),
-        ]);
     }
 
     /// An invocation result whose response envelope is the pooled
@@ -112,15 +100,15 @@ impl ResponseTemplates {
         class: ResponseClass,
         exec_time: SimDuration,
     ) -> Invocation {
-        if self.templates.is_none() || self.operation != operation {
-            self.rebuild(operation);
+        if self.operation != operation {
+            self.operation.clear();
+            self.operation.push_str(operation);
+            self.templates = Default::default();
         }
-        let templates = self.templates.as_ref().expect("templates built");
-        let response = Rc::clone(match class {
-            ResponseClass::Correct => &templates[0],
-            ResponseClass::EvidentFailure => &templates[1],
-            ResponseClass::NonEvidentFailure => &templates[2],
-        });
+        let response = Rc::clone(
+            self.templates[class.index()]
+                .get_or_insert_with(|| Rc::new(synthesise_response(operation, class))),
+        );
         Invocation {
             class,
             exec_time,
