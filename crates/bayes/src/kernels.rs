@@ -860,27 +860,28 @@ pub fn recompute_max(w: &mut [f64], prior: &[f64], terms: &[Term<'_>]) -> f64 {
 /// (callers assert a finite max first).
 pub fn exp_weights(w: &[f64], max: f64, x: &mut [f64]) {
     assert_eq!(w.len(), x.len(), "exp_weights length mismatch");
+    exp_chunks(Some(w), max, x);
+}
+
+/// [`exp_weights`] in place: `w[i] = exp(w[i] − max)`, the bits
+/// [`exp_weights`] would write into a second buffer.
+pub fn exp_weights_in_place(w: &mut [f64], max: f64) {
+    exp_chunks(None, max, w);
+}
+
+/// The one chunk loop behind [`exp_weights`] and
+/// [`exp_weights_in_place`]: `x[i] = exp(src[i] − max)`, with `x`
+/// itself as the source when `src` is `None`.
+#[inline(always)]
+fn exp_chunks(src: Option<&[f64]>, max: f64, x: &mut [f64]) {
+    let (wc, wt) = src.map_or((&[][..], &[][..]), <[f64]>::as_chunks::<LANES>);
     let (xc, xt) = x.as_chunks_mut::<LANES>();
-    let (wc, wt) = w.as_chunks::<LANES>();
-    for (xl, wl) in xc.iter_mut().zip(wc) {
-        let mut v = [0.0f64; LANES];
-        for l in 0..LANES {
-            v[l] = wl[l] - max;
-        }
-        if all_fast_path(v) {
-            *xl = exp4_core(v);
-        } else {
-            for l in 0..LANES {
-                xl[l] = if v[l] >= EXP_UNDERFLOW {
-                    fast_exp(v[l])
-                } else {
-                    0.0
-                };
-            }
-        }
+    for (i, xl) in xc.iter_mut().enumerate() {
+        let wl = if src.is_some() { wc[i] } else { *xl };
+        *xl = exp4_or_zero(wl.map(|w| w - max));
     }
-    for (x, &w) in xt.iter_mut().zip(wt) {
-        let v = w - max;
+    for (i, x) in xt.iter_mut().enumerate() {
+        let v = if src.is_some() { wt[i] } else { *x } - max;
         *x = if v >= EXP_UNDERFLOW { fast_exp(v) } else { 0.0 };
     }
 }
@@ -1149,27 +1150,28 @@ impl LaneBuf {
     /// Builds a buffer holding `values`, padded to a lane multiple with
     /// `pad_value`.
     pub fn new(values: &[f64], pad_value: f64) -> LaneBuf {
-        let len = values.len();
+        let mut buf = LaneBuf::filled(values.len(), pad_value);
+        buf.padded_mut()[..values.len()].copy_from_slice(values);
+        buf
+    }
+
+    /// A buffer of `len` logical elements, all set to `fill` (which is
+    /// also the padding value), in one allocation. A caller that
+    /// computes the values writes them through [`Self::padded_mut`].
+    pub fn filled(len: usize, fill: f64) -> LaneBuf {
         let padded = len.div_ceil(LANES) * LANES;
-        let mut storage = vec![pad_value; padded + LINE_F64S].into_boxed_slice();
+        let storage = vec![fill; padded + LINE_F64S].into_boxed_slice();
         let offset = {
             let addr = storage.as_ptr() as usize;
             (CACHE_LINE - addr % CACHE_LINE) % CACHE_LINE / std::mem::size_of::<f64>()
         };
-        storage[offset..offset + len].copy_from_slice(values);
         LaneBuf {
             storage,
             offset,
             padded,
             len,
-            pad_value,
+            pad_value: fill,
         }
-    }
-
-    /// A buffer of `len` logical elements, all set to `fill` (which is
-    /// also the padding value).
-    pub fn filled(len: usize, fill: f64) -> LaneBuf {
-        LaneBuf::new(&vec![fill; len], fill)
     }
 
     /// Logical (unpadded) length.
@@ -1233,6 +1235,10 @@ mod tests {
             assert_eq!(clone.padded().as_ptr() as usize % CACHE_LINE, 0);
             assert_eq!(clone.as_slice(), buf.as_slice());
             assert_eq!(clone.padded()[n..], buf.padded()[n..]);
+            let filled = LaneBuf::filled(n, f64::NEG_INFINITY);
+            assert_eq!(filled.padded().as_ptr() as usize % CACHE_LINE, 0);
+            assert_eq!(filled.padded_len(), buf.padded_len());
+            assert!(filled.padded().iter().all(|&v| v == f64::NEG_INFINITY));
         }
     }
 

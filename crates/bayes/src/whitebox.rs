@@ -61,9 +61,22 @@
 //! which [`WhiteBoxInference::posterior`] still performs and the tests
 //! compare against. While the posterior is broad, every block is live
 //! and the rebase is the full recompute.
+//!
+//! # One grid per set of inputs
+//!
+//! Building a default grid takes about 1.5M logarithms, and a process
+//! often builds the same grid again: a deployment torn down and stood
+//! up with unchanged priors, a fault campaign's upgrade per plan, an
+//! ablation's loop over variants. The tables are immutable and depend
+//! on nothing but the construction inputs, so every engine built from
+//! equal inputs (compared by bit pattern) shares one table set for as
+//! long as any engine holds it, and the most recently requested grid
+//! stays resident after its last engine is dropped, until another
+//! grid is requested. At most one grid that no engine holds is
+//! resident at a time. See [`WhiteBoxInference::windowed`].
 
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 
 use crate::beta::ScaledBeta;
 use crate::counts::JointCounts;
@@ -102,6 +115,16 @@ impl CoincidencePrior {
                 );
             }
             _ => {}
+        }
+    }
+
+    /// The variant and the bits of its parameter, for [`GridKey`].
+    fn key(self) -> (u8, u64) {
+        match self {
+            CoincidencePrior::IndifferenceUniform => (0, 0),
+            CoincidencePrior::ScaledUniform(c) => (1, c.to_bits()),
+            CoincidencePrior::FixedFraction(f) => (2, f.to_bits()),
+            CoincidencePrior::Independent => (3, 0),
         }
     }
 
@@ -187,9 +210,10 @@ impl Resolution {
 
 /// The precomputed grid tables — prior masses, per-cell event
 /// log-probabilities, their maxima over runs of cells, the coincidence grid and
-/// axis edges. Shared via [`Arc`] between the engine, every posterior it
-/// produces and any incremental updaters, so queries never copy the
-/// ~300k `f64` of tables.
+/// axis edges. Shared via [`Arc`] between every engine built from the
+/// same inputs (see [`WhiteBoxInference::windowed`]), every posterior
+/// they produce and any incremental updaters, so neither construction
+/// nor queries copy the ~300k `f64` of tables.
 ///
 /// The log tables live in cache-aligned, lane-padded [`LaneBuf`]s
 /// (structure-of-arrays): each of the four event classes is its own
@@ -424,9 +448,181 @@ fn recompute_range(
     kernels::recompute_max(out, &prior[range], &terms[..n])
 }
 
+/// Every construction input of a grid, floats by bit pattern: equal
+/// keys build bit-identical tables.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct GridKey {
+    /// `(α, β, range)` of the A and B priors.
+    priors: [[u64; 3]; 2],
+    coincidence: (u8, u64),
+    resolution: Resolution,
+    /// `(lo, hi)` of the A and B windows.
+    windows: [[u64; 2]; 2],
+}
+
+/// The process's grids: a weak handle on every grid built, and a strong
+/// one on the grid most recently requested.
+struct GridCache {
+    grids: Vec<(GridKey, Weak<GridTables>)>,
+    recent: Option<Arc<GridTables>>,
+}
+
+static GRIDS: Mutex<GridCache> = Mutex::new(GridCache {
+    grids: Vec::new(),
+    recent: None,
+});
+
+/// The grid of `key`: the resident one, or a new one from `build`.
+///
+/// The lock is held through a build, so concurrent requests for one key
+/// wait for its first build instead of making their own. A miss drops
+/// the most recent grid before it builds, so a grid no engine holds and
+/// a new one are never resident together. Nothing panics under the
+/// lock (the constructor validates its inputs first), and a poisoned
+/// lock is recovered: the cache holds no invariant a panic could break.
+fn shared_tables(key: GridKey, build: impl FnOnce() -> GridTables) -> Arc<GridTables> {
+    let mut cache = GRIDS.lock().unwrap_or_else(PoisonError::into_inner);
+    let resident = cache
+        .grids
+        .iter()
+        .filter(|(k, _)| *k == key)
+        .find_map(|(_, grid)| grid.upgrade());
+    let tables = resident.unwrap_or_else(|| {
+        cache.recent = None;
+        cache.grids.retain(|(_, grid)| grid.strong_count() > 0);
+        let tables = Arc::new(build());
+        cache.grids.push((key, Arc::downgrade(&tables)));
+        tables
+    });
+    cache.recent = Some(Arc::clone(&tables));
+    tables
+}
+
+impl GridTables {
+    /// Builds the tables of one grid (see [`WhiteBoxInference::windowed`]
+    /// for the inputs, validated there). Every cell is written straight
+    /// into its lane-padded table, whose padding already holds the
+    /// dead-cell `-inf`.
+    fn build(
+        prior_a: ScaledBeta,
+        prior_b: ScaledBeta,
+        coincidence: CoincidencePrior,
+        resolution: Resolution,
+        a_window: (f64, f64),
+        b_window: (f64, f64),
+    ) -> GridTables {
+        let (na, nb) = (resolution.a_cells, resolution.b_cells);
+        // `lo + (hi - lo)·i/n`: for the full-support window this reduces
+        // to `0 + range·i/n`, reproducing the unwindowed edges exactly.
+        let a_edges: Vec<f64> = (0..=na)
+            .map(|i| a_window.0 + (a_window.1 - a_window.0) * i as f64 / na as f64)
+            .collect();
+        let b_edges: Vec<f64> = (0..=nb)
+            .map(|j| b_window.0 + (b_window.1 - b_window.0) * j as f64 / nb as f64)
+            .collect();
+        let midpoint = |edges: &[f64], k: usize| 0.5 * (edges[k] + edges[k + 1]);
+        // The lines' log-prior maxima start at -inf and grow with the
+        // blocks below. Allocated before the multi-megabyte tables, like
+        // the edges and the stored q grid: small long-lived allocations
+        // between those tables kept freed table memory from being reused
+        // when engines were built and dropped in turn, and raised peak
+        // RSS.
+        let mut rows: Vec<Line> = (0..na)
+            .map(|i| Line::new(midpoint(&a_edges, i), f64::NEG_INFINITY))
+            .collect();
+        let mut cols: Vec<Line> = (0..nb)
+            .map(|j| Line::new(midpoint(&b_edges, j), f64::NEG_INFINITY))
+            .collect();
+        let a_mass: Vec<f64> = (0..na)
+            .map(|i| prior_a.mass(a_edges[i], a_edges[i + 1]))
+            .collect();
+        let b_mass: Vec<f64> = (0..nb)
+            .map(|j| prior_b.mass(b_edges[j], b_edges[j + 1]))
+            .collect();
+        let q_grid = coincidence.q_grid(resolution.q_cells);
+        let q_points = q_grid.len();
+        let q_points_kept: Vec<QPoint> = q_grid.iter().map(|&(qp, _)| qp).collect();
+
+        let cells = na * nb * q_points;
+        // ln_prior, ln_p11, ln_p10, ln_p01, ln_p00: the maximum over
+        // each run of a block's cells, and per cell.
+        let run_len = q_points.div_ceil(RUNS);
+        let runs = q_points.div_ceil(run_len);
+        let mut run_columns: [Vec<f64>; 5] =
+            std::array::from_fn(|_| Vec::with_capacity(na * nb * runs));
+        let mut tables: [LaneBuf; 5] =
+            std::array::from_fn(|_| LaneBuf::filled(cells, f64::NEG_INFINITY));
+        let mut columns = tables
+            .each_mut()
+            .map(|table| &mut table.padded_mut()[..cells]);
+
+        let mut cell = 0;
+        for i in 0..na {
+            let pa = midpoint(&a_edges, i);
+            for j in 0..nb {
+                let pb = midpoint(&b_edges, j);
+                let base_mass = a_mass[i] * b_mass[j];
+                let mut run_max = [[f64::NEG_INFINITY; 5]; RUNS];
+                for (k, &(qp, q_mass)) in q_grid.iter().enumerate() {
+                    let p11 = qp.p_ab(pa, pb);
+                    let p10 = pa - p11;
+                    let p01 = pb - p11;
+                    let p00 = 1.0 - pa - pb + p11;
+                    let prior = base_mass * q_mass;
+                    let valid = prior > 0.0 && p11 >= 0.0 && p10 >= 0.0 && p01 >= 0.0 && p00 > 0.0;
+                    // ln(0) = -inf is fine: xlny handles zero counts.
+                    let logs = if valid {
+                        [prior.ln(), p11.ln(), p10.ln(), p01.ln(), p00.ln()]
+                    } else {
+                        [f64::NEG_INFINITY; 5]
+                    };
+                    let maxima = &mut run_max[k / run_len];
+                    for ((column, max), v) in columns.iter_mut().zip(maxima).zip(logs) {
+                        column[cell] = v;
+                        if v > *max {
+                            *max = v;
+                        }
+                    }
+                    cell += 1;
+                }
+                for maxima in &run_max[..runs] {
+                    for (column, &max) in run_columns.iter_mut().zip(maxima) {
+                        column.push(max);
+                    }
+                    rows[i].ln_prior = rows[i].ln_prior.max(maxima[0]);
+                    cols[j].ln_prior = cols[j].ln_prior.max(maxima[0]);
+                }
+            }
+        }
+        let p_max = midpoint(&a_edges, na - 1).max(midpoint(&b_edges, nb - 1));
+
+        let [ln_prior, ln_p11, ln_p10, ln_p01, ln_p00] = tables;
+        let [run_prior, run_p @ ..] = run_columns;
+        GridTables {
+            a_edges,
+            b_edges,
+            ln_prior,
+            ln_p11,
+            ln_p10,
+            ln_p01,
+            ln_p00,
+            run_prior,
+            run_p,
+            runs,
+            rows,
+            cols,
+            line_slack: 1.0 / (1.0 - p_max),
+            q_grid: q_points_kept,
+            q_points,
+            pab_range: prior_a.range().min(prior_b.range()),
+        }
+    }
+}
+
 /// White-box inference engine. Construction precomputes the prior masses
-/// and the per-cell log-probabilities of the four Table 1 events, so each
-/// posterior update is a single fused pass over the grid.
+/// and the per-cell log-probabilities of the four Table 1 events, or
+/// finds them already built for the same inputs, so each posterior
+/// update is a single fused pass over the grid.
 #[derive(Debug, Clone)]
 pub struct WhiteBoxInference {
     prior_a: ScaledBeta,
@@ -479,6 +675,13 @@ impl WhiteBoxInference {
     /// With the full-support windows `(0, range)` this is exactly
     /// [`WhiteBoxInference::with_resolution`], bit for bit.
     ///
+    /// Every engine is built here, and engines built from equal inputs
+    /// share one grid ([`Self::shares_grid`]): while any engine holds
+    /// it, or while it is the grid most recently requested, the same
+    /// inputs return it instead of building it again. A request for a
+    /// grid that is not resident releases the most recent one before
+    /// it builds, and concurrent requests for one grid build it once.
+    ///
     /// # Panics
     ///
     /// Panics if any resolution component is zero, a coincidence-prior
@@ -503,112 +706,37 @@ impl WhiteBoxInference {
                 "window {window:?} empty or outside the prior support [0, {range}]"
             );
         }
-        let (na, nb) = (resolution.a_cells, resolution.b_cells);
-        // `lo + (hi - lo)·i/n`: for the full-support window this reduces
-        // to `0 + range·i/n`, reproducing the unwindowed edges exactly.
-        let a_edges: Vec<f64> = (0..=na)
-            .map(|i| a_window.0 + (a_window.1 - a_window.0) * i as f64 / na as f64)
-            .collect();
-        let b_edges: Vec<f64> = (0..=nb)
-            .map(|j| b_window.0 + (b_window.1 - b_window.0) * j as f64 / nb as f64)
-            .collect();
-        let midpoint = |edges: &[f64], k: usize| 0.5 * (edges[k] + edges[k + 1]);
-        // The lines' log-prior maxima start at -inf and grow with the
-        // blocks below. Allocated before the multi-megabyte tables, like
-        // the edges: small long-lived allocations between those tables
-        // kept freed table memory from being reused when engines were
-        // built and dropped in turn, and raised peak RSS.
-        let mut rows: Vec<Line> = (0..na)
-            .map(|i| Line::new(midpoint(&a_edges, i), f64::NEG_INFINITY))
-            .collect();
-        let mut cols: Vec<Line> = (0..nb)
-            .map(|j| Line::new(midpoint(&b_edges, j), f64::NEG_INFINITY))
-            .collect();
-        let a_mass: Vec<f64> = (0..na)
-            .map(|i| prior_a.mass(a_edges[i], a_edges[i + 1]))
-            .collect();
-        let b_mass: Vec<f64> = (0..nb)
-            .map(|j| prior_b.mass(b_edges[j], b_edges[j + 1]))
-            .collect();
-        let q_grid = coincidence.q_grid(resolution.q_cells);
-        let q_points = q_grid.len();
-
-        let cells = na * nb * q_points;
-        // ln_prior, ln_p11, ln_p10, ln_p01, ln_p00: per cell, and the
-        // maximum over each run of a block's cells.
-        let mut columns: [Vec<f64>; 5] = std::array::from_fn(|_| Vec::with_capacity(cells));
-        let run_len = q_points.div_ceil(RUNS);
-        let runs = q_points.div_ceil(run_len);
-        let mut run_columns: [Vec<f64>; 5] =
-            std::array::from_fn(|_| Vec::with_capacity(na * nb * runs));
-
-        for i in 0..na {
-            let pa = midpoint(&a_edges, i);
-            for j in 0..nb {
-                let pb = midpoint(&b_edges, j);
-                let base_mass = a_mass[i] * b_mass[j];
-                let mut run_max = [[f64::NEG_INFINITY; 5]; RUNS];
-                for (k, &(qp, q_mass)) in q_grid.iter().enumerate() {
-                    let p11 = qp.p_ab(pa, pb);
-                    let p10 = pa - p11;
-                    let p01 = pb - p11;
-                    let p00 = 1.0 - pa - pb + p11;
-                    let prior = base_mass * q_mass;
-                    let valid = prior > 0.0 && p11 >= 0.0 && p10 >= 0.0 && p01 >= 0.0 && p00 > 0.0;
-                    // ln(0) = -inf is fine: xlny handles zero counts.
-                    let logs = if valid {
-                        [prior.ln(), p11.ln(), p10.ln(), p01.ln(), p00.ln()]
-                    } else {
-                        [f64::NEG_INFINITY; 5]
-                    };
-                    let maxima = &mut run_max[k / run_len];
-                    for ((column, max), v) in columns.iter_mut().zip(maxima).zip(logs) {
-                        column.push(v);
-                        if v > *max {
-                            *max = v;
-                        }
-                    }
-                }
-                for maxima in &run_max[..runs] {
-                    for (column, &max) in run_columns.iter_mut().zip(maxima) {
-                        column.push(max);
-                    }
-                    rows[i].ln_prior = rows[i].ln_prior.max(maxima[0]);
-                    cols[j].ln_prior = cols[j].ln_prior.max(maxima[0]);
-                }
-            }
-        }
-        let p_max = midpoint(&a_edges, na - 1).max(midpoint(&b_edges, nb - 1));
-
-        // Pad with the dead-cell encoding so chunked sweeps can cover
-        // the padding lanes without affecting any result.
-        let [ln_prior, ln_p11, ln_p10, ln_p01, ln_p00] =
-            columns.map(|column| LaneBuf::new(&column, f64::NEG_INFINITY));
-        let [run_prior, run_p @ ..] = run_columns;
+        let bits =
+            |prior: ScaledBeta| [prior.alpha(), prior.beta(), prior.range()].map(f64::to_bits);
+        let key = GridKey {
+            priors: [bits(prior_a), bits(prior_b)],
+            coincidence: coincidence.key(),
+            resolution,
+            windows: [a_window, b_window].map(|(lo, hi)| [lo.to_bits(), hi.to_bits()]),
+        };
+        let tables = shared_tables(key, || {
+            GridTables::build(
+                prior_a,
+                prior_b,
+                coincidence,
+                resolution,
+                a_window,
+                b_window,
+            )
+        });
         WhiteBoxInference {
             prior_a,
             prior_b,
             coincidence,
             resolution,
-            tables: Arc::new(GridTables {
-                a_edges,
-                b_edges,
-                ln_prior,
-                ln_p11,
-                ln_p10,
-                ln_p01,
-                ln_p00,
-                run_prior,
-                run_p,
-                runs,
-                rows,
-                cols,
-                line_slack: 1.0 / (1.0 - p_max),
-                q_grid: q_grid.iter().map(|&(qp, _)| qp).collect(),
-                q_points,
-                pab_range: prior_a.range().min(prior_b.range()),
-            }),
+            tables,
         }
+    }
+
+    /// Whether this engine and `other` read one shared grid, as every
+    /// two engines built from equal inputs do (see [`Self::windowed`]).
+    pub fn shares_grid(&self, other: &WhiteBoxInference) -> bool {
+        Arc::ptr_eq(&self.tables, &other.tables)
     }
 
     /// The prior over the old release's pfd.
@@ -637,18 +765,20 @@ impl WhiteBoxInference {
     /// recompute kernel: the floating-point operation order is
     /// identical, so batch and incremental results agree bit-for-bit at
     /// the same totals. This full sweep is the independent reference the
-    /// pruned [`PosteriorUpdater::rebase`] is tested against.
+    /// pruned [`PosteriorUpdater::rebase`] is tested against. The
+    /// log-weights are exponentiated in place and kept as the weights,
+    /// so the query holds one grid-sized buffer.
     pub fn posterior(&self, counts: &JointCounts) -> WhiteBoxPosterior {
         let tables = &self.tables;
-        let mut ln_w = vec![f64::NEG_INFINITY; tables.padded_cells()];
+        let mut weights = vec![f64::NEG_INFINITY; tables.padded_cells()];
         let blocks = tables.a_cells() * tables.b_cells();
-        let max = tables.recompute_blocks(event_counts(counts), &mut ln_w, 0..blocks);
+        let max = tables.recompute_blocks(event_counts(counts), &mut weights, 0..blocks);
         assert!(
             max.is_finite(),
             "posterior vanished everywhere: counts {counts} are impossible under the prior"
         );
-        let mut weights = vec![0.0; tables.cells()];
-        kernels::exp_weights(&ln_w[..tables.cells()], max, &mut weights);
+        weights.truncate(tables.cells());
+        kernels::exp_weights_in_place(&mut weights, max);
         WhiteBoxPosterior {
             tables: Arc::clone(tables),
             weights,
@@ -1320,6 +1450,147 @@ mod tests {
                 0x8a82_6bdf_fc11_bc1d
             ]
         );
+    }
+
+    /// The reference tables of [`copying_build`]: `ln_prior, ln_p11..ln_p00`
+    /// per cell and per run, and the lines' log-prior maxima.
+    struct CopyingBuild {
+        columns: [Vec<f64>; 5],
+        run_columns: [Vec<f64>; 5],
+        rows: Vec<f64>,
+        cols: Vec<f64>,
+    }
+
+    /// The per-cell columns, the run maxima and the lines' log-prior
+    /// maxima as the construction computed them when it filled plain
+    /// `Vec` columns and then copied each into its lane buffer (padded
+    /// with `-inf`): the reference the in-place build must match bit
+    /// for bit.
+    fn copying_build(
+        prior_a: ScaledBeta,
+        prior_b: ScaledBeta,
+        coincidence: CoincidencePrior,
+        resolution: Resolution,
+        a_window: (f64, f64),
+        b_window: (f64, f64),
+    ) -> CopyingBuild {
+        let (na, nb) = (resolution.a_cells, resolution.b_cells);
+        let a_edges: Vec<f64> = (0..=na)
+            .map(|i| a_window.0 + (a_window.1 - a_window.0) * i as f64 / na as f64)
+            .collect();
+        let b_edges: Vec<f64> = (0..=nb)
+            .map(|j| b_window.0 + (b_window.1 - b_window.0) * j as f64 / nb as f64)
+            .collect();
+        let midpoint = |edges: &[f64], k: usize| 0.5 * (edges[k] + edges[k + 1]);
+        let mut rows = vec![f64::NEG_INFINITY; na];
+        let mut cols = vec![f64::NEG_INFINITY; nb];
+        let a_mass: Vec<f64> = (0..na)
+            .map(|i| prior_a.mass(a_edges[i], a_edges[i + 1]))
+            .collect();
+        let b_mass: Vec<f64> = (0..nb)
+            .map(|j| prior_b.mass(b_edges[j], b_edges[j + 1]))
+            .collect();
+        let q_grid = coincidence.q_grid(resolution.q_cells);
+        let q_points = q_grid.len();
+        let cells = na * nb * q_points;
+        let mut columns: [Vec<f64>; 5] = std::array::from_fn(|_| Vec::with_capacity(cells));
+        let run_len = q_points.div_ceil(RUNS);
+        let runs = q_points.div_ceil(run_len);
+        let mut run_columns: [Vec<f64>; 5] =
+            std::array::from_fn(|_| Vec::with_capacity(na * nb * runs));
+        for i in 0..na {
+            let pa = midpoint(&a_edges, i);
+            for j in 0..nb {
+                let pb = midpoint(&b_edges, j);
+                let base_mass = a_mass[i] * b_mass[j];
+                let mut run_max = [[f64::NEG_INFINITY; 5]; RUNS];
+                for (k, &(qp, q_mass)) in q_grid.iter().enumerate() {
+                    let p11 = qp.p_ab(pa, pb);
+                    let p10 = pa - p11;
+                    let p01 = pb - p11;
+                    let p00 = 1.0 - pa - pb + p11;
+                    let prior = base_mass * q_mass;
+                    let valid = prior > 0.0 && p11 >= 0.0 && p10 >= 0.0 && p01 >= 0.0 && p00 > 0.0;
+                    let logs = if valid {
+                        [prior.ln(), p11.ln(), p10.ln(), p01.ln(), p00.ln()]
+                    } else {
+                        [f64::NEG_INFINITY; 5]
+                    };
+                    let maxima = &mut run_max[k / run_len];
+                    for ((column, max), v) in columns.iter_mut().zip(maxima).zip(logs) {
+                        column.push(v);
+                        if v > *max {
+                            *max = v;
+                        }
+                    }
+                }
+                for maxima in &run_max[..runs] {
+                    for (column, &max) in run_columns.iter_mut().zip(maxima) {
+                        column.push(max);
+                    }
+                    rows[i] = rows[i].max(maxima[0]);
+                    cols[j] = cols[j].max(maxima[0]);
+                }
+            }
+        }
+        CopyingBuild {
+            columns,
+            run_columns,
+            rows,
+            cols,
+        }
+    }
+
+    #[test]
+    fn in_place_build_matches_the_copying_build() {
+        let prior_a = ScaledBeta::new(20.0, 20.0, 0.002).unwrap();
+        let prior_b = ScaledBeta::new(2.0, 3.0, 0.003).unwrap();
+        // An odd q count, so the second run of a block is the shorter.
+        let res = Resolution {
+            a_cells: 24,
+            b_cells: 20,
+            q_cells: 7,
+        };
+        let full = ((0.0, prior_a.range()), (0.0, prior_b.range()));
+        for (coincidence, (a_window, b_window)) in [
+            (CoincidencePrior::IndifferenceUniform, full),
+            (CoincidencePrior::ScaledUniform(0.3), full),
+            (CoincidencePrior::FixedFraction(0.5), full),
+            (CoincidencePrior::Independent, full),
+            (
+                CoincidencePrior::IndifferenceUniform,
+                ((2e-4, 1.7e-3), (1e-4, 2.5e-3)),
+            ),
+        ] {
+            let engine =
+                WhiteBoxInference::windowed(prior_a, prior_b, coincidence, res, a_window, b_window);
+            let reference = copying_build(prior_a, prior_b, coincidence, res, a_window, b_window);
+            let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let got = engine.log_tables();
+            for (table, want) in [got.ln_prior]
+                .iter()
+                .chain(&got.ln_p)
+                .zip(&reference.columns)
+            {
+                assert_eq!(bits(table), bits(want), "{coincidence:?} {a_window:?}");
+            }
+            let t = &engine.tables;
+            for (table, want) in [&t.run_prior]
+                .into_iter()
+                .chain(&t.run_p)
+                .zip(&reference.run_columns)
+            {
+                assert_eq!(bits(table), bits(want), "{coincidence:?} run maxima");
+            }
+            let line_priors = |lines: &[Line]| lines.iter().map(|l| l.ln_prior).collect::<Vec<_>>();
+            assert_eq!(bits(&line_priors(&t.rows)), bits(&reference.rows));
+            assert_eq!(bits(&line_priors(&t.cols)), bits(&reference.cols));
+            for table in [&t.ln_prior, &t.ln_p11, &t.ln_p10, &t.ln_p01, &t.ln_p00] {
+                assert!(table.padded()[t.cells()..]
+                    .iter()
+                    .all(|&v| v == f64::NEG_INFINITY));
+            }
+        }
     }
 
     #[test]

@@ -161,6 +161,21 @@ fn exp_weights_matches_scalar() {
 }
 
 #[test]
+fn exp_weights_in_place_matches_scalar() {
+    for seed in 0..SEEDS {
+        let mut rng = StreamRng::from_seed(seed);
+        let len = random_len(&mut rng);
+        let w = random_weights(&mut rng, len);
+        let max = w.iter().cloned().fold(f64::NEG_INFINITY, f64::max).max(0.0);
+        let mut in_place = w.clone();
+        let mut reference = vec![f64::NAN; len];
+        kernels::exp_weights_in_place(&mut in_place, max);
+        scalar::exp_weights(&w, max, &mut reference);
+        assert_bits_eq(&in_place, &reference, "exp_weights_in_place", seed);
+    }
+}
+
+#[test]
 fn exp_stride_sums_long_stride_matches_scalar() {
     // q beyond the interleaved path's stack buffer exercises the serial
     // fallback; the association must not change with it.

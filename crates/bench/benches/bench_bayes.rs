@@ -154,6 +154,35 @@ fn whitebox_rebase(c: &mut Criterion) {
     group.finish();
 }
 
+/// Engine construction on the default grid. `cold` asks for a prior no
+/// earlier iteration used, so every call builds a grid (and releases
+/// the previous one); `shared` asks for the grid an engine held outside
+/// the loop already has, as a deployment rebuilt with unchanged priors
+/// does.
+fn engine_construction(c: &mut Criterion) {
+    let mut group = c.benchmark_group("bayes/engine");
+    let build = |alpha: f64| {
+        WhiteBoxInference::new(
+            ScaledBeta::new(alpha, 20.0, 0.002).unwrap(),
+            ScaledBeta::new(2.0, 3.0, 0.002).unwrap(),
+            CoincidencePrior::IndifferenceUniform,
+        )
+    };
+    let mut alpha = 20.0;
+    group.bench_function("96x96x32/cold", |b| {
+        b.iter(|| {
+            alpha += 1e-6;
+            build(alpha)
+        });
+    });
+    let held = build(20.0);
+    group.bench_function("96x96x32/shared", |b| {
+        b.iter(|| build(black_box(20.0)));
+    });
+    drop(held);
+    group.finish();
+}
+
 /// Per-kernel throughput over a default-grid-sized buffer (96×96×32 =
 /// 294,912 cells): the lane-chunked structure-of-arrays kernels the
 /// white-box hot paths are built from.
@@ -291,6 +320,7 @@ criterion_group!(
     whitebox_posterior,
     whitebox_incremental,
     whitebox_rebase,
+    engine_construction,
     whitebox_kernels,
     whitebox_adaptive,
     whitebox_marginals,

@@ -45,7 +45,7 @@
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -193,6 +193,14 @@ impl std::fmt::Debug for HttpFront {
     }
 }
 
+/// Locks one worker's registry. A worker that panicked while holding
+/// the lock leaves behind the counts it had made, which every later
+/// scrape should still render, so a poisoned lock is recovered instead
+/// of propagating the panic.
+fn lock_registry(slot: &Mutex<MetricsRegistry>) -> MutexGuard<'_, MetricsRegistry> {
+    slot.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// How long an idle worker sleeps between accept polls.
 const ACCEPT_POLL: Duration = Duration::from_micros(500);
 
@@ -255,7 +263,7 @@ fn worker_loop(
     let mut applied_promote = 0u64;
     let worker_label = worker.to_string();
     let metrics = {
-        let mut registry = shared.registries[worker].lock().expect("registry poisoned");
+        let mut registry = lock_registry(&shared.registries[worker]);
         WorkerMetrics::resolve(&mut registry, &worker_label)
     };
     // Reused per-response JSON buffer: the demand path allocates only
@@ -319,7 +327,7 @@ fn serve_connection(
                 );
                 let served_demand = request.method == "POST" && request.path == "/demand";
                 if served_demand {
-                    let mut registry = shared.registries[worker].lock().expect("registry poisoned");
+                    let mut registry = lock_registry(&shared.registries[worker]);
                     registry.observe_sketch_id(
                         metrics.service_seconds,
                         started.elapsed().as_secs_f64(),
@@ -334,8 +342,7 @@ fn serve_connection(
             Err(err) => {
                 if let Some(response) = err.response() {
                     {
-                        let mut registry =
-                            shared.registries[worker].lock().expect("registry poisoned");
+                        let mut registry = lock_registry(&shared.registries[worker]);
                         registry.inc_counter_id(metrics.errors);
                     }
                     let _ = conn.send(&response, false);
@@ -386,7 +393,7 @@ fn route(
         _ => 4,
     };
     {
-        let mut registry = shared.registries[worker].lock().expect("registry poisoned");
+        let mut registry = lock_registry(&shared.registries[worker]);
         registry.inc_counter_id(metrics.requests[route_index]);
     }
     if let Some(rest) = request.path.strip_prefix("/promote/") {
@@ -422,8 +429,7 @@ fn route(
             match result {
                 Ok(outcome) => {
                     {
-                        let mut registry =
-                            shared.registries[worker].lock().expect("registry poisoned");
+                        let mut registry = lock_registry(&shared.registries[worker]);
                         registry.inc_counter_id(metrics.demands);
                         registry.inc_counter_id(metrics.verdict_id(outcome.verdict_label()));
                         registry.observe_sketch_id(metrics.virtual_seconds, outcome.response_time);
@@ -477,7 +483,7 @@ fn render_outcome_json(out: &mut String, outcome: &wsu_core::serve::DemandOutcom
 fn render_merged_metrics(shared: &FrontShared) -> String {
     let mut merged = MetricsRegistry::new();
     for slot in &shared.registries {
-        let registry = slot.lock().expect("registry poisoned");
+        let registry = lock_registry(slot);
         merged.merge(&registry);
     }
     merged.snapshot()
@@ -490,7 +496,7 @@ fn render_snapshot_json(shared: &FrontShared) -> String {
     let mut per_worker = Vec::with_capacity(workers);
     let mut verdicts = [0u64; 4];
     for (w, slot) in shared.registries.iter().enumerate() {
-        let registry = slot.lock().expect("registry poisoned");
+        let registry = lock_registry(slot);
         let label = w.to_string();
         per_worker.push(registry.counter("wsu_http_demands_total", &[("worker", &label)]));
         for (i, v) in VERDICTS.iter().enumerate() {
@@ -637,6 +643,38 @@ mod tests {
         assert_eq!(snap.status, 200);
         assert!(snap.body.starts_with("{\"workers\":2,\"demands\":3,"));
         assert!(snap.body.contains("\"CR\":3"));
+        front.shutdown();
+    }
+
+    #[test]
+    fn a_poisoned_worker_registry_does_not_break_later_scrapes() {
+        let front = deterministic_front(2);
+        let addr = front.local_addr();
+        let mut client = HttpClient::connect(addr, Duration::from_secs(5)).expect("connect");
+        for _ in 0..3 {
+            let resp = client.request("POST", "/demand", b"").expect("demand");
+            assert_eq!(resp.status, 200);
+        }
+        drop(client);
+        // A thread that panics while it holds worker 1's registry
+        // poisons that lock, as a worker panicking mid-demand would.
+        let shared = Arc::clone(&front.shared);
+        let poisoner = std::thread::spawn(move || {
+            let _registry = shared.registries[1].lock().unwrap();
+            panic!("worker panicked while holding its registry");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(front.shared.registries[1].is_poisoned());
+
+        let metrics = front.metrics_text();
+        assert!(metrics.contains("wsu_http_demands_total"));
+        for _ in 0..2 {
+            let scrape = http_get(addr, "/metrics").expect("scrape");
+            assert_eq!(scrape.status, 200);
+            let snap = http_get(addr, "/snapshot").expect("snapshot");
+            assert_eq!(snap.status, 200);
+            assert!(snap.body.contains("\"demands\":3,"), "{}", snap.body);
+        }
         front.shutdown();
     }
 }
