@@ -58,10 +58,6 @@
 //!   breaks the serial addition dependency that otherwise stalls the
 //!   sweep without moving a single rounding.
 //!
-//! [`sum4`] provides the matching lane-chunked flat reduction for
-//! contexts where the association is free to change (the adaptive
-//! coarse-to-fine mode's region selection).
-//!
 //! Dead cells (where the prior vanishes) are encoded as `-inf` in every
 //! table, which keeps the kernels branch-free: `-inf + d·(-inf) = -inf`
 //! for the non-zero deltas the callers pass, so dead cells stay dead
@@ -411,15 +407,6 @@ pub mod scalar {
                 idx += q;
             }
         }
-    }
-
-    /// Plain sequential sum.
-    pub fn sum(xs: &[f64]) -> f64 {
-        let mut acc = 0.0;
-        for &x in xs {
-            acc += x;
-        }
-        acc
     }
 }
 
@@ -1105,26 +1092,6 @@ impl RowGroup<'_> {
     }
 }
 
-/// Lane-chunked sum with four independent accumulators. This
-/// re-associates the addition order, so it is reserved for paths whose
-/// results are *not* byte-pinned by the committed artefacts (the
-/// adaptive mode's coarse-region selection); everything on the default
-/// fixed-grid path sums via [`scalar::sum`].
-pub fn sum4(xs: &[f64]) -> f64 {
-    let mut acc = [0.0f64; LANES];
-    let (chunks, tail) = xs.as_chunks::<LANES>();
-    for c in chunks {
-        for l in 0..LANES {
-            acc[l] += c[l];
-        }
-    }
-    let mut total = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    for &x in tail {
-        total += x;
-    }
-    total
-}
-
 /// A 64-byte-aligned, lane-padded `f64` buffer.
 ///
 /// The crate forbids `unsafe`, so alignment comes from over-allocating
@@ -1298,13 +1265,6 @@ mod tests {
         let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&a_got), bits(&a_want));
         assert_eq!(bits(&b_got), bits(&b_want));
-    }
-
-    #[test]
-    fn sum4_matches_scalar_closely() {
-        let xs: Vec<f64> = (0..1001).map(|i| (i as f64) * 0.001).collect();
-        let exact = scalar::sum(&xs);
-        assert!((sum4(&xs) - exact).abs() <= 1e-9 * exact.abs());
     }
 
     #[test]

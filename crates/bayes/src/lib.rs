@@ -17,9 +17,8 @@
 //! Supporting modules: [`special`] (log-gamma, regularized incomplete
 //! beta, log-sum-exp), [`beta`] (Beta and scaled-Beta distributions),
 //! [`counts`] (joint outcome bookkeeping), [`posterior`] (grid
-//! marginals with percentile/confidence queries), [`kernels`] (the
-//! vectorized structure-of-arrays grid kernels) and [`adaptive`]
-//! (opt-in coarse-to-fine grid refinement).
+//! marginals with percentile/confidence queries) and [`kernels`] (the
+//! vectorized structure-of-arrays grid kernels).
 //!
 //! # Example: black-box confidence after observing 1000 clean demands
 //!
@@ -40,7 +39,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod beta;
 pub mod blackbox;
 pub mod compare;
@@ -50,7 +48,6 @@ pub mod posterior;
 pub mod special;
 pub mod whitebox;
 
-pub use adaptive::{AdaptiveResolution, AdaptiveUpdater, AdaptiveWhiteBox};
 pub use beta::ScaledBeta;
 pub use blackbox::{BlackBoxInference, BlackBoxUpdater};
 pub use counts::JointCounts;

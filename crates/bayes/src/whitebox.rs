@@ -73,7 +73,7 @@
 //! long as any engine holds it, and the most recently requested grid
 //! stays resident after its last engine is dropped, until another
 //! grid is requested. At most one grid that no engine holds is
-//! resident at a time. See [`WhiteBoxInference::windowed`].
+//! resident at a time. See [`WhiteBoxInference::with_resolution`].
 
 use std::ops::Range;
 use std::sync::{Arc, Mutex, PoisonError, Weak};
@@ -197,21 +197,10 @@ impl Default for Resolution {
     }
 }
 
-impl Resolution {
-    /// The default adaptive coarse-to-fine configuration: a 32×32×16
-    /// coarse pass over the full prior support locates the posterior's
-    /// high-mass region, and a fine grid at the default fixed resolution
-    /// is spent only there. See [`crate::adaptive`] for the accuracy
-    /// contract.
-    pub fn adaptive() -> crate::adaptive::AdaptiveResolution {
-        crate::adaptive::AdaptiveResolution::default()
-    }
-}
-
 /// The precomputed grid tables — prior masses, per-cell event
 /// log-probabilities, their maxima over runs of cells, the coincidence grid and
 /// axis edges. Shared via [`Arc`] between every engine built from the
-/// same inputs (see [`WhiteBoxInference::windowed`]), every posterior
+/// same inputs (see [`WhiteBoxInference::with_resolution`]), every posterior
 /// they produce and any incremental updaters, so neither construction
 /// nor queries copy the ~300k `f64` of tables.
 ///
@@ -374,10 +363,10 @@ impl GridTables {
         let n = counts.demands() as f64;
         let pa = (counts.both_failed() + counts.only_a_failed()) as f64 / n;
         let pb = (counts.both_failed() + counts.only_b_failed()) as f64 / n;
-        // `as usize` saturates: below the grid (and NaN) maps to 0.
+        // `as usize` saturates: NaN maps to 0.
         let cell = |edges: &[f64], p: f64| {
-            let (lo, hi) = (edges[0], edges[edges.len() - 1]);
-            (((p - lo) / (hi - lo) * (edges.len() - 1) as f64) as usize).min(edges.len() - 2)
+            let n = edges.len() - 1;
+            ((p / edges[n] * n as f64) as usize).min(n - 1)
         };
         cell(&self.a_edges, pa) * self.b_cells() + cell(&self.b_edges, pb)
     }
@@ -456,8 +445,6 @@ struct GridKey {
     priors: [[u64; 3]; 2],
     coincidence: (u8, u64),
     resolution: Resolution,
-    /// `(lo, hi)` of the A and B windows.
-    windows: [[u64; 2]; 2],
 }
 
 /// The process's grids: a weak handle on every grid built, and a strong
@@ -499,27 +486,24 @@ fn shared_tables(key: GridKey, build: impl FnOnce() -> GridTables) -> Arc<GridTa
 }
 
 impl GridTables {
-    /// Builds the tables of one grid (see [`WhiteBoxInference::windowed`]
-    /// for the inputs, validated there). Every cell is written straight
-    /// into its lane-padded table, whose padding already holds the
-    /// dead-cell `-inf`.
+    /// Builds the tables of one grid (see
+    /// [`WhiteBoxInference::with_resolution`] for the inputs, validated
+    /// there). Every cell is written straight into its lane-padded
+    /// table, whose padding already holds the dead-cell `-inf`.
     fn build(
         prior_a: ScaledBeta,
         prior_b: ScaledBeta,
         coincidence: CoincidencePrior,
         resolution: Resolution,
-        a_window: (f64, f64),
-        b_window: (f64, f64),
     ) -> GridTables {
         let (na, nb) = (resolution.a_cells, resolution.b_cells);
-        // `lo + (hi - lo)·i/n`: for the full-support window this reduces
-        // to `0 + range·i/n`, reproducing the unwindowed edges exactly.
-        let a_edges: Vec<f64> = (0..=na)
-            .map(|i| a_window.0 + (a_window.1 - a_window.0) * i as f64 / na as f64)
-            .collect();
-        let b_edges: Vec<f64> = (0..=nb)
-            .map(|j| b_window.0 + (b_window.1 - b_window.0) * j as f64 / nb as f64)
-            .collect();
+        // Each axis covers its prior's support `[0, range]`; the committed
+        // results pin these edges, so the multiply stays before the divide.
+        let edges = |range: f64, n: usize| -> Vec<f64> {
+            (0..=n).map(|i| range * i as f64 / n as f64).collect()
+        };
+        let a_edges = edges(prior_a.range(), na);
+        let b_edges = edges(prior_b.range(), nb);
         let midpoint = |edges: &[f64], k: usize| 0.5 * (edges[k] + edges[k + 1]);
         // The lines' log-prior maxima start at -inf and grow with the
         // blocks below. Allocated before the multi-megabyte tables, like
@@ -642,7 +626,15 @@ impl WhiteBoxInference {
         WhiteBoxInference::with_resolution(prior_a, prior_b, coincidence, Resolution::default())
     }
 
-    /// Creates an engine with an explicit grid resolution.
+    /// Creates an engine with an explicit grid resolution, over the
+    /// priors' full supports.
+    ///
+    /// Every engine is built here, and engines built from equal inputs
+    /// share one grid ([`Self::shares_grid`]): while any engine holds
+    /// it, or while it is the grid most recently requested, the same
+    /// inputs return it instead of building it again. A request for a
+    /// grid that is not resident releases the most recent one before
+    /// it builds, and concurrent requests for one grid build it once.
     ///
     /// # Panics
     ///
@@ -654,75 +646,20 @@ impl WhiteBoxInference {
         coincidence: CoincidencePrior,
         resolution: Resolution,
     ) -> WhiteBoxInference {
-        WhiteBoxInference::windowed(
-            prior_a,
-            prior_b,
-            coincidence,
-            resolution,
-            (0.0, prior_a.range()),
-            (0.0, prior_b.range()),
-        )
-    }
-
-    /// Creates an engine whose grid covers only the given axis windows
-    /// instead of the priors' full supports. This is the fine stage of
-    /// the adaptive coarse-to-fine mode ([`crate::adaptive`]): spending
-    /// the whole grid budget on the posterior's high-mass region. Prior
-    /// mass outside the windows is simply not represented — queries
-    /// against the resulting posteriors treat it as zero — so windows
-    /// must cover essentially all posterior mass for accurate answers.
-    ///
-    /// With the full-support windows `(0, range)` this is exactly
-    /// [`WhiteBoxInference::with_resolution`], bit for bit.
-    ///
-    /// Every engine is built here, and engines built from equal inputs
-    /// share one grid ([`Self::shares_grid`]): while any engine holds
-    /// it, or while it is the grid most recently requested, the same
-    /// inputs return it instead of building it again. A request for a
-    /// grid that is not resident releases the most recent one before
-    /// it builds, and concurrent requests for one grid build it once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any resolution component is zero, a coincidence-prior
-    /// parameter is out of range, or a window is empty, inverted or
-    /// outside `[0, range]`.
-    pub fn windowed(
-        prior_a: ScaledBeta,
-        prior_b: ScaledBeta,
-        coincidence: CoincidencePrior,
-        resolution: Resolution,
-        a_window: (f64, f64),
-        b_window: (f64, f64),
-    ) -> WhiteBoxInference {
         assert!(
             resolution.a_cells > 0 && resolution.b_cells > 0 && resolution.q_cells > 0,
             "grid resolution components must be positive"
         );
         coincidence.validate();
-        for (window, range) in [(a_window, prior_a.range()), (b_window, prior_b.range())] {
-            assert!(
-                window.0 >= 0.0 && window.0 < window.1 && window.1 <= range,
-                "window {window:?} empty or outside the prior support [0, {range}]"
-            );
-        }
         let bits =
             |prior: ScaledBeta| [prior.alpha(), prior.beta(), prior.range()].map(f64::to_bits);
         let key = GridKey {
             priors: [bits(prior_a), bits(prior_b)],
             coincidence: coincidence.key(),
             resolution,
-            windows: [a_window, b_window].map(|(lo, hi)| [lo.to_bits(), hi.to_bits()]),
         };
         let tables = shared_tables(key, || {
-            GridTables::build(
-                prior_a,
-                prior_b,
-                coincidence,
-                resolution,
-                a_window,
-                b_window,
-            )
+            GridTables::build(prior_a, prior_b, coincidence, resolution)
         });
         WhiteBoxInference {
             prior_a,
@@ -734,7 +671,8 @@ impl WhiteBoxInference {
     }
 
     /// Whether this engine and `other` read one shared grid, as every
-    /// two engines built from equal inputs do (see [`Self::windowed`]).
+    /// two engines built from equal inputs do (see
+    /// [`Self::with_resolution`]).
     pub fn shares_grid(&self, other: &WhiteBoxInference) -> bool {
         Arc::ptr_eq(&self.tables, &other.tables)
     }
@@ -1452,35 +1390,37 @@ mod tests {
         );
     }
 
-    /// The reference tables of [`copying_build`]: `ln_prior, ln_p11..ln_p00`
-    /// per cell and per run, and the lines' log-prior maxima.
+    /// The reference tables of [`copying_build`]: the axis edges,
+    /// `ln_prior, ln_p11..ln_p00` per cell and per run, and the lines'
+    /// log-prior maxima.
     struct CopyingBuild {
+        edges: [Vec<f64>; 2],
         columns: [Vec<f64>; 5],
         run_columns: [Vec<f64>; 5],
         rows: Vec<f64>,
         cols: Vec<f64>,
     }
 
-    /// The per-cell columns, the run maxima and the lines' log-prior
-    /// maxima as the construction computed them when it filled plain
-    /// `Vec` columns and then copied each into its lane buffer (padded
-    /// with `-inf`): the reference the in-place build must match bit
-    /// for bit.
+    /// The edges, the per-cell columns, the run maxima and the lines'
+    /// log-prior maxima as the construction computed them when it
+    /// filled plain `Vec` columns and then copied each into its lane
+    /// buffer (padded with `-inf`), and when an axis could cover a
+    /// window `(lo, hi)` of its support, here the whole support: the
+    /// reference the in-place build must match bit for bit.
     fn copying_build(
         prior_a: ScaledBeta,
         prior_b: ScaledBeta,
         coincidence: CoincidencePrior,
         resolution: Resolution,
-        a_window: (f64, f64),
-        b_window: (f64, f64),
     ) -> CopyingBuild {
         let (na, nb) = (resolution.a_cells, resolution.b_cells);
-        let a_edges: Vec<f64> = (0..=na)
-            .map(|i| a_window.0 + (a_window.1 - a_window.0) * i as f64 / na as f64)
-            .collect();
-        let b_edges: Vec<f64> = (0..=nb)
-            .map(|j| b_window.0 + (b_window.1 - b_window.0) * j as f64 / nb as f64)
-            .collect();
+        let windowed_edges = |(lo, hi): (f64, f64), n: usize| -> Vec<f64> {
+            (0..=n)
+                .map(|i| lo + (hi - lo) * i as f64 / n as f64)
+                .collect()
+        };
+        let a_edges = windowed_edges((0.0, prior_a.range()), na);
+        let b_edges = windowed_edges((0.0, prior_b.range()), nb);
         let midpoint = |edges: &[f64], k: usize| 0.5 * (edges[k] + edges[k + 1]);
         let mut rows = vec![f64::NEG_INFINITY; na];
         let mut cols = vec![f64::NEG_INFINITY; nb];
@@ -1534,6 +1474,7 @@ mod tests {
             }
         }
         CopyingBuild {
+            edges: [a_edges, b_edges],
             columns,
             run_columns,
             rows,
@@ -1551,30 +1492,33 @@ mod tests {
             b_cells: 20,
             q_cells: 7,
         };
-        let full = ((0.0, prior_a.range()), (0.0, prior_b.range()));
-        for (coincidence, (a_window, b_window)) in [
-            (CoincidencePrior::IndifferenceUniform, full),
-            (CoincidencePrior::ScaledUniform(0.3), full),
-            (CoincidencePrior::FixedFraction(0.5), full),
-            (CoincidencePrior::Independent, full),
-            (
-                CoincidencePrior::IndifferenceUniform,
-                ((2e-4, 1.7e-3), (1e-4, 2.5e-3)),
-            ),
+        // Axes of other lengths and an even q count.
+        let other = Resolution {
+            a_cells: 9,
+            b_cells: 31,
+            q_cells: 10,
+        };
+        for (coincidence, res) in [
+            (CoincidencePrior::IndifferenceUniform, res),
+            (CoincidencePrior::ScaledUniform(0.3), res),
+            (CoincidencePrior::FixedFraction(0.5), res),
+            (CoincidencePrior::Independent, res),
+            (CoincidencePrior::IndifferenceUniform, other),
         ] {
-            let engine =
-                WhiteBoxInference::windowed(prior_a, prior_b, coincidence, res, a_window, b_window);
-            let reference = copying_build(prior_a, prior_b, coincidence, res, a_window, b_window);
+            let engine = WhiteBoxInference::with_resolution(prior_a, prior_b, coincidence, res);
+            let reference = copying_build(prior_a, prior_b, coincidence, res);
             let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let t = &engine.tables;
+            assert_eq!(bits(&t.a_edges), bits(&reference.edges[0]), "{res:?}");
+            assert_eq!(bits(&t.b_edges), bits(&reference.edges[1]), "{res:?}");
             let got = engine.log_tables();
             for (table, want) in [got.ln_prior]
                 .iter()
                 .chain(&got.ln_p)
                 .zip(&reference.columns)
             {
-                assert_eq!(bits(table), bits(want), "{coincidence:?} {a_window:?}");
+                assert_eq!(bits(table), bits(want), "{coincidence:?} {res:?}");
             }
-            let t = &engine.tables;
             for (table, want) in [&t.run_prior]
                 .into_iter()
                 .chain(&t.run_p)

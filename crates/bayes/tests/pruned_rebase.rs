@@ -3,8 +3,8 @@
 //! mass, and must leave every marginal bit exactly where the full
 //! recompute puts it.
 //!
-//! A 32-seed sweep over all four coincidence priors, full-support,
-//! windowed (adaptive-fine) and dead-cell grids (prior ranges near 1,
+//! A 32-seed sweep over all four coincidence priors, grids over wide
+//! and narrow prior ranges and dead-cell grids (prior ranges near 1,
 //! so cells with `p00 ≤ 0` die), and count trajectories that
 //! concentrate up to 2⁴⁰ demands (where the rounding allowance of the
 //! row and column bounds grows to thousandths of a nat) — with `r1 = 0`
@@ -42,8 +42,9 @@ const COINCIDENCE: [CoincidencePrior; 4] = [
 ];
 
 /// The seed's grid: the coincidence prior cycles with the seed, and
-/// every fourth seed of each kind is windowed, every fourth has prior
-/// ranges near 1 (dead cells), the rest span `[0, 0.01]`.
+/// every fourth seed of each kind has narrow prior ranges close around
+/// the truth, every fourth has prior ranges near 1 (dead cells), the
+/// rest span `[0, 0.01]`.
 fn engine(seed: u64, rng: &mut StreamRng) -> WhiteBoxInference {
     let coincidence = COINCIDENCE[(seed % 4) as usize];
     let resolution = Resolution {
@@ -52,15 +53,13 @@ fn engine(seed: u64, rng: &mut StreamRng) -> WhiteBoxInference {
         q_cells: 1 + rng.next_below(12) as usize,
     };
     match (seed / 4) % 4 {
-        // Windowed: the fine stage of the adaptive mode, a sub-window of
-        // the support around the truth.
-        1 => WhiteBoxInference::windowed(
-            ScaledBeta::new(1.0, 10.0, 0.01).unwrap(),
-            ScaledBeta::new(2.0, 3.0, 0.01).unwrap(),
+        // Narrow ranges: the truth spreads across each axis instead of
+        // its lowest third, and B's axis is shorter than A's.
+        1 => WhiteBoxInference::with_resolution(
+            ScaledBeta::new(1.0, 10.0, 0.004).unwrap(),
+            ScaledBeta::new(2.0, 3.0, 0.0025).unwrap(),
             coincidence,
             resolution,
-            (0.0004, 0.004),
-            (0.0001, 0.0025),
         ),
         // Prior ranges near 1: every cell with p_A + p_B − p_AB ≥ 1 is
         // dead in every table.

@@ -1,5 +1,5 @@
 //! The sharing contract of white-box grids
-//! (`WhiteBoxInference::windowed`): engines built from equal inputs
+//! (`WhiteBoxInference::with_resolution`): engines built from equal inputs
 //! share one table set, changing any single input gives another, a grid
 //! rebuilt after eviction equals its first build bit for bit, a
 //! constructor that panics in validation leaves later constructions
@@ -57,8 +57,6 @@ struct Inputs {
     prior_b: ScaledBeta,
     coincidence: CoincidencePrior,
     resolution: Resolution,
-    a_window: (f64, f64),
-    b_window: (f64, f64),
 }
 
 impl Inputs {
@@ -69,13 +67,11 @@ impl Inputs {
     }
 
     fn engine(self) -> WhiteBoxInference {
-        WhiteBoxInference::windowed(
+        WhiteBoxInference::with_resolution(
             self.prior_a,
             self.prior_b,
             self.coincidence,
             self.resolution,
-            self.a_window,
-            self.b_window,
         )
     }
 }
@@ -87,8 +83,6 @@ fn equal_inputs_share_one_grid_and_any_changed_input_builds_another() {
         prior_b: beta(2.0, 3.0, 0.002),
         coincidence: CoincidencePrior::ScaledUniform(0.5),
         resolution: small(),
-        a_window: (1e-4, 1.9e-3),
-        b_window: (2e-4, 1.8e-3),
     };
     let engine = base.engine();
     assert!(engine.shares_grid(&base.engine()));
@@ -112,10 +106,6 @@ fn equal_inputs_share_one_grid_and_any_changed_input_builds_another() {
         base.with(|i| i.resolution = cells(21, 18, 6)),
         base.with(|i| i.resolution = cells(20, 19, 6)),
         base.with(|i| i.resolution = cells(20, 18, 7)),
-        base.with(|i| i.a_window = (0.0, 1.9e-3)),
-        base.with(|i| i.a_window = (1e-4, 2e-3)),
-        base.with(|i| i.b_window = (1e-4, 1.8e-3)),
-        base.with(|i| i.b_window = (2e-4, 1.9e-3)),
     ]
     .map(Inputs::engine);
     for (i, changed_engine) in changed.iter().enumerate() {
@@ -130,7 +120,7 @@ fn equal_inputs_share_one_grid_and_any_changed_input_builds_another() {
             );
         }
     }
-    // Seventeen other grids later, equal inputs still find the base grid.
+    // Thirteen other grids later, equal inputs still find the base grid.
     assert!(base.engine().shares_grid(&engine));
 }
 
@@ -164,17 +154,18 @@ fn a_constructor_that_panics_in_validation_leaves_later_constructions_working() 
         )
     });
     assert!(scaled_zero.is_err());
-    let inverted = panic::catch_unwind(|| {
-        WhiteBoxInference::windowed(
+    let no_q_cells = panic::catch_unwind(|| {
+        WhiteBoxInference::with_resolution(
             prior,
             prior,
             CoincidencePrior::IndifferenceUniform,
-            small(),
-            (1e-3, 5e-4),
-            (0.0, 0.002),
+            Resolution {
+                q_cells: 0,
+                ..small()
+            },
         )
     });
-    assert!(inverted.is_err());
+    assert!(no_q_cells.is_err());
 
     let engine = engine(13.0, small());
     assert!(engine.shares_grid(&self::engine(13.0, small())));

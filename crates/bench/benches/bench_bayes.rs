@@ -3,7 +3,6 @@
 //! and the black-box conjugate-grid path.
 
 use std::hint::black_box;
-use wsu_bayes::adaptive::AdaptiveWhiteBox;
 use wsu_bayes::beta::ScaledBeta;
 use wsu_bayes::blackbox::BlackBoxInference;
 use wsu_bayes::counts::JointCounts;
@@ -243,37 +242,6 @@ fn whitebox_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-/// Adaptive coarse-to-fine vs the fixed default grid on the same
-/// growing-counts checkpoint loop as `bayes/incremental` — the latency
-/// side of the adaptive contract (the accuracy side is pinned by
-/// `wsu_bayes::adaptive`'s golden tests). The adaptive cost includes
-/// the coarse tracker, the window re-selection and any fine-window
-/// rebuilds the trajectory triggers.
-fn whitebox_adaptive(c: &mut Criterion) {
-    let mut group = c.benchmark_group("bayes/adaptive");
-    let engine = AdaptiveWhiteBox::new(
-        ScaledBeta::new(20.0, 20.0, 0.002).unwrap(),
-        ScaledBeta::new(2.0, 3.0, 0.002).unwrap(),
-        CoincidencePrior::IndifferenceUniform,
-        Resolution::adaptive(),
-    );
-    let mut updater = engine.updater();
-    let mut counts = JointCounts::new();
-    group.bench_function("checkpoint/coarse32_fine96", move |b| {
-        b.iter(|| {
-            counts = JointCounts::from_raw(
-                counts.demands() + 500,
-                counts.both_failed(),
-                counts.only_a_failed() + 1,
-                counts.only_b_failed() + 1,
-            );
-            updater.update_to(&counts);
-            black_box(updater.marginal_a().percentile(0.99) + updater.marginal_b().percentile(0.99))
-        });
-    });
-    group.finish();
-}
-
 fn blackbox_incremental(c: &mut Criterion) {
     let mut group = c.benchmark_group("bayes/blackbox_incremental");
     let prior = ScaledBeta::new(2.0, 3.0, 0.01).unwrap();
@@ -322,7 +290,6 @@ criterion_group!(
     whitebox_rebase,
     engine_construction,
     whitebox_kernels,
-    whitebox_adaptive,
     whitebox_marginals,
     blackbox_posterior,
     blackbox_incremental,

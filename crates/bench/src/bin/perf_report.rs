@@ -74,7 +74,6 @@ fn main() -> std::io::Result<()> {
         demands: if full { 50_000 } else { 10_000 },
         checkpoint_every: 500,
         resolution: res,
-        adaptive: None,
         confidence: 0.99,
         target: 1e-3,
         seed: DEFAULT_SEED,
@@ -83,7 +82,6 @@ fn main() -> std::io::Result<()> {
         demands: if full { 10_000 } else { 4_000 },
         checkpoint_every: 100,
         resolution: res,
-        adaptive: None,
         confidence: 0.99,
         target: 1e-3,
         seed: DEFAULT_SEED,

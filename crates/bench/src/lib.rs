@@ -1,10 +1,9 @@
 //! Benchmark crate with a self-contained measurement harness.
 //!
-//! Each paper table/figure has a bench that regenerates it at reduced
-//! scale (so `cargo bench` terminates quickly) and prints the same rows
-//! the experiment binaries do at full scale. Micro-benchmarks cover the
-//! middleware hot path, the Bayesian posterior update, the simulation
-//! engine and the observability layer.
+//! Micro-benchmarks cover the Bayesian posterior update, the simulation
+//! engine and the observability layer; the `perf_report` binary times
+//! the experiment pipelines end to end, and `bench_compare` guards
+//! every report against its committed baseline.
 //!
 //! The harness in this module mirrors the subset of the `criterion` API
 //! the benches use ([`Criterion`], [`BenchmarkGroup`], [`Bencher`],

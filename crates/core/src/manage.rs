@@ -15,7 +15,6 @@
 
 use std::cell::Cell;
 
-use wsu_bayes::adaptive::{AdaptiveResolution, AdaptiveUpdater, AdaptiveWhiteBox};
 use wsu_bayes::beta::ScaledBeta;
 use wsu_bayes::counts::JointCounts;
 use wsu_bayes::posterior::{GridPosterior, MarginalView, PosteriorQueries};
@@ -291,15 +290,6 @@ impl RecoveryStrategy {
     }
 }
 
-/// The incremental engine behind [`ManagementSubsystem::assess_incremental`]:
-/// either a fixed-resolution updater or the opt-in adaptive
-/// coarse-to-fine engine ([`wsu_bayes::adaptive`]).
-#[derive(Debug, Clone)]
-enum AssessmentEngine {
-    Fixed(Box<PosteriorUpdater>),
-    Adaptive(Box<AdaptiveUpdater>),
-}
-
 /// The management subsystem: owns the inference engine, the switching
 /// criterion and the recovery policy.
 #[derive(Debug, Clone)]
@@ -308,7 +298,7 @@ pub struct ManagementSubsystem {
     /// Incremental engine for the per-interval assessment hot path; the
     /// batch [`ManagementSubsystem::assess`] stays available for ad-hoc
     /// queries.
-    engine: AssessmentEngine,
+    updater: PosteriorUpdater,
     criterion: SwitchCriterion,
     recovery: Option<RecoveryPolicy>,
     metrics: Option<SharedRegistry>,
@@ -370,49 +360,11 @@ impl ManagementSubsystem {
         let updater = inference.updater();
         ManagementSubsystem {
             inference,
-            engine: AssessmentEngine::Fixed(Box::new(updater)),
+            updater,
             criterion,
             recovery: Some(RecoveryPolicy::default()),
             metrics: None,
             handles: AssessmentMetricHandles::default(),
-        }
-    }
-
-    /// Creates a management subsystem whose incremental assessment path
-    /// runs the adaptive coarse-to-fine engine: a coarse full-support
-    /// grid tracks the posterior and a full-resolution fine grid is
-    /// focused on the high-mass window, so assessment accuracy improves
-    /// where the decision actually happens. The batch
-    /// [`ManagementSubsystem::assess`] keeps using a fixed full-support
-    /// grid at the fine resolution; in this mode the two paths agree to
-    /// the adaptive tolerance contract (see [`wsu_bayes::adaptive`]),
-    /// not bit-for-bit.
-    pub fn with_adaptive(
-        prior_a: ScaledBeta,
-        prior_b: ScaledBeta,
-        coincidence: CoincidencePrior,
-        criterion: SwitchCriterion,
-        adaptive: AdaptiveResolution,
-    ) -> ManagementSubsystem {
-        let inference =
-            WhiteBoxInference::with_resolution(prior_a, prior_b, coincidence, adaptive.fine);
-        let updater = AdaptiveWhiteBox::new(prior_a, prior_b, coincidence, adaptive).updater();
-        ManagementSubsystem {
-            inference,
-            engine: AssessmentEngine::Adaptive(Box::new(updater)),
-            criterion,
-            recovery: Some(RecoveryPolicy::default()),
-            metrics: None,
-            handles: AssessmentMetricHandles::default(),
-        }
-    }
-
-    /// Number of adaptive fine-window rebuilds so far; `None` when the
-    /// subsystem runs the fixed-resolution engine.
-    pub fn adaptive_refinements(&self) -> Option<u64> {
-        match &self.engine {
-            AssessmentEngine::Fixed(_) => None,
-            AssessmentEngine::Adaptive(updater) => Some(updater.refinements()),
         }
     }
 
@@ -494,14 +446,8 @@ impl ManagementSubsystem {
     /// recompute rather than the delta path: a near-threshold seed must
     /// decide bit-for-bit identically to the batch `assess`.
     pub fn assess_incremental(&mut self, counts: &JointCounts) -> AssessmentView<'_> {
-        match &mut self.engine {
-            AssessmentEngine::Fixed(updater) => updater.rebase(counts),
-            AssessmentEngine::Adaptive(updater) => updater.rebase(counts),
-        }
-        let (marginal_a, marginal_b) = match &self.engine {
-            AssessmentEngine::Fixed(updater) => (updater.marginal_a(), updater.marginal_b()),
-            AssessmentEngine::Adaptive(updater) => (updater.marginal_a(), updater.marginal_b()),
-        };
+        self.updater.rebase(counts);
+        let (marginal_a, marginal_b) = (self.updater.marginal_a(), self.updater.marginal_b());
         let decision =
             if self
                 .criterion
@@ -918,29 +864,6 @@ mod tests {
         let mut releases = ReleaseSet::new();
         releases.deploy(SyntheticService::builder("Svc", "1.0").build());
         assert!(mgr.apply_recovery(&mut releases).unwrap().is_empty());
-    }
-
-    #[test]
-    fn adaptive_engine_reaches_the_same_decisions() {
-        let mut fixed = scenario1_manager(SwitchCriterion::reach_target(1e-3, 0.99));
-        let mut adaptive = ManagementSubsystem::with_adaptive(
-            ScaledBeta::new(20.0, 20.0, 0.002).unwrap(),
-            ScaledBeta::new(2.0, 3.0, 0.002).unwrap(),
-            CoincidencePrior::IndifferenceUniform,
-            SwitchCriterion::reach_target(1e-3, 0.99),
-            wsu_bayes::whitebox::Resolution::adaptive(),
-        );
-        assert_eq!(adaptive.adaptive_refinements(), Some(0));
-        assert_eq!(fixed.adaptive_refinements(), None);
-        for counts in [
-            JointCounts::new(),
-            JointCounts::from_raw(20_000, 0, 0, 200),
-            JointCounts::from_raw(100_000, 0, 0, 0),
-        ] {
-            let want = fixed.assess_incremental(&counts).decision;
-            let got = adaptive.assess_incremental(&counts).decision;
-            assert_eq!(got, want, "at {counts}");
-        }
     }
 
     #[test]

@@ -305,7 +305,6 @@ mod tests {
                 b_cells: 32,
                 q_cells: 8,
             },
-            adaptive: None,
             confidence: 0.99,
             target: 1e-3,
             seed: MasterSeed::new(61),

@@ -9,10 +9,8 @@
 //! All detection regimes replay the *same* truth stream (paired
 //! comparison, as in the paper); only the detector noise differs.
 
-use wsu_bayes::adaptive::{AdaptiveResolution, AdaptiveUpdater, AdaptiveWhiteBox};
 use wsu_bayes::counts::JointCounts;
-use wsu_bayes::posterior::MarginalView;
-use wsu_bayes::whitebox::{PosteriorUpdater, Resolution, WhiteBoxInference};
+use wsu_bayes::whitebox::{Resolution, WhiteBoxInference};
 use wsu_core::manage::SwitchCriterion;
 use wsu_detect::back2back::BackToBackDetector;
 use wsu_detect::oracle::{FailureDetector, OmissionOracle, PerfectOracle};
@@ -69,12 +67,6 @@ pub struct StudyConfig {
     pub checkpoint_every: u64,
     /// Inference grid resolution.
     pub resolution: Resolution,
-    /// Opt-in adaptive coarse-to-fine mode. When set, the study runs the
-    /// [`wsu_bayes::adaptive`] engine (whose `fine` resolution applies)
-    /// instead of a fixed grid at [`StudyConfig::resolution`]; results
-    /// then follow the adaptive tolerance contract rather than being
-    /// bit-identical to the fixed grid.
-    pub adaptive: Option<AdaptiveResolution>,
     /// The confidence level used by all three criteria (paper: 0.99).
     pub confidence: f64,
     /// Criterion 2's explicit pfd target (paper: 1e-3).
@@ -92,7 +84,6 @@ impl StudyConfig {
             demands: 50_000,
             checkpoint_every: 500,
             resolution: Resolution::default(),
-            adaptive: None,
             confidence: 0.99,
             target: 1e-3,
             seed,
@@ -106,40 +97,9 @@ impl StudyConfig {
             demands: 10_000,
             checkpoint_every: 100,
             resolution: Resolution::default(),
-            adaptive: None,
             confidence: 0.99,
             target: 1e-3,
             seed,
-        }
-    }
-}
-
-/// The incremental engine of one study run: fixed grid or adaptive
-/// coarse-to-fine, behind one interface for the checkpoint loop.
-enum StudyUpdater {
-    Fixed(Box<PosteriorUpdater>),
-    Adaptive(Box<AdaptiveUpdater>),
-}
-
-impl StudyUpdater {
-    fn update_to(&mut self, counts: &JointCounts) {
-        match self {
-            StudyUpdater::Fixed(u) => u.update_to(counts),
-            StudyUpdater::Adaptive(u) => u.update_to(counts),
-        }
-    }
-
-    fn marginal_a(&self) -> MarginalView<'_> {
-        match self {
-            StudyUpdater::Fixed(u) => u.marginal_a(),
-            StudyUpdater::Adaptive(u) => u.marginal_a(),
-        }
-    }
-
-    fn marginal_b(&self) -> MarginalView<'_> {
-        match self {
-            StudyUpdater::Fixed(u) => u.marginal_b(),
-            StudyUpdater::Adaptive(u) => u.marginal_b(),
         }
     }
 }
@@ -220,21 +180,13 @@ pub fn run_study(scenario: &Scenario, detection: Detection, config: &StudyConfig
         "invalid checkpoint configuration"
     );
     let priors = scenario.priors;
-    let mut updater = match config.adaptive {
-        None => StudyUpdater::Fixed(Box::new(
-            WhiteBoxInference::with_resolution(
-                priors.prior_a,
-                priors.prior_b,
-                priors.coincidence,
-                config.resolution,
-            )
-            .updater(),
-        )),
-        Some(adaptive) => StudyUpdater::Adaptive(Box::new(
-            AdaptiveWhiteBox::new(priors.prior_a, priors.prior_b, priors.coincidence, adaptive)
-                .updater(),
-        )),
-    };
+    let mut updater = WhiteBoxInference::with_resolution(
+        priors.prior_a,
+        priors.prior_b,
+        priors.coincidence,
+        config.resolution,
+    )
+    .updater();
     let criteria = [
         SwitchCriterion::reach_prior_of_old(config.confidence),
         SwitchCriterion::reach_target(config.target, config.confidence),
@@ -320,7 +272,6 @@ mod tests {
                 b_cells: 32,
                 q_cells: 8,
             },
-            adaptive: None,
             confidence: 0.99,
             target: 1e-3,
             seed: MasterSeed::new(11),
@@ -411,47 +362,6 @@ mod tests {
         assert_eq!(Detection::Omission(0.15).label(), "Omission, Pomit = 0.15");
         assert_eq!(Detection::BackToBack.label(), "Back-to-back testing");
         assert_eq!(Detection::paper_regimes().len(), 3);
-    }
-
-    #[test]
-    fn adaptive_study_tracks_the_fixed_grid() {
-        // The adaptive engine replays the same truth stream (same seed)
-        // and must reproduce the fixed default grid's criterion timings
-        // to within one checkpoint, and its percentile curve closely.
-        let fixed = StudyConfig {
-            resolution: Resolution::default(),
-            ..tiny_config(3_000)
-        };
-        let adaptive = StudyConfig {
-            adaptive: Some(Resolution::adaptive()),
-            ..fixed
-        };
-        let f = run_study(&Scenario::two(), Detection::Perfect, &fixed);
-        let a = run_study(&Scenario::two(), Detection::Perfect, &adaptive);
-        assert_eq!(f.checkpoints.len(), a.checkpoints.len());
-        let cell = 0.002 / 96.0;
-        for (fc, ac) in f.checkpoints.iter().zip(&a.checkpoints) {
-            assert_eq!(fc.counts, ac.counts, "truth streams diverged");
-            assert!(
-                (fc.b_high - ac.b_high).abs() <= cell,
-                "at {}: {} vs {}",
-                fc.demands,
-                fc.b_high,
-                ac.b_high
-            );
-        }
-        for i in 0..3 {
-            match (f.first_met[i], a.first_met[i]) {
-                (Some(fm), Some(am)) => {
-                    assert!(
-                        fm.abs_diff(am) <= fixed.checkpoint_every,
-                        "criterion {} fired at {fm} fixed vs {am} adaptive",
-                        i + 1
-                    );
-                }
-                (fm, am) => assert_eq!(fm, am, "criterion {} met-ness differs", i + 1),
-            }
-        }
     }
 
     #[test]

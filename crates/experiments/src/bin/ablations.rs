@@ -5,6 +5,7 @@
 //! `--serve-hold SECS` and `--phase-metrics` — with tracing on, each
 //! ablation becomes a log line in the trace, and `--phase-metrics`
 //! turns each into a timed `wsu_phase_seconds` gauge in the snapshot.
+//! Any other argument exits with status 2.
 
 use wsu_bayes::whitebox::Resolution;
 use wsu_experiments::ablation::{
@@ -14,11 +15,16 @@ use wsu_experiments::ablation::{
     run_mode_ablation_jobs, run_prior_ablation_jobs,
 };
 use wsu_experiments::bayes_study::StudyConfig;
-use wsu_experiments::obs::{jobs_from_env, ObsOptions};
+use wsu_experiments::obs::{exit_on_unknown_flag, jobs_from_env, ObsOptions};
 use wsu_experiments::DEFAULT_SEED;
 
+const USAGE: &str = "usage: ablations [--quick] [--jobs N] [--trace PATH] [--metrics PATH] \
+                     [--serve-metrics PORT] [--serve-hold SECS] [--phase-metrics]";
+
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    exit_on_unknown_flag(&args, &[("--quick", false)], USAGE);
+    let quick = args.iter().any(|a| a == "--quick");
     let jobs = jobs_from_env();
     let mut ctx = ObsOptions::from_env().context();
     let requests = if quick { 2_000 } else { 10_000 };
@@ -34,7 +40,6 @@ fn main() {
         } else {
             Resolution::default()
         },
-        adaptive: None,
         confidence: 0.99,
         target: 1e-3,
         seed: DEFAULT_SEED,

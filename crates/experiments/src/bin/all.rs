@@ -5,7 +5,7 @@
 //! `--serve-metrics PORT`, `--serve-hold SECS` and `--phase-metrics` —
 //! `--jobs` sizes the replication worker pool for the simulation-backed
 //! studies (Tables 5–6, ablations, capacity) without changing any
-//! output byte.
+//! output byte. Any other argument exits with status 2.
 
 use std::fs;
 use std::path::PathBuf;
@@ -13,15 +13,20 @@ use std::path::PathBuf;
 use wsu_bayes::whitebox::Resolution;
 use wsu_experiments::bayes_study::StudyConfig;
 use wsu_experiments::midsim::ObsSinks;
-use wsu_experiments::obs::{jobs_from_args, ObsOptions};
+use wsu_experiments::obs::{exit_on_unknown_flag, jobs_from_args, ObsOptions};
 use wsu_experiments::{
     ablation, campaign, capacity, figures, table2, table5, table6, DEFAULT_SEED, PAPER_TIMEOUTS,
 };
 use wsu_simcore::rng::MasterSeed;
 use wsu_workload::timing::ExecTimeModel;
 
+const USAGE: &str = "usage: all [--quick] [--out DIR] [--jobs N] [--trace PATH] \
+                     [--metrics PATH] [--serve-metrics PORT] [--serve-hold SECS] \
+                     [--phase-metrics]";
+
 fn main() -> std::io::Result<()> {
-    let args: Vec<String> = std::env::args().collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    exit_on_unknown_flag(&args, &[("--quick", false), ("--out", true)], USAGE);
     let quick = args.iter().any(|a| a == "--quick");
     let jobs = jobs_from_args(&args);
     let mut ctx = ObsOptions::from_env().context();
@@ -47,7 +52,6 @@ fn main() -> std::io::Result<()> {
         demands: if quick { 10_000 } else { 50_000 },
         checkpoint_every: 500,
         resolution: res,
-        adaptive: None,
         confidence: 0.99,
         target: 1e-3,
         seed: DEFAULT_SEED,
@@ -56,7 +60,6 @@ fn main() -> std::io::Result<()> {
         demands: if quick { 4_000 } else { 10_000 },
         checkpoint_every: 100,
         resolution: res,
-        adaptive: None,
         confidence: 0.99,
         target: 1e-3,
         seed: DEFAULT_SEED,

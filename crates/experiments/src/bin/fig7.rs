@@ -2,16 +2,21 @@
 //!
 //! Usage: `fig7 [--quick] [--trace PATH] [--metrics PATH]` plus the
 //! shared observability flags `--serve-metrics PORT`, `--serve-hold
-//! SECS` and `--phase-metrics`.
+//! SECS` and `--phase-metrics`. Any other argument exits with status 2.
 
 use wsu_bayes::whitebox::Resolution;
 use wsu_experiments::bayes_study::StudyConfig;
 use wsu_experiments::figures::{run_fig7, run_fig7_paper};
-use wsu_experiments::obs::ObsOptions;
+use wsu_experiments::obs::{exit_on_unknown_flag, ObsOptions};
 use wsu_experiments::DEFAULT_SEED;
 
+const USAGE: &str = "usage: fig7 [--quick] [--trace PATH] [--metrics PATH] \
+                     [--serve-metrics PORT] [--serve-hold SECS] [--phase-metrics]";
+
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    exit_on_unknown_flag(&args, &[("--quick", false)], USAGE);
+    let quick = args.iter().any(|a| a == "--quick");
     let mut ctx = ObsOptions::from_env().context();
     let (set, runs) = ctx.time("fig7/study", || {
         if quick {
@@ -23,7 +28,6 @@ fn main() {
                     b_cells: 48,
                     q_cells: 16,
                 },
-                adaptive: None,
                 confidence: 0.99,
                 target: 1e-3,
                 seed: DEFAULT_SEED,

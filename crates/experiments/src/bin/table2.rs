@@ -1,30 +1,27 @@
 //! Regenerates Table 2 (duration of managed upgrade).
 //!
-//! Usage: `table2 [--quick] [--adaptive] [--seeds N] [--trace PATH]
-//! [--metrics PATH]` plus the shared observability flags
-//! `--serve-metrics PORT`, `--serve-hold SECS` and `--phase-metrics` —
-//! `--quick` runs a reduced-scale version; `--adaptive` runs the
-//! studies on the adaptive coarse-to-fine grid (default coarse
-//! 32×32×16, fine 96×96×32 over the high-mass window; durations agree
-//! with the fixed grid to the adaptive tolerance contract, not
-//! bit-for-bit); `--seeds N` additionally reports the spread of every
-//! cell across N seeds; `--trace`/`--metrics` replay every study's
-//! checkpoints into an event trace and a metrics snapshot.
+//! Usage: `table2 [--quick] [--seeds N] [--trace PATH] [--metrics PATH]`
+//! plus the shared observability flags `--serve-metrics PORT`,
+//! `--serve-hold SECS` and `--phase-metrics` — `--quick` runs a
+//! reduced-scale version; `--seeds N` additionally reports the spread of
+//! every cell across N seeds; `--trace`/`--metrics` replay every study's
+//! checkpoints into an event trace and a metrics snapshot. Any other
+//! argument exits with status 2.
 
 use wsu_bayes::whitebox::Resolution;
 use wsu_experiments::bayes_study::StudyConfig;
-use wsu_experiments::obs::ObsOptions;
+use wsu_experiments::obs::{exit_on_unknown_flag, ObsOptions};
 use wsu_experiments::table2::{render_spread, run_table2, run_table2_spread, run_table2_with};
 use wsu_experiments::DEFAULT_SEED;
 use wsu_simcore::rng::MasterSeed;
 
+const USAGE: &str = "usage: table2 [--quick] [--seeds N] [--trace PATH] [--metrics PATH] \
+                     [--serve-metrics PORT] [--serve-hold SECS] [--phase-metrics]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    exit_on_unknown_flag(&args, &[("--quick", false), ("--seeds", true)], USAGE);
     let quick = args.iter().any(|a| a == "--quick");
-    let adaptive = args
-        .iter()
-        .any(|a| a == "--adaptive")
-        .then(Resolution::adaptive);
     let mut ctx = ObsOptions::from_env().context();
     let spread_seeds: Option<usize> = args
         .iter()
@@ -42,7 +39,6 @@ fn main() {
                 demands: 10_000,
                 checkpoint_every: 500,
                 resolution: res,
-                adaptive,
                 confidence: 0.99,
                 target: 1e-3,
                 seed: DEFAULT_SEED,
@@ -51,20 +47,9 @@ fn main() {
                 demands: 5_000,
                 checkpoint_every: 100,
                 resolution: res,
-                adaptive,
                 confidence: 0.99,
                 target: 1e-3,
                 seed: DEFAULT_SEED,
-            };
-            run_table2_with(DEFAULT_SEED, &c1, &c2)
-        } else if adaptive.is_some() {
-            let c1 = StudyConfig {
-                adaptive,
-                ..StudyConfig::paper_scenario1(DEFAULT_SEED)
-            };
-            let c2 = StudyConfig {
-                adaptive,
-                ..StudyConfig::paper_scenario2(DEFAULT_SEED)
             };
             run_table2_with(DEFAULT_SEED, &c1, &c2)
         } else {
@@ -93,7 +78,6 @@ fn main() {
             demands: if quick { 10_000 } else { 50_000 },
             checkpoint_every: 500,
             resolution: res,
-            adaptive,
             confidence: 0.99,
             target: 1e-3,
             seed: DEFAULT_SEED,
@@ -102,7 +86,6 @@ fn main() {
             demands: if quick { 5_000 } else { 10_000 },
             checkpoint_every: 100,
             resolution: res,
-            adaptive,
             confidence: 0.99,
             target: 1e-3,
             seed: DEFAULT_SEED,

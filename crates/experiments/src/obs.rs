@@ -12,7 +12,8 @@
 //!   gauges in the snapshot. Off by default: wall-clock values differ
 //!   run to run, so the default snapshot is deterministic.
 //!
-//! `table5`, `table6`, `faultcampaign` and `fleetstudy` also pass their
+//! `table2`, `table5`, `table6`, `fig7`, `fig8`, `ablations`,
+//! `capacity`, `faultcampaign`, `fleetstudy` and `all` also pass their
 //! own flags to [`exit_on_unknown_flag`], which rejects any other
 //! argument, so a misspelt or removed flag stops the run instead of
 //! being ignored.

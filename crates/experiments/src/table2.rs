@@ -138,7 +138,6 @@ mod tests {
                 demands: 6_000,
                 checkpoint_every: 500,
                 resolution: res,
-                adaptive: None,
                 confidence: 0.99,
                 target: 1e-3,
                 seed,
@@ -147,7 +146,6 @@ mod tests {
                 demands: 4_000,
                 checkpoint_every: 200,
                 resolution: res,
-                adaptive: None,
                 confidence: 0.99,
                 target: 1e-3,
                 seed,

@@ -64,7 +64,6 @@ fn paper_study1() -> StudyConfig {
         demands: 50_000,
         checkpoint_every: 500,
         resolution: Resolution::default(),
-        adaptive: None,
         confidence: 0.99,
         target: 1e-3,
         seed: DEFAULT_SEED,
@@ -76,7 +75,6 @@ fn paper_study2() -> StudyConfig {
         demands: 10_000,
         checkpoint_every: 100,
         resolution: Resolution::default(),
-        adaptive: None,
         confidence: 0.99,
         target: 1e-3,
         seed: DEFAULT_SEED,
@@ -319,7 +317,6 @@ fn quick_table2_is_deterministic() {
         demands: 2_000,
         checkpoint_every: 500,
         resolution: res,
-        adaptive: None,
         confidence: 0.99,
         target: 1e-3,
         seed: DEFAULT_SEED,

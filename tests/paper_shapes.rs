@@ -26,7 +26,6 @@ fn study(demands: u64, every: u64) -> StudyConfig {
         demands,
         checkpoint_every: every,
         resolution: quick_res(),
-        adaptive: None,
         confidence: 0.99,
         target: 1e-3,
         seed: SEED,
