@@ -893,7 +893,7 @@ pub type RowSpan = (usize, usize);
 /// than re-associating within a chain: lanes `l = 0..4` walk rows
 /// `a₀..a₀+4` in lockstep, so each row's `a`-chain stays a single
 /// serially-rounded chain while the four chains run concurrently (the
-/// additions vectorize vertically and the `exp`s feed [`exp4_core`]
+/// additions vectorize vertically and the `exp`s feed `exp4_core`
 /// four at a time). Each lane's `q`-block is buffered and drained into
 /// `b_sums[b]` in `(row, k)` order, reproducing the scalar `b`-chain
 /// bit for bit. Underflowed cells contribute exactly `+0.0` — a

@@ -15,13 +15,13 @@
 //!   scored through a configurable [`FailureDetector`] — the observations
 //!   driving the white-box Bayesian inference;
 //! * a bounded in-memory log of recent records ("the database");
-//! * streaming dependability telemetry: tail-latency quantile sketches
-//!   (system response time and per-release execution time) and a
+//! * once [`MonitoringSubsystem::configure_slo`] is called, SLO
+//!   telemetry: a tail-latency sketch of the system response time and a
 //!   windowed availability/SLO tracker ([`SloWindow`]) polled as a
-//!   [`DependabilitySnapshot`]. Both are always on — fixed-size
-//!   structures fed allocation-free on the per-demand path — so the
-//!   campaign reports get p99/p999 and worst-window availability even
-//!   without a metrics registry attached.
+//!   [`DependabilitySnapshot`], both fixed-size and fed allocation-free.
+//!   [`crate::upgrade`] configures it, so the campaign reports get
+//!   p99/p999 and worst-window availability without a metrics registry;
+//!   a Table 5/6 cell reads none of it and pays for none of it.
 
 use wsu_bayes::counts::JointCounts;
 use wsu_detect::coverage::DetectionAudit;
@@ -40,13 +40,11 @@ use crate::release::ReleaseId;
 
 /// Dependability statistics of one release (one column group of the
 /// paper's Tables 5–6).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReleaseStats {
     counts: CountTable,
     nrdt: u64,
     exec_all: Summary,
-    exec_within: Summary,
-    exec_sketch: QuantileSketch,
 }
 
 impl ReleaseStats {
@@ -55,8 +53,6 @@ impl ReleaseStats {
             counts: CountTable::new(&["CR", "ER", "NER"]),
             nrdt: 0,
             exec_all: Summary::new(),
-            exec_within: Summary::new(),
-            exec_sketch: QuantileSketch::default(),
         }
     }
 
@@ -87,17 +83,6 @@ impl ReleaseStats {
         &self.exec_all
     }
 
-    /// Execution-time statistics over responses within the timeout.
-    pub fn exec_within_summary(&self) -> &Summary {
-        &self.exec_within
-    }
-
-    /// Tail-latency quantile sketch over all execution times (p50/p90/
-    /// p99/p999 within a 1% relative-error bound).
-    pub fn exec_quantiles(&self) -> &QuantileSketch {
-        &self.exec_sketch
-    }
-
     /// Availability: fraction of demands with a response within the
     /// timeout.
     pub fn availability(&self) -> f64 {
@@ -121,7 +106,7 @@ impl ReleaseStats {
 }
 
 /// Dependability statistics of the composite (adjudicated) service.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemStats {
     counts: CountTable,
     nrdt: u64,
@@ -258,6 +243,12 @@ impl ReleaseMetricHandles {
     }
 }
 
+/// The SLO telemetry [`MonitoringSubsystem::configure_slo`] switches on.
+struct Telemetry {
+    response_sketch: QuantileSketch,
+    slo: SloWindow,
+}
+
 /// The monitoring subsystem.
 pub struct MonitoringSubsystem {
     per_release: Vec<ReleaseStats>,
@@ -266,8 +257,7 @@ pub struct MonitoringSubsystem {
     recent: std::collections::VecDeque<DemandRecord>,
     recent_capacity: usize,
     demands: u64,
-    response_sketch: QuantileSketch,
-    slo: SloWindow,
+    telemetry: Option<Telemetry>,
     metrics: Option<SharedRegistry>,
     system_handles: SystemMetricHandles,
     release_handles: Vec<ReleaseMetricHandles>,
@@ -284,20 +274,22 @@ impl MonitoringSubsystem {
             recent: std::collections::VecDeque::with_capacity(recent_capacity.min(4096)),
             recent_capacity,
             demands: 0,
-            response_sketch: QuantileSketch::default(),
-            slo: SloWindow::default(),
+            telemetry: None,
             metrics: None,
             system_handles: SystemMetricHandles::default(),
             release_handles: Vec::new(),
         }
     }
 
-    /// Reconfigures the windowed availability/SLO tracker (window width,
-    /// ring depth, latency threshold). Resets any windows accumulated so
-    /// far, so call it before the first demand — [`crate::upgrade`] does,
-    /// aligning the latency threshold with the middleware timeout.
+    /// Switches on the SLO telemetry: a response-time quantile sketch and
+    /// an availability/SLO tracker with `config`'s windows and latency
+    /// threshold. Calling it again resets both, so call it before the
+    /// first demand — [`crate::upgrade`] does, at the middleware timeout.
     pub fn configure_slo(&mut self, config: SloConfig) {
-        self.slo = SloWindow::new(config);
+        self.telemetry = Some(Telemetry {
+            response_sketch: QuantileSketch::default(),
+            slo: SloWindow::new(config),
+        });
     }
 
     /// Routes per-demand counters and timing histograms into a shared
@@ -347,10 +339,8 @@ impl MonitoringSubsystem {
             }
             let stats = &mut self.per_release[idx];
             stats.exec_all.record(obs.exec_time.as_secs());
-            stats.exec_sketch.observe(obs.exec_time.as_secs());
             if obs.within_timeout {
                 stats.counts.bump(obs.class.index());
-                stats.exec_within.record(obs.exec_time.as_secs());
             } else {
                 stats.nrdt += 1;
             }
@@ -362,8 +352,6 @@ impl MonitoringSubsystem {
         self.system
             .response_time
             .record(record.system.response_time.as_secs());
-        self.response_sketch
-            .observe(record.system.response_time.as_secs());
 
         let mut false_alarm = false;
         if let Some(pair) = &mut self.pair {
@@ -385,16 +373,21 @@ impl MonitoringSubsystem {
             }
         }
 
-        self.slo.observe(SloObservation {
-            t: record.t,
-            available: matches!(record.system.verdict, SystemVerdict::Response(_)),
-            fault: record
-                .per_release
-                .iter()
-                .any(|o| o.class.is_failure() || !o.within_timeout),
-            false_alarm,
-            response_time: record.system.response_time.as_secs(),
-        });
+        if let Some(telemetry) = &mut self.telemetry {
+            telemetry
+                .response_sketch
+                .observe(record.system.response_time.as_secs());
+            telemetry.slo.observe(SloObservation {
+                t: record.t,
+                available: matches!(record.system.verdict, SystemVerdict::Response(_)),
+                fault: record
+                    .per_release
+                    .iter()
+                    .any(|o| o.class.is_failure() || !o.within_timeout),
+                false_alarm,
+                response_time: record.system.response_time.as_secs(),
+            });
+        }
 
         if self.recent_capacity > 0 {
             if self.recent.len() == self.recent_capacity {
@@ -511,21 +504,21 @@ impl MonitoringSubsystem {
     }
 
     /// Tail-latency quantile sketch over consumer-visible response times
-    /// (p50/p90/p99/p999 within a 1% relative-error bound).
-    pub fn response_quantiles(&self) -> &QuantileSketch {
-        &self.response_sketch
+    /// (p50/p90/p99/p999 within a 1% relative-error bound), once configured.
+    pub fn response_quantiles(&self) -> Option<&QuantileSketch> {
+        self.telemetry.as_ref().map(|t| &t.response_sketch)
     }
 
-    /// The windowed availability/SLO tracker.
-    pub fn slo(&self) -> &SloWindow {
-        &self.slo
+    /// The windowed availability/SLO tracker, once configured.
+    pub fn slo(&self) -> Option<&SloWindow> {
+        self.telemetry.as_ref().map(|t| &t.slo)
     }
 
-    /// Current dependability snapshot: lifetime availability, fault and
-    /// false-alarm rates, latency-violation rate and worst-window
-    /// availability, taken from the SLO tracker.
-    pub fn dependability_snapshot(&self) -> DependabilitySnapshot {
-        self.slo.snapshot()
+    /// Current dependability snapshot, once configured: lifetime
+    /// availability, fault and false-alarm rates, latency-violation rate
+    /// and worst-window availability, taken from the SLO tracker.
+    pub fn dependability_snapshot(&self) -> Option<DependabilitySnapshot> {
+        self.slo().map(SloWindow::snapshot)
     }
 
     /// The most recent demand records, oldest first.
@@ -670,7 +663,6 @@ mod tests {
         assert!((b.failure_rate() - 1.0).abs() < 1e-12);
         // MET over all responses includes the late one.
         assert!((b.mean_exec_time() - 1.85).abs() < 1e-12);
-        assert!(b.exec_within_summary().count() == 1);
         assert_eq!(mon.demands(), 2);
     }
 
@@ -883,29 +875,128 @@ mod tests {
         });
     }
 
+    /// A demand record drawn from `rng`: each release answers with a
+    /// random class after a random execution time, within a 2 s timeout
+    /// or not; the system returns the first release's answer if it came
+    /// in time, else the second's, else reports the service unavailable
+    /// at the timeout.
+    fn random_record(seq: u64, rng: &mut StreamRng) -> DemandRecord {
+        const CLASSES: [ResponseClass; 3] = [
+            ResponseClass::Correct,
+            ResponseClass::EvidentFailure,
+            ResponseClass::NonEvidentFailure,
+        ];
+        let mut release = || {
+            let class = *rng.pick(&CLASSES);
+            let exec = rng.uniform(0.05, 3.0);
+            (class, exec, exec <= 2.0)
+        };
+        let (a, b) = (release(), release());
+        let (verdict, rt) = match [a, b].into_iter().find(|r| r.2) {
+            Some((class, exec, _)) => (SystemVerdict::Response(class), exec),
+            None => (SystemVerdict::Unavailable, 2.0),
+        };
+        record(seq, a, b, verdict, rt)
+    }
+
+    const TEST_SLO: SloConfig = SloConfig {
+        window_secs: 10.0,
+        windows: 4,
+        latency_threshold: 1.0,
+    };
+
     #[test]
-    fn quantile_sketches_are_always_on() {
+    fn unconfigured_monitor_keeps_no_telemetry() {
         let mut mon = MonitoringSubsystem::new(0);
-        let mut rng = StreamRng::from_seed(12);
+        mon.track_pair(ReleaseId::new(0), ReleaseId::new(1));
+        let mut records = StreamRng::from_seed(12);
+        let mut rng = StreamRng::from_seed(13);
         for i in 0..100 {
-            mon.observe(
-                &record(
-                    i,
-                    (ResponseClass::Correct, 0.5, true),
-                    (ResponseClass::Correct, 0.6, true),
-                    SystemVerdict::Response(ResponseClass::Correct),
-                    0.7,
-                ),
-                &mut rng,
-            );
+            mon.observe(&random_record(i, &mut records), &mut rng);
         }
-        let sketch = mon.response_quantiles();
-        assert_eq!(sketch.count(), 100);
-        assert!((sketch.p50() - 0.7).abs() / 0.7 <= sketch.alpha());
-        assert!((sketch.p999() - 0.7).abs() / 0.7 <= sketch.alpha());
-        let rel = mon.release_stats(ReleaseId::new(1)).unwrap();
-        assert_eq!(rel.exec_quantiles().count(), 100);
-        assert!((rel.exec_quantiles().p99() - 0.6).abs() / 0.6 <= sketch.alpha());
+        assert_eq!(mon.demands(), 100);
+        assert!(mon.response_quantiles().is_none());
+        assert!(mon.slo().is_none());
+        assert!(mon.dependability_snapshot().is_none());
+    }
+
+    #[test]
+    fn configured_telemetry_matches_direct_feeds() {
+        let mut mon = MonitoringSubsystem::new(0);
+        mon.track_pair(ReleaseId::new(0), ReleaseId::new(1));
+        mon.configure_slo(TEST_SLO);
+        let mut sketch = QuantileSketch::default();
+        let mut slo = SloWindow::new(TEST_SLO);
+        let mut records = StreamRng::from_seed(14);
+        let mut rng = StreamRng::from_seed(15);
+        for i in 0..200 {
+            let record = random_record(i, &mut records);
+            mon.observe(&record, &mut rng);
+            let response_time = record.system.response_time.as_secs();
+            sketch.observe(response_time);
+            slo.observe(SloObservation {
+                t: record.t,
+                available: matches!(record.system.verdict, SystemVerdict::Response(_)),
+                fault: record
+                    .per_release
+                    .iter()
+                    .any(|o| o.class.is_failure() || !o.within_timeout),
+                // The perfect detector never raises a false alarm.
+                false_alarm: false,
+                response_time,
+            });
+        }
+        assert_eq!(mon.response_quantiles(), Some(&sketch));
+        assert_eq!(mon.slo(), Some(&slo));
+        assert_eq!(mon.dependability_snapshot(), Some(slo.snapshot()));
+        assert!(slo.complete_windows() > 0, "the ring cycled");
+    }
+
+    #[test]
+    fn telemetry_does_not_perturb_tallies_or_detector_draws() {
+        for seed in 0..16 {
+            let run = |configured: bool| {
+                let mut mon = MonitoringSubsystem::new(0);
+                // Both stages draw from the monitor's stream.
+                mon.track_pair_with(
+                    ReleaseId::new(0),
+                    ReleaseId::new(1),
+                    wsu_detect::oracle::ChainDetector::new()
+                        .then(OmissionOracle::new(0.3))
+                        .then(wsu_detect::oracle::FalseAlarmOracle::new(0.1)),
+                );
+                if configured {
+                    mon.configure_slo(TEST_SLO);
+                }
+                let mut records = StreamRng::from_seed(seed);
+                let mut rng = StreamRng::from_seed(seed + 1000);
+                for i in 0..500 {
+                    mon.observe(&random_record(i, &mut records), &mut rng);
+                }
+                (mon, rng.next_u64())
+            };
+            let (plain, plain_next) = run(false);
+            let (configured, configured_next) = run(true);
+            assert!(plain.slo().is_none());
+            assert_eq!(configured.slo().map(SloWindow::demands), Some(500));
+            for release in [ReleaseId::new(0), ReleaseId::new(1)] {
+                assert_eq!(
+                    plain.release_stats(release),
+                    configured.release_stats(release),
+                    "seed {seed}"
+                );
+            }
+            assert_eq!(
+                plain.system_stats(),
+                configured.system_stats(),
+                "seed {seed}"
+            );
+            let (p, c) = (plain.pair().unwrap(), configured.pair().unwrap());
+            assert_eq!(p.truth(), c.truth(), "seed {seed}");
+            assert_eq!(p.observed(), c.observed(), "seed {seed}");
+            assert_eq!(p.audit(), c.audit(), "seed {seed}");
+            assert_eq!(plain_next, configured_next, "seed {seed}: detector draws");
+        }
     }
 
     #[test]
@@ -959,13 +1050,13 @@ mod tests {
             ),
             &mut rng,
         );
-        let snap = mon.dependability_snapshot();
+        let snap = mon.dependability_snapshot().expect("SLO configured");
         assert_eq!(snap.demands, 4);
         assert!((snap.availability - 0.75).abs() < 1e-12);
         assert!((snap.fault_rate - 0.25).abs() < 1e-12);
         assert!((snap.false_alarm_rate - 0.75).abs() < 1e-12);
         assert!((snap.latency_violation_rate - 0.25).abs() < 1e-12);
-        assert_eq!(mon.slo().complete_windows(), 2);
+        assert_eq!(mon.slo().unwrap().complete_windows(), 2);
         // Worst completed window is the one holding the unavailable demand.
         assert_eq!(snap.worst_window_availability, 0.0);
     }

@@ -924,9 +924,13 @@ mod tests {
         let dt = upgrade.middleware().config().adjudication_delay.as_secs();
         assert!((profile.phase_total("adjudication").unwrap() - 100.0 * dt).abs() < 1e-9);
         assert_eq!(profile.phase_total("bayes"), Some(0.0));
-        // The monitor's always-on telemetry saw the same demands.
-        assert_eq!(upgrade.monitor().response_quantiles().count(), 100);
-        assert_eq!(upgrade.monitor().dependability_snapshot().demands, 100);
+        // The SLO telemetry `new` configures saw the same demands.
+        let monitor = upgrade.monitor();
+        assert_eq!(monitor.response_quantiles().map(|s| s.count()), Some(100));
+        assert_eq!(
+            monitor.dependability_snapshot().map(|s| s.demands),
+            Some(100)
+        );
     }
 
     #[test]

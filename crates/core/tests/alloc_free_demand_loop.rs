@@ -217,9 +217,13 @@ fn steady_state_demand_loop_does_not_allocate() {
             WARMUP + MEASURED
         );
     });
-    let snap = world.monitor.dependability_snapshot();
+    let snap = world
+        .monitor
+        .dependability_snapshot()
+        .expect("SLO configured");
     assert_eq!(snap.demands, WARMUP + MEASURED);
-    assert!(world.monitor.slo().complete_windows() > 0, "{snap:?}");
+    let slo = world.monitor.slo().expect("SLO configured");
+    assert!(slo.complete_windows() > 0, "{snap:?}");
 
     // The exporter serves the rendered snapshot byte for byte.
     let rendered = registry.with(|r| r.snapshot());

@@ -15,7 +15,7 @@ use wsu_experiments::ablation::{
     run_mode_ablation_jobs, run_prior_ablation_jobs,
 };
 use wsu_experiments::bayes_study::StudyConfig;
-use wsu_experiments::obs::{exit_on_unknown_flag, jobs_from_env, ObsOptions};
+use wsu_experiments::obs::{exit_on_unknown_flag, jobs_from_env, FlagValue, ObsOptions};
 use wsu_experiments::DEFAULT_SEED;
 
 const USAGE: &str = "usage: ablations [--quick] [--jobs N] [--trace PATH] [--metrics PATH] \
@@ -23,7 +23,7 @@ const USAGE: &str = "usage: ablations [--quick] [--jobs N] [--trace PATH] [--met
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    exit_on_unknown_flag(&args, &[("--quick", false)], USAGE);
+    exit_on_unknown_flag(&args, &[("--quick", FlagValue::Switch)], USAGE);
     let quick = args.iter().any(|a| a == "--quick");
     let jobs = jobs_from_env();
     let mut ctx = ObsOptions::from_env().context();

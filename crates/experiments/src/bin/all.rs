@@ -13,7 +13,7 @@ use std::path::PathBuf;
 use wsu_bayes::whitebox::Resolution;
 use wsu_experiments::bayes_study::StudyConfig;
 use wsu_experiments::midsim::ObsSinks;
-use wsu_experiments::obs::{exit_on_unknown_flag, jobs_from_args, ObsOptions};
+use wsu_experiments::obs::{exit_on_unknown_flag, jobs_from_args, FlagValue, ObsOptions};
 use wsu_experiments::{
     ablation, campaign, capacity, figures, table2, table5, table6, DEFAULT_SEED, PAPER_TIMEOUTS,
 };
@@ -26,7 +26,11 @@ const USAGE: &str = "usage: all [--quick] [--out DIR] [--jobs N] [--trace PATH] 
 
 fn main() -> std::io::Result<()> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    exit_on_unknown_flag(&args, &[("--quick", false), ("--out", true)], USAGE);
+    exit_on_unknown_flag(
+        &args,
+        &[("--quick", FlagValue::Switch), ("--out", FlagValue::Text)],
+        USAGE,
+    );
     let quick = args.iter().any(|a| a == "--quick");
     let jobs = jobs_from_args(&args);
     let mut ctx = ObsOptions::from_env().context();

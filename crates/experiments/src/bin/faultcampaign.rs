@@ -14,7 +14,7 @@
 //! `wsu_phase_seconds` gauges. Any other argument exits with status 2.
 
 use wsu_experiments::campaign::{run_campaign_jobs, standard_plans, CampaignConfig};
-use wsu_experiments::obs::{exit_on_unknown_flag, jobs_from_env, ObsOptions};
+use wsu_experiments::obs::{exit_on_unknown_flag, jobs_from_env, FlagValue, ObsOptions};
 use wsu_experiments::DEFAULT_SEED;
 
 const USAGE: &str = "usage: faultcampaign [--quick] [--plan NAME] [--jobs N] [--trace PATH] \
@@ -23,7 +23,11 @@ const USAGE: &str = "usage: faultcampaign [--quick] [--plan NAME] [--jobs N] [--
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    exit_on_unknown_flag(&args, &[("--quick", false), ("--plan", true)], USAGE);
+    exit_on_unknown_flag(
+        &args,
+        &[("--quick", FlagValue::Switch), ("--plan", FlagValue::Text)],
+        USAGE,
+    );
     let quick = args.iter().any(|a| a == "--quick");
     let wanted: Vec<&String> = args
         .iter()

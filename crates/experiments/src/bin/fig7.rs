@@ -7,7 +7,7 @@
 use wsu_bayes::whitebox::Resolution;
 use wsu_experiments::bayes_study::StudyConfig;
 use wsu_experiments::figures::{run_fig7, run_fig7_paper};
-use wsu_experiments::obs::{exit_on_unknown_flag, ObsOptions};
+use wsu_experiments::obs::{exit_on_unknown_flag, FlagValue, ObsOptions};
 use wsu_experiments::DEFAULT_SEED;
 
 const USAGE: &str = "usage: fig7 [--quick] [--trace PATH] [--metrics PATH] \
@@ -15,7 +15,7 @@ const USAGE: &str = "usage: fig7 [--quick] [--trace PATH] [--metrics PATH] \
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    exit_on_unknown_flag(&args, &[("--quick", false)], USAGE);
+    exit_on_unknown_flag(&args, &[("--quick", FlagValue::Switch)], USAGE);
     let quick = args.iter().any(|a| a == "--quick");
     let mut ctx = ObsOptions::from_env().context();
     let (set, runs) = ctx.time("fig7/study", || {

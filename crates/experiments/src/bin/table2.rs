@@ -6,11 +6,11 @@
 //! reduced-scale version; `--seeds N` additionally reports the spread of
 //! every cell across N seeds; `--trace`/`--metrics` replay every study's
 //! checkpoints into an event trace and a metrics snapshot. Any other
-//! argument exits with status 2.
+//! argument, or a value that does not parse, exits with status 2.
 
 use wsu_bayes::whitebox::Resolution;
 use wsu_experiments::bayes_study::StudyConfig;
-use wsu_experiments::obs::{exit_on_unknown_flag, ObsOptions};
+use wsu_experiments::obs::{exit_on_unknown_flag, flag_value, FlagValue, ObsOptions};
 use wsu_experiments::table2::{render_spread, run_table2, run_table2_spread, run_table2_with};
 use wsu_experiments::DEFAULT_SEED;
 use wsu_simcore::rng::MasterSeed;
@@ -20,14 +20,17 @@ const USAGE: &str = "usage: table2 [--quick] [--seeds N] [--trace PATH] [--metri
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    exit_on_unknown_flag(&args, &[("--quick", false), ("--seeds", true)], USAGE);
+    exit_on_unknown_flag(
+        &args,
+        &[
+            ("--quick", FlagValue::Switch),
+            ("--seeds", FlagValue::Count),
+        ],
+        USAGE,
+    );
     let quick = args.iter().any(|a| a == "--quick");
     let mut ctx = ObsOptions::from_env().context();
-    let spread_seeds: Option<usize> = args
-        .iter()
-        .position(|a| a == "--seeds")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|n| n.parse().ok());
+    let spread_seeds: Option<usize> = flag_value(&args, "--seeds");
     let table = ctx.time("table2/study", || {
         if quick {
             let res = Resolution {

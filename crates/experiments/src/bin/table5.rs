@@ -13,7 +13,7 @@
 //! the wall-clock `wsu_phase_seconds` gauges to the snapshot. Any other
 //! argument exits with status 2.
 
-use wsu_experiments::obs::{exit_on_unknown_flag, jobs_from_env, ObsOptions};
+use wsu_experiments::obs::{exit_on_unknown_flag, jobs_from_env, FlagValue, ObsOptions};
 use wsu_experiments::table5::run_table5_jobs;
 use wsu_experiments::{DEFAULT_SEED, PAPER_REQUESTS, PAPER_TIMEOUTS};
 use wsu_workload::timing::ExecTimeModel;
@@ -24,7 +24,14 @@ const USAGE: &str = "usage: table5 [--quick] [--calibrated] [--jobs N] [--trace 
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    exit_on_unknown_flag(&args, &[("--quick", false), ("--calibrated", false)], USAGE);
+    exit_on_unknown_flag(
+        &args,
+        &[
+            ("--quick", FlagValue::Switch),
+            ("--calibrated", FlagValue::Switch),
+        ],
+        USAGE,
+    );
     let quick = args.iter().any(|a| a == "--quick");
     let calibrated = args.iter().any(|a| a == "--calibrated");
     let jobs = jobs_from_env();

@@ -6,7 +6,7 @@
 //! with the same meanings as for `table5`. Any other argument exits
 //! with status 2.
 
-use wsu_experiments::obs::{exit_on_unknown_flag, jobs_from_env, ObsOptions};
+use wsu_experiments::obs::{exit_on_unknown_flag, jobs_from_env, FlagValue, ObsOptions};
 use wsu_experiments::table6::run_table6_jobs;
 use wsu_experiments::{DEFAULT_SEED, PAPER_REQUESTS, PAPER_TIMEOUTS};
 use wsu_workload::timing::ExecTimeModel;
@@ -17,7 +17,14 @@ const USAGE: &str = "usage: table6 [--quick] [--calibrated] [--jobs N] [--trace 
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    exit_on_unknown_flag(&args, &[("--quick", false), ("--calibrated", false)], USAGE);
+    exit_on_unknown_flag(
+        &args,
+        &[
+            ("--quick", FlagValue::Switch),
+            ("--calibrated", FlagValue::Switch),
+        ],
+        USAGE,
+    );
     let quick = args.iter().any(|a| a == "--quick");
     let calibrated = args.iter().any(|a| a == "--calibrated");
     let jobs = jobs_from_env();

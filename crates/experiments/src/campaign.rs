@@ -2,8 +2,8 @@
 //! two-release managed upgrade.
 //!
 //! Each plan in the matrix wraps both releases in
-//! [`FaultInjector`](wsu_faults::FaultInjector)s armed with a
-//! [`FaultScenario`](wsu_faults::FaultScenario), runs the managed
+//! [`FaultInjector`]s armed with a
+//! [`FaultScenario`], runs the managed
 //! upgrade to completion and reports what the monitoring subsystem's
 //! detection audit made of the injected ground truth: detection
 //! coverage, false-alarm rate, the switch/abort decision and system
@@ -448,7 +448,10 @@ fn run_plan(
         UpgradePhase::Switched { at_demand } => format!("switched@{at_demand}"),
         UpgradePhase::Aborted { at_demand } => format!("aborted@{at_demand}"),
     };
-    let snapshot = upgrade.monitor().dependability_snapshot();
+    let monitor = upgrade.monitor();
+    let configured = "ManagedUpgrade::new configures the SLO telemetry";
+    let snapshot = monitor.dependability_snapshot().expect(configured);
+    let quantiles = monitor.response_quantiles().expect(configured);
     PlanResult {
         name,
         detector: format!("{:?}", spec.detector),
@@ -461,9 +464,9 @@ fn run_plan(
         false_alarm_old: a.false_alarm_rate(),
         false_alarm_new: b.false_alarm_rate(),
         outcome,
-        availability: upgrade.monitor().system_stats().availability(),
-        p99: upgrade.monitor().response_quantiles().p99(),
-        p999: upgrade.monitor().response_quantiles().p999(),
+        availability: monitor.system_stats().availability(),
+        p99: quantiles.p99(),
+        p999: quantiles.p999(),
         worst_window_availability: snapshot.worst_window_availability,
         snapshot,
     }

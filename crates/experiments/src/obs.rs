@@ -15,8 +15,9 @@
 //! `table2`, `table5`, `table6`, `fig7`, `fig8`, `ablations`,
 //! `capacity`, `faultcampaign`, `fleetstudy` and `all` also pass their
 //! own flags to [`exit_on_unknown_flag`], which rejects any other
-//! argument, so a misspelt or removed flag stops the run instead of
-//! being ignored.
+//! argument, a value that does not parse as its flag's [`FlagValue`]
+//! and a value-taking flag given last, so a misspelt or removed flag or
+//! a bad number stops the run instead of being ignored.
 //!
 //! With no flag nothing is attached anywhere: the middleware keeps
 //! its [`wsu_obs::NullRecorder`], the monitor records no metrics, and
@@ -26,6 +27,8 @@
 use std::fs;
 use std::io;
 use std::path::PathBuf;
+use std::str::FromStr;
+use std::time::Duration;
 
 use wsu_obs::{
     MetricsExporter, PhaseTimings, Recorder, SharedRecorder, SharedRegistry, TraceEvent,
@@ -51,24 +54,17 @@ pub struct ObsOptions {
 }
 
 impl ObsOptions {
-    /// Scans `args` for the observability flags.
+    /// Scans `args` for the observability flags, each read with
+    /// [`flag_value`].
     ///
     /// Unrelated arguments are left alone, so binaries keep their own
     /// flag handling untouched.
     pub fn parse(args: &[String]) -> ObsOptions {
-        fn raw_value_after<'a>(args: &'a [String], flag: &str) -> Option<&'a String> {
-            args.iter()
-                .position(|a| a == flag)
-                .and_then(|i| args.get(i + 1))
-        }
-        fn value_after(args: &[String], flag: &str) -> Option<PathBuf> {
-            raw_value_after(args, flag).map(PathBuf::from)
-        }
         ObsOptions {
-            trace: value_after(args, "--trace"),
-            metrics: value_after(args, "--metrics"),
-            serve: raw_value_after(args, "--serve-metrics").and_then(|v| v.parse().ok()),
-            serve_hold: raw_value_after(args, "--serve-hold").and_then(|v| v.parse().ok()),
+            trace: flag_value(args, "--trace"),
+            metrics: flag_value(args, "--metrics"),
+            serve: flag_value(args, "--serve-metrics"),
+            serve_hold: flag_value(args, "--serve-hold"),
             phase_metrics: args.iter().any(|a| a == "--phase-metrics"),
         }
     }
@@ -80,17 +76,23 @@ impl ObsOptions {
     }
 }
 
+/// The value after the first `flag` in `args`, parsed as `T`; `None`
+/// when the flag is absent. A binary calls [`exit_on_unknown_flag`]
+/// first, which rejects a value that does not parse as the flag's
+/// [`FlagValue`], so there `None` means absent.
+pub fn flag_value<T: FromStr>(args: &[String], flag: &str) -> Option<T> {
+    args.iter()
+        .position(|a| a == flag)
+        .and_then(|i| args.get(i + 1))
+        .and_then(|v| v.parse().ok())
+}
+
 /// Parses the shared `--jobs N` flag: `N` workers (`0` clamped to 1);
-/// absent or non-numeric means one worker per available hardware thread.
-/// The worker count never changes any output — replications merge in
-/// replication order regardless of which worker ran them.
+/// absent means one worker per available hardware thread. The worker
+/// count never changes any output — replications merge in replication
+/// order regardless of which worker ran them.
 pub fn jobs_from_args(args: &[String]) -> Jobs {
-    Jobs::from_request(
-        args.iter()
-            .position(|a| a == "--jobs")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse::<usize>().ok()),
-    )
+    Jobs::from_request(flag_value(args, "--jobs"))
 }
 
 /// [`jobs_from_args`] on the current process's arguments.
@@ -99,40 +101,78 @@ pub fn jobs_from_env() -> Jobs {
     jobs_from_args(&args)
 }
 
-/// The flags every experiment binary shares, each with whether it
-/// takes a value: the observability flags of [`ObsOptions`] and
-/// `--jobs`.
-const SHARED_FLAGS: &[(&str, bool)] = &[
-    ("--trace", true),
-    ("--metrics", true),
-    ("--serve-metrics", true),
-    ("--serve-hold", true),
-    ("--phase-metrics", false),
-    ("--jobs", true),
+/// What follows a flag on the command line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FlagValue {
+    /// Nothing: the flag is a switch.
+    Switch,
+    /// Any text, such as a path or a name.
+    Text,
+    /// A whole number, such as a worker or seed count.
+    Count,
+    /// A TCP port.
+    Port,
+    /// A duration in seconds: finite and not negative.
+    Seconds,
+}
+
+impl FlagValue {
+    /// What this kind takes, if `value` is not one of it.
+    fn rejects(self, value: &str) -> Option<&'static str> {
+        let (ok, takes) = match self {
+            FlagValue::Switch | FlagValue::Text => (true, ""),
+            FlagValue::Count => (value.parse::<usize>().is_ok(), "a whole number"),
+            FlagValue::Port => (value.parse::<u16>().is_ok(), "a port number (0-65535)"),
+            FlagValue::Seconds => (
+                value
+                    .parse::<f64>()
+                    .is_ok_and(|secs| Duration::try_from_secs_f64(secs).is_ok()),
+                "a number of seconds",
+            ),
+        };
+        (!ok).then_some(takes)
+    }
+}
+
+/// The flags every experiment binary shares, each with what follows
+/// it: the observability flags of [`ObsOptions`] and `--jobs`.
+const SHARED_FLAGS: &[(&str, FlagValue)] = &[
+    ("--trace", FlagValue::Text),
+    ("--metrics", FlagValue::Text),
+    ("--serve-metrics", FlagValue::Port),
+    ("--serve-hold", FlagValue::Seconds),
+    ("--phase-metrics", FlagValue::Switch),
+    ("--jobs", FlagValue::Count),
 ];
 
-/// The first argument in `args` that is neither a shared flag, one of
-/// the binary's `own` flags (`(name, takes_value)`), nor the value
-/// following a flag that takes one.
-pub fn unknown_flag<'a>(args: &'a [String], own: &[(&str, bool)]) -> Option<&'a str> {
+/// What is wrong with `args`, naming the flag: the first argument that
+/// is neither a shared flag, one of the binary's `own` flags
+/// (`(name, value kind)`), nor the value following a flag that takes
+/// one; or such a value that does not parse, or is missing at the end.
+pub fn flag_error(args: &[String], own: &[(&str, FlagValue)]) -> Option<String> {
     let mut args = args.iter();
     while let Some(arg) = args.next() {
-        match SHARED_FLAGS.iter().chain(own).find(|(name, _)| name == arg) {
-            Some((_, true)) => {
-                args.next();
-            }
-            Some((_, false)) => {}
-            None => return Some(arg),
+        let Some(&(_, kind)) = SHARED_FLAGS.iter().chain(own).find(|(name, _)| name == arg) else {
+            return Some(format!("unknown argument {arg}"));
+        };
+        if kind == FlagValue::Switch {
+            continue;
+        }
+        let Some(value) = args.next() else {
+            return Some(format!("{arg} needs a value"));
+        };
+        if let Some(takes) = kind.rejects(value) {
+            return Some(format!("{arg} needs {takes}, not {value:?}"));
         }
     }
     None
 }
 
-/// Exits with status 2, printing the offending argument and `usage` on
-/// stderr, when [`unknown_flag`] finds one in `args`.
-pub fn exit_on_unknown_flag(args: &[String], own: &[(&str, bool)], usage: &str) {
-    if let Some(flag) = unknown_flag(args, own) {
-        eprintln!("unknown argument {flag}");
+/// Exits with status 2, printing what [`flag_error`] finds in `args`
+/// and `usage` on stderr, when it finds anything.
+pub fn exit_on_unknown_flag(args: &[String], own: &[(&str, FlagValue)], usage: &str) {
+    if let Some(error) = flag_error(args, own) {
+        eprintln!("{error}");
         eprintln!("{usage}");
         std::process::exit(2);
     }
@@ -354,15 +394,26 @@ mod tests {
 
     #[test]
     fn flag_without_value_is_ignored() {
+        // `exit_on_unknown_flag` stops a binary on both lines below
+        // before it parses; `parse` itself reads them as absent.
         let opts = ObsOptions::parse(&strs(&["--trace"]));
         assert_eq!(opts.trace, None);
         let opts = ObsOptions::parse(&strs(&["--serve-metrics", "not-a-port"]));
         assert_eq!(opts.serve, None);
     }
 
-    const TABLE_FLAGS: &[(&str, bool)] = &[("--quick", false), ("--calibrated", false)];
-    const CAMPAIGN_FLAGS: &[(&str, bool)] = &[("--quick", false), ("--plan", true)];
-    const FLEET_FLAGS: &[(&str, bool)] = &[("--quick", false), ("--cell", true)];
+    const TABLE_FLAGS: &[(&str, FlagValue)] = &[
+        ("--quick", FlagValue::Switch),
+        ("--calibrated", FlagValue::Switch),
+    ];
+    const CAMPAIGN_FLAGS: &[(&str, FlagValue)] =
+        &[("--quick", FlagValue::Switch), ("--plan", FlagValue::Text)];
+    const FLEET_FLAGS: &[(&str, FlagValue)] =
+        &[("--quick", FlagValue::Switch), ("--cell", FlagValue::Text)];
+    const TABLE2_FLAGS: &[(&str, FlagValue)] = &[
+        ("--quick", FlagValue::Switch),
+        ("--seeds", FlagValue::Count),
+    ];
 
     #[test]
     fn every_ci_invocation_passes_the_flag_check() {
@@ -386,47 +437,102 @@ mod tests {
         ];
         let line = |l: &str| strs(&l.split_whitespace().collect::<Vec<_>>());
         for l in table5 {
-            assert_eq!(unknown_flag(&line(l), TABLE_FLAGS), None, "{l}");
+            assert_eq!(flag_error(&line(l), TABLE_FLAGS), None, "{l}");
         }
         for l in campaign {
-            assert_eq!(unknown_flag(&line(l), CAMPAIGN_FLAGS), None, "{l}");
+            assert_eq!(flag_error(&line(l), CAMPAIGN_FLAGS), None, "{l}");
         }
         for l in fleet {
-            assert_eq!(unknown_flag(&line(l), FLEET_FLAGS), None, "{l}");
+            assert_eq!(flag_error(&line(l), FLEET_FLAGS), None, "{l}");
         }
         let calibrated = strs(&["--calibrated", "--phase-metrics", "--jobs", "2"]);
-        assert_eq!(unknown_flag(&calibrated, TABLE_FLAGS), None);
+        assert_eq!(flag_error(&calibrated, TABLE_FLAGS), None);
         let plans = strs(&["--plan", "omission", "--plan", "crash"]);
-        assert_eq!(unknown_flag(&plans, CAMPAIGN_FLAGS), None);
+        assert_eq!(flag_error(&plans, CAMPAIGN_FLAGS), None);
+        let spread = strs(&[
+            "--seeds",
+            "10",
+            "--serve-hold",
+            "2.5",
+            "--serve-metrics",
+            "0",
+        ]);
+        assert_eq!(flag_error(&spread, TABLE2_FLAGS), None);
     }
 
     #[test]
     fn removed_and_misspelt_flags_are_rejected() {
-        let shards = strs(&["--quick", "--shards", "2"]);
-        assert_eq!(unknown_flag(&shards, TABLE_FLAGS), Some("--shards"));
-        assert_eq!(unknown_flag(&shards, CAMPAIGN_FLAGS), Some("--shards"));
-        assert_eq!(unknown_flag(&shards, FLEET_FLAGS), Some("--shards"));
-        let typo = strs(&["--qiuck"]);
-        assert_eq!(unknown_flag(&typo, TABLE_FLAGS), Some("--qiuck"));
+        let error = |args: &[&str], own| flag_error(&strs(args), own);
+        let unknown = |arg| Some(format!("unknown argument {arg}"));
+        let shards = ["--quick", "--shards", "2"];
+        assert_eq!(error(&shards, TABLE_FLAGS), unknown("--shards"));
+        assert_eq!(error(&shards, CAMPAIGN_FLAGS), unknown("--shards"));
+        assert_eq!(error(&shards, FLEET_FLAGS), unknown("--shards"));
+        assert_eq!(error(&["--qiuck"], TABLE_FLAGS), unknown("--qiuck"));
         // One binary's own flag is unknown to another.
-        let cell = strs(&["--cell", "restart"]);
-        assert_eq!(unknown_flag(&cell, TABLE_FLAGS), Some("--cell"));
+        let cell = ["--cell", "restart"];
+        assert_eq!(error(&cell, TABLE_FLAGS), unknown("--cell"));
     }
 
     #[test]
     fn flag_values_are_never_read_as_flags() {
         // Each value follows a flag that takes one, so it is skipped
         // even when it looks like a flag itself.
-        let args = strs(&["--trace", "--shards", "--metrics", "--qiuck", "--jobs", "x"]);
-        assert_eq!(unknown_flag(&args, TABLE_FLAGS), None);
+        let args = strs(&["--trace", "--shards", "--metrics", "--qiuck", "--jobs", "3"]);
+        assert_eq!(flag_error(&args, TABLE_FLAGS), None);
         let plan = strs(&["--plan", "--calibrated"]);
-        assert_eq!(unknown_flag(&plan, CAMPAIGN_FLAGS), None);
-        // A flag without its value at the end of the line is accepted,
-        // as `ObsOptions::parse` ignores it.
-        assert_eq!(unknown_flag(&strs(&["--trace"]), TABLE_FLAGS), None);
+        assert_eq!(flag_error(&plan, CAMPAIGN_FLAGS), None);
         // A value-less flag does not swallow the argument after it.
         let quick = strs(&["--quick", "--shards"]);
-        assert_eq!(unknown_flag(&quick, TABLE_FLAGS), Some("--shards"));
+        assert_eq!(
+            flag_error(&quick, TABLE_FLAGS).as_deref(),
+            Some("unknown argument --shards")
+        );
+    }
+
+    #[test]
+    fn bad_and_missing_values_are_rejected() {
+        for (line, want) in [
+            (
+                "--quick --seeds abc",
+                "--seeds needs a whole number, not \"abc\"",
+            ),
+            ("--seeds -1", "--seeds needs a whole number, not \"-1\""),
+            (
+                "--quick --jobs abc",
+                "--jobs needs a whole number, not \"abc\"",
+            ),
+            ("--jobs 2.5", "--jobs needs a whole number, not \"2.5\""),
+            (
+                "--serve-hold xyz",
+                "--serve-hold needs a number of seconds, not \"xyz\"",
+            ),
+            (
+                "--serve-hold inf",
+                "--serve-hold needs a number of seconds, not \"inf\"",
+            ),
+            (
+                "--serve-hold -1",
+                "--serve-hold needs a number of seconds, not \"-1\"",
+            ),
+            (
+                "--serve-metrics 70000",
+                "--serve-metrics needs a port number (0-65535), not \"70000\"",
+            ),
+            ("--quick --jobs", "--jobs needs a value"),
+            ("--trace", "--trace needs a value"),
+        ] {
+            let args = strs(&line.split_whitespace().collect::<Vec<_>>());
+            assert_eq!(flag_error(&args, TABLE2_FLAGS).as_deref(), Some(want));
+        }
+    }
+
+    #[test]
+    fn flag_value_reads_the_first_occurrence() {
+        let args = strs(&["--quick", "--seeds", "10", "--jobs", "2", "--seeds", "3"]);
+        assert_eq!(flag_value::<usize>(&args, "--seeds"), Some(10));
+        assert_eq!(flag_value::<usize>(&args, "--out"), None);
+        assert_eq!(jobs_from_args(&args), Jobs::from_request(Some(2)));
     }
 
     #[test]

@@ -139,7 +139,9 @@ fn simulate_cell_allocations_do_not_grow_with_the_plan() {
     let seed = MasterSeed::new(13);
     let plan = plan_run(&gen, ExecTimeModel::paper(), 10_000, seed, "table5/run1");
     let config = MiddlewareConfig::paper(2.0);
-    // A first cell builds the process-wide default sketch index.
+    // A warm-up cell first, so no one-time process-wide set-up lands on
+    // the first measured size. (A cell without a registry builds no
+    // quantile sketch; the monitor's sketches need a registry or an SLO.)
     simulate_cell(&plan[..10], config, seed);
     let counts: Vec<u64> = SIZES
         .iter()

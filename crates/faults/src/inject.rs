@@ -7,7 +7,7 @@
 //! between the middleware and a release, or around a transport link.
 //!
 //! All randomness comes from per-clause
-//! [`MasterSeed`](wsu_simcore::rng::MasterSeed) streams derived at
+//! [`MasterSeed`] streams derived at
 //! construction, so a run is reproducible bit for bit and two injectors
 //! sharing a probabilistic stream name fire coincidentally.
 

@@ -1,12 +1,12 @@
 //! Deterministic, seed-driven fault injection for the managed-upgrade
 //! middleware.
 //!
-//! A [`FaultPlan`](plan::FaultPlan) is an ordered list of
-//! [`FaultClause`](plan::FaultClause)s — each a *trigger* (demand-index
+//! A [`FaultPlan`] is an ordered list of
+//! [`FaultClause`]s — each a *trigger* (demand-index
 //! window, virtual-time window, every-Nth, or probabilistic with its own
 //! seed stream) paired with an *action* (crash, hang, wrong values,
 //! latency spikes, timeout-boundary delays, transport drop/duplicate/
-//! corrupt, flapping). The [`FaultInjector`](inject::FaultInjector)
+//! corrupt, flapping). The [`FaultInjector`]
 //! wrapper arms a plan around any
 //! [`ServiceEndpoint`](wsu_wstack::endpoint::ServiceEndpoint), so the
 //! injected ground truth flows through the middleware's monitoring
