@@ -7,6 +7,13 @@
 //! response to the consumer — while recording everything the monitoring
 //! subsystem needs.
 //!
+//! A demand's responses come from one of two sources:
+//! [`process`](UpgradeMiddleware::process) invokes the deployed
+//! endpoints, and [`process_planned`](UpgradeMiddleware::process_planned)
+//! takes each release's response from a joint plan (the closed loop of
+//! Tables 5–6). Both run the same dispatch, collection, adjudication and
+//! trace code.
+//!
 //! ## Timing model
 //!
 //! Virtual time within one demand follows the paper's eq. (8):
@@ -22,7 +29,7 @@
 use wsu_obs::{NullRecorder, Recorder, TraceEvent};
 use wsu_simcore::rng::StreamRng;
 use wsu_simcore::time::SimDuration;
-use wsu_wstack::endpoint::ServiceEndpoint;
+use wsu_wstack::endpoint::{PlannedResponse, ServiceEndpoint};
 use wsu_wstack::message::Envelope;
 use wsu_wstack::outcome::ResponseClass;
 
@@ -136,6 +143,77 @@ pub struct UpgradeMiddleware {
     ///
     /// [`recycle`]: UpgradeMiddleware::recycle
     record_pool: Vec<Vec<ReleaseObservation>>,
+    /// The record [`process_planned`] fills in place and lends out.
+    ///
+    /// [`process_planned`]: UpgradeMiddleware::process_planned
+    lent: DemandRecord,
+}
+
+/// Where a demand's responses come from. Each mode's code is generic
+/// over the source, so it is written once and compiled for each.
+trait Responses {
+    /// How many releases the demand is dispatched to.
+    fn releases(&self) -> usize;
+
+    /// The `i`-th of them, in deployment order.
+    fn release(&self, i: usize) -> ReleaseId;
+
+    /// Release `id`'s response to the demand.
+    fn respond(
+        &self,
+        releases: &mut ReleaseSet,
+        id: ReleaseId,
+        rng: &mut StreamRng,
+    ) -> Result<PlannedResponse, CoreError>;
+}
+
+/// The active releases' endpoints, invoked with the request.
+struct Endpoints<'a> {
+    request: &'a Envelope,
+    active: &'a [ReleaseId],
+}
+
+impl Responses for Endpoints<'_> {
+    fn releases(&self) -> usize {
+        self.active.len()
+    }
+
+    fn release(&self, i: usize) -> ReleaseId {
+        self.active[i]
+    }
+
+    fn respond(
+        &self,
+        releases: &mut ReleaseSet,
+        id: ReleaseId,
+        rng: &mut StreamRng,
+    ) -> Result<PlannedResponse, CoreError> {
+        let inv = releases.invoke(id, self.request, rng)?;
+        Ok(PlannedResponse {
+            class: inv.class,
+            exec_time: inv.exec_time,
+        })
+    }
+}
+
+/// A joint plan: release `k` answers with `plan[k]`.
+impl Responses for [PlannedResponse] {
+    fn releases(&self) -> usize {
+        self.len()
+    }
+
+    fn release(&self, i: usize) -> ReleaseId {
+        ReleaseId::new(i)
+    }
+
+    fn respond(
+        &self,
+        _: &mut ReleaseSet,
+        id: ReleaseId,
+        _: &mut StreamRng,
+    ) -> Result<PlannedResponse, CoreError> {
+        Ok(self[id.index()])
+    }
 }
 
 impl UpgradeMiddleware {
@@ -151,6 +229,17 @@ impl UpgradeMiddleware {
             collected_scratch: Vec::new(),
             order_scratch: Vec::new(),
             record_pool: Vec::new(),
+            lent: DemandRecord {
+                seq: 0,
+                t: 0.0,
+                per_release: Vec::new(),
+                system: SystemObservation {
+                    verdict: SystemVerdict::Unavailable,
+                    response_time: SimDuration::ZERO,
+                    source: None,
+                    responders: 0,
+                },
+            },
         }
     }
 
@@ -236,20 +325,73 @@ impl UpgradeMiddleware {
         self.releases.advance_clock(self.clock);
         let seq = self.demands;
         self.demands += 1;
-        let result = match self.config.mode {
-            OperatingMode::Sequential { order } => {
-                self.process_sequential(seq, request, &active, order, rng)
-            }
-            OperatingMode::WeightedFleet => self.process_weighted(seq, request, rng),
-            _ => self.process_parallel(seq, request, &active, rng),
+        let mut per_release = self.record_pool.pop().unwrap_or_default();
+        per_release.clear();
+        let responses = Endpoints {
+            request,
+            active: &active,
         };
+        let system = self.run_mode(&responses, &mut per_release, rng);
         let releases = active.len();
         self.active_scratch = active;
-        let record = result?;
+        let record = DemandRecord {
+            seq,
+            t: self.clock,
+            per_release,
+            system: system?,
+        };
         if self.recorder.enabled() {
-            self.emit_trace(&record, releases);
+            emit_trace(self.recorder.as_mut(), &self.config, &record, releases);
         }
         Ok(record)
+    }
+
+    /// Processes one demand whose responses are planned: release `k` is
+    /// `ReleaseId(k)` and answers with `planned[k]`. No endpoint is
+    /// invoked and the deployed release set is not consulted; dispatch,
+    /// collection, adjudication, the eq. (8) wait and the trace events
+    /// are [`process`](UpgradeMiddleware::process)'s, draw for draw.
+    ///
+    /// The record stays inside the middleware and is lent until the
+    /// next demand, so a plan-fed loop fills one record in place.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::NoActiveReleases`] for an empty plan and
+    /// [`CoreError::InvalidConfig`] in
+    /// [`OperatingMode::WeightedFleet`], whose routing needs deployed
+    /// releases.
+    pub fn process_planned(
+        &mut self,
+        planned: &[PlannedResponse],
+        rng: &mut StreamRng,
+    ) -> Result<&DemandRecord, CoreError> {
+        if planned.is_empty() {
+            return Err(CoreError::NoActiveReleases);
+        }
+        if self.config.mode == OperatingMode::WeightedFleet {
+            return Err(CoreError::InvalidConfig(
+                "weighted-fleet routing needs deployed releases".into(),
+            ));
+        }
+        let seq = self.demands;
+        self.demands += 1;
+        let mut per_release = std::mem::take(&mut self.lent.per_release);
+        per_release.clear();
+        let system = self.run_mode(planned, &mut per_release, rng);
+        self.lent.per_release = per_release;
+        self.lent.system = system?;
+        self.lent.seq = seq;
+        self.lent.t = self.clock;
+        if self.recorder.enabled() {
+            emit_trace(
+                self.recorder.as_mut(),
+                &self.config,
+                &self.lent,
+                planned.len(),
+            );
+        }
+        Ok(&self.lent)
     }
 
     /// Returns a processed record's per-release buffer to the pool so a
@@ -263,92 +405,62 @@ impl UpgradeMiddleware {
         }
     }
 
-    /// Emits the demand's trace events, all stamped with the dispatch
-    /// instant (so an ordered trace has non-decreasing timestamps;
-    /// per-event latencies travel in the payloads).
-    fn emit_trace(&mut self, record: &DemandRecord, releases: usize) {
-        let t = self.clock;
-        let demand = record.seq;
-        self.recorder.record(TraceEvent::DemandDispatched {
-            t,
-            demand,
-            releases,
-            mode: self.config.mode.label(),
-        });
-        for obs in &record.per_release {
-            if obs.within_timeout {
-                self.recorder.record(TraceEvent::ResponseCollected {
-                    t,
-                    demand,
-                    release: obs.release.index(),
-                    class: obs.class.abbrev().into(),
-                    exec_time: obs.exec_time.as_secs(),
-                });
-            } else {
-                self.recorder.record(TraceEvent::Timeout {
-                    t,
-                    demand,
-                    release: obs.release.index(),
-                    timeout: self.config.timeout.as_secs(),
-                });
+    /// Runs one demand in the configured mode, appending each invoked
+    /// release's observation to `per_release`.
+    fn run_mode<R: Responses + ?Sized>(
+        &mut self,
+        responses: &R,
+        per_release: &mut Vec<ReleaseObservation>,
+        rng: &mut StreamRng,
+    ) -> Result<SystemObservation, CoreError> {
+        match self.config.mode {
+            OperatingMode::Sequential { order } => {
+                self.process_sequential(responses, order, per_release, rng)
             }
+            OperatingMode::WeightedFleet => self.process_weighted(responses, per_release, rng),
+            _ => self.process_parallel(responses, per_release, rng),
         }
-        self.recorder.record(TraceEvent::Adjudicated {
-            t,
-            demand,
-            verdict: record.system.verdict.label().into(),
-            source: record.system.source.map(|r| r.index()),
-            responders: record.system.responders,
-            response_time: record.system.response_time.as_secs(),
-        });
-        // The demand's virtual-time cost, attributed per phase: under
-        // eq. (8) the consumer's wait is transport (release execution,
-        // capped by the timeout) plus the adjudication delay `dT`;
-        // detection, Bayes updates and recovery run between demands and
-        // cost zero virtual seconds. All-numeric payload — no
-        // allocation on the per-demand path.
-        let dt = self.config.adjudication_delay.as_secs();
-        let response_time = record.system.response_time.as_secs();
-        self.recorder.record(TraceEvent::SpanClosed {
-            t,
-            demand,
-            transport: (response_time - dt).max(0.0),
-            detection: 0.0,
-            adjudication: dt,
-            bayes: 0.0,
-            recovery: 0.0,
-        });
+    }
+
+    /// Release `id`'s response to the current demand, held against the
+    /// timeout.
+    fn observe<R: Responses + ?Sized>(
+        &mut self,
+        responses: &R,
+        id: ReleaseId,
+        rng: &mut StreamRng,
+    ) -> Result<ReleaseObservation, CoreError> {
+        let PlannedResponse { class, exec_time } =
+            responses.respond(&mut self.releases, id, rng)?;
+        Ok(ReleaseObservation {
+            release: id,
+            class,
+            exec_time,
+            within_timeout: exec_time <= self.config.timeout,
+        })
     }
 
     /// Parallel modes: invoke everyone, then collect the responses in
     /// arrival order per the mode, adjudicate, and charge the eq. (8)
     /// wait.
-    fn process_parallel(
+    fn process_parallel<R: Responses + ?Sized>(
         &mut self,
-        seq: u64,
-        request: &Envelope,
-        active: &[ReleaseId],
+        responses: &R,
+        per_release: &mut Vec<ReleaseObservation>,
         rng: &mut StreamRng,
-    ) -> Result<DemandRecord, CoreError> {
+    ) -> Result<SystemObservation, CoreError> {
         let timeout = self.config.timeout;
         let dt = self.config.adjudication_delay;
-        let mut per_release = self.record_pool.pop().unwrap_or_default();
-        per_release.clear();
-        per_release.reserve(active.len());
-        for &id in active {
-            let inv = self.releases.invoke(id, request, rng)?;
-            per_release.push(ReleaseObservation {
-                release: id,
-                class: inv.class,
-                exec_time: inv.exec_time,
-                within_timeout: inv.exec_time <= timeout,
-            });
+        let releases = responses.releases();
+        per_release.reserve(releases);
+        for i in 0..releases {
+            per_release.push(self.observe(responses, responses.release(i), rng)?);
         }
 
         // Responses in arrival order, truncated to the timeout.
-        // `per_release` follows `active`, which is in release order, so
-        // the (exec_time, release) key reproduces the stable sort a
-        // plain sort-by-exec-time would give.
+        // `per_release` is in release order, so the (exec_time, release)
+        // key reproduces the stable sort a plain sort-by-exec-time would
+        // give.
         let mut collected = std::mem::take(&mut self.collected_scratch);
         collected.clear();
         collected.extend(per_release.iter().filter(|o| o.within_timeout).map(|o| {
@@ -432,13 +544,7 @@ impl UpgradeMiddleware {
 
         collected.clear();
         self.collected_scratch = collected;
-
-        Ok(DemandRecord {
-            seq,
-            t: self.clock,
-            per_release,
-            system,
-        })
+        Ok(system)
     }
 
     /// Weighted-fleet mode: a single uniform draw routes the demand to
@@ -447,30 +553,22 @@ impl UpgradeMiddleware {
     /// is — there is nothing to adjudicate against — so the consumer's
     /// wait is that release's execution time (bounded by the timeout)
     /// plus `dT`.
-    fn process_weighted(
+    fn process_weighted<R: Responses + ?Sized>(
         &mut self,
-        seq: u64,
-        request: &Envelope,
+        responses: &R,
+        per_release: &mut Vec<ReleaseObservation>,
         rng: &mut StreamRng,
-    ) -> Result<DemandRecord, CoreError> {
+    ) -> Result<SystemObservation, CoreError> {
         let timeout = self.config.timeout;
         let dt = self.config.adjudication_delay;
         let u = rng.next_f64();
         let id = self.releases.route(u).ok_or(CoreError::NoActiveReleases)?;
-        let inv = self.releases.invoke(id, request, rng)?;
-        let within = inv.exec_time <= timeout;
-        let mut per_release = self.record_pool.pop().unwrap_or_default();
-        per_release.clear();
-        per_release.push(ReleaseObservation {
-            release: id,
-            class: inv.class,
-            exec_time: inv.exec_time,
-            within_timeout: within,
-        });
-        let system = if within {
+        let obs = self.observe(responses, id, rng)?;
+        per_release.push(obs);
+        Ok(if obs.within_timeout {
             SystemObservation {
-                verdict: SystemVerdict::Response(inv.class),
-                response_time: inv.exec_time + dt,
+                verdict: SystemVerdict::Response(obs.class),
+                response_time: obs.exec_time + dt,
                 source: Some(id),
                 responders: 1,
             }
@@ -481,30 +579,23 @@ impl UpgradeMiddleware {
                 source: None,
                 responders: 0,
             }
-        };
-        Ok(DemandRecord {
-            seq,
-            t: self.clock,
-            per_release,
-            system,
         })
     }
 
     /// Mode 4: one release at a time; each attempt is bounded by the
     /// timeout; attempt durations accumulate into the consumer's wait.
-    fn process_sequential(
+    fn process_sequential<R: Responses + ?Sized>(
         &mut self,
-        seq: u64,
-        request: &Envelope,
-        active: &[ReleaseId],
+        responses: &R,
         order: SequentialOrder,
+        per_release: &mut Vec<ReleaseObservation>,
         rng: &mut StreamRng,
-    ) -> Result<DemandRecord, CoreError> {
+    ) -> Result<SystemObservation, CoreError> {
         let timeout = self.config.timeout;
         let dt = self.config.adjudication_delay;
         let mut order_ids = std::mem::take(&mut self.order_scratch);
         order_ids.clear();
-        order_ids.extend_from_slice(active);
+        order_ids.extend((0..responses.releases()).map(|i| responses.release(i)));
         if order == SequentialOrder::Random {
             // Fisher–Yates with the demand's RNG stream.
             for i in (1..order_ids.len()).rev() {
@@ -512,27 +603,19 @@ impl UpgradeMiddleware {
                 order_ids.swap(i, j);
             }
         }
-        let mut per_release = self.record_pool.pop().unwrap_or_default();
-        per_release.clear();
         let mut waited = SimDuration::ZERO;
         let mut any_evident_collected = false;
         let mut outcome: Option<(SystemVerdict, Option<ReleaseId>)> = None;
         for &id in &order_ids {
-            let inv = self.releases.invoke(id, request, rng)?;
-            let within = inv.exec_time <= timeout;
-            per_release.push(ReleaseObservation {
-                release: id,
-                class: inv.class,
-                exec_time: inv.exec_time,
-                within_timeout: within,
-            });
-            waited += inv.exec_time.min(timeout);
-            if !within {
+            let obs = self.observe(responses, id, rng)?;
+            per_release.push(obs);
+            waited += obs.exec_time.min(timeout);
+            if !obs.within_timeout {
                 // Timed out: try the next release.
                 continue;
             }
-            if inv.class.is_valid() {
-                outcome = Some((SystemVerdict::Response(inv.class), Some(id)));
+            if obs.class.is_valid() {
+                outcome = Some((SystemVerdict::Response(obs.class), Some(id)));
                 break;
             }
             any_evident_collected = true;
@@ -547,18 +630,75 @@ impl UpgradeMiddleware {
         order_ids.clear();
         self.order_scratch = order_ids;
         let responders = per_release.iter().filter(|o| o.within_timeout).count();
-        Ok(DemandRecord {
-            seq,
-            t: self.clock,
-            per_release,
-            system: SystemObservation {
-                verdict,
-                response_time: waited + dt,
-                source,
-                responders,
-            },
+        Ok(SystemObservation {
+            verdict,
+            response_time: waited + dt,
+            source,
+            responders,
         })
     }
+}
+
+/// Emits a demand's trace events, all stamped with its dispatch instant
+/// (so an ordered trace has non-decreasing timestamps; per-event
+/// latencies travel in the payloads).
+fn emit_trace(
+    recorder: &mut dyn Recorder,
+    config: &MiddlewareConfig,
+    record: &DemandRecord,
+    releases: usize,
+) {
+    let t = record.t;
+    let demand = record.seq;
+    recorder.record(TraceEvent::DemandDispatched {
+        t,
+        demand,
+        releases,
+        mode: config.mode.label(),
+    });
+    for obs in &record.per_release {
+        if obs.within_timeout {
+            recorder.record(TraceEvent::ResponseCollected {
+                t,
+                demand,
+                release: obs.release.index(),
+                class: obs.class.abbrev().into(),
+                exec_time: obs.exec_time.as_secs(),
+            });
+        } else {
+            recorder.record(TraceEvent::Timeout {
+                t,
+                demand,
+                release: obs.release.index(),
+                timeout: config.timeout.as_secs(),
+            });
+        }
+    }
+    recorder.record(TraceEvent::Adjudicated {
+        t,
+        demand,
+        verdict: record.system.verdict.label().into(),
+        source: record.system.source.map(|r| r.index()),
+        responders: record.system.responders,
+        response_time: record.system.response_time.as_secs(),
+    });
+    // The demand's virtual-time cost, attributed per phase: under
+    // eq. (8) the consumer's wait is transport (release execution,
+    // capped by the timeout) plus the adjudication delay `dT`;
+    // detection, Bayes updates and recovery run between demands and
+    // cost zero virtual seconds. All-numeric payload — no
+    // allocation on the per-demand path.
+    let dt = config.adjudication_delay.as_secs();
+    let response_time = record.system.response_time.as_secs();
+    recorder.record(TraceEvent::SpanClosed {
+        t,
+        demand,
+        transport: (response_time - dt).max(0.0),
+        detection: 0.0,
+        adjudication: dt,
+        bayes: 0.0,
+        recovery: 0.0,
+    });
 }
 
 impl std::fmt::Debug for UpgradeMiddleware {
@@ -795,6 +935,54 @@ mod tests {
             rec.system.verdict,
             SystemVerdict::Response(ResponseClass::EvidentFailure)
         );
+    }
+
+    #[test]
+    fn planned_sequential_answers_each_demand_from_its_own_pair() {
+        let mut config = MiddlewareConfig::paper(1.5);
+        config.mode = OperatingMode::Sequential {
+            order: SequentialOrder::Deployment,
+        };
+        let mut mw = UpgradeMiddleware::new(config);
+        let mut rng = StreamRng::from_seed(19);
+        // Demand 0: release 1 answers, so release 2's pair goes unused.
+        let first = [
+            planned(ResponseClass::Correct, 0.4),
+            planned(ResponseClass::EvidentFailure, 0.3),
+        ];
+        let rec = mw.process_planned(&first, &mut rng).unwrap();
+        assert_eq!(rec.per_release.len(), 1);
+        // Demand 1: release 1 fails evidently and release 2 answers with
+        // demand 1's response, not demand 0's unused one.
+        let second = [
+            planned(ResponseClass::EvidentFailure, 0.2),
+            planned(ResponseClass::Correct, 0.7),
+        ];
+        let rec = mw.process_planned(&second, &mut rng).unwrap();
+        assert_eq!(rec.seq, 1);
+        assert_eq!(rec.per_release[1].class, ResponseClass::Correct);
+        assert_eq!(rec.per_release[1].exec_time, SimDuration::from_secs(0.7));
+        assert_eq!(rec.system.source, Some(ReleaseId::new(1)));
+        // 0.2 + 0.7 + dT.
+        assert!((rec.system.response_time.as_secs() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn planned_demands_need_a_plan_and_a_dispatching_mode() {
+        let mut mw = UpgradeMiddleware::new(MiddlewareConfig::paper(1.5));
+        let mut rng = StreamRng::from_seed(22);
+        assert_eq!(
+            mw.process_planned(&[], &mut rng),
+            Err(CoreError::NoActiveReleases)
+        );
+        let mut config = MiddlewareConfig::paper(1.5);
+        config.mode = OperatingMode::WeightedFleet;
+        mw.set_config(config);
+        let pair = [planned(ResponseClass::Correct, 0.4); 2];
+        assert!(matches!(
+            mw.process_planned(&pair, &mut rng),
+            Err(CoreError::InvalidConfig(_))
+        ));
     }
 
     #[test]

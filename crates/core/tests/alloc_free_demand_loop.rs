@@ -241,6 +241,58 @@ fn steady_state_demand_loop_does_not_allocate() {
     exporter.shutdown();
 }
 
+/// The plan-fed demand path — the closed loop of a Table 5/6 cell, with
+/// a trace recorder and a metrics registry attached — fills the
+/// middleware's one lent record in place and must not allocate once
+/// warm.
+#[test]
+fn planned_demand_loop_does_not_allocate() {
+    let plan: Vec<[PlannedResponse; 2]> = (0..WARMUP + MEASURED)
+        .map(|i| {
+            let (a, b) = planned_pair(i);
+            [planned(a.0, a.1), planned(b.0, b.1)]
+        })
+        .collect();
+    let mut middleware = UpgradeMiddleware::new(MiddlewareConfig::paper(TIMEOUT_SECS));
+    let recorder = SharedRecorder::new();
+    middleware.set_recorder(recorder.clone());
+    let registry = SharedRegistry::new();
+    let mut monitor = MonitoringSubsystem::new(0);
+    monitor.set_metrics(registry.clone());
+    let seed = MasterSeed::new(96);
+    let mut mw_rng = seed.stream("alloc/planned");
+    let mut mon_rng = seed.stream("alloc/planned-monitor");
+    let mut clock = 0.0;
+    let mut run = |pairs: &[[PlannedResponse; 2]]| {
+        for pair in pairs {
+            middleware.set_virtual_time(clock);
+            let record = middleware
+                .process_planned(pair, &mut mw_rng)
+                .expect("a planned pair");
+            clock += record.system.response_time.as_secs();
+            monitor.observe(record, &mut mon_rng);
+        }
+    };
+    let (warmup, measured) = plan.split_at(WARMUP as usize);
+    run(warmup);
+    recorder.reserve(5 * MEASURED as usize + 16);
+
+    let before = allocation_count();
+    run(measured);
+    let allocs = allocation_count() - before;
+    assert_eq!(
+        allocs, 0,
+        "plan-fed demand loop allocated {allocs} times over {MEASURED} demands"
+    );
+
+    assert_eq!(middleware.demands(), WARMUP + MEASURED);
+    assert_eq!(monitor.demands(), WARMUP + MEASURED);
+    assert_eq!(recorder.len(), 5 * (WARMUP + MEASURED) as usize);
+    registry.with(|r| {
+        assert_eq!(r.counter("wsu_demands_total", &[]), WARMUP + MEASURED);
+    });
+}
+
 /// The weighted-fleet demand path must be allocation-free too: routing
 /// draws one uniform and walks the pre-computed cumulative-weight
 /// table — no per-demand `Vec`, no rebuilt state. Four releases at

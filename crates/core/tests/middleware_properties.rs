@@ -8,6 +8,7 @@
 use wsu_core::adjudicate::SystemVerdict;
 use wsu_core::middleware::{MiddlewareConfig, UpgradeMiddleware};
 use wsu_core::modes::{OperatingMode, SequentialOrder};
+use wsu_obs::SharedRecorder;
 use wsu_simcore::rng::{MasterSeed, StreamRng};
 use wsu_simcore::time::SimDuration;
 use wsu_wstack::endpoint::{PlannedResponse, ScriptedEndpoint};
@@ -64,16 +65,20 @@ fn demand_record_invariants() {
         config.mode = mode;
         let dt = config.adjudication_delay;
         let mut mw = UpgradeMiddleware::new(config);
+        let plan = [
+            PlannedResponse {
+                class: class_a,
+                exec_time: SimDuration::from_secs(time_a),
+            },
+            PlannedResponse {
+                class: class_b,
+                exec_time: SimDuration::from_secs(time_b),
+            },
+        ];
         let mut a = ScriptedEndpoint::new("Svc", "1.0");
-        a.push(PlannedResponse {
-            class: class_a,
-            exec_time: SimDuration::from_secs(time_a),
-        });
+        a.push(plan[0]);
         let mut b = ScriptedEndpoint::new("Svc", "1.1");
-        b.push(PlannedResponse {
-            class: class_b,
-            exec_time: SimDuration::from_secs(time_b),
-        });
+        b.push(plan[1]);
         mw.deploy(a);
         mw.deploy(b);
 
@@ -81,6 +86,14 @@ fn demand_record_invariants() {
         let record = mw
             .process(&Envelope::request("invoke"), &mut demand_rng)
             .unwrap();
+
+        // The plan-fed path answers the same demand with the same record
+        // and leaves the stream at the same draw, in every mode.
+        let mut planned_rng = StreamRng::from_seed(seed);
+        let mut planned_mw = UpgradeMiddleware::new(config);
+        let planned = planned_mw.process_planned(&plan, &mut planned_rng).unwrap();
+        assert_eq!(*planned, record, "{mode:?}");
+        assert_eq!(planned_rng.next_u64(), demand_rng.next_u64(), "{mode:?}");
 
         // Responders equals the within-timeout observations.
         let within = record
@@ -138,6 +151,64 @@ fn demand_record_invariants() {
         );
         // And it always includes the adjudication delay.
         assert!(record.system.response_time >= dt);
+    }
+}
+
+/// Over many demands in each parallel mode, with a trace recorder
+/// attached, the plan-fed path replays two scripted endpoints draw for
+/// draw: equal records, equal trace events, an equal next draw and an
+/// equal demand count.
+#[test]
+fn planned_demands_replay_scripted_endpoints() {
+    const DEMANDS: usize = 400;
+    let mut rng = rng_for("planned_replay");
+    let plan: Vec<[PlannedResponse; 2]> = (0..DEMANDS)
+        .map(|_| {
+            [0, 1].map(|_| PlannedResponse {
+                class: arb_class(&mut rng),
+                exec_time: SimDuration::from_secs(f64_in(&mut rng, 0.01, 3.0)),
+            })
+        })
+        .collect();
+    for mode in [
+        OperatingMode::ParallelReliability,
+        OperatingMode::ParallelResponsiveness,
+        OperatingMode::ParallelDynamic { quorum: 1 },
+        OperatingMode::ParallelDynamic { quorum: 2 },
+    ] {
+        let mut config = MiddlewareConfig::paper(2.0);
+        config.mode = mode;
+        let mut scripted = UpgradeMiddleware::new(config);
+        for (k, release) in ["1.0", "1.1"].into_iter().enumerate() {
+            let mut endpoint = ScriptedEndpoint::new("Svc", release);
+            endpoint.extend(plan.iter().map(|pair| pair[k]));
+            scripted.deploy(endpoint);
+        }
+        let mut planned = UpgradeMiddleware::new(config);
+        let (scripted_trace, planned_trace) = (SharedRecorder::new(), SharedRecorder::new());
+        scripted.set_recorder(scripted_trace.clone());
+        planned.set_recorder(planned_trace.clone());
+        let mut scripted_rng = rng_for("planned_replay/demands");
+        let mut planned_rng = rng_for("planned_replay/demands");
+        let request = Envelope::request("invoke");
+        let mut clock = 0.0;
+        for pair in &plan {
+            scripted.set_virtual_time(clock);
+            planned.set_virtual_time(clock);
+            let want = scripted.process(&request, &mut scripted_rng).unwrap();
+            let got = planned.process_planned(pair, &mut planned_rng).unwrap();
+            assert_eq!(*got, want, "{mode:?}");
+            clock += want.system.response_time.as_secs();
+            scripted.recycle(want);
+        }
+        assert_eq!(
+            planned_trace.snapshot(),
+            scripted_trace.snapshot(),
+            "{mode:?}"
+        );
+        assert_eq!(planned_trace.len(), 5 * DEMANDS, "{mode:?}");
+        assert_eq!(planned_rng.next_u64(), scripted_rng.next_u64(), "{mode:?}");
+        assert_eq!(planned.demands(), scripted.demands());
     }
 }
 

@@ -344,6 +344,13 @@ mod tests {
         assert!(responsiveness.cell.system.met < reliability.cell.system.met);
         // Sequential loads the back end less than any parallel mode.
         assert!(sequential.backend_invocations < reliability.backend_invocations);
+        // Every mode sees the same demands: the system goes without a
+        // response exactly when both releases time out, in any mode.
+        assert_eq!(sequential.cell.system.nrdt, reliability.cell.system.nrdt);
+        assert_eq!(
+            responsiveness.cell.system.nrdt,
+            reliability.cell.system.nrdt
+        );
         let text = render_mode_table(&rows);
         assert!(text.contains("Backend invocations"));
     }

@@ -27,8 +27,6 @@ use wsu_simcore::time::SimTime;
 use wsu_workload::demand::{DemandPlanner, PlannedDemand};
 use wsu_workload::outcomes::OutcomePairGen;
 use wsu_workload::timing::ExecTimeModel;
-use wsu_wstack::endpoint::ScriptedEndpoint;
-use wsu_wstack::message::Envelope;
 use wsu_wstack::outcome::ResponseClass;
 
 use crate::replicate::run_replications;
@@ -122,11 +120,14 @@ pub struct CellResult {
 }
 
 /// Simulates one cell: the given planned demands through a middleware
-/// with the given configuration.
+/// with the given configuration. Demand `i`'s planned pair answers demand
+/// `i` in every operating mode, whichever releases the mode invokes.
 ///
 /// # Panics
 ///
-/// Panics if `demands` is empty.
+/// Panics if `demands` is empty, or if `config` selects
+/// [`OperatingMode::WeightedFleet`](wsu_core::modes::OperatingMode::WeightedFleet),
+/// which routes to deployed releases and has no planned form.
 pub fn simulate_cell(
     demands: &[PlannedDemand],
     config: MiddlewareConfig,
@@ -145,7 +146,7 @@ pub fn simulate_cell(
 ///
 /// # Panics
 ///
-/// Panics if `demands` is empty.
+/// As [`simulate_cell`].
 pub fn simulate_cell_observed(
     demands: &[PlannedDemand],
     config: MiddlewareConfig,
@@ -154,15 +155,7 @@ pub fn simulate_cell_observed(
     tag: &str,
 ) -> CellResult {
     assert!(!demands.is_empty(), "need at least one planned demand");
-    let mut rel1 = ScriptedEndpoint::new("Component", "1.0");
-    let mut rel2 = ScriptedEndpoint::new("Component", "1.1");
-    rel1.extend(demands.iter().map(|d| d.rel1));
-    rel2.extend(demands.iter().map(|d| d.rel2));
     let mut middleware = UpgradeMiddleware::new(config);
-    let id1 = middleware.deploy(rel1);
-    let id2 = middleware.deploy(rel2);
-    debug_assert_eq!(id1, ReleaseId::new(0));
-    debug_assert_eq!(id2, ReleaseId::new(1));
     if let Some(recorder) = &sinks.recorder {
         middleware.set_recorder(recorder.clone());
     }
@@ -171,25 +164,23 @@ pub fn simulate_cell_observed(
         monitor.set_metrics(metrics.clone());
     }
 
-    let request = Envelope::request("invoke");
     let mut mw_rng = seed.stream("midsim/middleware");
     let mut mon_rng = seed.stream("midsim/monitor");
     let mut now = SimTime::ZERO;
-    for _ in demands {
+    for demand in demands {
         // Stamp the demand's trace events with its dispatch instant. This
         // is a plain field store, so the unobserved simulation is
         // unaffected.
         middleware.set_virtual_time(now.as_secs());
+        // Release 1 is `ReleaseId(0)` and release 2 `ReleaseId(1)`; both
+        // answer this demand's planned pair in every mode.
         let record = middleware
-            .process(&request, &mut mw_rng)
-            .expect("releases deployed");
+            .process_planned(&[demand.rel1, demand.rel2], &mut mw_rng)
+            .expect("a planned pair answers every mode but weighted-fleet routing");
         // Closed loop: the next request leaves when this response
         // reaches the consumer.
         now += record.system.response_time;
-        monitor.observe(&record, &mut mon_rng);
-        // The record has been fully observed; hand its buffers back so
-        // the next demand reuses them instead of allocating.
-        middleware.recycle(record);
+        monitor.observe(record, &mut mon_rng);
     }
     if let Some(metrics) = &sinks.metrics {
         metrics.set_gauge(

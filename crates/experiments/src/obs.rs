@@ -7,17 +7,21 @@
 //! * `--serve-metrics <port>` — serve the live snapshot over HTTP on
 //!   `127.0.0.1:<port>` (`/metrics`, `/health`, `/snapshot`);
 //! * `--serve-hold <secs>` — after the tables are printed, keep the
-//!   metrics server up this long before exiting (for scrapes);
+//!   `--serve-metrics` server up this long before exiting (for scrapes);
 //! * `--phase-metrics` — include the wall-clock `wsu_phase_seconds`
-//!   gauges in the snapshot. Off by default: wall-clock values differ
-//!   run to run, so the default snapshot is deterministic.
+//!   gauges in the `--metrics` or `--serve-metrics` snapshot. Off by
+//!   default: wall-clock values differ run to run, so the default
+//!   snapshot is deterministic.
 //!
 //! `table2`, `table5`, `table6`, `fig7`, `fig8`, `ablations`,
 //! `capacity`, `faultcampaign`, `fleetstudy` and `all` also pass their
 //! own flags to [`exit_on_unknown_flag`], which rejects any other
-//! argument, a value that does not parse as its flag's [`FlagValue`]
-//! and a value-taking flag given last, so a misspelt or removed flag or
-//! a bad number stops the run instead of being ignored.
+//! argument, a value that does not parse as its flag's [`FlagValue`], a
+//! value that is itself a flag name, a value-taking flag given last,
+//! `--serve-hold` without `--serve-metrics` and `--phase-metrics`
+//! without `--metrics` or `--serve-metrics`, so a misspelt or removed
+//! flag, a bad number or a flag that would do nothing stops the run
+//! instead of being ignored.
 //!
 //! With no flag nothing is attached anywhere: the middleware keeps
 //! its [`wsu_obs::NullRecorder`], the monitor records no metrics, and
@@ -145,27 +149,54 @@ const SHARED_FLAGS: &[(&str, FlagValue)] = &[
     ("--jobs", FlagValue::Count),
 ];
 
+/// Shared flags that act only beside another: each with the flags, any
+/// one of which it needs.
+const PARTNERED_FLAGS: &[(&str, &[&str])] = &[
+    // The hold keeps the live exporter up; there is none without it.
+    ("--serve-hold", &["--serve-metrics"]),
+    // The phase gauges go into the registry, which only these create.
+    ("--phase-metrics", &["--metrics", "--serve-metrics"]),
+];
+
 /// What is wrong with `args`, naming the flag: the first argument that
 /// is neither a shared flag, one of the binary's `own` flags
 /// (`(name, value kind)`), nor the value following a flag that takes
-/// one; or such a value that does not parse, or is missing at the end.
+/// one; such a value that is missing at the end, is itself a flag name
+/// or does not parse; or a flag given without the partner it acts
+/// through.
 pub fn flag_error(args: &[String], own: &[(&str, FlagValue)]) -> Option<String> {
-    let mut args = args.iter();
-    while let Some(arg) = args.next() {
-        let Some(&(_, kind)) = SHARED_FLAGS.iter().chain(own).find(|(name, _)| name == arg) else {
+    let known = |arg: &str| {
+        SHARED_FLAGS
+            .iter()
+            .chain(own)
+            .find(|&&(name, _)| name == arg)
+            .map(|&(_, kind)| kind)
+    };
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        let Some(kind) = known(arg) else {
             return Some(format!("unknown argument {arg}"));
         };
         if kind == FlagValue::Switch {
             continue;
         }
-        let Some(value) = args.next() else {
+        let Some(value) = rest.next() else {
             return Some(format!("{arg} needs a value"));
         };
+        if known(value).is_some() {
+            return Some(format!("{arg} needs a value, not the flag {value}"));
+        }
         if let Some(takes) = kind.rejects(value) {
             return Some(format!("{arg} needs {takes}, not {value:?}"));
         }
     }
-    None
+    // No value is a flag name, so a flag is given exactly where the
+    // argument equals it.
+    let given = |flag: &&str| args.iter().any(|a| a == flag);
+    PARTNERED_FLAGS.iter().find_map(|(flag, partners)| {
+        (given(flag) && !partners.iter().any(given))
+            .then(|| format!("{flag} needs {}", partners.join(" or ")))
+    })
 }
 
 /// Exits with status 2, printing what [`flag_error`] finds in `args`
@@ -445,7 +476,14 @@ mod tests {
         for l in fleet {
             assert_eq!(flag_error(&line(l), FLEET_FLAGS), None, "{l}");
         }
-        let calibrated = strs(&["--calibrated", "--phase-metrics", "--jobs", "2"]);
+        let calibrated = strs(&[
+            "--calibrated",
+            "--phase-metrics",
+            "--metrics",
+            "obs-out/t5.prom",
+            "--jobs",
+            "2",
+        ]);
         assert_eq!(flag_error(&calibrated, TABLE_FLAGS), None);
         let plans = strs(&["--plan", "omission", "--plan", "crash"]);
         assert_eq!(flag_error(&plans, CAMPAIGN_FLAGS), None);
@@ -521,9 +559,45 @@ mod tests {
             ),
             ("--quick --jobs", "--jobs needs a value"),
             ("--trace", "--trace needs a value"),
+            (
+                "--trace --quick",
+                "--trace needs a value, not the flag --quick",
+            ),
+            (
+                "--metrics --trace t.jsonl",
+                "--metrics needs a value, not the flag --trace",
+            ),
+            (
+                "--jobs --seeds 3",
+                "--jobs needs a value, not the flag --seeds",
+            ),
         ] {
             let args = strs(&line.split_whitespace().collect::<Vec<_>>());
             assert_eq!(flag_error(&args, TABLE2_FLAGS).as_deref(), Some(want));
+        }
+    }
+
+    #[test]
+    fn partnered_flags_need_their_partner() {
+        for (line, want) in [
+            (
+                "--quick --serve-hold 5",
+                Some("--serve-hold needs --serve-metrics"),
+            ),
+            (
+                "--quick --phase-metrics",
+                Some("--phase-metrics needs --metrics or --serve-metrics"),
+            ),
+            (
+                "--phase-metrics --serve-hold 5 --metrics m.prom",
+                Some("--serve-hold needs --serve-metrics"),
+            ),
+            ("--serve-hold 5 --serve-metrics 0", None),
+            ("--phase-metrics --metrics m.prom", None),
+            ("--phase-metrics --serve-metrics 0", None),
+        ] {
+            let args = strs(&line.split_whitespace().collect::<Vec<_>>());
+            assert_eq!(flag_error(&args, TABLE_FLAGS).as_deref(), want, "{line}");
         }
     }
 

@@ -54,3 +54,20 @@ fn an_unknown_flag_exits_2_and_names_it() {
     rejects(TABLE5, &["--quick", "--shards", "2"], "--shards");
     rejects(TABLE2, &["--adaptive"], "--adaptive");
 }
+
+#[test]
+fn a_flag_name_given_as_a_value_exits_2_and_names_both() {
+    let stderr = rejects(TABLE5, &["--trace", "--quick"], "--trace");
+    assert!(stderr.contains("not the flag --quick"), "{stderr}");
+}
+
+#[test]
+fn a_flag_without_its_partner_exits_2_and_names_the_partner() {
+    let stderr = rejects(TABLE5, &["--quick", "--serve-hold", "5"], "--serve-hold");
+    assert!(stderr.contains("needs --serve-metrics"), "{stderr}");
+    let stderr = rejects(TABLE5, &["--quick", "--phase-metrics"], "--phase-metrics");
+    assert!(
+        stderr.contains("needs --metrics or --serve-metrics"),
+        "{stderr}"
+    );
+}

@@ -8,10 +8,11 @@
 //! A plan is a `Vec` of plain `Copy` values, so `DemandPlanner::plan_batch`
 //! allocates exactly the one exactly-sized buffer, and `midsim::plan_run`
 //! adds only the constant set-up around it (the stream name). A cell
-//! copies the plan into its two scripted endpoints with one exact-size
-//! `extend` each. A per-demand allocation — an owned request envelope,
-//! a label string, a queue that regrows as it is filled — would make the
-//! counts grow with `n` and fail these tests.
+//! hands each planned pair to the middleware, which fills one lent
+//! record in place, so it copies nothing of the plan. A per-demand
+//! allocation — an owned request envelope, a label string, a queue that
+//! regrows as it is filled — would make the counts grow with `n` and
+//! fail these tests.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator. The
 //! counter is a const-initialised thread-local, so allocations made by

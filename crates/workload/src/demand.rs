@@ -4,8 +4,7 @@
 //! sampled behaviour of both releases: outcome classes (from an
 //! [`OutcomePairGen`]) and execution times (from an
 //! [`ExecTimeModel`]). [`DemandPlanner`] bundles the two; the experiment
-//! harness feeds each half of the plan into a scripted endpoint or
-//! directly into the middleware.
+//! harness hands each planned pair directly to the middleware.
 //!
 //! A plan is a flat `Vec<PlannedDemand>` of plain `Copy` values: nothing
 //! per demand lives on the heap, so planning a batch costs one

@@ -6,10 +6,10 @@
 //! * [`SyntheticService`] samples each response independently from an
 //!   [`OutcomeProfile`] and an execution-time model (the *independent
 //!   releases* assumption of the paper's Table 6);
-//! * [`ScriptedEndpoint`] replays a pre-planned sequence of invocations,
-//!   which is how the *correlated releases* model (Tables 3–5) is driven:
-//!   the workload generator plans both releases' outcomes jointly and
-//!   feeds each release its half of the plan.
+//! * [`ScriptedEndpoint`] is one release's queue of planned responses,
+//!   served in order; its cursor moves only when that release is
+//!   invoked. (The Table 5/6 cells do not use it: they hand each jointly
+//!   planned pair of responses straight to the upgrade middleware.)
 
 use std::rc::Rc;
 
@@ -254,11 +254,14 @@ pub struct PlannedResponse {
     pub exec_time: SimDuration,
 }
 
-/// An endpoint that replays pre-planned responses in order.
+/// One release's queue of planned responses, served in order.
 ///
-/// Used when outcomes of several releases must be sampled *jointly* (the
-/// correlated model of Table 4): the workload generator plans the pair,
-/// then pushes each half into the corresponding scripted endpoint.
+/// The cursor moves only when this release is invoked. A demand that
+/// does not reach the release, such as the second release's in
+/// sequential mode after the first one answered, leaves its response
+/// queued for the release's next invocation. Two scripted endpoints fed
+/// the halves of a joint plan therefore replay it demand for demand only
+/// in modes that invoke every release on every demand.
 ///
 /// The plan is a `Vec` read through a cursor: filling it with one
 /// exact-size [`extend`](ScriptedEndpoint::extend) is one allocation,
