@@ -168,8 +168,8 @@ pub struct FleetPlan {
     pub probe: ProbeRule,
     /// What to do with a degraded canary.
     pub strategy: RecoveryStrategy,
-    /// Suspend any release after this many consecutive evident failures
-    /// (the paper's recovery threshold, applied fleet-wide).
+    /// Suspend any release after this many (at least one) consecutive
+    /// evident failures: the paper's recovery threshold, fleet-wide.
     pub suspend_after: u32,
     /// Phase the demoted stable out on promotion instead of keeping it
     /// as a zero-weight hot standby.
@@ -490,11 +490,16 @@ impl FleetOrchestrator {
     /// weight). Push canary stages with
     /// [`push_stage`](FleetOrchestrator::push_stage); the first pending
     /// stage deploys on the next demand.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plan.suspend_after` is 0: every streak would be an incident.
     pub fn new(
         stable: impl ServiceEndpoint + 'static,
         plan: FleetPlan,
         seed: MasterSeed,
     ) -> FleetOrchestrator {
+        assert!(plan.suspend_after > 0, "suspend_after must be positive");
         let mut config = plan.middleware;
         config.mode = OperatingMode::WeightedFleet;
         let mut middleware = UpgradeMiddleware::new(config);
@@ -612,6 +617,17 @@ impl FleetOrchestrator {
     /// orchestrator itself never strands the fleet (the zero-active
     /// sweep restarts suspended releases first).
     pub fn run_demand(&mut self) -> FleetDemand {
+        let outcome = self.serve();
+        self.detect_and_recover(outcome.release);
+        if self.stats.demands.is_multiple_of(self.plan.assess_interval) {
+            self.assess_canary();
+        }
+        outcome
+    }
+
+    /// Deploys a due canary, routes one demand and scores it into the
+    /// counters, the canary window and the open probe.
+    fn serve(&mut self) -> FleetDemand {
         self.deploy_due_canary();
         self.ensure_serving();
         self.middleware.set_virtual_time(self.virtual_time);
@@ -669,12 +685,6 @@ impl FleetOrchestrator {
                 }
                 self.probe = None;
             }
-        }
-
-        self.detect_and_recover();
-
-        if self.stats.demands.is_multiple_of(self.plan.assess_interval) {
-            self.assess_canary();
         }
         outcome
     }
@@ -738,25 +748,21 @@ impl FleetOrchestrator {
         }
     }
 
-    /// Streak/window incident detection and the zero-active safety
-    /// sweep — the fleet generalisation of
+    /// Streak/window incident detection after a demand served by
+    /// `served`, and the zero-active safety sweep — the fleet
+    /// generalisation of
     /// [`crate::manage::ManagementSubsystem::apply_recovery`].
-    fn detect_and_recover(&mut self) {
-        // Streak incidents, in deployment order (deterministic).
-        let len = self.middleware.releases().len();
-        for index in 0..len {
-            let id = ReleaseId::new(index);
-            let releases = self.middleware.releases();
-            if releases.state(id) != Ok(ReleaseState::Active) {
-                continue;
-            }
-            let streak = releases
-                .consecutive_evident_failures(id)
-                .expect("release is deployed");
-            if streak < self.plan.suspend_after {
-                continue;
-            }
-            self.declare_incident(id);
+    fn detect_and_recover(&mut self, served: ReleaseId) {
+        // Only the served release's streak moved. Every other active
+        // release is below `suspend_after`: each incident leaves its
+        // release restarted with a zero streak or phased out.
+        let streak = self
+            .middleware
+            .releases()
+            .consecutive_evident_failures(served)
+            .expect("release is deployed");
+        if streak >= self.plan.suspend_after {
+            self.declare_incident(served);
         }
         // Windowed canary fault rate.
         if let Some(canary) = &self.canary {
@@ -1311,6 +1317,193 @@ mod tests {
         assert!(events.iter().any(
             |e| matches!(e, TraceEvent::SwitchDecision { decision, .. } if decision == "rollback")
         ));
+    }
+
+    /// The detection every deployed release's streak once went through,
+    /// kept as the reference: a deployment-order scan after each
+    /// demand, then the canary window and the zero-active sweep.
+    fn detect_by_scan(fleet: &mut FleetOrchestrator) {
+        let len = fleet.middleware.releases().len();
+        for index in 0..len {
+            let id = ReleaseId::new(index);
+            let releases = fleet.middleware.releases();
+            if releases.state(id) != Ok(ReleaseState::Active) {
+                continue;
+            }
+            let streak = releases
+                .consecutive_evident_failures(id)
+                .expect("release is deployed");
+            if streak < fleet.plan.suspend_after {
+                continue;
+            }
+            fleet.declare_incident(id);
+        }
+        if let Some(canary) = &fleet.canary {
+            let id = canary.id;
+            let over = canary
+                .window_rate()
+                .is_some_and(|rate| rate > fleet.plan.rollback.max_fault_rate);
+            let still_active = fleet.middleware.releases().state(id) == Ok(ReleaseState::Active);
+            if over && still_active {
+                fleet.declare_incident(id);
+            }
+        }
+        if fleet.middleware.releases().active_slice().is_empty() {
+            fleet.restart_all_suspended();
+        }
+    }
+
+    /// One fleet-study cell: a `size`-release chain of fault-injected
+    /// releases (a crash burst on the first canary, evident wrong
+    /// values on every second demand of the last stage, a 1% crash
+    /// everywhere, and with `stable_burst` a crash burst on the stable
+    /// release too) and one composite stand-in per canary stage.
+    /// Returns the counters and the trace, detecting incidents with
+    /// `run_demand` or, with `by_scan`, with [`detect_by_scan`].
+    fn study_cell(
+        size: usize,
+        strategy: RecoveryStrategy,
+        seed: u64,
+        stable_burst: bool,
+        by_scan: bool,
+    ) -> (FleetStats, Vec<TraceEvent>) {
+        use crate::composite::{CompositeEndpoint, CompositeService};
+        use wsu_faults::FleetFaultScenario;
+        use wsu_faults::{FaultAction, FaultClause, FaultInjector, FaultTrigger};
+        use wsu_obs::SharedRecorder;
+
+        let seed = MasterSeed::new(seed);
+        let crash_burst = |name: &str, from, to| {
+            FaultClause::new(
+                name,
+                FaultTrigger::DemandWindow { from, to },
+                FaultAction::Crash,
+            )
+        };
+        let mut scenario = FleetFaultScenario::new("cell", size)
+            .release_clause(1, crash_burst("canary-burst", 40, 80))
+            .release_clause(
+                size - 1,
+                FaultClause::new(
+                    "persistent-wrong",
+                    FaultTrigger::EveryNth { n: 2, phase: 0 },
+                    FaultAction::WrongValue { evident: true },
+                ),
+            )
+            .coincident(FaultClause::new(
+                "co-crash",
+                FaultTrigger::Probabilistic {
+                    p: 0.01,
+                    stream: "fleet/co-crash".into(),
+                },
+                FaultAction::Crash,
+            ));
+        if stable_burst {
+            scenario = scenario.release_clause(0, crash_burst("stable-burst", 200, 212));
+        }
+        let recorder = SharedRecorder::new();
+        let mut injectors = scenario.plans.iter().enumerate().map(|(i, plan)| {
+            let service = SyntheticService::builder("Composite", &format!("1.{i}"))
+                .exec_time(DelayModel::constant(0.5))
+                .build();
+            FaultInjector::new(service, plan.clone(), seed).with_recorder(recorder.clone())
+        });
+        let plan = FleetPlan {
+            assess_interval: 100,
+            promotion: PromotionRule {
+                target_pfd: 0.05,
+                confidence: 0.8,
+                min_demands: 25,
+            },
+            rollback: RollbackRule {
+                window: 12,
+                max_fault_rate: 0.4,
+            },
+            probe: ProbeRule {
+                window: 30,
+                min_availability: 0.9,
+            },
+            suspend_after: 5,
+            ..FleetPlan::with_strategy(strategy)
+        };
+        let mut fleet = FleetOrchestrator::new(injectors.next().unwrap(), plan, seed);
+        for injector in injectors {
+            fleet.push_stage(injector);
+        }
+        let mut pool = SubstitutePool::new();
+        for stage in 1..size {
+            let name = format!("CompositeAlt{stage}");
+            let backend = SyntheticService::builder("Backend", "1.0")
+                .exec_time(DelayModel::constant(0.5))
+                .build();
+            let composite = CompositeService::builder(name.clone())
+                .component("backend", backend)
+                .build();
+            pool.register(
+                ServiceRecord::new(
+                    &name,
+                    format!("http://standby/{name}"),
+                    "composite-equivalent",
+                    ServiceDescription::new(&name, "sub-1.0"),
+                ),
+                Box::new(CompositeEndpoint::new(composite, "sub-1.0")),
+            );
+        }
+        fleet.set_substitutes(pool, "composite-equivalent");
+        fleet.attach_recorder(recorder.clone());
+        for _ in 0..4_000 {
+            if by_scan {
+                fleet.serve();
+                detect_by_scan(&mut fleet);
+                if fleet
+                    .stats
+                    .demands
+                    .is_multiple_of(fleet.plan.assess_interval)
+                {
+                    fleet.assess_canary();
+                }
+            } else {
+                fleet.run_demand();
+            }
+        }
+        (fleet.stats(), recorder.snapshot())
+    }
+
+    #[test]
+    fn served_release_detection_matches_the_deployment_order_scan() {
+        let mut incidents = 0;
+        for seed in [0xF1EE7, 1, 2, 3, 4] {
+            for size in [2, 3, 4] {
+                for strategy in RecoveryStrategy::all() {
+                    for stable_burst in [false, true] {
+                        let cell =
+                            |by_scan| study_cell(size, strategy, seed, stable_burst, by_scan);
+                        let (stats, trace) = cell(false);
+                        let (scan_stats, scan_trace) = cell(true);
+                        let label = format!("seed {seed}, fleet{size}-{}", strategy.label());
+                        assert_eq!(stats, scan_stats, "{label}, stable burst {stable_burst}");
+                        assert!(trace == scan_trace, "{label}, stable burst {stable_burst}");
+                        let stable_suspended = trace.iter().any(|e| {
+                            matches!(e, TraceEvent::ReleaseSuspended { release: 0, action, .. }
+                                if action == "suspended")
+                        });
+                        assert_eq!(stable_suspended, stable_burst, "{label}");
+                        incidents += stats.incidents;
+                    }
+                }
+            }
+        }
+        assert!(incidents > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "suspend_after must be positive")]
+    fn a_zero_suspension_threshold_is_rejected() {
+        let plan = FleetPlan {
+            suspend_after: 0,
+            ..FleetPlan::default()
+        };
+        let _ = FleetOrchestrator::new(good("1.0"), plan, MasterSeed::new(1));
     }
 
     #[test]

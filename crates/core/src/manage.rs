@@ -703,6 +703,7 @@ mod tests {
                 .invoke(
                     bad,
                     &wsu_wstack::message::Envelope::request("invoke"),
+                    0.0,
                     &mut rng,
                 )
                 .unwrap();
@@ -735,6 +736,7 @@ mod tests {
                 .invoke(
                     bad,
                     &wsu_wstack::message::Envelope::request("invoke"),
+                    0.0,
                     &mut rng,
                 )
                 .unwrap();
@@ -773,6 +775,7 @@ mod tests {
                     .invoke(
                         id,
                         &wsu_wstack::message::Envelope::request("invoke"),
+                        0.0,
                         &mut rng,
                     )
                     .unwrap();
@@ -831,7 +834,7 @@ mod tests {
             assert_eq!(releases.state(id).unwrap(), ReleaseState::Active);
         }
         assert_eq!(releases.state(ids[1]).unwrap(), ReleaseState::PhasedOut);
-        assert_eq!(releases.active_ids().len(), 3);
+        assert_eq!(releases.active_slice().len(), 3);
     }
 
     #[test]
@@ -851,7 +854,7 @@ mod tests {
             .map(|&id| RecoveryAction::Suspended(id))
             .collect();
         assert_eq!(actions, expected);
-        assert!(releases.active_ids().is_empty());
+        assert!(releases.active_slice().is_empty());
         for &id in &ids {
             assert_eq!(releases.state(id).unwrap(), ReleaseState::Suspended);
         }

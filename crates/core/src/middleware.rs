@@ -133,10 +133,8 @@ pub struct UpgradeMiddleware {
     /// caller (orchestrator or simulation driver) owns the clock.
     clock: f64,
     /// Scratch buffers reused across demands so the steady-state path
-    /// does not allocate: the active-release snapshot, the responses
-    /// collected within the timeout in arrival order, and the
-    /// sequential visit order.
-    active_scratch: Vec<ReleaseId>,
+    /// does not allocate: the responses collected within the timeout in
+    /// arrival order, and the sequential visit order.
     collected_scratch: Vec<CollectedResponse>,
     order_scratch: Vec<ReleaseId>,
     /// Recycled `per_release` buffers, returned via [`recycle`].
@@ -152,11 +150,9 @@ pub struct UpgradeMiddleware {
 /// Where a demand's responses come from. Each mode's code is generic
 /// over the source, so it is written once and compiled for each.
 trait Responses {
-    /// How many releases the demand is dispatched to.
-    fn releases(&self) -> usize;
-
-    /// The `i`-th of them, in deployment order.
-    fn release(&self, i: usize) -> ReleaseId;
+    /// The `i`-th release the demand is dispatched to, in deployment
+    /// order; `None` past the last.
+    fn release(&self, set: &ReleaseSet, i: usize) -> Option<ReleaseId>;
 
     /// Release `id`'s response to the demand.
     fn respond(
@@ -167,19 +163,16 @@ trait Responses {
     ) -> Result<PlannedResponse, CoreError>;
 }
 
-/// The active releases' endpoints, invoked with the request.
+/// The active releases' endpoints (read in place: invoking one leaves
+/// the list as it was), each invoked at the dispatch instant `now`.
 struct Endpoints<'a> {
     request: &'a Envelope,
-    active: &'a [ReleaseId],
+    now: f64,
 }
 
 impl Responses for Endpoints<'_> {
-    fn releases(&self) -> usize {
-        self.active.len()
-    }
-
-    fn release(&self, i: usize) -> ReleaseId {
-        self.active[i]
+    fn release(&self, set: &ReleaseSet, i: usize) -> Option<ReleaseId> {
+        set.active_slice().get(i).copied()
     }
 
     fn respond(
@@ -188,7 +181,7 @@ impl Responses for Endpoints<'_> {
         id: ReleaseId,
         rng: &mut StreamRng,
     ) -> Result<PlannedResponse, CoreError> {
-        let inv = releases.invoke(id, self.request, rng)?;
+        let inv = releases.invoke(id, self.request, self.now, rng)?;
         Ok(PlannedResponse {
             class: inv.class,
             exec_time: inv.exec_time,
@@ -198,12 +191,8 @@ impl Responses for Endpoints<'_> {
 
 /// A joint plan: release `k` answers with `plan[k]`.
 impl Responses for [PlannedResponse] {
-    fn releases(&self) -> usize {
-        self.len()
-    }
-
-    fn release(&self, i: usize) -> ReleaseId {
-        ReleaseId::new(i)
+    fn release(&self, _: &ReleaseSet, i: usize) -> Option<ReleaseId> {
+        (i < self.len()).then(|| ReleaseId::new(i))
     }
 
     fn respond(
@@ -225,7 +214,6 @@ impl UpgradeMiddleware {
             demands: 0,
             recorder: Box::new(NullRecorder),
             clock: 0.0,
-            active_scratch: Vec::new(),
             collected_scratch: Vec::new(),
             order_scratch: Vec::new(),
             record_pool: Vec::new(),
@@ -313,27 +301,21 @@ impl UpgradeMiddleware {
         request: &Envelope,
         rng: &mut StreamRng,
     ) -> Result<DemandRecord, CoreError> {
-        let mut active = std::mem::take(&mut self.active_scratch);
-        active.clear();
-        active.extend_from_slice(self.releases.active_slice());
-        if active.is_empty() {
-            self.active_scratch = active;
+        let releases = self.releases.active_slice().len();
+        if releases == 0 {
             return Err(CoreError::NoActiveReleases);
         }
-        // Clock-aware endpoints (fault injectors with time windows) see
-        // the dispatch instant before the demand reaches them.
-        self.releases.advance_clock(self.clock);
         let seq = self.demands;
         self.demands += 1;
         let mut per_release = self.record_pool.pop().unwrap_or_default();
         per_release.clear();
+        // Clock-aware endpoints (fault injectors with time windows) see
+        // the dispatch instant just before they are invoked.
         let responses = Endpoints {
             request,
-            active: &active,
+            now: self.clock,
         };
         let system = self.run_mode(&responses, &mut per_release, rng);
-        let releases = active.len();
-        self.active_scratch = active;
         let record = DemandRecord {
             seq,
             t: self.clock,
@@ -451,10 +433,10 @@ impl UpgradeMiddleware {
     ) -> Result<SystemObservation, CoreError> {
         let timeout = self.config.timeout;
         let dt = self.config.adjudication_delay;
-        let releases = responses.releases();
-        per_release.reserve(releases);
-        for i in 0..releases {
-            per_release.push(self.observe(responses, responses.release(i), rng)?);
+        let mut i = 0;
+        while let Some(id) = responses.release(&self.releases, i) {
+            per_release.push(self.observe(responses, id, rng)?);
+            i += 1;
         }
 
         // Responses in arrival order, truncated to the timeout.
@@ -595,7 +577,7 @@ impl UpgradeMiddleware {
         let dt = self.config.adjudication_delay;
         let mut order_ids = std::mem::take(&mut self.order_scratch);
         order_ids.clear();
-        order_ids.extend((0..responses.releases()).map(|i| responses.release(i)));
+        order_ids.extend((0..).map_while(|i| responses.release(&self.releases, i)));
         if order == SequentialOrder::Random {
             // Fisher–Yates with the demand's RNG stream.
             for i in (1..order_ids.len()).rev() {

@@ -151,28 +151,12 @@ impl ReleaseSet {
         self.releases.len()
     }
 
-    /// Propagates the current virtual time to every deployed endpoint
-    /// (whatever its state), so clock-aware wrappers such as fault
-    /// injectors with virtual-time windows stay in sync with the
-    /// middleware.
-    pub fn advance_clock(&mut self, now_secs: f64) {
-        for deployed in &mut self.releases {
-            deployed.endpoint.advance_clock(now_secs);
-        }
-    }
-
     /// Returns `true` if no releases are deployed.
     pub fn is_empty(&self) -> bool {
         self.releases.is_empty()
     }
 
     /// Ids of releases currently serving demands, in deployment order.
-    pub fn active_ids(&self) -> Vec<ReleaseId> {
-        self.active.clone()
-    }
-
-    /// Borrowed view of the serving releases, in deployment order. The
-    /// per-demand hot path uses this to avoid allocating a fresh list.
     pub fn active_slice(&self) -> &[ReleaseId] {
         &self.active
     }
@@ -203,7 +187,9 @@ impl ReleaseSet {
             .ok_or(CoreError::UnknownRelease(id))
     }
 
-    /// Invokes a release, updating its consecutive-evident-failure count.
+    /// Invokes a release at the virtual instant `now_secs`, which its
+    /// endpoint learns through [`ServiceEndpoint::advance_clock`] just
+    /// before the call, updating its consecutive-evident-failure count.
     ///
     /// # Errors
     ///
@@ -213,6 +199,7 @@ impl ReleaseSet {
         &mut self,
         id: ReleaseId,
         request: &Envelope,
+        now_secs: f64,
         rng: &mut StreamRng,
     ) -> Result<Invocation, CoreError> {
         let deployed = self
@@ -225,6 +212,7 @@ impl ReleaseSet {
                 operation: "invoked",
             });
         }
+        deployed.endpoint.advance_clock(now_secs);
         let invocation = deployed.endpoint.invoke(request, rng);
         if invocation.class == wsu_wstack::outcome::ResponseClass::EvidentFailure {
             deployed.consecutive_evident_failures += 1;
@@ -414,7 +402,6 @@ mod tests {
         assert_eq!(b.index(), 1);
         assert_eq!(set.len(), 2);
         assert!(!set.is_empty());
-        assert_eq!(set.active_ids(), vec![a, b]);
         assert_eq!(set.active_slice(), &[a, b]);
     }
 
@@ -436,7 +423,6 @@ mod tests {
         let id = set.deploy(service("1.0"));
         set.suspend(id).unwrap();
         assert_eq!(set.state(id).unwrap(), ReleaseState::Suspended);
-        assert!(set.active_ids().is_empty());
         assert!(set.active_slice().is_empty());
         set.restart(id).unwrap();
         assert_eq!(set.state(id).unwrap(), ReleaseState::Active);
@@ -465,7 +451,7 @@ mod tests {
         assert!(set.consecutive_evident_failures(ghost).is_err());
         let mut rng = StreamRng::from_seed(1);
         assert!(set
-            .invoke(ghost, &Envelope::request("invoke"), &mut rng)
+            .invoke(ghost, &Envelope::request("invoke"), 0.0, &mut rng)
             .is_err());
     }
 
@@ -476,7 +462,7 @@ mod tests {
         set.suspend(id).unwrap();
         let mut rng = StreamRng::from_seed(2);
         let err = set
-            .invoke(id, &Envelope::request("invoke"), &mut rng)
+            .invoke(id, &Envelope::request("invoke"), 0.0, &mut rng)
             .unwrap_err();
         assert!(matches!(err, CoreError::InvalidReleaseState { .. }));
     }
@@ -491,7 +477,7 @@ mod tests {
         );
         let mut rng = StreamRng::from_seed(3);
         for expected in 1..=3u32 {
-            set.invoke(id, &Envelope::request("invoke"), &mut rng)
+            set.invoke(id, &Envelope::request("invoke"), 0.0, &mut rng)
                 .unwrap();
             assert_eq!(set.consecutive_evident_failures(id).unwrap(), expected);
         }
@@ -506,7 +492,7 @@ mod tests {
         let mut set = ReleaseSet::new();
         let id = set.deploy(service("1.0")); // always correct
         let mut rng = StreamRng::from_seed(4);
-        set.invoke(id, &Envelope::request("invoke"), &mut rng)
+        set.invoke(id, &Envelope::request("invoke"), 0.0, &mut rng)
             .unwrap();
         assert_eq!(set.consecutive_evident_failures(id).unwrap(), 0);
     }

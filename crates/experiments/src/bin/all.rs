@@ -13,7 +13,9 @@ use std::path::PathBuf;
 use wsu_bayes::whitebox::Resolution;
 use wsu_experiments::bayes_study::StudyConfig;
 use wsu_experiments::midsim::ObsSinks;
-use wsu_experiments::obs::{exit_on_unknown_flag, jobs_from_args, FlagValue, ObsOptions};
+use wsu_experiments::obs::{
+    exit_on_unknown_flag, jobs_from_args, FlagValue, ObsOptions, JOBS_FLAG,
+};
 use wsu_experiments::{
     ablation, campaign, capacity, figures, table2, table5, table6, DEFAULT_SEED, PAPER_TIMEOUTS,
 };
@@ -28,7 +30,11 @@ fn main() -> std::io::Result<()> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     exit_on_unknown_flag(
         &args,
-        &[("--quick", FlagValue::Switch), ("--out", FlagValue::Text)],
+        &[
+            ("--quick", FlagValue::Switch),
+            ("--out", FlagValue::Text),
+            JOBS_FLAG,
+        ],
         USAGE,
     );
     let quick = args.iter().any(|a| a == "--quick");

@@ -7,7 +7,7 @@
 //! with status 2.
 
 use wsu_experiments::capacity::{render_capacity_table, run_capacity_study_jobs};
-use wsu_experiments::obs::{exit_on_unknown_flag, jobs_from_env, FlagValue, ObsOptions};
+use wsu_experiments::obs::{exit_on_unknown_flag, jobs_from_env, FlagValue, ObsOptions, JOBS_FLAG};
 use wsu_experiments::DEFAULT_SEED;
 use wsu_workload::outcomes::CorrelatedOutcomes;
 use wsu_workload::runs::RunSpec;
@@ -18,7 +18,7 @@ const USAGE: &str = "usage: capacity [--quick] [--jobs N] [--trace PATH] [--metr
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    exit_on_unknown_flag(&args, &[("--quick", FlagValue::Switch)], USAGE);
+    exit_on_unknown_flag(&args, &[("--quick", FlagValue::Switch), JOBS_FLAG], USAGE);
     let quick = args.iter().any(|a| a == "--quick");
     let jobs = jobs_from_env();
     let mut ctx = ObsOptions::from_env().context();

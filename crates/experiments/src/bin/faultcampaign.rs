@@ -14,7 +14,7 @@
 //! `wsu_phase_seconds` gauges. Any other argument exits with status 2.
 
 use wsu_experiments::campaign::{run_campaign_jobs, standard_plans, CampaignConfig};
-use wsu_experiments::obs::{exit_on_unknown_flag, jobs_from_env, FlagValue, ObsOptions};
+use wsu_experiments::obs::{exit_on_unknown_flag, jobs_from_env, FlagValue, ObsOptions, JOBS_FLAG};
 use wsu_experiments::DEFAULT_SEED;
 
 const USAGE: &str = "usage: faultcampaign [--quick] [--plan NAME] [--jobs N] [--trace PATH] \
@@ -25,7 +25,11 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     exit_on_unknown_flag(
         &args,
-        &[("--quick", FlagValue::Switch), ("--plan", FlagValue::Text)],
+        &[
+            ("--quick", FlagValue::Switch),
+            ("--plan", FlagValue::Text),
+            JOBS_FLAG,
+        ],
         USAGE,
     );
     let quick = args.iter().any(|a| a == "--quick");

@@ -13,7 +13,7 @@
 //! `wsu_phase_seconds` gauges. Any other argument exits with status 2.
 
 use wsu_experiments::fleetstudy::{run_fleetstudy_jobs, standard_cells, FleetStudyConfig};
-use wsu_experiments::obs::{exit_on_unknown_flag, jobs_from_env, FlagValue, ObsOptions};
+use wsu_experiments::obs::{exit_on_unknown_flag, jobs_from_env, FlagValue, ObsOptions, JOBS_FLAG};
 use wsu_experiments::DEFAULT_SEED;
 
 const USAGE: &str = "usage: fleetstudy [--quick] [--cell NAME] [--jobs N] [--trace PATH] \
@@ -24,7 +24,11 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     exit_on_unknown_flag(
         &args,
-        &[("--quick", FlagValue::Switch), ("--cell", FlagValue::Text)],
+        &[
+            ("--quick", FlagValue::Switch),
+            ("--cell", FlagValue::Text),
+            JOBS_FLAG,
+        ],
         USAGE,
     );
     let quick = args.iter().any(|a| a == "--quick");

@@ -13,7 +13,7 @@
 //! the wall-clock `wsu_phase_seconds` gauges to the snapshot. Any other
 //! argument exits with status 2.
 
-use wsu_experiments::obs::{exit_on_unknown_flag, jobs_from_env, FlagValue, ObsOptions};
+use wsu_experiments::obs::{exit_on_unknown_flag, jobs_from_env, FlagValue, ObsOptions, JOBS_FLAG};
 use wsu_experiments::table5::run_table5_jobs;
 use wsu_experiments::{DEFAULT_SEED, PAPER_REQUESTS, PAPER_TIMEOUTS};
 use wsu_workload::timing::ExecTimeModel;
@@ -29,6 +29,7 @@ fn main() {
         &[
             ("--quick", FlagValue::Switch),
             ("--calibrated", FlagValue::Switch),
+            JOBS_FLAG,
         ],
         USAGE,
     );

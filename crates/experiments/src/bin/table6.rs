@@ -6,7 +6,7 @@
 //! with the same meanings as for `table5`. Any other argument exits
 //! with status 2.
 
-use wsu_experiments::obs::{exit_on_unknown_flag, jobs_from_env, FlagValue, ObsOptions};
+use wsu_experiments::obs::{exit_on_unknown_flag, jobs_from_env, FlagValue, ObsOptions, JOBS_FLAG};
 use wsu_experiments::table6::run_table6_jobs;
 use wsu_experiments::{DEFAULT_SEED, PAPER_REQUESTS, PAPER_TIMEOUTS};
 use wsu_workload::timing::ExecTimeModel;
@@ -22,6 +22,7 @@ fn main() {
         &[
             ("--quick", FlagValue::Switch),
             ("--calibrated", FlagValue::Switch),
+            JOBS_FLAG,
         ],
         USAGE,
     );

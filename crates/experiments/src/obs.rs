@@ -91,10 +91,10 @@ pub fn flag_value<T: FromStr>(args: &[String], flag: &str) -> Option<T> {
         .and_then(|v| v.parse().ok())
 }
 
-/// Parses the shared `--jobs N` flag: `N` workers (`0` clamped to 1);
-/// absent means one worker per available hardware thread. The worker
-/// count never changes any output — replications merge in replication
-/// order regardless of which worker ran them.
+/// Parses the `--jobs N` flag ([`JOBS_FLAG`]): `N` workers (`0`
+/// clamped to 1); absent means one worker per available hardware
+/// thread. The worker count never changes any output — replications
+/// merge in replication order regardless of which worker ran them.
 pub fn jobs_from_args(args: &[String]) -> Jobs {
     Jobs::from_request(flag_value(args, "--jobs"))
 }
@@ -139,15 +139,18 @@ impl FlagValue {
 }
 
 /// The flags every experiment binary shares, each with what follows
-/// it: the observability flags of [`ObsOptions`] and `--jobs`.
+/// it: the observability flags of [`ObsOptions`].
 const SHARED_FLAGS: &[(&str, FlagValue)] = &[
     ("--trace", FlagValue::Text),
     ("--metrics", FlagValue::Text),
     ("--serve-metrics", FlagValue::Port),
     ("--serve-hold", FlagValue::Seconds),
     ("--phase-metrics", FlagValue::Switch),
-    ("--jobs", FlagValue::Count),
 ];
+
+/// `--jobs N`, read by [`jobs_from_args`]: only a binary that runs a
+/// worker pool lists it among its own flags, so any other rejects it.
+pub const JOBS_FLAG: (&str, FlagValue) = ("--jobs", FlagValue::Count);
 
 /// Shared flags that act only beside another: each with the flags, any
 /// one of which it needs.
@@ -436,11 +439,18 @@ mod tests {
     const TABLE_FLAGS: &[(&str, FlagValue)] = &[
         ("--quick", FlagValue::Switch),
         ("--calibrated", FlagValue::Switch),
+        JOBS_FLAG,
     ];
-    const CAMPAIGN_FLAGS: &[(&str, FlagValue)] =
-        &[("--quick", FlagValue::Switch), ("--plan", FlagValue::Text)];
-    const FLEET_FLAGS: &[(&str, FlagValue)] =
-        &[("--quick", FlagValue::Switch), ("--cell", FlagValue::Text)];
+    const CAMPAIGN_FLAGS: &[(&str, FlagValue)] = &[
+        ("--quick", FlagValue::Switch),
+        ("--plan", FlagValue::Text),
+        JOBS_FLAG,
+    ];
+    const FLEET_FLAGS: &[(&str, FlagValue)] = &[
+        ("--quick", FlagValue::Switch),
+        ("--cell", FlagValue::Text),
+        JOBS_FLAG,
+    ];
     const TABLE2_FLAGS: &[(&str, FlagValue)] = &[
         ("--quick", FlagValue::Switch),
         ("--seeds", FlagValue::Count),
@@ -510,6 +520,9 @@ mod tests {
         // One binary's own flag is unknown to another.
         let cell = ["--cell", "restart"];
         assert_eq!(error(&cell, TABLE_FLAGS), unknown("--cell"));
+        // A binary without a worker pool has no --jobs to honour.
+        let jobs = ["--quick", "--jobs", "2"];
+        assert_eq!(error(&jobs, TABLE2_FLAGS), unknown("--jobs"));
     }
 
     #[test]
@@ -573,7 +586,8 @@ mod tests {
             ),
         ] {
             let args = strs(&line.split_whitespace().collect::<Vec<_>>());
-            assert_eq!(flag_error(&args, TABLE2_FLAGS).as_deref(), Some(want));
+            let own = [TABLE2_FLAGS, &[JOBS_FLAG]].concat();
+            assert_eq!(flag_error(&args, &own).as_deref(), Some(want));
         }
     }
 

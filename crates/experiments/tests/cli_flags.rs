@@ -28,6 +28,8 @@ fn rejects(bin: &str, args: &[&str], named: &str) -> String {
 
 const TABLE2: &str = env!("CARGO_BIN_EXE_table2");
 const TABLE5: &str = env!("CARGO_BIN_EXE_table5");
+const FIG7: &str = env!("CARGO_BIN_EXE_fig7");
+const FIG8: &str = env!("CARGO_BIN_EXE_fig8");
 
 #[test]
 fn a_value_that_does_not_parse_exits_2_and_names_the_flag() {
@@ -53,6 +55,13 @@ fn a_value_taking_flag_given_last_exits_2_and_names_the_flag() {
 fn an_unknown_flag_exits_2_and_names_it() {
     rejects(TABLE5, &["--quick", "--shards", "2"], "--shards");
     rejects(TABLE2, &["--adaptive"], "--adaptive");
+}
+
+#[test]
+fn jobs_on_a_binary_without_a_worker_pool_exits_2_and_names_it() {
+    for bin in [TABLE2, FIG7, FIG8] {
+        rejects(bin, &["--quick", "--jobs", "2"], "--jobs");
+    }
 }
 
 #[test]

@@ -243,7 +243,8 @@ impl<S: ServiceEndpoint> FaultInjector<S> {
         self.index
     }
 
-    /// The injector's current virtual-time clock, in seconds.
+    /// The injector's virtual-time clock, in seconds: the dispatch
+    /// instant of the last demand that reached the injector.
     pub fn virtual_time(&self) -> f64 {
         self.virtual_time
     }

@@ -27,8 +27,9 @@ pub enum FaultTrigger {
         to: u64,
     },
     /// Fires while the injector's virtual-time clock is in the half-open
-    /// window `[from_secs, to_secs)`. The clock is driven by the
-    /// middleware through
+    /// window `[from_secs, to_secs)`. The middleware sets the clock to
+    /// each demand's dispatch instant just before invoking the injector,
+    /// through
     /// [`ServiceEndpoint::advance_clock`](wsu_wstack::endpoint::ServiceEndpoint::advance_clock).
     TimeWindow {
         /// Window start, in virtual seconds.

@@ -209,7 +209,7 @@ impl StreamRng {
     }
 
     /// Picks one index from `weights` with probability proportional to its
-    /// weight.
+    /// weight: checks the weights, then walks them ([`weighted_index`]).
     ///
     /// # Panics
     ///
@@ -224,18 +224,7 @@ impl StreamRng {
             })
             .sum();
         assert!(total > 0.0, "weights sum to zero");
-        let mut x = self.next_f64() * total;
-        for (i, &w) in weights.iter().enumerate() {
-            if x < w {
-                return i;
-            }
-            x -= w;
-        }
-        // Floating-point round-off: return the last positive weight.
-        weights
-            .iter()
-            .rposition(|&w| w > 0.0)
-            .expect("at least one positive weight")
+        weighted_index(weights, self.next_f64() * total)
     }
 
     /// Picks a uniformly random element of `items`.
@@ -255,6 +244,25 @@ impl StreamRng {
     pub fn fork(&mut self) -> StreamRng {
         StreamRng::from_seed(self.next_u64())
     }
+}
+
+/// The index [`StreamRng::pick_weighted`] lands on when its draw times
+/// the weights' sum is `x`, without checking the weights: for callers
+/// that validated theirs once. Round-off past every weight lands on the
+/// last positive one; if none is positive, this panics.
+#[inline]
+pub fn weighted_index(weights: &[f64], mut x: f64) -> usize {
+    for (i, &w) in weights.iter().enumerate() {
+        if x < w {
+            return i;
+        }
+        x -= w;
+    }
+    // Floating-point round-off: return the last positive weight.
+    weights
+        .iter()
+        .rposition(|&w| w > 0.0)
+        .expect("at least one positive weight")
 }
 
 #[cfg(test)]
@@ -412,6 +420,25 @@ mod tests {
         let mut rng = StreamRng::from_seed(7);
         for _ in 0..1000 {
             assert_eq!(rng.pick_weighted(&[0.0, 1.0, 0.0]), 1);
+        }
+    }
+
+    #[test]
+    fn round_off_past_every_weight_lands_on_the_last_positive_one() {
+        // No stream is known to reach the fallback, so the walk gets the
+        // largest draw next_f64 can return. There each of these valid
+        // weight sets is walked past all three weights through round-off
+        // (asserted), the middle and last sets past a zero weight.
+        let top = 1.0 - f64::EPSILON / 2.0;
+        for (weights, last) in [
+            ([0.1, 0.2, 0.7], 2),
+            ([0.06, 0.0, 0.94], 2),
+            ([0.06, 0.94, 0.0], 1),
+        ] {
+            let total: f64 = weights.iter().sum();
+            let left = weights.iter().fold(top * total, |x, w| x - w);
+            assert!(left >= 0.0, "{weights:?} does not reach the fallback");
+            assert_eq!(weighted_index(&weights, top * total), last, "{weights:?}");
         }
     }
 

@@ -148,6 +148,28 @@ mod tests {
     use super::*;
 
     #[test]
+    fn preset_profiles_sample_what_pick_weighted_picks() {
+        let mut profiles = vec![
+            OutcomeProfile::always_correct(),
+            OutcomeProfile::new(0.3, 0.0, 0.7),
+        ];
+        for run in RunSpec::all() {
+            profiles.extend([run.rel1, run.rel2]);
+            profiles.extend(ResponseClass::ALL.map(|a| run.conditional.given(a)));
+        }
+        for seed in 0..64 {
+            for &p in &profiles {
+                let mut walked = StreamRng::from_seed(seed);
+                let mut checked = walked.clone();
+                let class = p.sample(&mut walked);
+                let picked = ResponseClass::from_index(checked.pick_weighted(&p.as_array()));
+                assert_eq!(class, picked, "seed {seed}, {p:?}");
+                assert_eq!(walked.next_u64(), checked.next_u64(), "seed {seed}, {p:?}");
+            }
+        }
+    }
+
+    #[test]
     fn symmetric_rows_sum_to_one() {
         let t = ConditionalTable::symmetric(0.9);
         for a in ResponseClass::ALL {

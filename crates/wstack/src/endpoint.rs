@@ -128,10 +128,12 @@ pub trait ServiceEndpoint {
 
     /// Informs the endpoint of the current virtual time, in seconds.
     ///
-    /// The upgrade middleware calls this before dispatching each demand.
-    /// Most endpoints are clockless and ignore it; wrappers with
-    /// time-dependent behaviour (e.g. fault injectors with virtual-time
-    /// windows) consume it and forward it to the endpoint they wrap.
+    /// The upgrade middleware calls this on an endpoint just before
+    /// invoking it, with the demand's dispatch instant; an endpoint the
+    /// demand does not reach is not told. Most endpoints are clockless
+    /// and ignore it; wrappers with time-dependent behaviour (e.g. fault
+    /// injectors with virtual-time windows) consume it and forward it to
+    /// the endpoint they wrap.
     fn advance_clock(&mut self, _now_secs: f64) {}
 }
 

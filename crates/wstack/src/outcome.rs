@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use wsu_simcore::rng::StreamRng;
+use wsu_simcore::rng::{weighted_index, StreamRng};
 
 /// How a single release responded to one demand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -163,9 +163,13 @@ impl OutcomeProfile {
         [self.correct, self.evident, self.non_evident]
     }
 
-    /// Draws one response class.
+    /// Draws one response class: what [`StreamRng::pick_weighted`] draws
+    /// from [`as_array`](OutcomeProfile::as_array), with the same single
+    /// draw, but without re-checking what [`new`](OutcomeProfile::new)
+    /// validated.
     pub fn sample(self, rng: &mut StreamRng) -> ResponseClass {
-        ResponseClass::from_index(rng.pick_weighted(&self.as_array()))
+        let total = self.correct + self.evident + self.non_evident;
+        ResponseClass::from_index(weighted_index(&self.as_array(), rng.next_f64() * total))
     }
 }
 
