@@ -41,7 +41,6 @@
 
 pub mod beta;
 pub mod blackbox;
-pub mod compare;
 pub mod counts;
 pub mod kernels;
 pub mod posterior;

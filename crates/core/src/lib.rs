@@ -74,7 +74,6 @@ pub mod modes;
 pub mod monitor;
 pub mod release;
 pub mod serve;
-pub mod single_release;
 pub mod upgrade;
 
 pub use adjudicate::{Adjudicator, SelectionPolicy, SystemVerdict};
@@ -92,5 +91,4 @@ pub use modes::OperatingMode;
 pub use monitor::MonitoringSubsystem;
 pub use release::{ReleaseId, ReleaseInfo, ReleaseState};
 pub use serve::{DemandOutcome, DemandWorker, ReleaseSpec, ServeSpec};
-pub use single_release::SingleReleaseTracker;
 pub use upgrade::{ManagedUpgrade, UpgradeConfig, UpgradePhase};

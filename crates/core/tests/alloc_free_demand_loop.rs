@@ -7,8 +7,8 @@
 //! The warm-up phase routes every outcome pattern the measured window
 //! replays (all response classes per release, timeouts, every system
 //! verdict), so all metric series are resolved, all scratch buffers
-//! have grown to size, every calendar-queue bucket has been visited,
-//! and the recorder's backing storage is pre-reserved.
+//! have grown to size, the event queue's heap has reached its deepest
+//! backlog, and the recorder's backing storage is pre-reserved.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator. The
 //! counter is a const-initialised thread-local, so allocations made by

@@ -15,34 +15,76 @@ use std::process::exit;
 
 use wsu_experiments::analyze::analyze_trace;
 
-fn value_after(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+const USAGE: &str = "usage: wsu-analyze <trace.jsonl> [--window SECS] \
+                     [--availability PATH] [--phases PATH]";
+
+/// What the command line asks for.
+struct Args {
+    trace_path: PathBuf,
+    window_secs: f64,
+    availability: Option<String>,
+    phases: Option<String>,
+}
+
+/// Reads the command line: the trace path is the one argument that is
+/// neither a flag nor a flag's value. Names the problem on an unknown
+/// flag, a second path, a missing path, or a flag without its value.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut trace_path = None;
+    let mut window_secs = 60.0;
+    let mut availability = None;
+    let mut phases = None;
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            if let Some(first) = trace_path.replace(PathBuf::from(arg)) {
+                return Err(format!(
+                    "a second trace path {arg} after {}",
+                    first.display()
+                ));
+            }
+            continue;
+        }
+        let mut value = || match rest.next() {
+            Some(value) if !value.starts_with("--") => Ok(value.clone()),
+            _ => Err(format!("{arg} needs a value")),
+        };
+        match arg.as_str() {
+            "--window" => {
+                let value = value()?;
+                window_secs = value
+                    .parse()
+                    .ok()
+                    .filter(|secs: &f64| *secs > 0.0 && secs.is_finite())
+                    .ok_or_else(|| {
+                        format!("--window needs a positive number of seconds, not {value:?}")
+                    })?;
+            }
+            "--availability" => availability = Some(value()?),
+            "--phases" => phases = Some(value()?),
+            _ => return Err(format!("unknown argument {arg}")),
+        }
+    }
+    Ok(Args {
+        trace_path: trace_path.ok_or("no trace path given")?,
+        window_secs,
+        availability,
+        phases,
+    })
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let trace_path = match args.iter().find(|a| !a.starts_with("--")) {
-        Some(path) => PathBuf::from(path),
-        None => {
-            eprintln!(
-                "usage: wsu-analyze <trace.jsonl> [--window SECS] \
-                 [--availability PATH] [--phases PATH]"
-            );
-            exit(2);
-        }
-    };
-    let window_secs = value_after(&args, "--window")
-        .map(|v| match v.parse::<f64>() {
-            Ok(secs) => secs,
-            Err(_) => {
-                eprintln!("--window {v} is not a number");
-                exit(2);
-            }
-        })
-        .unwrap_or(60.0);
+    let Args {
+        trace_path,
+        window_secs,
+        availability,
+        phases,
+    } = parse_args(&args).unwrap_or_else(|error| {
+        eprintln!("{error}");
+        eprintln!("{USAGE}");
+        exit(2);
+    });
     let text = match fs::read_to_string(&trace_path) {
         Ok(text) => text,
         Err(err) => {
@@ -68,10 +110,10 @@ fn main() {
         fs::write(&path, content).expect("write analysis output");
         eprintln!("{what}: -> {}", path.display());
     };
-    if let Some(path) = value_after(&args, "--availability") {
+    if let Some(path) = availability {
         write(&path, analysis.availability_tsv(), "availability timeline");
     }
-    if let Some(path) = value_after(&args, "--phases") {
+    if let Some(path) = phases {
         write(&path, analysis.phases_tsv(), "phase breakdown");
     }
 }

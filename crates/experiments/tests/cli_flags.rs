@@ -80,3 +80,45 @@ fn a_flag_without_its_partner_exits_2_and_names_the_partner() {
         "{stderr}"
     );
 }
+
+const ANALYZE: &str = env!("CARGO_BIN_EXE_wsu-analyze");
+
+#[test]
+fn analyze_takes_its_trace_path_before_or_after_the_flags() {
+    // Two demands 90 s apart: two 60 s windows, but one 120 s window.
+    let trace = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_flags_trace.jsonl");
+    std::fs::write(
+        &trace,
+        "{\"kind\":\"Adjudicated\",\"t\":10.0,\"verdict\":\"CR\",\"response_time\":0.5}\n\
+         {\"kind\":\"Adjudicated\",\"t\":100.0,\"verdict\":\"CR\",\"response_time\":0.5}\n",
+    )
+    .expect("write trace");
+    let trace = trace.to_str().expect("UTF-8 path");
+    for args in [["--window", "120", trace], [trace, "--window", "120"]] {
+        let out = Command::new(ANALYZE)
+            .args(args)
+            .output()
+            .expect("spawn wsu-analyze");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{args:?}: {out:?}");
+        assert!(
+            stdout.contains("timeline: 1 non-empty windows of 120 s"),
+            "{args:?}: {stdout}"
+        );
+    }
+}
+
+#[test]
+fn analyze_rejects_a_bad_command_line_before_reading_the_trace() {
+    // The trace does not exist: reading it would exit 1, not 2.
+    let trace = "no-such-trace.jsonl";
+    rejects(
+        ANALYZE,
+        &[trace, "--windw", "120", "--phase", "p.tsv"],
+        "--windw",
+    );
+    rejects(ANALYZE, &[trace, "--window", "abc"], "--window");
+    rejects(ANALYZE, &[trace, "--window"], "--window");
+    rejects(ANALYZE, &[trace, "other.jsonl"], "other.jsonl");
+    rejects(ANALYZE, &["--window", "120"], "no trace path");
+}

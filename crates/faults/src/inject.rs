@@ -1,10 +1,10 @@
 //! The [`FaultInjector`] endpoint wrapper.
 //!
 //! Follows the same composable-wrapper pattern as
-//! [`TransportLink`](wsu_wstack::transport::TransportLink) and
-//! [`RetryingEndpoint`](wsu_wstack::RetryingEndpoint): the injector *is*
-//! a [`ServiceEndpoint`], so it can sit anywhere in an endpoint stack —
-//! between the middleware and a release, or around a transport link.
+//! [`TransportLink`](wsu_wstack::transport::TransportLink): the injector
+//! *is* a [`ServiceEndpoint`], so it can sit anywhere in an endpoint
+//! stack — between the middleware and a release, or around or under a
+//! transport link.
 //!
 //! All randomness comes from per-clause
 //! [`MasterSeed`] streams derived at

@@ -1,10 +1,10 @@
 //! Random variates used by the simulation model.
 //!
 //! The paper's event-driven model (Section 5.2) needs exponential execution
-//! times, Bernoulli failure indicators and categorical response outcomes.
-//! Each distribution here is a small value type that samples from a
-//! [`StreamRng`], so the distribution parameters live with the model and
-//! the randomness stays in named streams.
+//! times; ablations swap in constant delays. Each distribution here is a
+//! small value type that samples from a [`StreamRng`], so the
+//! distribution parameters live with the model and the randomness stays
+//! in named streams.
 
 use crate::rng::StreamRng;
 use crate::time::SimDuration;
@@ -58,63 +58,6 @@ impl Exponential {
     /// Draws one variate as a [`SimDuration`].
     pub fn sample_duration(self, rng: &mut StreamRng) -> SimDuration {
         SimDuration::from_secs(self.sample(rng))
-    }
-}
-
-/// A discrete distribution over `0..k` given by explicit probabilities.
-///
-/// Used for the paper's three-way response outcomes (correct / evident
-/// failure / non-evident failure) and the conditional rows of Table 4.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Categorical {
-    probs: Vec<f64>,
-}
-
-impl Categorical {
-    /// Creates a categorical distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `probs` is empty, contains negative or non-finite values,
-    /// or does not sum to 1 within `1e-9`.
-    pub fn new(probs: impl Into<Vec<f64>>) -> Categorical {
-        let probs = probs.into();
-        assert!(!probs.is_empty(), "categorical needs at least one class");
-        let mut total = 0.0;
-        for &p in &probs {
-            assert!(p.is_finite() && p >= 0.0, "invalid probability {p}");
-            total += p;
-        }
-        assert!(
-            (total - 1.0).abs() < 1e-9,
-            "probabilities must sum to 1, got {total}"
-        );
-        Categorical { probs }
-    }
-
-    /// Returns the probability of class `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn prob(&self, i: usize) -> f64 {
-        self.probs[i]
-    }
-
-    /// Number of classes.
-    pub fn len(&self) -> usize {
-        self.probs.len()
-    }
-
-    /// Returns `true` if the distribution has no classes (never true for a
-    /// constructed value; present for API completeness).
-    pub fn is_empty(&self) -> bool {
-        self.probs.is_empty()
-    }
-
-    /// Draws one class index.
-    pub fn sample(&self, rng: &mut StreamRng) -> usize {
-        rng.pick_weighted(&self.probs)
     }
 }
 
@@ -224,32 +167,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn exponential_rejects_zero_mean() {
         let _ = Exponential::with_mean(0.0);
-    }
-
-    #[test]
-    fn categorical_frequencies_match() {
-        let cat = Categorical::new([0.5, 0.25, 0.25]);
-        let mut rng = StreamRng::from_seed(14);
-        let mut counts = [0u32; 3];
-        for _ in 0..100_000 {
-            counts[cat.sample(&mut rng)] += 1;
-        }
-        assert!((counts[0] as f64 / 100_000.0 - 0.5).abs() < 0.01);
-        assert!((counts[1] as f64 / 100_000.0 - 0.25).abs() < 0.01);
-    }
-
-    #[test]
-    fn categorical_accessors() {
-        let cat = Categorical::new([0.7, 0.15, 0.15]);
-        assert_eq!(cat.len(), 3);
-        assert!(!cat.is_empty());
-        assert_eq!(cat.prob(0), 0.7);
-    }
-
-    #[test]
-    #[should_panic(expected = "sum to 1")]
-    fn categorical_rejects_bad_sum() {
-        let _ = Categorical::new([0.5, 0.6]);
     }
 
     #[test]

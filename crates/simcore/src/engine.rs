@@ -22,11 +22,6 @@ pub trait Handler<E> {
 pub struct Engine<E> {
     now: SimTime,
     queue: EventQueue<E>,
-    processed: u64,
-    queue_high_water: usize,
-    limit: Option<u64>,
-    horizon: Option<SimTime>,
-    stopped: bool,
 }
 
 impl<E> Engine<E> {
@@ -35,41 +30,12 @@ impl<E> Engine<E> {
         Engine {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
-            processed: 0,
-            queue_high_water: 0,
-            limit: None,
-            horizon: None,
-            stopped: false,
         }
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Number of events processed so far.
-    pub fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    /// The deepest the event queue has ever been (pending events), an
-    /// observability signal for sizing and backlog analysis.
-    pub fn queue_high_water(&self) -> usize {
-        self.queue_high_water
-    }
-
-    /// Limits the run to at most `limit` events (a runaway backstop).
-    pub fn set_event_limit(&mut self, limit: u64) -> &mut Self {
-        self.limit = Some(limit);
-        self
-    }
-
-    /// Stops the run once the clock would pass `horizon`; events due later
-    /// are left unprocessed.
-    pub fn set_horizon(&mut self, horizon: SimTime) -> &mut Self {
-        self.horizon = Some(horizon);
-        self
     }
 
     /// Schedules `event` at the absolute instant `due`.
@@ -85,101 +51,24 @@ impl<E> Engine<E> {
             due
         );
         self.queue.push(due, event);
-        self.queue_high_water = self.queue_high_water.max(self.queue.len());
     }
 
     /// Schedules `event` after `delay` from now.
     pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
         self.queue.push(self.now + delay, event);
-        self.queue_high_water = self.queue_high_water.max(self.queue.len());
     }
 
-    /// Requests that the run loop stop after the current event.
-    pub fn stop(&mut self) {
-        self.stopped = true;
-    }
-
-    /// Returns `true` if [`stop`](Engine::stop) was called.
-    pub fn is_stopped(&self) -> bool {
-        self.stopped
-    }
-
-    /// Number of pending events.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Runs until the queue drains, the event limit or horizon is hit, or a
-    /// handler calls [`stop`](Engine::stop). Returns the number of events
+    /// Runs until the queue drains. Returns the number of events
     /// processed by this call.
     pub fn run<W: Handler<E>>(&mut self, world: &mut W) -> u64 {
-        let start = self.processed;
-        while !self.stopped {
-            if let Some(limit) = self.limit {
-                if self.processed >= limit {
-                    break;
-                }
-            }
-            let Some((due, event)) = self.queue.pop() else {
-                break;
-            };
-            if let Some(h) = self.horizon {
-                if due > h {
-                    // Put nothing back: the horizon ends the simulation.
-                    break;
-                }
-            }
+        let mut processed = 0;
+        while let Some((due, event)) = self.queue.pop() {
             debug_assert!(due >= self.now, "event queue went backwards");
             self.now = due;
-            self.processed += 1;
+            processed += 1;
             world.handle(self, event);
         }
-        self.processed - start
-    }
-
-    /// Runs every event strictly before `until`, leaving later events
-    /// queued. Returns the number of events processed by this call.
-    ///
-    /// Unlike [`set_horizon`](Engine::set_horizon) — which ends the
-    /// whole simulation and discards the first too-late pop — this is
-    /// non-destructive: the engine can be resumed with a later `until`.
-    /// It is the building block for epoch-windowed sharded execution
-    /// (see [`crate::shard`]): each shard drains its window, exchanges
-    /// cross-shard events at the barrier, then runs the next window.
-    /// Honors [`stop`](Engine::stop) and the event limit.
-    pub fn run_window<W: Handler<E>>(&mut self, until: SimTime, world: &mut W) -> u64 {
-        let start = self.processed;
-        while !self.stopped {
-            if let Some(limit) = self.limit {
-                if self.processed >= limit {
-                    break;
-                }
-            }
-            match self.queue.peek_time() {
-                Some(due) if due < until => {}
-                _ => break,
-            }
-            let (due, event) = self.queue.pop().expect("peeked event is poppable");
-            debug_assert!(due >= self.now, "event queue went backwards");
-            self.now = due;
-            self.processed += 1;
-            world.handle(self, event);
-        }
-        self.processed - start
-    }
-
-    /// Processes a single event, if one is pending. Returns `true` if an
-    /// event was handled. Ignores the horizon and event limit.
-    pub fn step<W: Handler<E>>(&mut self, world: &mut W) -> bool {
-        match self.queue.pop() {
-            Some((due, event)) => {
-                self.now = due;
-                self.processed += 1;
-                world.handle(self, event);
-                true
-            }
-            None => false,
-        }
+        processed
     }
 }
 
@@ -202,7 +91,6 @@ mod tests {
     #[derive(Default)]
     struct World {
         ticks: u32,
-        booms: u32,
         times: Vec<f64>,
     }
 
@@ -216,7 +104,7 @@ mod tests {
                         engine.schedule_in(SimDuration::from_secs(1.0), Ev::Tick);
                     }
                 }
-                Ev::Boom => self.booms += 1,
+                Ev::Boom => {}
             }
         }
     }
@@ -241,92 +129,6 @@ mod tests {
         let mut world = World::default();
         engine.run(&mut world);
         assert_eq!(world.times, vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn horizon_cuts_off_late_events() {
-        let mut engine = Engine::new();
-        engine.set_horizon(SimTime::from_secs(2.5));
-        engine.schedule_at(SimTime::from_secs(1.0), Ev::Boom);
-        engine.schedule_at(SimTime::from_secs(2.0), Ev::Boom);
-        engine.schedule_at(SimTime::from_secs(3.0), Ev::Boom);
-        let mut world = World::default();
-        engine.run(&mut world);
-        assert_eq!(world.booms, 2);
-    }
-
-    #[test]
-    fn event_limit_is_respected() {
-        let mut engine = Engine::new();
-        engine.set_event_limit(3);
-        for i in 0..10 {
-            engine.schedule_at(SimTime::from_secs(i as f64), Ev::Boom);
-        }
-        let mut world = World::default();
-        engine.run(&mut world);
-        assert_eq!(world.booms, 3);
-        assert_eq!(engine.pending(), 7);
-    }
-
-    #[test]
-    fn stop_ends_run() {
-        struct Stopper;
-        impl Handler<Ev> for Stopper {
-            fn handle(&mut self, engine: &mut Engine<Ev>, _: Ev) {
-                engine.stop();
-            }
-        }
-        let mut engine = Engine::new();
-        engine.schedule_at(SimTime::ZERO, Ev::Boom);
-        engine.schedule_at(SimTime::from_secs(1.0), Ev::Boom);
-        let mut world = Stopper;
-        let n = engine.run(&mut world);
-        assert_eq!(n, 1);
-        assert!(engine.is_stopped());
-        assert_eq!(engine.pending(), 1);
-    }
-
-    #[test]
-    fn queue_high_water_tracks_peak_depth() {
-        let mut engine = Engine::new();
-        for i in 0..4 {
-            engine.schedule_at(SimTime::from_secs(i as f64), Ev::Boom);
-        }
-        assert_eq!(engine.queue_high_water(), 4);
-        let mut world = World::default();
-        engine.run(&mut world);
-        // Draining the queue does not lower the mark.
-        assert_eq!(engine.queue_high_water(), 4);
-    }
-
-    #[test]
-    fn run_window_is_resumable() {
-        let mut engine = Engine::new();
-        for i in 0..6 {
-            engine.schedule_at(SimTime::from_secs(i as f64), Ev::Boom);
-        }
-        let mut world = World::default();
-        // Strictly-before semantics: the event at t=3 stays queued.
-        assert_eq!(engine.run_window(SimTime::from_secs(3.0), &mut world), 3);
-        assert_eq!(world.booms, 3);
-        assert_eq!(engine.pending(), 3);
-        // Resume with a later window; nothing was discarded.
-        assert_eq!(engine.run_window(SimTime::from_secs(100.0), &mut world), 3);
-        assert_eq!(world.booms, 6);
-        assert!(engine.pending() == 0);
-        assert_eq!(engine.run_window(SimTime::from_secs(200.0), &mut world), 0);
-    }
-
-    #[test]
-    fn step_processes_one_event() {
-        let mut engine = Engine::new();
-        engine.schedule_at(SimTime::ZERO, Ev::Boom);
-        engine.schedule_at(SimTime::from_secs(1.0), Ev::Boom);
-        let mut world = World::default();
-        assert!(engine.step(&mut world));
-        assert_eq!(world.booms, 1);
-        assert!(engine.step(&mut world));
-        assert!(!engine.step(&mut world));
     }
 
     #[test]

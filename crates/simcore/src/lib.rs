@@ -9,7 +9,7 @@
 //!   ([`rng::StreamRng`]) derived from a single master seed, so that every
 //!   table and figure regenerated by the workspace is exactly reproducible;
 //! * [`dist`] — the random variates the paper's simulation model needs
-//!   (exponential, Bernoulli, categorical, uniform);
+//!   (exponential and constant delays);
 //! * [`par`] — a deterministic replication-level parallel runner
 //!   (results merged in replication order, so outputs are byte-identical
 //!   for any worker count);

@@ -5,38 +5,14 @@
 //! a timestamp — common with constant middleware delays like the paper's
 //! adjudication time `dT`.
 //!
-//! [`EventQueue`] is a calendar queue (time wheel): events hash into a
-//! fixed ring of day-wide buckets, so `push` is an append into a reused
-//! `Vec` slot and `pop` scans forward from the current day. Bucket
-//! storage is retained across pops, so after warm-up the steady-state
-//! demand loop schedules without touching the allocator. Events due
-//! beyond a full ring lap of the cursor go to a *far-future spill
-//! list* instead of wrapping into a bucket they don't belong to yet;
-//! they migrate into the ring as the cursor approaches (see
-//! `migrate_spill`). The previous binary-heap implementation survives
-//! as [`HeapEventQueue`]; the two pop identical `(time, seq)` orders
-//! (see the equivalence tests below).
+//! [`EventQueue`] is a binary heap ordered by `(time, seq)`, where `seq`
+//! is the push index. The heap keeps its storage across pops, so once a
+//! run has reached its deepest backlog, scheduling allocates nothing.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
-
-/// Number of day-wide buckets in the calendar ring (a power of two so
-/// the day-to-bucket map is a mask).
-const BUCKETS: usize = 64;
-const BUCKET_MASK: u64 = (BUCKETS as u64) - 1;
-
-/// Virtual seconds per calendar day. One second matches the demand
-/// cadence of the paper's workloads: a closed-loop demand every ~1 s
-/// lands each event in the current or next bucket.
-const DAY_SECS: f64 = 1.0;
-
-/// Initial capacity of each bucket, reserved at construction so the
-/// first push into a bucket never allocates — without it, a bucket
-/// first reached mid-measurement would break the steady-state
-/// zero-allocation contract.
-const BUCKET_CAPACITY: usize = 4;
 
 /// A pending event with its due time and a tie-breaking sequence number.
 #[derive(Debug)]
@@ -44,17 +20,6 @@ struct Scheduled<E> {
     due: SimTime,
     seq: u64,
     event: E,
-}
-
-impl<E> Scheduled<E> {
-    /// The calendar day this event belongs to.
-    fn day(&self) -> u64 {
-        day_of(self.due)
-    }
-}
-
-fn day_of(due: SimTime) -> u64 {
-    (due.as_secs() / DAY_SECS) as u64
 }
 
 impl<E> PartialEq for Scheduled<E> {
@@ -99,16 +64,7 @@ impl<E> Ord for Scheduled<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    buckets: Vec<Vec<Scheduled<E>>>,
-    /// Events due more than a full ring lap past the cursor at push
-    /// time. Unsorted; scanned only while non-empty (far-future events
-    /// are rare in the closed demand loop) and migrated into the ring
-    /// as the cursor approaches.
-    spill: Vec<Scheduled<E>>,
-    /// The day the next pop starts scanning from; always at or below the
-    /// earliest pending event's day.
-    current_day: u64,
-    len: usize,
+    heap: BinaryHeap<Scheduled<E>>,
     next_seq: u64,
 }
 
@@ -116,222 +72,6 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> EventQueue<E> {
         EventQueue {
-            buckets: (0..BUCKETS)
-                .map(|_| Vec::with_capacity(BUCKET_CAPACITY))
-                .collect(),
-            spill: Vec::new(),
-            current_day: 0,
-            len: 0,
-            next_seq: 0,
-        }
-    }
-
-    /// Schedules `event` at the instant `due`.
-    pub fn push(&mut self, due: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let day = day_of(due);
-        if self.len == 0 || day < self.current_day {
-            self.current_day = day;
-        }
-        self.len += 1;
-        let scheduled = Scheduled { due, seq, event };
-        if day >= self.current_day.saturating_add(BUCKETS as u64) {
-            // More than a full lap ahead: a bucket would alias an
-            // earlier lap's day. Spill and migrate later.
-            self.spill.push(scheduled);
-        } else {
-            self.buckets[(day & BUCKET_MASK) as usize].push(scheduled);
-        }
-    }
-
-    /// Moves every spilled event whose day is now within one ring lap
-    /// of the cursor into its bucket.
-    fn migrate_spill(&mut self) {
-        if self.spill.is_empty() {
-            return;
-        }
-        let horizon = self.current_day.saturating_add(BUCKETS as u64);
-        let mut i = 0;
-        while i < self.spill.len() {
-            if self.spill[i].day() < horizon {
-                let s = self.spill.swap_remove(i);
-                self.buckets[(s.day() & BUCKET_MASK) as usize].push(s);
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Index (bucket, slot, day) of the earliest `(due, seq)` event
-    /// within one ring lap of the cursor, if any.
-    fn find_in_lap(&self) -> Option<(usize, usize, u64)> {
-        // One lap of the ring starting at the current day: in each bucket,
-        // only events belonging to that exact day are candidates (later
-        // laps share the bucket but must not be popped early).
-        for offset in 0..BUCKETS as u64 {
-            let day = self.current_day.saturating_add(offset);
-            let bucket = (day & BUCKET_MASK) as usize;
-            let mut best: Option<(usize, SimTime, u64)> = None;
-            for (slot, s) in self.buckets[bucket].iter().enumerate() {
-                if s.day() != day {
-                    continue;
-                }
-                let better = match best {
-                    None => true,
-                    Some((_, due, seq)) => (s.due, s.seq) < (due, seq),
-                };
-                if better {
-                    best = Some((slot, s.due, s.seq));
-                }
-            }
-            if let Some((slot, _, _)) = best {
-                return Some((bucket, slot, day));
-            }
-        }
-        None
-    }
-
-    /// Global-scan backstop: the earliest `(due, seq)` bucket resident
-    /// regardless of the cursor. Needed when a push behind the cursor
-    /// rewound it past events that were in-horizon when they were
-    /// pushed and now sit more than a lap ahead.
-    fn bucket_global_earliest(&self) -> Option<(usize, usize, SimTime, u64)> {
-        let mut best: Option<(usize, usize, SimTime, u64)> = None;
-        for (bucket, events) in self.buckets.iter().enumerate() {
-            for (slot, s) in events.iter().enumerate() {
-                let better = match best {
-                    None => true,
-                    Some((_, _, due, seq)) => (s.due, s.seq) < (due, seq),
-                };
-                if better {
-                    best = Some((bucket, slot, s.due, s.seq));
-                }
-            }
-        }
-        best
-    }
-
-    /// The earliest `(due, seq)` spilled event, if any.
-    fn spill_earliest(&self) -> Option<(SimTime, u64)> {
-        self.spill.iter().map(|s| (s.due, s.seq)).min()
-    }
-
-    /// Removes and returns the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.len == 0 {
-            return None;
-        }
-        loop {
-            self.migrate_spill();
-            if let Some((bucket, slot, day)) = self.find_in_lap() {
-                // In-lap events precede every migrated-out spill entry
-                // (spill days are ≥ cursor + one lap after migration).
-                self.current_day = day;
-                self.len -= 1;
-                let s = self.buckets[bucket].swap_remove(slot);
-                return Some((s.due, s.event));
-            }
-            // Nothing within one lap: the earliest pending event is a
-            // beyond-horizon bucket resident (cursor was rewound past
-            // it) or the spill minimum — whichever is earlier.
-            let bucket_best = self.bucket_global_earliest();
-            let spill_best = self.spill_earliest();
-            match (bucket_best, spill_best) {
-                (Some((bucket, slot, due, seq)), spill) => {
-                    if spill.is_some_and(|(sd, ss)| (sd, ss) < (due, seq)) {
-                        // Jump the cursor to the spill minimum; the next
-                        // iteration migrates it in and the lap scan
-                        // finds it.
-                        let (sd, _) = spill.expect("spill minimum exists");
-                        self.current_day = day_of(sd);
-                        continue;
-                    }
-                    self.current_day = day_of(due);
-                    self.len -= 1;
-                    let s = self.buckets[bucket].swap_remove(slot);
-                    return Some((s.due, s.event));
-                }
-                (None, Some((due, _))) => {
-                    self.current_day = day_of(due);
-                    continue;
-                }
-                (None, None) => unreachable!("len > 0 but no pending event found"),
-            }
-        }
-    }
-
-    /// Returns the due time of the earliest event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        // A lap hit is the earliest bucket resident, but an unmigrated
-        // spill entry can still precede it (the cursor advanced since
-        // the entry spilled), so always take the minimum of both sides.
-        let bucket = match self.find_in_lap() {
-            Some((bucket, slot, _)) => {
-                let s = &self.buckets[bucket][slot];
-                Some((s.due, s.seq))
-            }
-            None => self
-                .bucket_global_earliest()
-                .map(|(_, _, due, seq)| (due, seq)),
-        };
-        match (bucket, self.spill_earliest()) {
-            (Some(b), Some(s)) => Some(b.min(s).0),
-            (Some((due, _)), None) | (None, Some((due, _))) => Some(due),
-            (None, None) => None,
-        }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Number of pending events currently parked on the far-future
-    /// spill list (diagnostic; they pop in exactly the same global
-    /// order as bucket residents).
-    pub fn spilled(&self) -> usize {
-        self.spill.len()
-    }
-
-    /// Returns `true` if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Discards all pending events. Bucket storage is retained, so a
-    /// cleared queue schedules without allocating.
-    pub fn clear(&mut self) {
-        for bucket in &mut self.buckets {
-            bucket.clear();
-        }
-        self.spill.clear();
-        self.len = 0;
-    }
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> EventQueue<E> {
-        EventQueue::new()
-    }
-}
-
-/// The original binary-heap event queue.
-///
-/// Kept as the reference implementation the calendar [`EventQueue`] is
-/// checked against: both must pop the exact same `(time, seq)` order on
-/// any schedule. Prefer [`EventQueue`] everywhere else — it does not
-/// allocate in steady state.
-#[derive(Debug)]
-pub struct HeapEventQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
-    next_seq: u64,
-}
-
-impl<E> HeapEventQueue<E> {
-    /// Creates an empty queue.
-    pub fn new() -> HeapEventQueue<E> {
-        HeapEventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
         }
@@ -364,15 +104,16 @@ impl<E> HeapEventQueue<E> {
         self.heap.is_empty()
     }
 
-    /// Discards all pending events.
+    /// Discards all pending events. The storage is retained, so a
+    /// cleared queue schedules without allocating.
     pub fn clear(&mut self) {
         self.heap.clear();
     }
 }
 
-impl<E> Default for HeapEventQueue<E> {
-    fn default() -> HeapEventQueue<E> {
-        HeapEventQueue::new()
+impl<E> Default for EventQueue<E> {
+    fn default() -> EventQueue<E> {
+        EventQueue::new()
     }
 }
 
@@ -380,6 +121,7 @@ impl<E> Default for HeapEventQueue<E> {
 mod tests {
     use super::*;
     use crate::rng::StreamRng;
+    use crate::time::SimDuration;
 
     #[test]
     fn pops_in_time_order() {
@@ -435,10 +177,30 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, 9);
     }
 
+    /// Pops `queue` and the reference together and requires the same
+    /// peek and pop. The reference is the pending `(time, push index)`
+    /// pairs, kept in push order and stably sorted by time before each pop.
+    fn pop_both(
+        queue: &mut EventQueue<u64>,
+        reference: &mut Vec<(SimTime, u64)>,
+        seed: u64,
+    ) -> Option<(SimTime, u64)> {
+        reference.sort_by_key(|&(due, _)| due);
+        let expected = (!reference.is_empty()).then(|| reference.remove(0));
+        assert_eq!(queue.peek_time(), expected.map(|e| e.0), "seed {seed}");
+        assert_eq!(queue.pop(), expected, "seed {seed}");
+        expected
+    }
+
+    // The cases from here to `spill_heavy_schedules_match_heap_order` keep the
+    // names they had when the queue was a calendar ring of 64 one-second
+    // buckets with a spill list for events a lap or more ahead. Each now
+    // checks the heap's order on the same schedule.
+
     #[test]
     fn far_future_events_pop_after_a_cursor_jump() {
         let mut q = EventQueue::new();
-        // More than a full ring lap ahead of each other.
+        // Each far more than 64 s from the next.
         q.push(SimTime::from_secs(1_000_000.0), "far");
         q.push(SimTime::from_secs(0.5), "near");
         q.push(SimTime::from_secs(31_500_000.0), "never");
@@ -452,8 +214,8 @@ mod tests {
     #[test]
     fn same_bucket_different_lap_is_not_popped_early() {
         let mut q = EventQueue::new();
-        // 0.25 and 64.25 share bucket 0; the later lap must wait for
-        // everything in between.
+        // 0.25 and 64.25 are exactly 64 s apart; the later one must wait
+        // for everything in between.
         q.push(SimTime::from_secs(64.25), 64);
         q.push(SimTime::from_secs(0.25), 0);
         q.push(SimTime::from_secs(63.25), 63);
@@ -467,65 +229,52 @@ mod tests {
         q.push(SimTime::from_secs(50.0), "late");
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(50.0)));
         q.push(SimTime::from_secs(2.0), "early");
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(2.0)));
         assert_eq!(q.pop().unwrap().1, "early");
         assert_eq!(q.pop().unwrap().1, "late");
     }
 
-    /// Drives the calendar queue and the reference heap queue through the
-    /// same randomized schedule/pop interleavings — including same-time
-    /// bursts and far-future outliers — and requires identical
-    /// `(time, event)` pop sequences. Deterministic seeded sweep standing
-    /// in for a property test (no proptest in this workspace).
+    /// Single pushes up to 120 s ahead with 5 % outliers 10³–10⁶ s ahead,
+    /// same-instant bursts that must come back FIFO, and interleaved
+    /// peeks and pops, over 32 seeds; every peek and pop must equal the
+    /// reference, and the drained tail must be time-ordered.
     #[test]
     fn calendar_and_heap_pop_identical_orders() {
         for seed in 0..32u64 {
             let mut rng = StreamRng::from_seed(0xCA1E_0000 + seed);
-            let mut cal: EventQueue<u64> = EventQueue::new();
-            let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
+            let mut queue: EventQueue<u64> = EventQueue::new();
+            let mut reference = Vec::new();
             let mut event = 0u64;
-            let mut popped = Vec::new();
             for _step in 0..400 {
                 let roll = rng.next_f64();
                 if roll < 0.45 {
-                    // Single push at a random horizon; occasionally a
-                    // far-future outlier beyond a full ring lap.
                     let t = if rng.next_f64() < 0.05 {
                         1_000.0 + rng.next_f64() * 1.0e6
                     } else {
                         rng.next_f64() * 120.0
                     };
                     let due = SimTime::from_secs(t);
-                    cal.push(due, event);
-                    heap.push(due, event);
+                    queue.push(due, event);
+                    reference.push((due, event));
                     event += 1;
                 } else if roll < 0.6 {
-                    // Same-time burst: several events at one instant must
-                    // come back FIFO.
                     let t = SimTime::from_secs((rng.next_f64() * 60.0).floor());
                     let burst = 2 + (rng.next_u64() % 6);
                     for _ in 0..burst {
-                        cal.push(t, event);
-                        heap.push(t, event);
+                        queue.push(t, event);
+                        reference.push((t, event));
                         event += 1;
                     }
                 } else {
-                    assert_eq!(cal.peek_time(), heap.peek_time(), "seed {seed}");
-                    assert_eq!(cal.pop(), heap.pop(), "seed {seed}");
+                    pop_both(&mut queue, &mut reference, seed);
                 }
-                assert_eq!(cal.len(), heap.len(), "seed {seed}");
+                assert_eq!(queue.len(), reference.len(), "seed {seed}");
             }
-            // Drain both completely; with no more pushes the drained
-            // sequence must be globally time-ordered.
-            loop {
-                let a = cal.pop();
-                let b = heap.pop();
-                assert_eq!(a, b, "seed {seed}");
-                match a {
-                    Some(p) => popped.push(p),
-                    None => break,
-                }
+            let mut drained = Vec::new();
+            while let Some(popped) = pop_both(&mut queue, &mut reference, seed) {
+                drained.push(popped);
             }
-            for w in popped.windows(2) {
+            for w in drained.windows(2) {
                 assert!(w[0].0 <= w[1].0, "seed {seed}: out of order");
             }
         }
@@ -535,34 +284,29 @@ mod tests {
     fn far_future_pushes_land_on_the_spill_list() {
         let mut q = EventQueue::new();
         q.push(SimTime::from_secs(0.5), "near");
-        q.push(SimTime::from_secs(63.5), "edge"); // last in-lap day
-        q.push(SimTime::from_secs(64.5), "spilled"); // one lap ahead
+        q.push(SimTime::from_secs(63.5), "edge");
+        q.push(SimTime::from_secs(64.5), "next_lap");
         q.push(SimTime::from_secs(1.0e6), "far");
-        assert_eq!(q.spilled(), 2);
         assert_eq!(q.len(), 4);
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(0.5)));
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec!["near", "edge", "spilled", "far"]);
-        assert_eq!(q.spilled(), 0);
+        assert_eq!(order, vec!["near", "edge", "next_lap", "far"]);
+        assert!(q.is_empty());
     }
 
     #[test]
     fn unmigrated_spill_precedes_lap_hit_in_peek_and_pop() {
         let mut q = EventQueue::new();
         q.push(SimTime::from_secs(0.5), "a");
-        // Beyond one lap of cursor day 0: spilled.
         q.push(SimTime::from_secs(64.5), "s");
         q.push(SimTime::from_secs(50.5), "c");
-        assert_eq!(q.spilled(), 1);
         assert_eq!(q.pop().unwrap().1, "a");
-        // Popping "c" advances the cursor to day 50 without migrating
-        // "s" (day 64 was beyond the lap when the pop began).
         assert_eq!(q.pop().unwrap().1, "c");
-        // "b" is within the new lap, but the still-spilled "s" is due
-        // earlier; neither peek nor pop may prefer the lap hit.
+        // "b" is less than 64 s past the last pop, but "s" is due
+        // earlier; neither peek nor pop may prefer "b".
         q.push(SimTime::from_secs(100.5), "b");
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(64.5)));
         assert_eq!(q.pop().unwrap().1, "s");
-        assert_eq!(q.spilled(), 0);
         assert_eq!(q.pop().unwrap().1, "b");
         assert!(q.is_empty());
     }
@@ -570,18 +314,15 @@ mod tests {
     #[test]
     fn rewound_cursor_bucket_resident_vs_spill_ordering() {
         let mut q = EventQueue::new();
-        // Cursor starts at day 100; a same-bucket later event stays put.
         q.push(SimTime::from_secs(100.5), "anchor");
-        q.push(SimTime::from_secs(170.5), "spilled"); // ≥ 100 + 64: spill
-                                                      // Rewind: the anchor is now a beyond-horizon *bucket* resident.
+        q.push(SimTime::from_secs(170.5), "later");
+        // Earlier than everything pending; after it pops, the anchor
+        // (more than 64 s past it) still precedes the later event.
         q.push(SimTime::from_secs(0.5), "early");
-        assert_eq!(q.spilled(), 1);
         assert_eq!(q.pop().unwrap().1, "early");
-        // Global-scan backstop must pick the bucket resident (100.5)
-        // over the spill minimum (170.5).
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(100.5)));
         assert_eq!(q.pop().unwrap().1, "anchor");
-        assert_eq!(q.pop().unwrap().1, "spilled");
+        assert_eq!(q.pop().unwrap().1, "later");
         assert!(q.pop().is_none());
     }
 
@@ -590,74 +331,67 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(SimTime::from_secs(0.5), 1);
         q.push(SimTime::from_secs(1.0e7), 2);
-        assert_eq!(q.spilled(), 1);
         q.clear();
         assert!(q.is_empty());
-        assert_eq!(q.spilled(), 0);
+        assert_eq!(q.peek_time(), None);
+        // The far event does not come back after the next push.
+        q.push(SimTime::from_secs(3.0), 3);
+        assert_eq!(q.pop(), Some((SimTime::from_secs(3.0), 3)));
         assert_eq!(q.pop(), None);
     }
 
-    /// The spill-heavy mirror of `calendar_and_heap_pop_identical_orders`:
-    /// a 32-seed sweep whose push mix is dominated by beyond-horizon
-    /// offsets (one lap to ~10⁷ s ahead), including same-instant bursts
-    /// entirely in the far future, so pop order across the
-    /// bucket/spill boundary — and FIFO ties inside the spill list —
-    /// are checked against the reference heap.
+    /// The far-ahead mirror of `calendar_and_heap_pop_identical_orders`:
+    /// 32 seeds whose pushes are mostly 64 s to ~10⁷ s ahead, including
+    /// same-instant bursts entirely in the far future, so FIFO ties among
+    /// far-ahead events are checked against the reference too.
     #[test]
     fn spill_heavy_schedules_match_heap_order() {
-        let mut saw_spill = false;
+        let mut saw_far = false;
         for seed in 0..32u64 {
             let mut rng = StreamRng::from_seed(0x5B11_0000 + seed);
-            let mut cal: EventQueue<u64> = EventQueue::new();
-            let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
+            let mut queue: EventQueue<u64> = EventQueue::new();
+            let mut reference = Vec::new();
             let mut event = 0u64;
             for _step in 0..500 {
                 let roll = rng.next_f64();
                 if roll < 0.5 {
                     let pick = rng.next_f64();
                     let t = if pick < 0.35 {
-                        rng.next_f64() * 63.0 // in-lap
+                        rng.next_f64() * 63.0
                     } else if pick < 0.65 {
-                        64.0 + rng.next_f64() * 500.0 // just past one lap
+                        64.0 + rng.next_f64() * 500.0
                     } else {
-                        1.0e3 + rng.next_f64() * 1.0e7 // deep future
+                        1.0e3 + rng.next_f64() * 1.0e7
                     };
                     let due = SimTime::from_secs(t);
-                    cal.push(due, event);
-                    heap.push(due, event);
+                    saw_far |= queue
+                        .peek_time()
+                        .is_some_and(|head| t >= head.as_secs() + 64.0);
+                    queue.push(due, event);
+                    reference.push((due, event));
                     event += 1;
                 } else if roll < 0.65 {
-                    // Same-instant burst in the far future: FIFO order
-                    // must survive the spill list and migration.
                     let t = SimTime::from_secs(200.0 + (rng.next_f64() * 1.0e4).floor());
                     let burst = 2 + (rng.next_u64() % 5);
                     for _ in 0..burst {
-                        cal.push(t, event);
-                        heap.push(t, event);
+                        queue.push(t, event);
+                        reference.push((t, event));
                         event += 1;
                     }
                 } else {
-                    assert_eq!(cal.peek_time(), heap.peek_time(), "seed {seed}");
-                    assert_eq!(cal.pop(), heap.pop(), "seed {seed}");
+                    pop_both(&mut queue, &mut reference, seed);
                 }
-                assert_eq!(cal.len(), heap.len(), "seed {seed}");
-                saw_spill |= cal.spilled() > 0;
+                assert_eq!(queue.len(), reference.len(), "seed {seed}");
             }
-            loop {
-                let a = cal.pop();
-                let b = heap.pop();
-                assert_eq!(a, b, "seed {seed}");
-                if a.is_none() {
-                    break;
-                }
-            }
+            while pop_both(&mut queue, &mut reference, seed).is_some() {}
+            assert!(queue.is_empty(), "seed {seed}");
         }
-        assert!(saw_spill, "sweep never exercised the spill list");
+        assert!(saw_far, "no push landed 64 s or more past the queue head");
     }
 
     #[test]
     fn heap_queue_basics_still_hold() {
-        let mut q = HeapEventQueue::new();
+        let mut q = EventQueue::new();
         assert!(q.is_empty());
         q.push(SimTime::from_secs(2.0), "late");
         q.push(SimTime::from_secs(1.0), "early");
@@ -665,7 +399,56 @@ mod tests {
         assert_eq!(q.len(), 2);
         assert_eq!(q.pop(), Some((SimTime::from_secs(1.0), "early")));
         q.clear();
-        assert!(HeapEventQueue::<u8>::default().is_empty());
+        assert!(EventQueue::<u8>::default().is_empty());
         assert_eq!(q.pop(), None);
+    }
+
+    /// Drives the queue through 40 seeded schedules that mix coarse
+    /// tied times, the hold pattern, pushes far ahead and pushes before
+    /// the last pop, and requires every peek and pop to match the
+    /// reference: the pending `(time, push index)` pairs, kept in push
+    /// order and stably sorted by time before each pop.
+    #[test]
+    fn pop_order_is_a_stable_sort_by_time() {
+        let mut seen = [0u32; 5];
+        for seed in 0..40u64 {
+            let mut rng = StreamRng::from_seed(0x51AB_1E00 + seed);
+            let mut queue: EventQueue<u64> = EventQueue::new();
+            let mut reference: Vec<(SimTime, u64)> = Vec::new();
+            let mut pushed = 0u64;
+            let mut last_pop = SimTime::ZERO;
+            for _step in 0..500 {
+                let pattern = rng.next_below(5) as usize;
+                seen[pattern] += 1;
+                let due = match pattern {
+                    // Coarse times: whole seconds in [0, 8), many ties.
+                    0 => SimTime::from_secs(rng.next_below(8) as f64),
+                    // The hold pattern: pop one, push one 0-2 s after it.
+                    1 => {
+                        if let Some((due, _)) = pop_both(&mut queue, &mut reference, seed) {
+                            last_pop = due;
+                        }
+                        last_pop + SimDuration::from_secs(rng.uniform(0.0, 2.0))
+                    }
+                    // More than 64 s past the last pop.
+                    2 => last_pop + SimDuration::from_secs(64.0 + rng.uniform(0.0, 1.0e6)),
+                    // Earlier than the last pop.
+                    3 => SimTime::from_secs(last_pop.as_secs() * rng.next_f64()),
+                    _ => {
+                        if let Some((due, _)) = pop_both(&mut queue, &mut reference, seed) {
+                            last_pop = due;
+                        }
+                        continue;
+                    }
+                };
+                queue.push(due, pushed);
+                reference.push((due, pushed));
+                pushed += 1;
+                assert_eq!(queue.len(), reference.len(), "seed {seed}");
+            }
+            while pop_both(&mut queue, &mut reference, seed).is_some() {}
+            assert!(queue.is_empty(), "seed {seed}");
+        }
+        assert!(seen.iter().all(|&n| n > 0), "a pattern never ran: {seen:?}");
     }
 }

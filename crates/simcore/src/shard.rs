@@ -8,12 +8,12 @@
 //!
 //! The executor is [`run_epochs_local`], a conservative parallel
 //! discrete-event simulation. Each shard's world is built, run and
-//! consumed on its own thread, so worlds need not be `Send`. Each shard
-//! owns a private calendar queue (via
-//! [`Engine::run_window`](crate::engine::Engine::run_window)), RNG
-//! streams, scratch buffers and metric sinks, and advances through
-//! virtual time in fixed *epochs* (windows one calendar-bucket wide by
-//! convention) separated by a barrier. Events destined for another
+//! consumed on its own thread, so worlds need not be `Send`. Each world
+//! owns its state, RNG streams, scratch buffers and metric sinks (the
+//! scale study's shard holds a demand worker; an event-driven world can
+//! hold an [`EventQueue`](crate::queue::EventQueue) and drain it one
+//! window at a time), and advances through virtual time in fixed
+//! *epochs* separated by a barrier. Events destined for another
 //! shard are staged in a per-`(src, dst)` [`Outbox`] lane and delivered
 //! at the epoch boundary in `(epoch, src, seq)` order, so the
 //! destination shard enqueues them identically however many shards the
@@ -24,8 +24,8 @@
 //! A closed demand loop — each demand issued when the previous response
 //! arrives, as in the paper's Tables 5–6 — has no such lookahead: its
 //! RNG draws, float sums and clock advance in demand order, so it runs
-//! on one [`Engine`](crate::engine::Engine) and parallelises across
-//! replications with [`par`](crate::par) instead.
+//! as one serial loop and parallelises across replications with
+//! [`par`](crate::par) instead.
 //!
 //! # Determinism contract
 //!
@@ -122,9 +122,10 @@ impl<M> Outbox<M> {
 
 /// One shard of an epoch-synchronized world.
 ///
-/// Implementations own everything their shard touches: calendar queue,
-/// RNG streams, scratch buffers, metric/recorder sinks. The runner only
-/// moves messages and decides when the whole fleet is quiescent.
+/// Implementations own everything their shard touches: event queue or
+/// demand worker, RNG streams, scratch buffers, metric/recorder sinks.
+/// The runner only moves messages and decides when the whole fleet is
+/// quiescent.
 pub trait ShardWorld {
     /// A cross-shard event. Must carry an absolute due time with at
     /// least one epoch of lookahead; the receiving shard enqueues it
@@ -283,7 +284,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, Handler};
+    use crate::queue::EventQueue;
     use crate::time::{SimDuration, SimTime};
 
     #[test]
@@ -325,50 +326,8 @@ mod tests {
         shard: usize,
         shards: Shards,
         entities: u64,
-        engine: Engine<Hop>,
+        queue: EventQueue<Hop>,
         log: Vec<(u64, u64)>,
-        staged: Vec<Hop>,
-    }
-
-    impl RingShard {
-        fn new(shard: usize, shards: Shards, entities: u64) -> RingShard {
-            RingShard {
-                shard,
-                shards,
-                entities,
-                engine: Engine::new(),
-                log: Vec::new(),
-                staged: Vec::new(),
-            }
-        }
-    }
-
-    struct HopWorld<'a> {
-        shard: usize,
-        shards: Shards,
-        entities: u64,
-        log: &'a mut Vec<(u64, u64)>,
-        staged: &'a mut Vec<Hop>,
-    }
-
-    impl Handler<Hop> for HopWorld<'_> {
-        fn handle(&mut self, engine: &mut Engine<Hop>, hop: Hop) {
-            self.log.push((engine.now().as_secs() as u64, hop.id));
-            if hop.ttl == 0 {
-                return;
-            }
-            let next_id = (hop.id + 3) % self.entities;
-            let next = Hop {
-                due: engine.now() + SimDuration::from_secs(EPOCH_SECS),
-                id: next_id,
-                ttl: hop.ttl - 1,
-            };
-            if self.shards.owner_of(next_id) == self.shard {
-                engine.schedule_at(next.due, next);
-            } else {
-                self.staged.push(next);
-            }
-        }
     }
 
     impl ShardWorld for RingShard {
@@ -382,20 +341,28 @@ mod tests {
         ) -> bool {
             let window_end = SimTime::from_secs((epoch + 1) as f64 * EPOCH_SECS);
             for (_src, hop) in inbox {
-                self.engine.schedule_at(hop.due, hop);
+                self.queue.push(hop.due, hop);
             }
-            let mut world = HopWorld {
-                shard: self.shard,
-                shards: self.shards,
-                entities: self.entities,
-                log: &mut self.log,
-                staged: &mut self.staged,
-            };
-            self.engine.run_window(window_end, &mut world);
-            for hop in self.staged.drain(..) {
-                outbox.send(self.shards.owner_of(hop.id), hop);
+            while self.queue.peek_time().is_some_and(|due| due < window_end) {
+                let (now, hop) = self.queue.pop().expect("peeked event is poppable");
+                self.log.push((now.as_secs() as u64, hop.id));
+                if hop.ttl == 0 {
+                    continue;
+                }
+                let next_id = (hop.id + 3) % self.entities;
+                let next = Hop {
+                    due: now + SimDuration::from_secs(EPOCH_SECS),
+                    id: next_id,
+                    ttl: hop.ttl - 1,
+                };
+                let owner = self.shards.owner_of(next_id);
+                if owner == self.shard {
+                    self.queue.push(next.due, next);
+                } else {
+                    outbox.send(owner, next);
+                }
             }
-            self.engine.pending() > 0
+            !self.queue.is_empty()
         }
     }
 
@@ -405,7 +372,13 @@ mod tests {
         let (logs, epochs) = run_epochs_local(
             shards,
             |shard| {
-                let mut world = RingShard::new(shard, shards, entities);
+                let mut world = RingShard {
+                    shard,
+                    shards,
+                    entities,
+                    queue: EventQueue::new(),
+                    log: Vec::new(),
+                };
                 // Seed: every entity starts one token at t = 0.5 with
                 // ttl 20, on the shard that owns it.
                 for id in (0..entities).filter(|&id| shards.owner_of(id) == shard) {
@@ -414,7 +387,7 @@ mod tests {
                         id,
                         ttl: 20,
                     };
-                    world.engine.schedule_at(hop.due, hop);
+                    world.queue.push(hop.due, hop);
                 }
                 world
             },

@@ -6,7 +6,7 @@
 //! its cases from a [`StreamRng`], so the explored inputs are random in
 //! shape but identical on every run.
 
-use wsu_simcore::dist::{Categorical, Exponential};
+use wsu_simcore::dist::Exponential;
 use wsu_simcore::engine::{Engine, Handler};
 use wsu_simcore::rng::{MasterSeed, StreamRng};
 use wsu_simcore::stats::{Histogram, Summary};
@@ -220,39 +220,8 @@ fn exponential_samples_are_sane() {
     }
 }
 
-/// Categorical sampling always lands on a positive-probability class.
-#[test]
-fn categorical_respects_support() {
-    let mut rng = rng_for("categorical_support");
-    for _ in 0..CASES {
-        let len = 2 + rng.next_below(6) as usize;
-        let raw: Vec<f64> = (0..len).map(|_| f64_in(&mut rng, 0.0, 1.0)).collect();
-        let total: f64 = raw.iter().sum();
-        if total <= 1e-9 {
-            continue;
-        }
-        let probs: Vec<f64> = {
-            let mut p: Vec<f64> = raw.iter().map(|w| w / total).collect();
-            // Force exact normalisation on the last element.
-            let head: f64 = p[..p.len() - 1].iter().sum();
-            let last = p.len() - 1;
-            p[last] = 1.0 - head;
-            p
-        };
-        if probs.iter().any(|&p| p < 0.0) {
-            continue;
-        }
-        let cat = Categorical::new(probs.clone());
-        let mut sample_rng = StreamRng::from_seed(rng.next_u64());
-        for _ in 0..50 {
-            let i = cat.sample(&mut sample_rng);
-            assert!(probs[i] > 0.0, "sampled zero-probability class {i}");
-        }
-    }
-}
-
 /// The engine's clock is monotone for any schedule, and every event
-/// scheduled within the horizon is delivered.
+/// scheduled is delivered.
 #[test]
 fn engine_clock_is_monotone() {
     struct World {

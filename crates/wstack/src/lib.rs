@@ -15,11 +15,7 @@
 //!   notification option of Section 7.2);
 //! * [`endpoint`] — the [`endpoint::ServiceEndpoint`] abstraction plus
 //!   synthetic and scripted implementations used by the simulations;
-//! * [`retry`] — rollback-and-retry recovery for transient failures
-//!   (Section 2.1's failure-mode taxonomy);
-//! * [`transport`] — a simulated transport adding latency and loss;
-//! * [`notify`] — WS-Notification-style upgrade announcements;
-//! * [`soap`] — parsing the XML-like wire rendering back into envelopes.
+//! * [`transport`] — a simulated transport adding latency and loss.
 //!
 //! # Example
 //!
@@ -43,11 +39,8 @@
 
 pub mod endpoint;
 pub mod message;
-pub mod notify;
 pub mod outcome;
 pub mod registry;
-pub mod retry;
-pub mod soap;
 pub mod transport;
 pub mod wsdl;
 
@@ -55,5 +48,4 @@ pub use endpoint::{Invocation, ServiceEndpoint, SyntheticService};
 pub use message::{Envelope, Fault, Value};
 pub use outcome::{OutcomeProfile, ResponseClass};
 pub use registry::{Registry, ServiceRecord};
-pub use retry::RetryingEndpoint;
 pub use wsdl::ServiceDescription;

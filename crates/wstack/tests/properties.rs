@@ -8,7 +8,6 @@ use wsu_simcore::rng::{MasterSeed, StreamRng};
 use wsu_wstack::message::{Envelope, Value};
 use wsu_wstack::outcome::{OutcomeProfile, ResponseClass};
 use wsu_wstack::registry::{Registry, ServiceRecord};
-use wsu_wstack::soap::parse_envelope;
 use wsu_wstack::wsdl::{Operation, ServiceDescription, XsdType};
 
 const CASES: usize = 48;
@@ -178,22 +177,5 @@ fn paired_confidence_preserves_base() {
             paired.response_parts().len(),
             before.response_parts().len() + 1
         );
-    }
-}
-
-/// The wire rendering round-trips through the parser for arbitrary
-/// operations and parts.
-#[test]
-fn wire_round_trip() {
-    let mut rng = rng_for("wire_round_trip");
-    for _ in 0..CASES {
-        let op = lowercase_name(&mut rng, 1, 10);
-        let n = rng.next_below(12) as usize;
-        let mut envelope = Envelope::request(op);
-        for _ in 0..n {
-            envelope.set_part(lowercase_name(&mut rng, 1, 8), arb_value(&mut rng));
-        }
-        let parsed = parse_envelope(&envelope.to_xml_like()).unwrap();
-        assert_eq!(parsed, envelope);
     }
 }

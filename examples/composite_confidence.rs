@@ -1,22 +1,16 @@
 //! Confidence in a composite Web Service built from third-party
-//! components — including one that is upgraded with only a single
-//! operational release (paper Sections 2.2 and 3.2).
+//! components (paper Section 2.2).
 //!
-//! An e-shop composes `Inventory`, `Payments` and `Shipping`. The
-//! shipping provider swaps releases underneath its consumers (no
-//! side-by-side deployment), so the e-shop can only watch the release
-//! string and apply the paper's conservative rule: after an undetected
-//! upgrade, published confidence must not exceed what the old release
-//! had earned.
+//! An e-shop composes `Inventory`, `Payments` and `Shipping`, each with
+//! the confidence its provider publishes, and bounds the composite's
+//! confidence from them.
 //!
 //! Run with: `cargo run --release --example composite_confidence`
 
-use composite_ws_upgrade::bayes::beta::ScaledBeta;
 use composite_ws_upgrade::core::composite::CompositeService;
-use composite_ws_upgrade::core::single_release::SingleReleaseTracker;
 use composite_ws_upgrade::simcore::rng::MasterSeed;
 use composite_ws_upgrade::simcore::time::SimDuration;
-use composite_ws_upgrade::wstack::endpoint::{ServiceEndpoint, SyntheticService};
+use composite_ws_upgrade::wstack::endpoint::SyntheticService;
 use composite_ws_upgrade::wstack::message::Envelope;
 use composite_ws_upgrade::wstack::outcome::{OutcomeProfile, ResponseClass};
 use composite_ws_upgrade::wstack::registry::PublishedConfidence;
@@ -72,54 +66,5 @@ fn main() {
     println!(
         "measured composite correctness over {n} checkouts: {:.4}",
         correct as f64 / n as f64
-    );
-
-    // --- Section 3.2: the shipping provider swaps releases underneath --
-    println!("\nshipping provider upgrades with a single operational release:");
-    let mut tracker = SingleReleaseTracker::new(ScaledBeta::new(1.0, 9.0, 0.05).unwrap(), 512);
-    let mut ship_v1 = SyntheticService::builder("Shipping", "1.0")
-        .outcomes(OutcomeProfile::new(0.998, 0.001, 0.001))
-        .build();
-    let mut ship_v2 = SyntheticService::builder("Shipping", "2.0")
-        .outcomes(OutcomeProfile::new(0.9995, 0.00025, 0.00025))
-        .build();
-    let mut rng = seed.stream("shipping-watch");
-    let target = 5e-3;
-
-    for demand in 0..8_000u32 {
-        // The provider swaps at demand 3,000 — the consumer is not told.
-        let endpoint: &mut SyntheticService = if demand < 3_000 {
-            &mut ship_v1
-        } else {
-            &mut ship_v2
-        };
-        let invocation = endpoint.invoke(&Envelope::request("track"), &mut rng);
-        let release = endpoint.describe().release().to_owned();
-        let swapped = tracker.observe(&release, invocation.class != ResponseClass::Correct);
-        if swapped {
-            println!(
-                "  demand {demand}: upgrade detected ({} -> {})",
-                tracker.history().last().unwrap().release,
-                release
-            );
-        }
-        if demand % 2_000 == 1_999 {
-            println!(
-                "  demand {:>5}: release {:<4} fresh confidence {:.4}, reported (conservative) {:.4}",
-                demand + 1,
-                tracker.current_release().unwrap(),
-                tracker.fresh_confidence(target),
-                tracker.reported_confidence(target)
-            );
-        }
-    }
-
-    // The conservative report feeds back into the composite.
-    let reported = tracker.reported_confidence(target);
-    shop.update_component_confidence("shipping", PublishedConfidence::new(target, reported));
-    let updated = shop.composed_confidence().unwrap();
-    println!(
-        "\ncomposite confidence after the shipping upgrade: P(pfd <= {:.2e}) >= {:.4}",
-        updated.pfd_target, updated.confidence
     );
 }

@@ -4,9 +4,9 @@
 //! This is the scenario of the paper's Figs. 1–2: `TravelBooking`
 //! composes `FlightSearch` and `HotelSearch`, both discovered through a
 //! UDDI-like registry. The `FlightSearch` provider deploys release 1.1
-//! next to 1.0, announces it via the registry release link *and* a
-//! notification broker, and the composite service runs a managed upgrade
-//! instead of being forcibly switched.
+//! next to 1.0, announces it via the registry release link, and the
+//! composite service runs a managed upgrade instead of being forcibly
+//! switched.
 //!
 //! Run with: `cargo run --release --example travel_booking`
 
@@ -14,7 +14,6 @@ use composite_ws_upgrade::core::manage::SwitchCriterion;
 use composite_ws_upgrade::core::upgrade::{ManagedUpgrade, UpgradeConfig, UpgradePhase};
 use composite_ws_upgrade::simcore::rng::MasterSeed;
 use composite_ws_upgrade::wstack::endpoint::SyntheticService;
-use composite_ws_upgrade::wstack::notify::{NotificationBroker, UpgradeNotice};
 use composite_ws_upgrade::wstack::outcome::OutcomeProfile;
 use composite_ws_upgrade::wstack::registry::{Registry, ServiceRecord};
 use composite_ws_upgrade::wstack::wsdl::{Operation, ServiceDescription, XsdType};
@@ -63,24 +62,9 @@ fn main() {
     ));
     registry.link_new_release(flights_v10, flights_v11).unwrap();
 
-    let mut broker = NotificationBroker::new();
-    let subscription = broker.subscribe("FlightSearch");
-    broker.publish(UpgradeNotice {
-        service: "FlightSearch".into(),
-        old_release: "1.0".into(),
-        new_release: "1.1".into(),
-        new_uri: "http://flights.example/ws/1.1".into(),
-    });
-
-    // The composite service learns of the upgrade both ways.
+    // The composite service learns of the upgrade through the link.
     let linked = registry.newer_release(flights_v10).unwrap();
     println!("\nregistry release link: {flights_v10} -> {linked:?}");
-    for notice in broker.drain(subscription) {
-        println!(
-            "notification: {} {} -> {} at {}",
-            notice.service, notice.old_release, notice.new_release, notice.new_uri
-        );
-    }
 
     // --- Managed upgrade instead of a blind switch -------------------
     // Simulated behaviours: 1.0 is a known quantity, 1.1 is actually

@@ -1,9 +1,8 @@
 //! Integration of the WS-stack pieces: registry discovery, release
-//! links, upgrade notification, confidence publication and description
-//! evolution — the full provider/consumer workflow around a managed
-//! upgrade.
+//! links as the upgrade notification, confidence publication and
+//! description evolution — the full provider/consumer workflow around a
+//! managed upgrade.
 
-use wsu_wstack::notify::{NotificationBroker, UpgradeNotice};
 use wsu_wstack::registry::{PublishedConfidence, Registry, ServiceRecord};
 use wsu_wstack::wsdl::{Operation, ServiceDescription, XsdType};
 
@@ -20,9 +19,8 @@ fn wsdl(release: &str) -> ServiceDescription {
 #[test]
 fn provider_publishes_upgrade_and_consumers_learn_of_it() {
     let mut registry = Registry::new();
-    let mut broker = NotificationBroker::new();
 
-    // Provider publishes 1.0; consumer discovers and subscribes.
+    // Provider publishes 1.0; consumer discovers it.
     let old = registry.publish(ServiceRecord::new(
         "Quote",
         "http://q/1.0",
@@ -31,9 +29,8 @@ fn provider_publishes_upgrade_and_consumers_learn_of_it() {
     ));
     let found = registry.find_by_name("Quote");
     assert_eq!(found.len(), 1);
-    let sub = broker.subscribe("Quote");
 
-    // Provider deploys 1.1 side by side and announces both ways.
+    // Provider deploys 1.1 side by side and links it to 1.0.
     let new = registry.publish(ServiceRecord::new(
         "Quote",
         "http://q/1.1",
@@ -41,18 +38,10 @@ fn provider_publishes_upgrade_and_consumers_learn_of_it() {
         wsdl("1.1"),
     ));
     registry.link_new_release(old, new).unwrap();
-    broker.publish(UpgradeNotice {
-        service: "Quote".into(),
-        old_release: "1.0".into(),
-        new_release: "1.1".into(),
-        new_uri: "http://q/1.1".into(),
-    });
 
-    // Consumer sees the link and the notice.
+    // Consumer follows the link to the new release.
     assert_eq!(registry.newer_release(old).unwrap(), Some(new));
-    let notices = broker.drain(sub);
-    assert_eq!(notices.len(), 1);
-    assert_eq!(notices[0].new_uri, "http://q/1.1");
+    assert_eq!(registry.get(new).unwrap().uri, "http://q/1.1");
 
     // During the managed upgrade, the provider publishes confidence for
     // the new release, updating it as evidence accumulates.

@@ -1,17 +1,17 @@
 //! Integration: the managed-upgrade middleware over an unreliable,
-//! latency-adding network, with rollback-and-retry recovery on one
-//! release — wstack's transport and retry layers composed under core's
-//! middleware and monitoring.
+//! latency-adding network, with injected faults on one release —
+//! wstack's transport layer and the fault injector composed under
+//! core's middleware and monitoring.
 
 use wsu_core::middleware::{MiddlewareConfig, UpgradeMiddleware};
 use wsu_core::monitor::MonitoringSubsystem;
 use wsu_core::release::ReleaseId;
+use wsu_faults::{FaultAction, FaultClause, FaultInjector, FaultPlan, FaultTrigger};
 use wsu_simcore::dist::DelayModel;
 use wsu_simcore::rng::{MasterSeed, StreamRng};
 use wsu_wstack::endpoint::SyntheticService;
 use wsu_wstack::message::Envelope;
 use wsu_wstack::outcome::OutcomeProfile;
-use wsu_wstack::retry::RetryingEndpoint;
 use wsu_wstack::transport::TransportLink;
 
 fn service(er: f64) -> SyntheticService {
@@ -31,6 +31,19 @@ fn run(mw: &mut UpgradeMiddleware, demands: u32, seed: MasterSeed) -> Monitoring
         monitor.observe(&record, &mut mon_rng);
     }
     monitor
+}
+
+/// A plan whose one clause crashes the wrapped release with probability
+/// `p` on each demand.
+fn crashes(p: f64) -> FaultPlan {
+    FaultPlan::new().with_clause(FaultClause::new(
+        "crash",
+        FaultTrigger::Probabilistic {
+            p,
+            stream: "crash".into(),
+        },
+        FaultAction::Crash,
+    ))
 }
 
 #[test]
@@ -62,53 +75,26 @@ fn message_loss_shows_up_as_nrdt_and_redundancy_masks_it() {
 }
 
 #[test]
-fn retry_layer_reduces_evident_failures_behind_the_middleware() {
-    let seed = MasterSeed::new(405);
-    // Release 0: flaky but with transient-retry recovery.
-    // Release 1: equally flaky, no recovery.
-    let mut mw = UpgradeMiddleware::new(MiddlewareConfig::paper(3.0));
-    mw.deploy(RetryingEndpoint::new(
-        service(0.2),
-        3,
-        1.0,
-        DelayModel::constant(0.01),
-    ));
-    mw.deploy(service(0.2));
-    let monitor = run(&mut mw, 5_000, seed);
-
-    let with_retry = monitor.release_stats(ReleaseId::new(0)).unwrap();
-    let without = monitor.release_stats(ReleaseId::new(1)).unwrap();
-    let er_rate = |s: &wsu_core::monitor::ReleaseStats| {
-        s.count(wsu_wstack::outcome::ResponseClass::EvidentFailure) as f64
-            / s.total_responses() as f64
-    };
-    assert!(
-        er_rate(with_retry) < er_rate(without) / 10.0,
-        "retry {} vs bare {}",
-        er_rate(with_retry),
-        er_rate(without)
-    );
-    // Retries cost time: the recovered release is slower on average.
-    assert!(with_retry.mean_exec_time() > without.mean_exec_time());
-}
-
-#[test]
 fn stacked_layers_compose() {
-    // Transport over retry over service: the full onion, still a plain
-    // ServiceEndpoint to the middleware.
+    // Transport over fault injector over service: the full onion, still
+    // a plain ServiceEndpoint to the middleware.
     let seed = MasterSeed::new(406);
-    let onion = TransportLink::new(RetryingEndpoint::new(
-        service(0.3),
-        2,
-        1.0,
-        DelayModel::constant(0.01),
-    ))
-    .with_latency(DelayModel::constant(0.02))
-    .with_loss_probability(0.05);
+    let injector = FaultInjector::new(service(0.3), crashes(0.1), seed);
+    let tally = injector.tally();
+    let onion = TransportLink::new(injector)
+        .with_latency(DelayModel::constant(0.02))
+        .with_loss_probability(0.05);
     let mut mw = UpgradeMiddleware::new(MiddlewareConfig::paper(3.0));
     mw.deploy(onion);
     mw.deploy(service(0.0));
     let monitor = run(&mut mw, 3_000, seed);
+    // Every layer shows through: the injector's crashes and the link's
+    // losses as NRDT, the service's evident failures as responses.
+    assert!(tally.total() > 200, "injected {}", tally.total());
+    let onion_stats = monitor.release_stats(ReleaseId::new(0)).unwrap();
+    assert!(onion_stats.nrdt() > tally.total() + 50);
+    let evident = wsu_wstack::outcome::ResponseClass::EvidentFailure;
+    assert!(onion_stats.count(evident) > 500);
     let sys = monitor.system_stats();
     // The clean second release keeps the composite essentially perfect.
     assert!(sys.availability() > 0.999);
@@ -122,14 +108,9 @@ fn determinism_across_the_full_stack() {
         let seed = MasterSeed::new(407);
         let mut mw = UpgradeMiddleware::new(MiddlewareConfig::paper(2.0));
         mw.deploy(
-            TransportLink::new(RetryingEndpoint::new(
-                service(0.1),
-                2,
-                0.5,
-                DelayModel::exponential(0.01),
-            ))
-            .with_latency(DelayModel::exponential(0.05))
-            .with_loss_probability(0.02),
+            TransportLink::new(FaultInjector::new(service(0.1), crashes(0.05), seed))
+                .with_latency(DelayModel::exponential(0.05))
+                .with_loss_probability(0.02),
         );
         mw.deploy(service(0.05));
         let monitor = run(&mut mw, 1_000, seed);
