@@ -17,6 +17,13 @@
 //!    may be non-evidently incorrect);
 //! 5. if **no** response was collected, the middleware reports
 //!    "Web Service unavailable".
+//!
+//! One core applies the rules wherever the responses are held: in a
+//! [`CollectedResponse`] slice, or in place in the middleware's
+//! per-release observations. It reads them in arrival order (earlier
+//! execution time first) without copying or sorting them: one pass
+//! counts them and finds the earliest valid one, and a rule-3 pick ranks
+//! a response by counting the responses that arrived before it.
 
 use wsu_simcore::rng::StreamRng;
 use wsu_simcore::time::SimDuration;
@@ -114,90 +121,82 @@ impl Adjudicator {
         self.policy
     }
 
-    /// Adjudicates the collected responses.
+    /// Adjudicates the collected responses. They arrived in order of
+    /// execution time; equal times arrived in slice order.
     pub fn adjudicate(&self, collected: &[CollectedResponse], rng: &mut StreamRng) -> Adjudication {
-        // Rule 5: nothing collected.
-        if collected.is_empty() {
-            return Adjudication {
-                verdict: SystemVerdict::Unavailable,
-                source: None,
-            };
-        }
-        // The valid subset is visited through filtered iterators rather
-        // than collected into a `Vec`, keeping adjudication allocation
-        // free; `filter(..).nth(idx)` selects the same element the old
-        // materialised slice indexed, so RNG draws line up draw for draw.
-        let mut valid = collected.iter().filter(|r| r.class.is_valid());
-        let first_valid = match valid.next() {
+        let arrival = |i: usize| {
+            let r = &collected[i];
+            Some(Arrival {
+                key: (r.exec_time, i),
+                class: r.class,
+                release: r.release,
+            })
+        };
+        self.adjudicate_arrivals(collected.len(), arrival, rng).0
+    }
+
+    /// The adjudication core. `arrival(i)` for `i < n` is the `i`-th
+    /// held response, or `None` if it was not collected. Returns the
+    /// adjudication and the number of responses collected.
+    pub(crate) fn adjudicate_arrivals(
+        &self,
+        n: usize,
+        arrival: impl Fn(usize) -> Option<Arrival> + Copy,
+        rng: &mut StreamRng,
+    ) -> (Adjudication, usize) {
+        let tally = Tally::of(n, arrival);
+        let chosen = match tally.first_valid {
+            // Rule 5: nothing collected.
+            None if tally.responders == 0 => {
+                return (
+                    Adjudication {
+                        verdict: SystemVerdict::Unavailable,
+                        source: None,
+                    },
+                    0,
+                );
+            }
             // Rule 1: all evidently incorrect -> exception.
             None => {
-                return Adjudication {
-                    verdict: SystemVerdict::Response(ResponseClass::EvidentFailure),
-                    source: None,
-                };
+                return (
+                    Adjudication {
+                        verdict: SystemVerdict::Response(ResponseClass::EvidentFailure),
+                        source: None,
+                    },
+                    tally.responders,
+                );
             }
-            Some(r) => r,
-        };
-        let valid_count = 1 + valid.clone().count();
-        // Rule 4: a single valid response.
-        if valid_count == 1 {
-            return Adjudication {
-                verdict: SystemVerdict::Response(first_valid.class),
-                source: Some(first_valid.release),
-            };
-        }
-        // Rule 2: all valid responses identical. Correct responses are
-        // identical by definition; coincident non-evident failures are
-        // conservatively assumed identical (the paper's back-to-back
-        // assumption).
-        let first_class = first_valid.class;
-        if valid.clone().all(|r| r.class == first_class) {
-            // Attribute to the fastest of the agreeing responses.
-            let fastest = std::iter::once(first_valid)
-                .chain(valid)
-                .min_by(|a, b| a.exec_time.cmp(&b.exec_time))
-                .expect("non-empty valid set");
-            return Adjudication {
-                verdict: SystemVerdict::Response(first_class),
-                source: Some(fastest.release),
-            };
-        }
-        // Rule 3: several valid, differing responses.
-        let chosen = match self.policy {
-            SelectionPolicy::Random => {
-                let idx = rng.next_below(valid_count as u64) as usize;
-                collected
-                    .iter()
-                    .filter(|r| r.class.is_valid())
-                    .nth(idx)
-                    .expect("index below valid count")
-            }
-            SelectionPolicy::Fastest => std::iter::once(first_valid)
-                .chain(valid)
-                .min_by(|a, b| a.exec_time.cmp(&b.exec_time))
-                .expect("non-empty valid set"),
-            SelectionPolicy::Majority => {
-                let mut counts = [0usize; 3];
-                for r in collected.iter().filter(|r| r.class.is_valid()) {
-                    counts[r.class.index()] += 1;
+            // Rules 4 and 2: a single valid response, or valid responses
+            // that all agree. Correct responses are identical by
+            // definition; coincident non-evident failures are
+            // conservatively assumed identical (the paper's back-to-back
+            // assumption). Attributed to the earliest of them.
+            Some(first) if tally.counts[first.class.index()] == tally.valid => first,
+            // Rule 3: several valid, differing responses.
+            Some(first) => match self.policy {
+                SelectionPolicy::Random => {
+                    let idx = rng.next_below(tally.valid as u64) as usize;
+                    nth_arrival(n, arrival, |a| a.class.is_valid(), idx)
                 }
-                let best = *counts.iter().max().expect("three classes");
-                let tied = collected
-                    .iter()
-                    .filter(|r| r.class.is_valid() && counts[r.class.index()] == best)
-                    .count();
-                let idx = rng.next_below(tied as u64) as usize;
-                collected
-                    .iter()
-                    .filter(|r| r.class.is_valid() && counts[r.class.index()] == best)
-                    .nth(idx)
-                    .expect("index below tie count")
-            }
+                SelectionPolicy::Fastest => first,
+                SelectionPolicy::Majority => {
+                    let counts = tally.counts;
+                    let best = *counts.iter().max().expect("three classes");
+                    let tied = counts.iter().filter(|&&c| c == best).sum::<usize>();
+                    let idx = rng.next_below(tied as u64) as usize;
+                    let majority =
+                        |a: &Arrival| a.class.is_valid() && counts[a.class.index()] == best;
+                    nth_arrival(n, arrival, majority, idx)
+                }
+            },
         };
-        Adjudication {
-            verdict: SystemVerdict::Response(chosen.class),
-            source: Some(chosen.release),
-        }
+        (
+            Adjudication {
+                verdict: SystemVerdict::Response(chosen.class),
+                source: Some(chosen.release),
+            },
+            tally.responders,
+        )
     }
 }
 
@@ -206,6 +205,73 @@ impl Default for Adjudicator {
     fn default() -> Adjudicator {
         Adjudicator::paper()
     }
+}
+
+/// One collected response as the adjudication core reads it. Responses
+/// arrive in `key` order, compared by `Ord`: execution time, then a
+/// tie-break no two responses share (the release in the middleware, the
+/// slice position in [`Adjudicator::adjudicate`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Arrival {
+    pub(crate) key: (SimDuration, usize),
+    pub(crate) class: ResponseClass,
+    pub(crate) release: ReleaseId,
+}
+
+impl Arrival {
+    /// Whether `self` arrived before `other`.
+    pub(crate) fn before(&self, other: &Arrival) -> bool {
+        self.key.cmp(&other.key).is_lt()
+    }
+}
+
+/// What one pass over the collected responses learns.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Tally {
+    /// Responses collected.
+    pub(crate) responders: usize,
+    /// Valid (not evidently incorrect) responses.
+    valid: usize,
+    /// Valid responses per class, indexed by [`ResponseClass::index`].
+    counts: [usize; 3],
+    /// The earliest valid response.
+    pub(crate) first_valid: Option<Arrival>,
+}
+
+impl Tally {
+    pub(crate) fn of(n: usize, arrival: impl Fn(usize) -> Option<Arrival>) -> Tally {
+        let mut tally = Tally {
+            responders: 0,
+            valid: 0,
+            counts: [0; 3],
+            first_valid: None,
+        };
+        for a in (0..n).filter_map(arrival) {
+            tally.responders += 1;
+            if a.class.is_valid() {
+                tally.valid += 1;
+                tally.counts[a.class.index()] += 1;
+                if tally.first_valid.is_none_or(|f| a.before(&f)) {
+                    tally.first_valid = Some(a);
+                }
+            }
+        }
+        tally
+    }
+}
+
+/// The `idx`-th response in arrival order among those `pick` admits:
+/// the one that exactly `idx` admitted responses arrived before.
+pub(crate) fn nth_arrival(
+    n: usize,
+    arrival: impl Fn(usize) -> Option<Arrival> + Copy,
+    pick: impl Fn(&Arrival) -> bool + Copy,
+    idx: usize,
+) -> Arrival {
+    let picked = move || (0..n).filter_map(arrival).filter(pick);
+    picked()
+        .find(|a| picked().filter(|b| b.before(a)).count() == idx)
+        .expect("index below the picked count")
 }
 
 #[cfg(test)]

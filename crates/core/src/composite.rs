@@ -148,24 +148,6 @@ impl CompositeService {
         (worst, exec_time)
     }
 
-    /// Updates the published confidence of a named component (e.g. after
-    /// reading a fresh value from the registry).
-    ///
-    /// Returns `false` if the component is unknown.
-    pub fn update_component_confidence(
-        &mut self,
-        name: &str,
-        confidence: PublishedConfidence,
-    ) -> bool {
-        match self.components.iter_mut().find(|c| c.name == name) {
-            Some(component) => {
-                component.published = Some(confidence);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// The conservative composed confidence: the composite meets the
     /// *sum* of the parts' pfd targets with at least the *product* of
     /// their confidences (union bound over independent assessments).
@@ -409,7 +391,7 @@ mod tests {
 
     #[test]
     fn composed_confidence_is_union_bound() {
-        let mut composite = CompositeService::builder("Travel")
+        let composite = CompositeService::builder("Travel")
             .glue_confidence(PublishedConfidence::new(1e-4, 0.999))
             .component_with_confidence(
                 "flights",
@@ -425,15 +407,6 @@ mod tests {
         let composed = composite.composed_confidence().unwrap();
         assert!((composed.pfd_target - 3.1e-3).abs() < 1e-12);
         assert!((composed.confidence - 0.999 * 0.99 * 0.95).abs() < 1e-12);
-        // Updating one component updates the composition.
-        assert!(
-            composite.update_component_confidence("hotels", PublishedConfidence::new(2e-3, 0.99))
-        );
-        let better = composite.composed_confidence().unwrap();
-        assert!(better.confidence > composed.confidence);
-        assert!(
-            !composite.update_component_confidence("ghost", PublishedConfidence::new(1e-3, 0.9))
-        );
     }
 
     #[test]

@@ -33,7 +33,7 @@ use wsu_wstack::endpoint::{PlannedResponse, ServiceEndpoint};
 use wsu_wstack::message::Envelope;
 use wsu_wstack::outcome::ResponseClass;
 
-use crate::adjudicate::{Adjudicator, CollectedResponse, SystemVerdict};
+use crate::adjudicate::{nth_arrival, Adjudicator, Arrival, SystemVerdict, Tally};
 use crate::error::CoreError;
 use crate::modes::{OperatingMode, SequentialOrder};
 use crate::release::{ReleaseId, ReleaseInfo, ReleaseSet};
@@ -132,10 +132,8 @@ pub struct UpgradeMiddleware {
     /// Virtual instant stamped on the next demand's trace events. The
     /// caller (orchestrator or simulation driver) owns the clock.
     clock: f64,
-    /// Scratch buffers reused across demands so the steady-state path
-    /// does not allocate: the responses collected within the timeout in
-    /// arrival order, and the sequential visit order.
-    collected_scratch: Vec<CollectedResponse>,
+    /// The sequential visit order, reused across demands so the
+    /// steady-state path does not allocate.
     order_scratch: Vec<ReleaseId>,
     /// Recycled `per_release` buffers, returned via [`recycle`].
     ///
@@ -214,7 +212,6 @@ impl UpgradeMiddleware {
             demands: 0,
             recorder: Box::new(NullRecorder),
             clock: 0.0,
-            collected_scratch: Vec::new(),
             order_scratch: Vec::new(),
             record_pool: Vec::new(),
             lent: DemandRecord {
@@ -434,62 +431,56 @@ impl UpgradeMiddleware {
         let timeout = self.config.timeout;
         let dt = self.config.adjudication_delay;
         let mut i = 0;
+        let mut latest = SimDuration::ZERO;
         while let Some(id) = responses.release(&self.releases, i) {
-            per_release.push(self.observe(responses, id, rng)?);
+            let o = self.observe(responses, id, rng)?;
+            latest = latest.max(o.exec_time);
+            per_release.push(o);
             i += 1;
         }
 
-        // Responses in arrival order, truncated to the timeout.
-        // `per_release` is in release order, so the (exec_time, release)
-        // key reproduces the stable sort a plain sort-by-exec-time would
-        // give.
-        let mut collected = std::mem::take(&mut self.collected_scratch);
-        collected.clear();
-        collected.extend(per_release.iter().filter(|o| o.within_timeout).map(|o| {
-            CollectedResponse {
-                release: o.release,
+        // The responses collected within the timeout, read in place and
+        // in arrival order: by execution time, then by release.
+        let observed: &[ReleaseObservation] = per_release;
+        let n = observed.len();
+        let collected = |i: usize| {
+            let o = &observed[i];
+            o.within_timeout.then_some(Arrival {
+                key: (o.exec_time, o.release.index()),
                 class: o.class,
-                exec_time: o.exec_time,
-            }
-        }));
-        collected.sort_unstable_by_key(|c| (c.exec_time, c.release));
-
-        let system = match self.config.mode {
+                release: o.release,
+            })
+        };
+        let adjudicator = self.config.adjudicator;
+        Ok(match self.config.mode {
             OperatingMode::ParallelReliability => {
-                let adj = self.config.adjudicator.adjudicate(&collected, rng);
+                let (adj, responders) = adjudicator.adjudicate_arrivals(n, collected, rng);
                 // Wait for everyone or the timeout, whichever first.
-                let all_in = per_release.iter().all(|o| o.within_timeout);
-                let wait = if all_in {
-                    per_release
-                        .iter()
-                        .map(|o| o.exec_time)
-                        .fold(SimDuration::ZERO, SimDuration::max)
-                } else {
-                    timeout
-                };
+                let wait = if responders == n { latest } else { timeout };
                 SystemObservation {
                     verdict: adj.verdict,
                     response_time: wait + dt,
                     source: adj.source,
-                    responders: collected.len(),
+                    responders,
                 }
             }
             OperatingMode::ParallelResponsiveness => {
                 // Return the first valid response as soon as it arrives.
-                match collected.iter().find(|c| c.class.is_valid()) {
+                let tally = Tally::of(n, collected);
+                match tally.first_valid {
                     Some(first_valid) => SystemObservation {
                         verdict: SystemVerdict::Response(first_valid.class),
-                        response_time: first_valid.exec_time + dt,
+                        response_time: first_valid.key.0 + dt,
                         source: Some(first_valid.release),
-                        responders: collected.len(),
+                        responders: tally.responders,
                     },
-                    None if !collected.is_empty() => SystemObservation {
+                    None if tally.responders > 0 => SystemObservation {
                         // Only evident failures arrived; the middleware
                         // learns this for sure when the timeout expires.
                         verdict: SystemVerdict::Response(ResponseClass::EvidentFailure),
                         response_time: timeout + dt,
                         source: None,
-                        responders: collected.len(),
+                        responders: tally.responders,
                     },
                     None => SystemObservation {
                         verdict: SystemVerdict::Unavailable,
@@ -500,13 +491,19 @@ impl UpgradeMiddleware {
                 }
             }
             OperatingMode::ParallelDynamic { quorum } => {
+                // Adjudicate the first `quorum` responses to arrive.
                 let quorum = quorum.max(1);
-                let first = &collected[..quorum.min(collected.len())];
-                let adj = self.config.adjudicator.adjudicate(first, rng);
-                let wait = if collected.len() >= quorum {
-                    first
-                        .iter()
-                        .map(|c| c.exec_time)
+                let arrived = observed.iter().filter(|o| o.within_timeout).count();
+                let last =
+                    (arrived > quorum).then(|| nth_arrival(n, collected, |_| true, quorum - 1));
+                let first = move |i: usize| {
+                    collected(i).filter(|a| last.is_none_or(|last| !last.before(a)))
+                };
+                let (adj, responders) = adjudicator.adjudicate_arrivals(n, first, rng);
+                let wait = if arrived >= quorum {
+                    (0..n)
+                        .filter_map(first)
+                        .map(|a| a.key.0)
                         .fold(SimDuration::ZERO, SimDuration::max)
                 } else {
                     // Quorum never reached: the timeout expires first.
@@ -516,17 +513,13 @@ impl UpgradeMiddleware {
                     verdict: adj.verdict,
                     response_time: wait + dt,
                     source: adj.source,
-                    responders: first.len(),
+                    responders,
                 }
             }
             OperatingMode::Sequential { .. } | OperatingMode::WeightedFleet => {
                 unreachable!("handled by process_sequential/process_weighted")
             }
-        };
-
-        collected.clear();
-        self.collected_scratch = collected;
-        Ok(system)
+        })
     }
 
     /// Weighted-fleet mode: a single uniform draw routes the demand to

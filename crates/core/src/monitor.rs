@@ -8,9 +8,10 @@
 //! [`MonitoringSubsystem`] consumes the [`DemandRecord`]s the middleware
 //! produces and maintains:
 //!
-//! * per-release outcome counts (CR / ER / NER), NRDT counts and
-//!   execution-time statistics — the rows of the paper's Tables 5–6;
-//! * the same for the *system* (the adjudicated response);
+//! * per-release outcome counts (CR / ER / NER), NRDT counts and mean
+//!   execution times — the rows of the paper's Tables 5–6;
+//! * the same for the *system* (the adjudicated response and its mean
+//!   response time);
 //! * joint failure counts of a designated (old, new) release pair,
 //!   scored through a configurable [`FailureDetector`] — the observations
 //!   driving the white-box Bayesian inference;
@@ -31,39 +32,50 @@ use wsu_obs::{
     SloConfig, SloObservation, SloWindow,
 };
 use wsu_simcore::rng::StreamRng;
-use wsu_simcore::stats::{CountTable, Summary};
 use wsu_wstack::outcome::ResponseClass;
 
 use crate::adjudicate::SystemVerdict;
 use crate::middleware::DemandRecord;
 use crate::release::ReleaseId;
 
+/// A count and a running mean (Welford's update, the bits
+/// [`Summary::mean`](wsu_simcore::stats::Summary::mean) gives).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+struct RunningMean {
+    n: f64,
+    mean: f64,
+}
+
+impl RunningMean {
+    /// # Panics
+    ///
+    /// Panics if `x` is not finite.
+    fn record(&mut self, x: f64) {
+        assert!(x.is_finite(), "cannot record non-finite value {x}");
+        self.n += 1.0;
+        self.mean += (x - self.mean) / self.n;
+    }
+}
+
 /// Dependability statistics of one release (one column group of the
 /// paper's Tables 5–6).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ReleaseStats {
-    counts: CountTable,
+    /// Responses within the timeout, per [`ResponseClass::index`].
+    counts: [u64; 3],
     nrdt: u64,
-    exec_all: Summary,
+    exec_all: RunningMean,
 }
 
 impl ReleaseStats {
-    fn new() -> ReleaseStats {
-        ReleaseStats {
-            counts: CountTable::new(&["CR", "ER", "NER"]),
-            nrdt: 0,
-            exec_all: Summary::new(),
-        }
-    }
-
     /// Responses of the given class received within the timeout.
     pub fn count(&self, class: ResponseClass) -> u64 {
-        self.counts.count(class.index())
+        self.counts[class.index()]
     }
 
     /// Responses received within the timeout (the tables' "Total").
     pub fn total_responses(&self) -> u64 {
-        self.counts.total()
+        self.counts.iter().sum()
     }
 
     /// Demands with no response within the timeout ("NRDT").
@@ -75,12 +87,7 @@ impl ReleaseStats {
     /// per-release MET of the tables, which the paper reports independent
     /// of the timeout).
     pub fn mean_exec_time(&self) -> f64 {
-        self.exec_all.mean()
-    }
-
-    /// Execution-time statistics over all responses.
-    pub fn exec_summary(&self) -> &Summary {
-        &self.exec_all
+        self.exec_all.mean
     }
 
     /// Availability: fraction of demands with a response within the
@@ -106,30 +113,23 @@ impl ReleaseStats {
 }
 
 /// Dependability statistics of the composite (adjudicated) service.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SystemStats {
-    counts: CountTable,
+    /// Adjudicated responses, per [`ResponseClass::index`].
+    counts: [u64; 3],
     nrdt: u64,
-    response_time: Summary,
+    response_time: RunningMean,
 }
 
 impl SystemStats {
-    fn new() -> SystemStats {
-        SystemStats {
-            counts: CountTable::new(&["CR", "ER", "NER"]),
-            nrdt: 0,
-            response_time: Summary::new(),
-        }
-    }
-
     /// Adjudicated responses of the given class.
     pub fn count(&self, class: ResponseClass) -> u64 {
-        self.counts.count(class.index())
+        self.counts[class.index()]
     }
 
     /// Demands on which a response (of any class) was returned.
     pub fn total_responses(&self) -> u64 {
-        self.counts.total()
+        self.counts.iter().sum()
     }
 
     /// Demands reported "Web Service unavailable".
@@ -140,12 +140,7 @@ impl SystemStats {
     /// Mean consumer-visible response time, unavailable demands included
     /// (the consumer waits out the timeout to learn of the failure).
     pub fn mean_response_time(&self) -> f64 {
-        self.response_time.mean()
-    }
-
-    /// Response-time statistics.
-    pub fn response_time_summary(&self) -> &Summary {
-        &self.response_time
+        self.response_time.mean
     }
 
     /// Availability of the composite service.
@@ -269,7 +264,7 @@ impl MonitoringSubsystem {
     pub fn new(recent_capacity: usize) -> MonitoringSubsystem {
         MonitoringSubsystem {
             per_release: Vec::new(),
-            system: SystemStats::new(),
+            system: SystemStats::default(),
             pair: None,
             recent: std::collections::VecDeque::with_capacity(recent_capacity.min(4096)),
             recent_capacity,
@@ -335,18 +330,18 @@ impl MonitoringSubsystem {
         for obs in &record.per_release {
             let idx = obs.release.index();
             while self.per_release.len() <= idx {
-                self.per_release.push(ReleaseStats::new());
+                self.per_release.push(ReleaseStats::default());
             }
             let stats = &mut self.per_release[idx];
             stats.exec_all.record(obs.exec_time.as_secs());
             if obs.within_timeout {
-                stats.counts.bump(obs.class.index());
+                stats.counts[obs.class.index()] += 1;
             } else {
                 stats.nrdt += 1;
             }
         }
         match record.system.verdict {
-            SystemVerdict::Response(class) => self.system.counts.bump(class.index()),
+            SystemVerdict::Response(class) => self.system.counts[class.index()] += 1,
             SystemVerdict::Unavailable => self.system.nrdt += 1,
         }
         self.system
@@ -696,7 +691,7 @@ mod tests {
         assert_eq!(sys.total_responses(), 1);
         assert!((sys.mean_response_time() - 1.2).abs() < 1e-12);
         assert_eq!(sys.availability(), 0.5);
-        assert_eq!(sys.response_time_summary().count(), 2);
+        assert_eq!(sys.total_responses() + sys.nrdt(), 2);
     }
 
     #[test]
@@ -897,6 +892,66 @@ mod tests {
             None => (SystemVerdict::Unavailable, 2.0),
         };
         record(seq, a, b, verdict, rt)
+    }
+
+    /// The monitor's running means equal `Summary::mean` bit for bit
+    /// after every demand, over seeded sequences: one-element ones, and
+    /// times at one magnitude from 1e-9 to 1e9 s or spread across all
+    /// of them.
+    #[test]
+    fn running_means_match_summary_bit_for_bit() {
+        use wsu_simcore::stats::Summary;
+        for seed in 0..24u64 {
+            let mut rng = StreamRng::from_seed(seed);
+            let mut mon_rng = StreamRng::from_seed(seed + 1_000);
+            let len = if seed < 4 {
+                1
+            } else {
+                1 + rng.next_below(2_000)
+            };
+            let scale = [1e-9, 1e-3, 1.0, 1e3, 1e9][seed as usize % 5];
+            let mut time = || match seed % 6 {
+                5 => 10f64.powf(rng.uniform(-9.0, 9.0)),
+                _ => scale * rng.uniform(0.0, 4.0),
+            };
+            let mut mon = MonitoringSubsystem::new(0);
+            let (mut exec, mut response) = ([Summary::new(), Summary::new()], Summary::new());
+            for i in 0..len {
+                let (a, b, rt) = (time(), time(), time());
+                mon.observe(
+                    &record(
+                        i,
+                        (ResponseClass::Correct, a, true),
+                        (ResponseClass::NonEvidentFailure, b, false),
+                        SystemVerdict::Response(ResponseClass::Correct),
+                        rt,
+                    ),
+                    &mut mon_rng,
+                );
+                exec[0].record(a);
+                exec[1].record(b);
+                response.record(rt);
+                for (k, summary) in exec.iter().enumerate() {
+                    let stats = mon.release_stats(ReleaseId::new(k)).unwrap();
+                    assert_eq!(
+                        stats.mean_exec_time().to_bits(),
+                        summary.mean().to_bits(),
+                        "seed {seed} demand {i} release {k}"
+                    );
+                }
+                assert_eq!(
+                    mon.system_stats().mean_response_time().to_bits(),
+                    response.mean().to_bits(),
+                    "seed {seed} demand {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite")]
+    fn running_mean_rejects_non_finite_times() {
+        RunningMean::default().record(f64::INFINITY);
     }
 
     const TEST_SLO: SloConfig = SloConfig {

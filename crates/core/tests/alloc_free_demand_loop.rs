@@ -293,6 +293,66 @@ fn planned_demand_loop_does_not_allocate() {
     });
 }
 
+/// Every parallel mode and selection policy adjudicates the responses
+/// in place: each configuration's plan-fed loop, measured after its own
+/// warm-up, must not allocate.
+#[test]
+fn planned_demand_loop_does_not_allocate_in_any_parallel_mode() {
+    use wsu_core::adjudicate::{Adjudicator, SelectionPolicy};
+    use wsu_core::modes::OperatingMode;
+
+    let plan: Vec<[PlannedResponse; 2]> = (0..WARMUP + MEASURED)
+        .map(|i| {
+            let (a, b) = planned_pair(i);
+            [planned(a.0, a.1), planned(b.0, b.1)]
+        })
+        .collect();
+    let (warmup, measured) = plan.split_at(WARMUP as usize);
+    for mode in [
+        OperatingMode::ParallelReliability,
+        OperatingMode::ParallelResponsiveness,
+        OperatingMode::ParallelDynamic { quorum: 1 },
+        OperatingMode::ParallelDynamic { quorum: 2 },
+    ] {
+        for policy in [
+            SelectionPolicy::Random,
+            SelectionPolicy::Fastest,
+            SelectionPolicy::Majority,
+        ] {
+            let mut middleware = UpgradeMiddleware::new(MiddlewareConfig {
+                mode,
+                adjudicator: Adjudicator::new(policy),
+                ..MiddlewareConfig::paper(TIMEOUT_SECS)
+            });
+            let mut monitor = MonitoringSubsystem::new(0);
+            let seed = MasterSeed::new(95);
+            let mut mw_rng = seed.stream("alloc/modes");
+            let mut mon_rng = seed.stream("alloc/modes-monitor");
+            let mut clock = 0.0;
+            let mut run = |pairs: &[[PlannedResponse; 2]]| {
+                for pair in pairs {
+                    middleware.set_virtual_time(clock);
+                    let record = middleware
+                        .process_planned(pair, &mut mw_rng)
+                        .expect("a planned pair");
+                    clock += record.system.response_time.as_secs();
+                    monitor.observe(record, &mut mon_rng);
+                }
+            };
+            run(warmup);
+            let before = allocation_count();
+            run(measured);
+            let allocs = allocation_count() - before;
+            assert_eq!(
+                allocs, 0,
+                "{mode:?} {policy:?}: plan-fed demand loop allocated {allocs} times over {MEASURED} demands"
+            );
+            assert_eq!(middleware.demands(), WARMUP + MEASURED);
+            assert_eq!(monitor.demands(), WARMUP + MEASURED);
+        }
+    }
+}
+
 /// The weighted-fleet demand path must be allocation-free too: routing
 /// draws one uniform and walks the pre-computed cumulative-weight
 /// table — no per-demand `Vec`, no rebuilt state. Four releases at

@@ -5,9 +5,12 @@
 //! seeded-loop checks (no external dev-dependencies — see the note in
 //! `crates/simcore/tests/properties.rs`).
 
-use wsu_core::adjudicate::SystemVerdict;
-use wsu_core::middleware::{MiddlewareConfig, UpgradeMiddleware};
+use wsu_core::adjudicate::{
+    Adjudication, Adjudicator, CollectedResponse, SelectionPolicy, SystemVerdict,
+};
+use wsu_core::middleware::{MiddlewareConfig, SystemObservation, UpgradeMiddleware};
 use wsu_core::modes::{OperatingMode, SequentialOrder};
+use wsu_core::release::ReleaseId;
 use wsu_obs::SharedRecorder;
 use wsu_simcore::rng::{MasterSeed, StreamRng};
 use wsu_simcore::time::SimDuration;
@@ -276,5 +279,265 @@ fn processing_is_deterministic() {
                 .unwrap()
         };
         assert_eq!(run(), run());
+    }
+}
+
+/// Section 5.2.1's rules applied to the collected responses in slice
+/// order, the way the middleware applied them to a sorted copy: the
+/// reference the one-pass adjudication is pinned against.
+fn reference_adjudicate(
+    policy: SelectionPolicy,
+    collected: &[CollectedResponse],
+    rng: &mut StreamRng,
+) -> Adjudication {
+    let respond = |r: &CollectedResponse| Adjudication {
+        verdict: SystemVerdict::Response(r.class),
+        source: Some(r.release),
+    };
+    if collected.is_empty() {
+        return Adjudication {
+            verdict: SystemVerdict::Unavailable,
+            source: None,
+        };
+    }
+    let valid: Vec<&CollectedResponse> = collected.iter().filter(|r| r.class.is_valid()).collect();
+    if valid.is_empty() {
+        return Adjudication {
+            verdict: SystemVerdict::Response(ResponseClass::EvidentFailure),
+            source: None,
+        };
+    }
+    let fastest = || {
+        *valid
+            .iter()
+            .min_by(|a, b| a.exec_time.cmp(&b.exec_time))
+            .unwrap()
+    };
+    if valid.iter().all(|r| r.class == valid[0].class) {
+        return respond(fastest());
+    }
+    match policy {
+        SelectionPolicy::Random => respond(valid[rng.next_below(valid.len() as u64) as usize]),
+        SelectionPolicy::Fastest => respond(fastest()),
+        SelectionPolicy::Majority => {
+            let mut counts = [0usize; 3];
+            for r in &valid {
+                counts[r.class.index()] += 1;
+            }
+            let best = *counts.iter().max().unwrap();
+            let tied: Vec<_> = valid
+                .iter()
+                .filter(|r| counts[r.class.index()] == best)
+                .collect();
+            respond(tied[rng.next_below(tied.len() as u64) as usize])
+        }
+    }
+}
+
+/// A parallel mode's consumer-visible outcome computed from a copy of
+/// the in-time responses, stable-sorted by `(exec_time, release)`.
+fn reference_system(
+    config: MiddlewareConfig,
+    plan: &[PlannedResponse],
+    rng: &mut StreamRng,
+) -> SystemObservation {
+    let (timeout, dt) = (config.timeout, config.adjudication_delay);
+    let mut collected: Vec<CollectedResponse> = plan
+        .iter()
+        .enumerate()
+        .filter(|(_, p)| p.exec_time <= timeout)
+        .map(|(k, p)| CollectedResponse {
+            release: ReleaseId::new(k),
+            class: p.class,
+            exec_time: p.exec_time,
+        })
+        .collect();
+    collected.sort_by_key(|c| (c.exec_time, c.release));
+    let latest = |rs: &[CollectedResponse]| {
+        rs.iter()
+            .map(|c| c.exec_time)
+            .fold(SimDuration::ZERO, SimDuration::max)
+    };
+    let policy = config.adjudicator.policy();
+    match config.mode {
+        OperatingMode::ParallelReliability => {
+            let adj = reference_adjudicate(policy, &collected, rng);
+            let wait = if collected.len() == plan.len() {
+                plan.iter()
+                    .map(|p| p.exec_time)
+                    .fold(SimDuration::ZERO, SimDuration::max)
+            } else {
+                timeout
+            };
+            SystemObservation {
+                verdict: adj.verdict,
+                response_time: wait + dt,
+                source: adj.source,
+                responders: collected.len(),
+            }
+        }
+        OperatingMode::ParallelResponsiveness => {
+            match collected.iter().find(|c| c.class.is_valid()) {
+                Some(first) => SystemObservation {
+                    verdict: SystemVerdict::Response(first.class),
+                    response_time: first.exec_time + dt,
+                    source: Some(first.release),
+                    responders: collected.len(),
+                },
+                None => SystemObservation {
+                    verdict: if collected.is_empty() {
+                        SystemVerdict::Unavailable
+                    } else {
+                        SystemVerdict::Response(ResponseClass::EvidentFailure)
+                    },
+                    response_time: timeout + dt,
+                    source: None,
+                    responders: collected.len(),
+                },
+            }
+        }
+        OperatingMode::ParallelDynamic { quorum } => {
+            let quorum = quorum.max(1);
+            let first = &collected[..quorum.min(collected.len())];
+            let adj = reference_adjudicate(policy, first, rng);
+            let wait = if collected.len() >= quorum {
+                latest(first)
+            } else {
+                timeout
+            };
+            SystemObservation {
+                verdict: adj.verdict,
+                response_time: wait + dt,
+                source: adj.source,
+                responders: first.len(),
+            }
+        }
+        other => unreachable!("not a parallel mode: {other:?}"),
+    }
+}
+
+fn arb_policy(rng: &mut StreamRng) -> SelectionPolicy {
+    match rng.next_below(3) {
+        0 => SelectionPolicy::Random,
+        1 => SelectionPolicy::Fastest,
+        _ => SelectionPolicy::Majority,
+    }
+}
+
+/// `n` execution times: one constant for all, drawn from three values
+/// (the last beyond every timeout), or continuous, so that a third of
+/// the cases have every time tied and another third many ties.
+fn arb_times(rng: &mut StreamRng, n: usize) -> Vec<SimDuration> {
+    let constant = SimDuration::from_secs(f64_in(rng, 0.01, 6.0));
+    let kind = rng.next_below(3);
+    (0..n)
+        .map(|_| match kind {
+            0 => constant,
+            1 => SimDuration::from_secs([0.3, 0.7, 9.0][rng.next_below(3) as usize]),
+            _ => SimDuration::from_secs(f64_in(rng, 0.01, 6.0)),
+        })
+        .collect()
+}
+
+/// Every parallel mode and selection policy, over 1 to 5 releases with
+/// tied times and timeouts that cut some responses: the middleware's
+/// one-pass adjudication, fed from a plan or from scripted endpoints,
+/// gives the sorted-copy reference's outcome and leaves the stream at
+/// its next draw.
+#[test]
+fn one_pass_adjudication_matches_the_sorted_copy() {
+    let mut rng = rng_for("sorted_copy");
+    for case in 0..3_000 {
+        let releases = 1 + rng.next_below(5) as usize;
+        let mode = match rng.next_below(6) {
+            0 => OperatingMode::ParallelReliability,
+            1 => OperatingMode::ParallelResponsiveness,
+            q => OperatingMode::ParallelDynamic {
+                quorum: q as usize - 1,
+            },
+        };
+        let policy = arb_policy(&mut rng);
+        let plan: Vec<PlannedResponse> = arb_times(&mut rng, releases)
+            .into_iter()
+            .map(|exec_time| PlannedResponse {
+                class: arb_class(&mut rng),
+                exec_time,
+            })
+            .collect();
+        let mut config = MiddlewareConfig::paper(f64_in(&mut rng, 0.5, 4.0));
+        config.mode = mode;
+        config.adjudicator = Adjudicator::new(policy);
+        let seed = rng.next_u64();
+
+        let mut want_rng = StreamRng::from_seed(seed);
+        let want = reference_system(config, &plan, &mut want_rng);
+        let want_next = want_rng.next_u64();
+        let context = format!("case {case}: {mode:?} {policy:?} {plan:?}");
+
+        let mut planned_rng = StreamRng::from_seed(seed);
+        let mut planned = UpgradeMiddleware::new(config);
+        let got = planned
+            .process_planned(&plan, &mut planned_rng)
+            .unwrap()
+            .system;
+        assert_eq!(got, want, "{context}");
+        assert_eq!(
+            got.response_time.as_secs().to_bits(),
+            want.response_time.as_secs().to_bits(),
+            "{context}"
+        );
+        assert_eq!(planned_rng.next_u64(), want_next, "{context}");
+
+        let mut scripted = UpgradeMiddleware::new(config);
+        for (k, &response) in plan.iter().enumerate() {
+            let mut endpoint = ScriptedEndpoint::new("Svc", &format!("1.{k}"));
+            endpoint.push(response);
+            scripted.deploy(endpoint);
+        }
+        let mut scripted_rng = StreamRng::from_seed(seed);
+        let record = scripted
+            .process(&Envelope::request("invoke"), &mut scripted_rng)
+            .unwrap();
+        assert_eq!(record.system, want, "{context}");
+        assert_eq!(scripted_rng.next_u64(), want_next, "{context}");
+    }
+}
+
+/// `Adjudicator::adjudicate` on slices in arrival order, as the
+/// capacity study collects them (by execution time, ties in completion
+/// order, releases in any order), gives the reference's adjudication
+/// and leaves the stream at its next draw, for every policy.
+#[test]
+fn slice_adjudication_matches_the_sorted_copy() {
+    let mut rng = rng_for("slice_sorted_copy");
+    for case in 0..3_000 {
+        let len = rng.next_below(6) as usize;
+        let mut releases: Vec<usize> = (0..len).collect();
+        for i in (1..len).rev() {
+            releases.swap(i, rng.next_below(i as u64 + 1) as usize);
+        }
+        let mut collected: Vec<CollectedResponse> = arb_times(&mut rng, len)
+            .into_iter()
+            .zip(releases)
+            .map(|(exec_time, release)| CollectedResponse {
+                release: ReleaseId::new(release),
+                class: arb_class(&mut rng),
+                exec_time,
+            })
+            .collect();
+        collected.sort_by_key(|c| c.exec_time);
+        let policy = arb_policy(&mut rng);
+        let seed = rng.next_u64();
+
+        let mut want_rng = StreamRng::from_seed(seed);
+        let want = reference_adjudicate(policy, &collected, &mut want_rng);
+        let mut got_rng = StreamRng::from_seed(seed);
+        let got = Adjudicator::new(policy).adjudicate(&collected, &mut got_rng);
+        assert_eq!(got, want, "case {case}: {policy:?} {collected:?}");
+        assert_eq!(
+            got_rng.next_u64(),
+            want_rng.next_u64(),
+            "case {case}: {policy:?} {collected:?}"
+        );
     }
 }

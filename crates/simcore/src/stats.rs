@@ -1,8 +1,8 @@
 //! Streaming statistics.
 //!
-//! The monitoring subsystem records per-release execution times and outcome
-//! counts on every demand; these collectors do that in O(1) per observation
-//! using Welford's algorithm for mean/variance.
+//! The capacity study records each demand's response time in these
+//! collectors, in O(1) per observation, using Welford's algorithm for
+//! mean/variance.
 
 use std::fmt;
 
@@ -145,69 +145,6 @@ impl fmt::Display for Summary {
             self.min().unwrap_or(f64::NAN),
             self.max().unwrap_or(f64::NAN)
         )
-    }
-}
-
-/// A counter keyed by a small enum-like index.
-///
-/// Used for outcome tallies (correct / evident / non-evident / no-response).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CountTable {
-    counts: Vec<u64>,
-    labels: Vec<&'static str>,
-}
-
-impl CountTable {
-    /// Creates a table with the given class labels, all counts zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `labels` is empty.
-    pub fn new(labels: &[&'static str]) -> CountTable {
-        assert!(!labels.is_empty(), "CountTable needs at least one class");
-        CountTable {
-            counts: vec![0; labels.len()],
-            labels: labels.to_vec(),
-        }
-    }
-
-    /// Increments class `i` by one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn bump(&mut self, i: usize) {
-        self.counts[i] += 1;
-    }
-
-    /// Count of class `i`.
-    pub fn count(&self, i: usize) -> u64 {
-        self.counts[i]
-    }
-
-    /// Total across classes.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Fraction of the total in class `i` (0 when empty).
-    pub fn fraction(&self, i: usize) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            0.0
-        } else {
-            self.counts[i] as f64 / total as f64
-        }
-    }
-
-    /// The labels this table was created with.
-    pub fn labels(&self) -> &[&'static str] {
-        &self.labels
-    }
-
-    /// Iterates `(label, count)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.labels.iter().copied().zip(self.counts.iter().copied())
     }
 }
 
@@ -378,26 +315,6 @@ mod tests {
         let mut s = Summary::new();
         s.record(1.0);
         assert!(s.to_string().contains("n=1"));
-    }
-
-    #[test]
-    fn count_table_basics() {
-        let mut t = CountTable::new(&["cr", "er", "ner"]);
-        t.bump(0);
-        t.bump(0);
-        t.bump(2);
-        assert_eq!(t.count(0), 2);
-        assert_eq!(t.total(), 3);
-        assert!((t.fraction(0) - 2.0 / 3.0).abs() < 1e-12);
-        let pairs: Vec<_> = t.iter().collect();
-        assert_eq!(pairs, vec![("cr", 2), ("er", 0), ("ner", 1)]);
-        assert_eq!(t.labels(), &["cr", "er", "ner"]);
-    }
-
-    #[test]
-    fn count_table_empty_fraction() {
-        let t = CountTable::new(&["a"]);
-        assert_eq!(t.fraction(0), 0.0);
     }
 
     #[test]
