@@ -5,7 +5,8 @@
 //! [--min-ns N]`
 //!
 //! Rows are matched by name; a row slower than `threshold ×` its
-//! baseline median fails the run. The threshold defaults to 2× —
+//! baseline median fails the run. The threshold is a finite number
+//! above 0 and defaults to 2× —
 //! deliberately generous, so the guard catches real regressions (an
 //! accidental `clone()` in the demand loop, a quadratic scan) while
 //! staying robust to shared-runner noise. Rows whose baseline median is
@@ -21,6 +22,8 @@
 
 use std::path::Path;
 use std::process::ExitCode;
+
+use wsu_experiments::cli;
 
 /// One `(name, median_ns)` row from a report.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,34 +97,10 @@ fn load(path: &str) -> Result<Vec<Row>, String> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut files = Vec::new();
-    let mut threshold = 2.0f64;
-    let mut min_ns = 1_000u64;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--threshold" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(v) => threshold = v,
-                None => {
-                    eprintln!("--threshold needs a number");
-                    return ExitCode::from(2);
-                }
-            },
-            "--min-ns" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(v) => min_ns = v,
-                None => {
-                    eprintln!("--min-ns needs an integer");
-                    return ExitCode::from(2);
-                }
-            },
-            other => files.push(other.to_string()),
-        }
-    }
-    let [baseline_path, fresh_path] = files.as_slice() else {
-        eprintln!("usage: bench_compare <baseline.json> <fresh.json> [--threshold X] [--min-ns N]");
-        return ExitCode::from(2);
-    };
+    let args = cli::BENCH_COMPARE.parse();
+    let (baseline_path, fresh_path) = (args.positional(0), args.positional(1));
+    let threshold = args.value("--threshold").unwrap_or(2.0);
+    let min_ns = args.value("--min-ns").unwrap_or(1_000);
 
     let (baseline, fresh) = match (load(baseline_path), load(fresh_path)) {
         (Ok(b), Ok(f)) => (b, f),

@@ -5,10 +5,12 @@
 //!
 //! Each entry is the wall time of one experiment run (`--quick`-scale by
 //! default, paper scale with `--full`); with `--samples N > 1` the run is
-//! repeated and the median reported. The JSON format is documented in
-//! [`wsu_bench::report`]; pair this file with `BENCH_bayes.json`
-//! (`WSU_BENCH_JSON=... cargo bench --bench bench_bayes`) to track both
-//! the micro ns/op and the end-to-end trajectory across commits.
+//! repeated and the median reported. `--out` defaults to `results`; a
+//! bad command line exits with status 2 before anything is timed. The
+//! JSON format is documented in [`wsu_bench::report`]; pair this file
+//! with `BENCH_bayes.json` (`WSU_BENCH_JSON=... cargo bench --bench
+//! bench_bayes`) to track both the micro ns/op and the end-to-end
+//! trajectory across commits.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -19,7 +21,9 @@ use wsu_experiments::bayes_study::StudyConfig;
 use wsu_experiments::campaign::{run_campaign_jobs, standard_plans, CampaignConfig};
 use wsu_experiments::fleetstudy::{run_fleetstudy_jobs, standard_cells, FleetStudyConfig};
 use wsu_experiments::midsim::ObsSinks;
-use wsu_experiments::{ablation, figures, table2, table5, table6, DEFAULT_SEED, PAPER_TIMEOUTS};
+use wsu_experiments::{
+    ablation, cli, figures, table2, table5, table6, DEFAULT_SEED, PAPER_TIMEOUTS,
+};
 use wsu_simcore::par::Jobs;
 use wsu_simcore::rng::MasterSeed;
 use wsu_workload::timing::ExecTimeModel;
@@ -44,20 +48,10 @@ fn time_runs<F: FnMut()>(name: &str, samples: usize, mut run: F) -> Entry {
 }
 
 fn main() -> std::io::Result<()> {
-    let args: Vec<String> = std::env::args().collect();
-    let full = args.iter().any(|a| a == "--full");
-    let out_dir = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"));
-    let samples: usize = args
-        .iter()
-        .position(|a| a == "--samples")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|n| n.parse().ok())
-        .unwrap_or(1);
+    let args = cli::PERF_REPORT.parse();
+    let full = args.has("--full");
+    let out_dir: PathBuf = args.value("--out").unwrap_or_else(|| "results".into());
+    let samples = args.value("--samples").unwrap_or(1);
 
     // The same reduced-scale configurations the experiment binaries use
     // for `--quick`, so CI wall times track the real pipelines.

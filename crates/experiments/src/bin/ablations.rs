@@ -1,8 +1,8 @@
 //! Runs the four ablation studies (A1–A4 in DESIGN.md).
 //!
-//! Usage: `ablations [--quick] [--jobs N] [--trace PATH] [--metrics PATH]`
-//! plus the shared observability flags `--serve-metrics PORT`,
-//! `--serve-hold SECS` and `--phase-metrics` — with tracing on, each
+//! Usage: `ablations [--quick] [--jobs N] [--trace PATH] [--metrics PATH]
+//! [--serve-metrics PORT] [--serve-hold SECS] [--phase-metrics]` —
+//! with tracing on, each
 //! ablation becomes a log line in the trace, and `--phase-metrics`
 //! turns each into a timed `wsu_phase_seconds` gauge in the snapshot.
 //! Any other argument exits with status 2.
@@ -15,18 +15,16 @@ use wsu_experiments::ablation::{
     run_mode_ablation_jobs, run_prior_ablation_jobs,
 };
 use wsu_experiments::bayes_study::StudyConfig;
-use wsu_experiments::obs::{exit_on_unknown_flag, jobs_from_env, FlagValue, ObsOptions, JOBS_FLAG};
+use wsu_experiments::cli;
+use wsu_experiments::obs::ObsContext;
 use wsu_experiments::DEFAULT_SEED;
-
-const USAGE: &str = "usage: ablations [--quick] [--jobs N] [--trace PATH] [--metrics PATH] \
-                     [--serve-metrics PORT] [--serve-hold SECS] [--phase-metrics]";
+use wsu_simcore::par::Jobs;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    exit_on_unknown_flag(&args, &[("--quick", FlagValue::Switch), JOBS_FLAG], USAGE);
-    let quick = args.iter().any(|a| a == "--quick");
-    let jobs = jobs_from_env();
-    let mut ctx = ObsOptions::from_env().context();
+    let args = cli::ABLATIONS.parse();
+    let quick = args.has("--quick");
+    let jobs = Jobs::from_request(args.value("--jobs"));
+    let mut ctx = ObsContext::from_args(&args);
     let requests = if quick { 2_000 } else { 10_000 };
     let study = StudyConfig {
         demands: if quick { 10_000 } else { 50_000 },

@@ -1,11 +1,11 @@
 //! Runs every experiment and writes the outputs under `results/`.
 //!
 //! Usage: `all [--quick] [--out DIR] [--jobs N] [--trace PATH]
-//! [--metrics PATH]` plus the shared observability flags
-//! `--serve-metrics PORT`, `--serve-hold SECS` and `--phase-metrics` —
-//! `--jobs` sizes the replication worker pool for the simulation-backed
-//! studies (Tables 5–6, ablations, capacity) without changing any
-//! output byte. Any other argument exits with status 2.
+//! [--metrics PATH] [--serve-metrics PORT] [--serve-hold SECS]
+//! [--phase-metrics]` — `--out` names the directory (default
+//! `results`); `--jobs` sizes the replication worker pool for the
+//! simulation-backed studies (Tables 5–6, ablations, capacity) without
+//! changing any output byte. Any other argument exits with status 2.
 
 use std::fs;
 use std::path::PathBuf;
@@ -13,40 +13,22 @@ use std::path::PathBuf;
 use wsu_bayes::whitebox::Resolution;
 use wsu_experiments::bayes_study::StudyConfig;
 use wsu_experiments::midsim::ObsSinks;
-use wsu_experiments::obs::{
-    exit_on_unknown_flag, jobs_from_args, FlagValue, ObsOptions, JOBS_FLAG,
-};
+use wsu_experiments::obs::ObsContext;
 use wsu_experiments::{
-    ablation, campaign, capacity, figures, table2, table5, table6, DEFAULT_SEED, PAPER_TIMEOUTS,
+    ablation, campaign, capacity, cli, figures, table2, table5, table6, DEFAULT_SEED,
+    PAPER_TIMEOUTS,
 };
+use wsu_simcore::par::Jobs;
 use wsu_simcore::rng::MasterSeed;
 use wsu_workload::timing::ExecTimeModel;
 
-const USAGE: &str = "usage: all [--quick] [--out DIR] [--jobs N] [--trace PATH] \
-                     [--metrics PATH] [--serve-metrics PORT] [--serve-hold SECS] \
-                     [--phase-metrics]";
-
 fn main() -> std::io::Result<()> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    exit_on_unknown_flag(
-        &args,
-        &[
-            ("--quick", FlagValue::Switch),
-            ("--out", FlagValue::Text),
-            JOBS_FLAG,
-        ],
-        USAGE,
-    );
-    let quick = args.iter().any(|a| a == "--quick");
-    let jobs = jobs_from_args(&args);
-    let mut ctx = ObsOptions::from_env().context();
+    let args = cli::ALL.parse();
+    let quick = args.has("--quick");
+    let jobs = Jobs::from_request(args.value("--jobs"));
+    let mut ctx = ObsContext::from_args(&args);
     let sinks = ctx.sinks();
-    let out_dir = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"));
+    let out_dir: PathBuf = args.value("--out").unwrap_or_else(|| "results".into());
     fs::create_dir_all(&out_dir)?;
 
     let res = if quick {

@@ -14,53 +14,35 @@
 //! `wsu_phase_seconds` gauges. Any other argument exits with status 2.
 
 use wsu_experiments::campaign::{run_campaign_jobs, standard_plans, CampaignConfig};
-use wsu_experiments::obs::{exit_on_unknown_flag, jobs_from_env, FlagValue, ObsOptions, JOBS_FLAG};
+use wsu_experiments::cli;
+use wsu_experiments::obs::ObsContext;
 use wsu_experiments::DEFAULT_SEED;
-
-const USAGE: &str = "usage: faultcampaign [--quick] [--plan NAME] [--jobs N] [--trace PATH] \
-                     [--metrics PATH] [--serve-metrics PORT] [--serve-hold SECS] \
-                     [--phase-metrics]";
+use wsu_simcore::par::Jobs;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    exit_on_unknown_flag(
-        &args,
-        &[
-            ("--quick", FlagValue::Switch),
-            ("--plan", FlagValue::Text),
-            JOBS_FLAG,
-        ],
-        USAGE,
-    );
-    let quick = args.iter().any(|a| a == "--quick");
-    let wanted: Vec<&String> = args
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| *a == "--plan")
-        .filter_map(|(i, _)| args.get(i + 1))
-        .collect();
-    let jobs = jobs_from_env();
-    let mut ctx = ObsOptions::from_env().context();
-    let config = if quick {
+    let args = cli::FAULTCAMPAIGN.parse();
+    let jobs = Jobs::from_request(args.value("--jobs"));
+    let wanted: Vec<&str> = args.values("--plan").collect();
+    let mut specs = standard_plans();
+    if !wanted.is_empty() {
+        specs.retain(|plan| wanted.contains(&plan.scenario.name.as_str()));
+        if specs.is_empty() {
+            let available: Vec<_> = standard_plans()
+                .into_iter()
+                .map(|plan| plan.scenario.name)
+                .collect();
+            cli::FAULTCAMPAIGN.fail(&format!(
+                "no plan matched; available: {}",
+                available.join(", ")
+            ));
+        }
+    }
+    let mut ctx = ObsContext::from_args(&args);
+    let config = if args.has("--quick") {
         CampaignConfig::quick()
     } else {
         CampaignConfig::paper()
     };
-    let mut specs = standard_plans();
-    if !wanted.is_empty() {
-        specs.retain(|spec| wanted.iter().any(|w| **w == spec.scenario.name));
-        if specs.is_empty() {
-            eprintln!(
-                "no plan matched; available: {}",
-                standard_plans()
-                    .iter()
-                    .map(|s| s.scenario.name.as_str())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            );
-            std::process::exit(2);
-        }
-    }
     let sinks = ctx.sinks();
     let table = ctx.time("faultcampaign/simulate", || {
         run_campaign_jobs(&specs, &config, DEFAULT_SEED, &sinks, jobs)

@@ -1,25 +1,21 @@
 //! Regenerates Fig. 7 (Scenario 1 percentile curves) as a TSV table.
 //!
-//! Usage: `fig7 [--quick] [--trace PATH] [--metrics PATH]` plus the
-//! shared observability flags `--serve-metrics PORT`, `--serve-hold
-//! SECS` and `--phase-metrics`. Any other argument exits with status 2.
+//! Usage: `fig7 [--quick] [--trace PATH] [--metrics PATH]
+//! [--serve-metrics PORT] [--serve-hold SECS] [--phase-metrics]`. Any
+//! other argument exits with status 2.
 
 use wsu_bayes::whitebox::Resolution;
 use wsu_experiments::bayes_study::StudyConfig;
+use wsu_experiments::cli;
 use wsu_experiments::figures::{run_fig7, run_fig7_paper};
-use wsu_experiments::obs::{exit_on_unknown_flag, FlagValue, ObsOptions};
+use wsu_experiments::obs::ObsContext;
 use wsu_experiments::DEFAULT_SEED;
 
-const USAGE: &str = "usage: fig7 [--quick] [--trace PATH] [--metrics PATH] \
-                     [--serve-metrics PORT] [--serve-hold SECS] [--phase-metrics]";
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    exit_on_unknown_flag(&args, &[("--quick", FlagValue::Switch)], USAGE);
-    let quick = args.iter().any(|a| a == "--quick");
-    let mut ctx = ObsOptions::from_env().context();
+    let args = cli::FIG7.parse();
+    let mut ctx = ObsContext::from_args(&args);
     let (set, runs) = ctx.time("fig7/study", || {
-        if quick {
+        if args.has("--quick") {
             let config = StudyConfig {
                 demands: 10_000,
                 checkpoint_every: 500,

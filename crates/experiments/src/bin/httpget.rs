@@ -3,21 +3,17 @@
 //! without assuming curl exists.
 //!
 //! Usage: `wsu-httpget <host:port> <path>` — prints the response body
-//! to stdout; exits non-zero on connection failure or a non-200 status.
+//! to stdout; exits 1 on connection failure or a non-200 status, and 2
+//! on a bad command line.
 
 use std::process::exit;
 
+use wsu_experiments::cli;
 use wsu_obs::http_get;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (addr, path) = match (args.first(), args.get(1)) {
-        (Some(addr), Some(path)) => (addr.as_str(), path.as_str()),
-        _ => {
-            eprintln!("usage: wsu-httpget <host:port> <path>");
-            exit(2);
-        }
-    };
+    let args = cli::WSU_HTTPGET.parse();
+    let (addr, path) = (args.positional(0), args.positional(1));
     match http_get(addr, path) {
         Ok(resp) if resp.status == 200 => print!("{}", resp.body),
         Ok(resp) => {

@@ -10,13 +10,13 @@
 //! Usage:
 //!
 //! ```text
-//! wsu-loadgen --addr HOST:PORT [--connections N] [--requests N]
-//!             [--warmup N] [--open-loop RATE] [--out PATH]
+//! wsu-loadgen [--addr HOST:PORT] [--connections N] [--requests N]
+//!             [--warmup N] [--open-loop X] [--out PATH]
 //!             [--expect-server-match]
 //! ```
 //!
-//! `--open-loop RATE` switches the timed phase to a fixed-rate open
-//! loop: RATE requests/sec aggregate are scheduled across the
+//! `--addr` is required. `--open-loop X` switches the timed phase to a
+//! fixed-rate open loop: X requests/sec aggregate are scheduled across the
 //! connections whether or not earlier responses have arrived, latency
 //! is measured from each request's scheduled instant (no coordinated
 //! omission), and slots a connection cannot reach within one interval
@@ -29,118 +29,30 @@
 //! is the server's only client. Exits non-zero on any request error or
 //! on an agreement mismatch.
 
-use std::net::{SocketAddr, ToSocketAddrs};
+use std::net::ToSocketAddrs;
 use std::process::exit;
 use std::time::Duration;
 
+use wsu_experiments::cli;
 use wsu_experiments::loadgen::{render_bench_json, run_load, scrape_demand_total, LoadgenConfig};
 
-struct Options {
-    addr: String,
-    connections: usize,
-    requests: u64,
-    warmup: u64,
-    out: Option<String>,
-    open_loop: Option<f64>,
-    expect_server_match: bool,
-}
-
-fn parse(args: &[String]) -> Result<Options, String> {
-    let mut options = Options {
-        addr: String::new(),
-        connections: 2,
-        requests: 500,
-        warmup: 50,
-        out: None,
-        open_loop: None,
-        expect_server_match: false,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        if flag == "--expect-server-match" {
-            options.expect_server_match = true;
-            i += 1;
-            continue;
-        }
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| format!("{flag} needs a value"))?;
-        match flag {
-            "--addr" => options.addr = value.clone(),
-            "--connections" => {
-                options.connections = value
-                    .parse()
-                    .map_err(|_| format!("--connections: not a count: {value}"))?;
-            }
-            "--requests" => {
-                options.requests = value
-                    .parse()
-                    .map_err(|_| format!("--requests: not a count: {value}"))?;
-            }
-            "--warmup" => {
-                options.warmup = value
-                    .parse()
-                    .map_err(|_| format!("--warmup: not a count: {value}"))?;
-            }
-            "--out" => options.out = Some(value.clone()),
-            "--open-loop" => {
-                let rate: f64 = value
-                    .parse()
-                    .map_err(|_| format!("--open-loop: not a rate: {value}"))?;
-                if !(rate.is_finite() && rate > 0.0) {
-                    return Err(format!("--open-loop: rate must be positive: {value}"));
-                }
-                options.open_loop = Some(rate);
-            }
-            other => return Err(format!("unknown flag: {other}")),
-        }
-        i += 2;
-    }
-    if options.addr.is_empty() {
-        return Err("--addr is required".to_string());
-    }
-    if options.connections == 0 {
-        return Err("--connections must be at least 1".to_string());
-    }
-    Ok(options)
-}
-
-fn resolve(addr: &str) -> Result<SocketAddr, String> {
-    addr.to_socket_addrs()
-        .map_err(|e| format!("--addr {addr}: {e}"))?
-        .next()
-        .ok_or_else(|| format!("--addr {addr}: no address"))
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let options = match parse(&args) {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("wsu-loadgen: {message}");
-            eprintln!(
-                "usage: wsu-loadgen --addr HOST:PORT [--connections N] \
-                 [--requests N] [--warmup N] [--open-loop RATE] [--out PATH] \
-                 [--expect-server-match]"
-            );
-            exit(2);
-        }
-    };
-    let addr = match resolve(&options.addr) {
-        Ok(addr) => addr,
-        Err(message) => {
-            eprintln!("wsu-loadgen: {message}");
-            exit(2);
-        }
+    let args = cli::WSU_LOADGEN.parse();
+    let addr: String = args
+        .value("--addr")
+        .unwrap_or_else(|| cli::WSU_LOADGEN.fail("--addr is required"));
+    let addr = match addr.to_socket_addrs().map(|mut addrs| addrs.next()) {
+        Ok(Some(addr)) => addr,
+        Ok(None) => cli::WSU_LOADGEN.fail(&format!("--addr {addr}: no address")),
+        Err(err) => cli::WSU_LOADGEN.fail(&format!("--addr {addr}: {err}")),
     };
     let config = LoadgenConfig {
         addr,
-        connections: options.connections,
-        requests_per_conn: options.requests,
-        warmup_per_conn: options.warmup,
+        connections: args.value("--connections").unwrap_or(2),
+        requests_per_conn: args.value("--requests").unwrap_or(500),
+        warmup_per_conn: args.value("--warmup").unwrap_or(50),
         timeout: Duration::from_secs(5),
-        open_rate: options.open_loop,
+        open_rate: args.value("--open-loop"),
     };
     let summary = match run_load(&config) {
         Ok(summary) => summary,
@@ -165,14 +77,14 @@ fn main() {
         summary.latency_ns(0.99),
         summary.latency_ns(0.999),
     );
-    if let Some(path) = &options.out {
+    if let Some(path) = args.value::<String>("--out") {
         let json = render_bench_json(&summary);
-        if let Some(parent) = std::path::Path::new(path).parent() {
+        if let Some(parent) = std::path::Path::new(&path).parent() {
             if !parent.as_os_str().is_empty() {
                 let _ = std::fs::create_dir_all(parent);
             }
         }
-        if let Err(err) = std::fs::write(path, json) {
+        if let Err(err) = std::fs::write(&path, json) {
             eprintln!("wsu-loadgen: write {path} failed: {err}");
             exit(1);
         }
@@ -183,7 +95,7 @@ fn main() {
         eprintln!("wsu-loadgen: {} request(s) failed", summary.errors);
         failed = true;
     }
-    if options.expect_server_match {
+    if args.has("--expect-server-match") {
         match scrape_demand_total(addr) {
             Ok(server_total) => {
                 let client_total = summary.ok + summary.warmup_ok;

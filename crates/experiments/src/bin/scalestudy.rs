@@ -2,8 +2,10 @@
 //! fleet served at several shard counts, asserting byte-identical
 //! merged outputs while measuring throughput.
 //!
-//! Usage: `scalestudy [--quick] [--demands N] [--block B]
-//! [--shards-list K,K,...] [--bench-out PATH]`.
+//! Usage: `scalestudy [--quick] [--demands N] [--block N]
+//! [--shards-list K,K,...] [--bench-out PATH]` — a configuration that
+//! [`ScaleConfig::validate`] rejects exits with status 2 before any
+//! shard starts.
 //!
 //! Stdout carries only the deterministic dependability digest (safe to
 //! diff against a golden); the wall-clock table — demands/sec, speedup
@@ -12,73 +14,38 @@
 //! `wsu-bench/1` report (the `results/BENCH_scale.json` format) for
 //! the stock `bench_compare` regression guard.
 
+use wsu_experiments::cli;
 use wsu_experiments::scalestudy::{
     render_bench_json, render_table, render_timing, run_scalestudy, ScaleConfig,
 };
 use wsu_experiments::DEFAULT_SEED;
 
-fn fail(what: &str) -> ! {
-    eprintln!("scalestudy: {what}");
-    eprintln!(
-        "usage: scalestudy [--quick] [--demands N] [--block B] \
-         [--shards-list K,K,...] [--bench-out PATH]"
-    );
-    std::process::exit(2);
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut config = if args.iter().any(|a| a == "--quick") {
+    let args = cli::SCALESTUDY.parse();
+    let mut config = if args.has("--quick") {
         ScaleConfig::quick()
     } else {
         ScaleConfig::paper()
     };
-    let mut bench_out: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => {
-                i += 1;
-                continue;
-            }
-            "--demands" => {
-                config.demands = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| fail("--demands: expected a count"));
-            }
-            "--block" => {
-                config.block = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| fail("--block: expected a count"));
-            }
-            "--shards-list" => {
-                let list: Option<Vec<usize>> = args
-                    .get(i + 1)
-                    .map(|v| v.split(',').map(|s| s.trim().parse().ok()).collect())
-                    .unwrap_or(None);
-                config.shard_counts = match list {
-                    Some(counts) if !counts.is_empty() => counts,
-                    _ => fail("--shards-list: expected K,K,..."),
-                };
-            }
-            "--bench-out" => {
-                bench_out = Some(
-                    args.get(i + 1)
-                        .cloned()
-                        .unwrap_or_else(|| fail("--bench-out: expected a path")),
-                );
-            }
-            other => fail(&format!("unknown flag {other}")),
-        }
-        i += 2;
+    config.demands = args.value("--demands").unwrap_or(config.demands);
+    config.block = args.value("--block").unwrap_or(config.block);
+    if let Some(list) = args.value::<String>("--shards-list") {
+        config.shard_counts = list
+            .split(',')
+            .map(|k| k.trim().parse().ok())
+            .collect::<Option<_>>()
+            .unwrap_or_else(|| {
+                cli::SCALESTUDY.fail(&format!("--shards-list needs K,K,..., not {list:?}"))
+            });
+    }
+    if let Err(error) = config.validate() {
+        cli::SCALESTUDY.fail(&error);
     }
 
     let report = run_scalestudy(&config, DEFAULT_SEED.value());
     print!("{}", render_table(&report));
     eprint!("{}", render_timing(&report));
-    if let Some(path) = bench_out {
+    if let Some(path) = args.value::<String>("--bench-out") {
         std::fs::write(&path, render_bench_json(&report))
             .unwrap_or_else(|e| panic!("write {path}: {e}"));
         eprintln!("wrote {path}");

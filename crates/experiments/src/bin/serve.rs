@@ -18,124 +18,66 @@
 //!
 //! Defaults: `--addr 127.0.0.1:9100`, `--workers 0` (one per hardware
 //! thread), `--spec paper`, the workspace seed, `--duration 0` (serve
-//! until killed). `--sharded` keys each demand's randomness on a
-//! fleet-global demand index instead of a per-worker stream, so the
-//! outcome stream is identical at any `--workers` count (see
+//! until killed; any other duration is finite, not negative, and
+//! checked before binding). `--sharded` keys each demand's randomness
+//! on a fleet-global demand index instead of a per-worker stream, so
+//! the outcome stream is identical at any `--workers` count (see
 //! `ServeSpec::sharded`). Prints `listening on ADDR workers=N` once
-//! ready.
+//! ready. Any other argument exits with status 2.
 
 use std::process::exit;
 use std::time::Duration;
 
 use wsu_core::serve::ServeSpec;
+use wsu_experiments::cli;
 use wsu_experiments::serve::{FrontConfig, HttpFront};
-
-struct Options {
-    addr: String,
-    workers: usize,
-    spec: String,
-    sharded: bool,
-    seed: u64,
-    duration: f64,
-}
-
-fn parse(args: &[String]) -> Result<Options, String> {
-    let mut options = Options {
-        addr: "127.0.0.1:9100".to_string(),
-        workers: 0,
-        spec: "paper".to_string(),
-        sharded: false,
-        seed: 0x5745_4253_5643_5550,
-        duration: 0.0,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let value = |i: usize| -> Result<&String, String> {
-            args.get(i + 1)
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag {
-            "--addr" => options.addr = value(i)?.clone(),
-            "--workers" => {
-                options.workers = value(i)?
-                    .parse()
-                    .map_err(|_| format!("--workers: not a count: {}", args[i + 1]))?;
-            }
-            "--spec" => options.spec = value(i)?.clone(),
-            "--sharded" => {
-                options.sharded = true;
-                i += 1;
-                continue;
-            }
-            "--seed" => {
-                options.seed = value(i)?
-                    .parse()
-                    .map_err(|_| format!("--seed: not a u64: {}", args[i + 1]))?;
-            }
-            "--duration" => {
-                options.duration = value(i)?
-                    .parse()
-                    .map_err(|_| format!("--duration: not seconds: {}", args[i + 1]))?;
-            }
-            other => return Err(format!("unknown flag: {other}")),
-        }
-        i += 2;
-    }
-    Ok(options)
-}
+use wsu_experiments::DEFAULT_SEED;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let options = match parse(&args) {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("wsu-serve: {message}");
-            eprintln!(
-                "usage: wsu-serve [--addr HOST:PORT] [--workers N] \
-                 [--spec paper|deterministic|canary-fleet] [--sharded] \
-                 [--seed N] [--duration SECS]"
-            );
-            exit(2);
-        }
+    let args = cli::WSU_SERVE.parse();
+    let addr: String = args
+        .value("--addr")
+        .unwrap_or_else(|| "127.0.0.1:9100".into());
+    let workers = args.value("--workers").unwrap_or(0);
+    let spec_name: String = args.value("--spec").unwrap_or_else(|| "paper".into());
+    let seed = args.value("--seed").unwrap_or(DEFAULT_SEED.value());
+    let duration = args.value("--duration").unwrap_or(0.0);
+    let mut spec = match spec_name.as_str() {
+        "paper" => ServeSpec::paper(seed),
+        "deterministic" => ServeSpec::deterministic(seed),
+        "canary-fleet" => ServeSpec::canary_fleet(seed),
+        other => cli::WSU_SERVE.fail(&format!(
+            "unknown --spec {other} (want paper|deterministic|canary-fleet)"
+        )),
     };
-    let mut spec = match options.spec.as_str() {
-        "paper" => ServeSpec::paper(options.seed),
-        "deterministic" => ServeSpec::deterministic(options.seed),
-        "canary-fleet" => ServeSpec::canary_fleet(options.seed),
-        other => {
-            eprintln!("wsu-serve: unknown --spec {other} (want paper|deterministic|canary-fleet)");
-            exit(2);
-        }
-    };
-    if options.sharded {
+    if args.has("--sharded") {
         spec = spec.with_sharding();
     }
-    let front = match HttpFront::start(FrontConfig::new(&options.addr, options.workers, spec)) {
+    let front = match HttpFront::start(FrontConfig::new(&addr, workers, spec)) {
         Ok(front) => front,
         Err(err) => {
-            eprintln!("wsu-serve: bind {} failed: {err}", options.addr);
+            eprintln!("wsu-serve: bind {addr} failed: {err}");
             exit(1);
         }
     };
     println!(
         "listening on {} workers={} spec={} seed={}",
         front.local_addr(),
-        if options.workers == 0 {
+        if workers == 0 {
             std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1)
         } else {
-            options.workers
+            workers
         },
-        options.spec,
-        options.seed,
+        spec_name,
+        seed,
     );
-    if options.duration > 0.0 {
-        std::thread::sleep(Duration::from_secs_f64(options.duration));
+    if duration > 0.0 {
+        std::thread::sleep(Duration::from_secs_f64(duration));
         let demands = front.demands();
         front.shutdown();
-        println!("served {demands} demands in {:.1}s", options.duration);
+        println!("served {demands} demands in {duration:.1}s");
     } else {
         // Serve until the process is killed.
         loop {

@@ -1,36 +1,25 @@
 //! Regenerates Table 2 (duration of managed upgrade).
 //!
-//! Usage: `table2 [--quick] [--seeds N] [--trace PATH] [--metrics PATH]`
-//! plus the shared observability flags `--serve-metrics PORT`,
-//! `--serve-hold SECS` and `--phase-metrics` — `--quick` runs a
-//! reduced-scale version; `--seeds N` additionally reports the spread of
-//! every cell across N seeds; `--trace`/`--metrics` replay every study's
-//! checkpoints into an event trace and a metrics snapshot. Any other
-//! argument, or a value that does not parse, exits with status 2.
+//! Usage: `table2 [--quick] [--seeds N] [--trace PATH] [--metrics PATH]
+//! [--serve-metrics PORT] [--serve-hold SECS] [--phase-metrics]` —
+//! `--quick` runs a reduced-scale version; `--seeds N` (at least 1)
+//! additionally reports the spread of every cell across N seeds;
+//! `--trace`/`--metrics` replay every study's checkpoints into an event
+//! trace and a metrics snapshot. Any other argument, or a value that
+//! does not parse, exits with status 2 (see [`wsu_experiments::cli`]).
 
 use wsu_bayes::whitebox::Resolution;
 use wsu_experiments::bayes_study::StudyConfig;
-use wsu_experiments::obs::{exit_on_unknown_flag, flag_value, FlagValue, ObsOptions};
+use wsu_experiments::cli;
+use wsu_experiments::obs::ObsContext;
 use wsu_experiments::table2::{render_spread, run_table2, run_table2_spread, run_table2_with};
 use wsu_experiments::DEFAULT_SEED;
 use wsu_simcore::rng::MasterSeed;
 
-const USAGE: &str = "usage: table2 [--quick] [--seeds N] [--trace PATH] [--metrics PATH] \
-                     [--serve-metrics PORT] [--serve-hold SECS] [--phase-metrics]";
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    exit_on_unknown_flag(
-        &args,
-        &[
-            ("--quick", FlagValue::Switch),
-            ("--seeds", FlagValue::Count),
-        ],
-        USAGE,
-    );
-    let quick = args.iter().any(|a| a == "--quick");
-    let mut ctx = ObsOptions::from_env().context();
-    let spread_seeds: Option<usize> = flag_value(&args, "--seeds");
+    let args = cli::TABLE2.parse();
+    let quick = args.has("--quick");
+    let mut ctx = ObsContext::from_args(&args);
     let table = ctx.time("table2/study", || {
         if quick {
             let res = Resolution {
@@ -67,7 +56,7 @@ fn main() {
     }
     println!("{}", table.render());
 
-    if let Some(n) = spread_seeds {
+    if let Some(n) = args.value::<u64>("--seeds") {
         let res = if quick {
             Resolution {
                 a_cells: 48,
@@ -93,7 +82,7 @@ fn main() {
             target: 1e-3,
             seed: DEFAULT_SEED,
         };
-        let seeds: Vec<MasterSeed> = (0..n as u64)
+        let seeds: Vec<MasterSeed> = (0..n)
             .map(|i| MasterSeed::new(DEFAULT_SEED.value().wrapping_add(i)))
             .collect();
         let spread = ctx.time("table2/spread", || run_table2_spread(&seeds, &c1, &c2));

@@ -13,35 +13,23 @@
 //! the wall-clock `wsu_phase_seconds` gauges to the snapshot. Any other
 //! argument exits with status 2.
 
-use wsu_experiments::obs::{exit_on_unknown_flag, jobs_from_env, FlagValue, ObsOptions, JOBS_FLAG};
+use wsu_experiments::cli;
+use wsu_experiments::obs::ObsContext;
 use wsu_experiments::table5::run_table5_jobs;
 use wsu_experiments::{DEFAULT_SEED, PAPER_REQUESTS, PAPER_TIMEOUTS};
+use wsu_simcore::par::Jobs;
 use wsu_workload::timing::ExecTimeModel;
 
-const USAGE: &str = "usage: table5 [--quick] [--calibrated] [--jobs N] [--trace PATH] \
-                     [--metrics PATH] [--serve-metrics PORT] [--serve-hold SECS] \
-                     [--phase-metrics]";
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    exit_on_unknown_flag(
-        &args,
-        &[
-            ("--quick", FlagValue::Switch),
-            ("--calibrated", FlagValue::Switch),
-            JOBS_FLAG,
-        ],
-        USAGE,
-    );
-    let quick = args.iter().any(|a| a == "--quick");
-    let calibrated = args.iter().any(|a| a == "--calibrated");
-    let jobs = jobs_from_env();
-    let mut ctx = ObsOptions::from_env().context();
-    let timing = if calibrated {
+    let args = cli::TABLE5.parse();
+    let jobs = Jobs::from_request(args.value("--jobs"));
+    let mut ctx = ObsContext::from_args(&args);
+    let timing = if args.has("--calibrated") {
         ExecTimeModel::calibrated()
     } else {
         ExecTimeModel::paper()
     };
+    let quick = args.has("--quick");
     let requests = if quick { 2_000 } else { PAPER_REQUESTS };
     let sinks = ctx.sinks();
     let table = ctx.time("table5/simulate", || {

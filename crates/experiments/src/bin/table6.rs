@@ -1,40 +1,27 @@
 //! Regenerates Table 6 (independent release failures).
 //!
 //! Usage: `table6 [--quick] [--calibrated] [--jobs N] [--trace PATH]
-//! [--metrics PATH]` plus the shared observability flags
-//! `--serve-metrics PORT`, `--serve-hold SECS` and `--phase-metrics`,
-//! with the same meanings as for `table5`. Any other argument exits
-//! with status 2.
+//! [--metrics PATH] [--serve-metrics PORT] [--serve-hold SECS]
+//! [--phase-metrics]`, each with its meaning for `table5`. Any other
+//! argument exits with status 2.
 
-use wsu_experiments::obs::{exit_on_unknown_flag, jobs_from_env, FlagValue, ObsOptions, JOBS_FLAG};
+use wsu_experiments::cli;
+use wsu_experiments::obs::ObsContext;
 use wsu_experiments::table6::run_table6_jobs;
 use wsu_experiments::{DEFAULT_SEED, PAPER_REQUESTS, PAPER_TIMEOUTS};
+use wsu_simcore::par::Jobs;
 use wsu_workload::timing::ExecTimeModel;
 
-const USAGE: &str = "usage: table6 [--quick] [--calibrated] [--jobs N] [--trace PATH] \
-                     [--metrics PATH] [--serve-metrics PORT] [--serve-hold SECS] \
-                     [--phase-metrics]";
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    exit_on_unknown_flag(
-        &args,
-        &[
-            ("--quick", FlagValue::Switch),
-            ("--calibrated", FlagValue::Switch),
-            JOBS_FLAG,
-        ],
-        USAGE,
-    );
-    let quick = args.iter().any(|a| a == "--quick");
-    let calibrated = args.iter().any(|a| a == "--calibrated");
-    let jobs = jobs_from_env();
-    let mut ctx = ObsOptions::from_env().context();
-    let timing = if calibrated {
+    let args = cli::TABLE6.parse();
+    let jobs = Jobs::from_request(args.value("--jobs"));
+    let mut ctx = ObsContext::from_args(&args);
+    let timing = if args.has("--calibrated") {
         ExecTimeModel::calibrated()
     } else {
         ExecTimeModel::paper()
     };
+    let quick = args.has("--quick");
     let requests = if quick { 2_000 } else { PAPER_REQUESTS };
     let sinks = ctx.sinks();
     let table = ctx.time("table6/simulate", || {

@@ -36,6 +36,7 @@ pub mod analyze;
 pub mod bayes_study;
 pub mod campaign;
 pub mod capacity;
+pub mod cli;
 pub mod figures;
 pub mod fleetstudy;
 pub mod loadgen;

@@ -86,36 +86,36 @@ impl ScaleConfig {
         }
     }
 
-    /// Panics unless the cutover is epoch-aligned and in range for
-    /// every swept shard count — the preconditions the broadcast
-    /// protocol needs.
-    fn validate(&self) {
-        assert!(
+    /// Why the sweep cannot run, if it cannot: the cutover must be
+    /// epoch-aligned and in range for every swept shard count — the
+    /// preconditions the broadcast protocol needs.
+    pub fn validate(&self) -> Result<(), String> {
+        let require = |ok: bool, error: String| if ok { Ok(()) } else { Err(error) };
+        require(
             !self.shard_counts.is_empty(),
-            "sweep at least one shard count"
-        );
-        assert!(self.block > 0, "block must be positive");
+            "sweep at least one shard count".into(),
+        )?;
+        require(self.block > 0, "block must be positive".into())?;
         for &k in &self.shard_counts {
-            assert!(k > 0, "shard counts must be positive");
-            let stride = k as u64 * self.block;
-            assert!(
-                self.cutover.is_multiple_of(stride),
-                "cutover {} must be a multiple of K*block = {} (K = {k})",
-                self.cutover,
-                stride
-            );
-            assert!(
-                self.cutover >= stride,
-                "cutover {} needs at least one epoch of lookahead at K = {k}",
-                self.cutover
-            );
+            require(k > 0, "shard counts must be positive".into())?;
+            let stride = (k as u64).saturating_mul(self.block);
+            let cutover = self.cutover;
+            require(
+                cutover.is_multiple_of(stride),
+                format!("cutover {cutover} must be a multiple of K*block = {stride} (K = {k})"),
+            )?;
+            require(
+                cutover >= stride,
+                format!("cutover {cutover} needs at least one epoch of lookahead at K = {k}"),
+            )?;
         }
-        assert!(
+        require(
             self.cutover < self.demands,
-            "cutover {} must happen inside the run ({} demands)",
-            self.cutover,
-            self.demands
-        );
+            format!(
+                "cutover {} must happen inside the run ({} demands)",
+                self.cutover, self.demands
+            ),
+        )
     }
 }
 
@@ -432,11 +432,14 @@ impl ScaleReport {
 ///
 /// # Panics
 ///
-/// If any shard count's digest deviates from the baseline's — that
-/// would mean the sharded loop changed an observable output, which is
-/// exactly what the contract forbids.
+/// If `config` fails [`ScaleConfig::validate`], or if any shard count's
+/// digest deviates from the baseline's — that would mean the sharded
+/// loop changed an observable output, which is exactly what the
+/// contract forbids.
 pub fn run_scalestudy(config: &ScaleConfig, seed: u64) -> ScaleReport {
-    config.validate();
+    if let Err(error) = config.validate() {
+        panic!("{error}");
+    }
     let mut runs = Vec::with_capacity(config.shard_counts.len());
     let mut digest: Option<String> = None;
     for &k in &config.shard_counts {

@@ -1,16 +1,32 @@
-//! The experiment binaries reject a bad command line before doing any
-//! work: status 2, nothing on stdout, and the offending flag named on
-//! stderr (followed by the usage line).
+//! The binaries reject a bad command line before doing any work: status
+//! 2, nothing on stdout, and the offending flag named on stderr
+//! (followed by the usage line).
 
-use std::process::Command;
+use std::ffi::OsStr;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 /// Runs `bin` with `args` and checks the rejection contract, returning
-/// stderr.
-fn rejects(bin: &str, args: &[&str], named: &str) -> String {
-    let out = Command::new(bin)
+/// stderr. A child still running after 20 s is killed and fails the
+/// test, so a binary that serves instead of rejecting cannot hang it.
+fn rejects<A: AsRef<OsStr> + std::fmt::Debug>(bin: &str, args: &[A], named: &str) -> String {
+    let mut child = Command::new(bin)
         .args(args)
-        .output()
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
         .unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while child.try_wait().expect("poll the child").is_none() {
+        if Instant::now() > deadline {
+            child.kill().expect("kill the child");
+            panic!("{bin} {args:?} still running after 20 s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let out = child
+        .wait_with_output()
+        .expect("collect the child's output");
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
     assert!(
@@ -121,4 +137,96 @@ fn analyze_rejects_a_bad_command_line_before_reading_the_trace() {
     rejects(ANALYZE, &[trace, "--window"], "--window");
     rejects(ANALYZE, &[trace, "other.jsonl"], "other.jsonl");
     rejects(ANALYZE, &["--window", "120"], "no trace path");
+}
+
+const SCALESTUDY: &str = env!("CARGO_BIN_EXE_scalestudy");
+const SERVE: &str = env!("CARGO_BIN_EXE_wsu-serve");
+const LOADGEN: &str = env!("CARGO_BIN_EXE_wsu-loadgen");
+const HTTPGET: &str = env!("CARGO_BIN_EXE_wsu-httpget");
+
+/// The first line of stderr: the error, before the usage line.
+fn error_line(stderr: &str) -> &str {
+    stderr.lines().next().unwrap_or_default()
+}
+
+#[test]
+fn serve_rejects_a_duration_it_cannot_sleep_before_binding() {
+    for duration in ["inf", "1e300", "-1", "nan"] {
+        let args = [
+            "--addr",
+            "127.0.0.1:0",
+            "--workers",
+            "1",
+            "--duration",
+            duration,
+        ];
+        let stderr = rejects(SERVE, &args, "--duration");
+        assert!(error_line(&stderr).contains("--duration"), "{stderr}");
+    }
+}
+
+#[test]
+fn serve_and_loadgen_reject_an_unknown_flag_before_binding_or_connecting() {
+    rejects(SERVE, &["--addr", "127.0.0.1:0", "--bogus"], "--bogus");
+    let args = ["--addr", "127.0.0.1:9", "--bogus"];
+    let stderr = rejects(LOADGEN, &args, "--bogus");
+    assert!(error_line(&stderr).contains("unknown argument --bogus"));
+    let args = ["--addr", "127.0.0.1:9", "--connections", "0"];
+    rejects(LOADGEN, &args, "--connections");
+}
+
+#[test]
+fn scalestudy_rejects_a_config_it_cannot_run_before_any_shard_starts() {
+    let stderr = rejects(SCALESTUDY, &["--quick", "--block", "0"], "--block");
+    assert!(error_line(&stderr).contains("--block"), "{stderr}");
+    let stderr = rejects(SCALESTUDY, &["--quick", "--demands", "100"], "--demands");
+    assert!(error_line(&stderr).contains("100 demands"), "{stderr}");
+    rejects(
+        SCALESTUDY,
+        &["--quick", "--shards-list", "1,x"],
+        "--shards-list",
+    );
+}
+
+#[test]
+fn scalestudy_never_writes_its_report_to_a_flag_name() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_flags_scalestudy");
+    std::fs::create_dir_all(&dir).expect("create the working directory");
+    let out = Command::new(SCALESTUDY)
+        .args(["--bench-out", "--quick"])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn scalestudy");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(out.stdout.is_empty());
+    assert!(
+        error_line(&stderr).contains("not the flag --quick"),
+        "{stderr}"
+    );
+    assert!(!dir.join("--quick").exists(), "a report named --quick");
+}
+
+#[test]
+fn table2_rejects_zero_seeds_before_printing_the_table() {
+    rejects(TABLE2, &["--quick", "--seeds", "0"], "--seeds");
+}
+
+#[test]
+fn httpget_rejects_an_extra_or_missing_argument() {
+    let stderr = rejects(HTTPGET, &["127.0.0.1:9", "/metrics", "extra"], "extra");
+    assert!(error_line(&stderr).contains("unknown argument extra"));
+    rejects(HTTPGET, &["127.0.0.1:9"], "no path given");
+}
+
+#[cfg(unix)]
+#[test]
+fn an_argument_that_is_not_utf8_exits_2_and_is_printed_lossily() {
+    use std::os::unix::ffi::OsStrExt;
+    let trace = OsStr::from_bytes(b"\xff.jsonl");
+    let stderr = rejects(TABLE5, &[OsStr::new("--trace"), trace], "--trace");
+    assert!(error_line(&stderr).contains("\u{fffd}.jsonl"), "{stderr}");
+    let path = OsStr::from_bytes(b"/\xff");
+    let stderr = rejects(HTTPGET, &[OsStr::new("127.0.0.1:9"), path], "/\u{fffd}");
+    assert!(error_line(&stderr).contains("not UTF-8"), "{stderr}");
 }
