@@ -93,9 +93,9 @@ pub struct ServeSpec {
     /// one sequential per-worker stream, so a demand's outcome depends
     /// only on `(seed, n)` — not on which worker served it or how
     /// requests interleaved. Fronts claim `n` atomically and call
-    /// [`DemandWorker::demand_indexed`], and the epoch runner's shards
-    /// (`wsu_simcore::shard`) key their demands the same way; either
-    /// can scale its worker count without changing a single outcome.
+    /// [`DemandWorker::demand_indexed`], and the scale study's shards
+    /// key their demands the same way; either can scale its worker or
+    /// shard count without changing a single outcome.
     pub sharded: bool,
 }
 

@@ -24,7 +24,7 @@ fn main() {
     let args = cli::ABLATIONS.parse();
     let quick = args.has("--quick");
     let jobs = Jobs::from_request(args.value("--jobs"));
-    let mut ctx = ObsContext::from_args(&args);
+    let mut ctx = cli::ABLATIONS.or_exit("metrics exporter", ObsContext::from_args(&args));
     let requests = if quick { 2_000 } else { 10_000 };
     let study = StudyConfig {
         demands: if quick { 10_000 } else { 50_000 },
@@ -78,5 +78,5 @@ fn main() {
         )
     });
     println!("{}", render_abort_table(&abort));
-    ctx.finish().expect("write observability outputs");
+    cli::ABLATIONS.or_exit("observability output", ctx.finish());
 }

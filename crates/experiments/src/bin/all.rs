@@ -26,7 +26,7 @@ fn main() -> std::io::Result<()> {
     let args = cli::ALL.parse();
     let quick = args.has("--quick");
     let jobs = Jobs::from_request(args.value("--jobs"));
-    let mut ctx = ObsContext::from_args(&args);
+    let mut ctx = ObsContext::from_args(&args)?;
     let sinks = ctx.sinks();
     let out_dir: PathBuf = args.value("--out").unwrap_or_else(|| "results".into());
     fs::create_dir_all(&out_dir)?;

@@ -12,7 +12,6 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::process::exit;
 
 use wsu_experiments::analyze::analyze_trace;
 use wsu_experiments::cli;
@@ -21,28 +20,22 @@ fn main() {
     let args = cli::WSU_ANALYZE.parse();
     let trace_path = PathBuf::from(args.positional(0));
     let window_secs = args.value("--window").unwrap_or(60.0);
-    let text = match fs::read_to_string(&trace_path) {
-        Ok(text) => text,
-        Err(err) => {
-            eprintln!("cannot read {}: {err}", trace_path.display());
-            exit(1);
-        }
-    };
-    let analysis = match analyze_trace(&text, window_secs) {
-        Ok(analysis) => analysis,
-        Err(err) => {
-            eprintln!("cannot analyze {}: {err}", trace_path.display());
-            exit(1);
-        }
-    };
+    let text = cli::WSU_ANALYZE.or_exit(
+        &format!("read {}", trace_path.display()),
+        fs::read_to_string(&trace_path),
+    );
+    let analysis = cli::WSU_ANALYZE.or_exit(
+        &format!("analyze {}", trace_path.display()),
+        analyze_trace(&text, window_secs),
+    );
     print!("{}", analysis.render_summary());
     let write = |path: &Path, content: String, what: &str| {
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                fs::create_dir_all(dir).expect("create output directory");
-            }
+        let written = match path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => fs::create_dir_all(dir),
+            _ => Ok(()),
         }
-        fs::write(path, content).expect("write analysis output");
+        .and_then(|()| fs::write(path, content));
+        cli::WSU_ANALYZE.or_exit(&format!("write {}", path.display()), written);
         eprintln!("{what}: -> {}", path.display());
     };
     if let Some(path) = args.value::<PathBuf>("--availability") {

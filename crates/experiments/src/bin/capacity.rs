@@ -17,7 +17,7 @@ use wsu_workload::timing::ExecTimeModel;
 fn main() {
     let args = cli::CAPACITY.parse();
     let jobs = Jobs::from_request(args.value("--jobs"));
-    let mut ctx = ObsContext::from_args(&args);
+    let mut ctx = cli::CAPACITY.or_exit("metrics exporter", ObsContext::from_args(&args));
     let demands = if args.has("--quick") { 3_000 } else { 20_000 };
     let gen = CorrelatedOutcomes::from_run(&RunSpec::run2());
     let results = ctx.time("capacity/study", || {
@@ -31,5 +31,5 @@ fn main() {
         )
     });
     print!("{}", render_capacity_table(&results));
-    ctx.finish().expect("write observability outputs");
+    cli::CAPACITY.or_exit("observability output", ctx.finish());
 }

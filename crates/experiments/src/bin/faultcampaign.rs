@@ -37,7 +37,7 @@ fn main() {
             ));
         }
     }
-    let mut ctx = ObsContext::from_args(&args);
+    let mut ctx = cli::FAULTCAMPAIGN.or_exit("metrics exporter", ObsContext::from_args(&args));
     let config = if args.has("--quick") {
         CampaignConfig::quick()
     } else {
@@ -49,5 +49,5 @@ fn main() {
     });
     print!("{}", table.render());
     ctx.publish_snapshot(&table.snapshots_json());
-    ctx.finish().expect("write observability outputs");
+    cli::FAULTCAMPAIGN.or_exit("observability output", ctx.finish());
 }

@@ -13,7 +13,7 @@ use wsu_experiments::DEFAULT_SEED;
 
 fn main() {
     let args = cli::FIG8.parse();
-    let mut ctx = ObsContext::from_args(&args);
+    let mut ctx = cli::FIG8.or_exit("metrics exporter", ObsContext::from_args(&args));
     let (set, runs) = ctx.time("fig8/study", || {
         if args.has("--quick") {
             let config = StudyConfig {
@@ -39,5 +39,5 @@ fn main() {
     }
     ctx.record_study(&runs.back_to_back, "fig8/back-to-back");
     print!("{}", set.to_tsv());
-    ctx.finish().expect("write observability outputs");
+    cli::FIG8.or_exit("observability output", ctx.finish());
 }

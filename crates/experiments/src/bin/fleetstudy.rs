@@ -33,7 +33,7 @@ fn main() {
             ));
         }
     }
-    let mut ctx = ObsContext::from_args(&args);
+    let mut ctx = cli::FLEETSTUDY.or_exit("metrics exporter", ObsContext::from_args(&args));
     let config = if args.has("--quick") {
         FleetStudyConfig::quick()
     } else {
@@ -45,5 +45,5 @@ fn main() {
     });
     print!("{}", table.render());
     ctx.publish_snapshot(&table.rows_json());
-    ctx.finish().expect("write observability outputs");
+    cli::FLEETSTUDY.or_exit("observability output", ctx.finish());
 }

@@ -54,13 +54,7 @@ fn main() {
         timeout: Duration::from_secs(5),
         open_rate: args.value("--open-loop"),
     };
-    let summary = match run_load(&config) {
-        Ok(summary) => summary,
-        Err(err) => {
-            eprintln!("wsu-loadgen: connect {addr} failed: {err}");
-            exit(1);
-        }
-    };
+    let summary = cli::WSU_LOADGEN.or_exit(&format!("connect {addr}"), run_load(&config));
     println!(
         "connections={} ok={} errors={} dropped={} elapsed={:.3}s",
         summary.connections,
@@ -84,10 +78,7 @@ fn main() {
                 let _ = std::fs::create_dir_all(parent);
             }
         }
-        if let Err(err) = std::fs::write(&path, json) {
-            eprintln!("wsu-loadgen: write {path} failed: {err}");
-            exit(1);
-        }
+        cli::WSU_LOADGEN.or_exit(&format!("write {path}"), std::fs::write(&path, json));
         println!("wrote {path}");
     }
     let mut failed = false;

@@ -2,10 +2,9 @@
 //! fleet served at several shard counts, asserting byte-identical
 //! merged outputs while measuring throughput.
 //!
-//! Usage: `scalestudy [--quick] [--demands N] [--block N]
-//! [--shards-list K,K,...] [--bench-out PATH]` — a configuration that
-//! [`ScaleConfig::validate`] rejects exits with status 2 before any
-//! shard starts.
+//! Usage: `scalestudy [--quick] [--demands N] [--shards-list K,K,...]
+//! [--bench-out PATH]` — a configuration that [`ScaleConfig::validate`]
+//! rejects exits with status 2 before any shard starts.
 //!
 //! Stdout carries only the deterministic dependability digest (safe to
 //! diff against a golden); the wall-clock table — demands/sec, speedup
@@ -28,7 +27,6 @@ fn main() {
         ScaleConfig::paper()
     };
     config.demands = args.value("--demands").unwrap_or(config.demands);
-    config.block = args.value("--block").unwrap_or(config.block);
     if let Some(list) = args.value::<String>("--shards-list") {
         config.shard_counts = list
             .split(',')
@@ -46,8 +44,8 @@ fn main() {
     print!("{}", render_table(&report));
     eprint!("{}", render_timing(&report));
     if let Some(path) = args.value::<String>("--bench-out") {
-        std::fs::write(&path, render_bench_json(&report))
-            .unwrap_or_else(|e| panic!("write {path}: {e}"));
+        let written = std::fs::write(&path, render_bench_json(&report));
+        cli::SCALESTUDY.or_exit(&format!("write {path}"), written);
         eprintln!("wrote {path}");
     }
 }

@@ -25,7 +25,6 @@
 //! `ServeSpec::sharded`). Prints `listening on ADDR workers=N` once
 //! ready. Any other argument exits with status 2.
 
-use std::process::exit;
 use std::time::Duration;
 
 use wsu_core::serve::ServeSpec;
@@ -53,13 +52,10 @@ fn main() {
     if args.has("--sharded") {
         spec = spec.with_sharding();
     }
-    let front = match HttpFront::start(FrontConfig::new(&addr, workers, spec)) {
-        Ok(front) => front,
-        Err(err) => {
-            eprintln!("wsu-serve: bind {addr} failed: {err}");
-            exit(1);
-        }
-    };
+    let front = cli::WSU_SERVE.or_exit(
+        &format!("bind {addr}"),
+        HttpFront::start(FrontConfig::new(&addr, workers, spec)),
+    );
     println!(
         "listening on {} workers={} spec={} seed={}",
         front.local_addr(),

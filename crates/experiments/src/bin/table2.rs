@@ -19,7 +19,7 @@ use wsu_simcore::rng::MasterSeed;
 fn main() {
     let args = cli::TABLE2.parse();
     let quick = args.has("--quick");
-    let mut ctx = ObsContext::from_args(&args);
+    let mut ctx = cli::TABLE2.or_exit("metrics exporter", ObsContext::from_args(&args));
     let table = ctx.time("table2/study", || {
         if quick {
             let res = Resolution {
@@ -88,5 +88,5 @@ fn main() {
         let spread = ctx.time("table2/spread", || run_table2_spread(&seeds, &c1, &c2));
         println!("{}", render_spread(&spread));
     }
-    ctx.finish().expect("write observability outputs");
+    cli::TABLE2.or_exit("observability output", ctx.finish());
 }

@@ -23,7 +23,7 @@ use wsu_workload::timing::ExecTimeModel;
 fn main() {
     let args = cli::TABLE5.parse();
     let jobs = Jobs::from_request(args.value("--jobs"));
-    let mut ctx = ObsContext::from_args(&args);
+    let mut ctx = cli::TABLE5.or_exit("metrics exporter", ObsContext::from_args(&args));
     let timing = if args.has("--calibrated") {
         ExecTimeModel::calibrated()
     } else {
@@ -43,5 +43,5 @@ fn main() {
         )
     });
     print!("{}", table.render());
-    ctx.finish().expect("write observability outputs");
+    cli::TABLE5.or_exit("observability output", ctx.finish());
 }

@@ -99,7 +99,10 @@ struct Server {
 #[derive(Debug, Clone)]
 struct DemandState {
     dispatched: SimTime,
-    responses: Vec<CollectedResponse>,
+    /// The responses collected so far, in arrival order: the first
+    /// `collected`. Each server answers a demand at most once.
+    responses: [CollectedResponse; 2],
+    collected: usize,
     expected: usize,
     attempt: u8,
     done: bool,
@@ -158,7 +161,9 @@ impl World {
             return;
         }
         state.done = true;
-        let adjudication = self.adjudicator.adjudicate(&state.responses, &mut self.rng);
+        let adjudication = self
+            .adjudicator
+            .adjudicate(&state.responses[..state.collected], &mut self.rng);
         let wait = now.duration_since(state.dispatched) + self.dt;
         self.response_time.record(wait.as_secs());
         self.response_hist.record(wait.as_secs());
@@ -177,9 +182,16 @@ impl Handler<Ev> for World {
         match event {
             Ev::Arrival(seq) => {
                 let [job_a, job_b] = self.plans[seq];
+                // A placeholder for each slot until its response arrives.
+                let unanswered = CollectedResponse {
+                    release: ReleaseId::new(0),
+                    class: ResponseClass::Correct,
+                    exec_time: SimDuration::ZERO,
+                };
                 self.demands.push(DemandState {
                     dispatched: now,
-                    responses: Vec::with_capacity(2),
+                    responses: [unanswered; 2],
+                    collected: 0,
                     expected: match self.dispatch {
                         Dispatch::Parallel => 2,
                         Dispatch::Sequential => 1,
@@ -213,15 +225,15 @@ impl Handler<Ev> for World {
                 if state.done {
                     return;
                 }
-                let dispatched = state.dispatched;
-                state.responses.push(CollectedResponse {
+                state.responses[state.collected] = CollectedResponse {
                     release: ReleaseId::new(server),
                     class: self.plans[seq][server].class,
-                    exec_time: now.duration_since(dispatched),
-                });
+                    exec_time: now.duration_since(state.dispatched),
+                };
+                state.collected += 1;
                 match self.dispatch {
                     Dispatch::Parallel => {
-                        if self.demands[seq].responses.len() >= self.demands[seq].expected {
+                        if self.demands[seq].collected >= self.demands[seq].expected {
                             self.complete(now, seq);
                         }
                     }

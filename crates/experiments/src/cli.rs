@@ -24,7 +24,7 @@
 //! * an argument that is not UTF-8 is rejected, printed lossily.
 
 use std::ffi::OsString;
-use std::fmt::Debug;
+use std::fmt::{Debug, Display};
 use std::num::NonZeroUsize;
 use std::str::FromStr;
 use std::time::Duration;
@@ -218,6 +218,18 @@ impl Command {
         eprintln!("{}", self.usage());
         std::process::exit(2)
     }
+
+    /// The value in `result`; on an error, prints `<binary>: <what>
+    /// failed: <error>` on stderr and exits with status 1. The command
+    /// line was sound, but the work it asked for could not be done, such
+    /// as binding a port that is in use or writing under a path that is
+    /// not a directory.
+    pub fn or_exit<T, E: Display>(&self, what: &str, result: Result<T, E>) -> T {
+        result.unwrap_or_else(|error| {
+            eprintln!("{}: {what} failed: {error}", self.name);
+            std::process::exit(1)
+        })
+    }
 }
 
 /// A command line that passed its binary's declaration.
@@ -321,7 +333,6 @@ pub static SCALESTUDY: Command = Command::tool(
     &[
         QUICK,
         ("--demands", FlagValue::Count),
-        ("--block", FlagValue::NonZeroCount),
         ("--shards-list", FlagValue::Text("K,K,...")),
         ("--bench-out", FlagValue::Text("PATH")),
     ],
@@ -481,7 +492,7 @@ mod tests {
                     "",
                     "--quick",
                     "--bench-out bench-out/BENCH_scale.json",
-                    "--demands 1000000 --block 4096 --shards-list 1,2,4,8",
+                    "--demands 1000000 --shards-list 1,2,4,8",
                 ],
             ),
             (
@@ -571,6 +582,10 @@ mod tests {
             "usage: bench_compare <baseline.json> <fresh.json> [--threshold X] [--min-ns N]"
         );
         assert_eq!(WSU_HTTPGET.usage(), "usage: wsu-httpget <host:port> <path>");
+        assert_eq!(
+            SCALESTUDY.usage(),
+            "usage: scalestudy [--quick] [--demands N] [--shards-list K,K,...] [--bench-out PATH]"
+        );
     }
 
     #[test]
@@ -675,11 +690,6 @@ mod tests {
                 &SCALESTUDY,
                 "--bench-out --quick",
                 "--bench-out needs a value, not the flag --quick",
-            ),
-            (
-                &SCALESTUDY,
-                "--quick --block 0",
-                "--block needs a whole number of at least 1, not \"0\"",
             ),
             (
                 &WSU_LOADGEN,

@@ -52,16 +52,24 @@ impl ObsContext {
     /// observability flags: one sink per requested output file, and a
     /// live HTTP exporter when `--serve-metrics` was given (which also
     /// implies a metrics registry, so there is something to serve).
-    pub fn from_args(args: &Args) -> ObsContext {
-        let exporter = args.value::<u16>("--serve-metrics").map(|port| {
-            let exporter =
-                MetricsExporter::bind(&format!("127.0.0.1:{port}")).expect("bind metrics exporter");
-            eprintln!("metrics: serving http://{}/metrics", exporter.local_addr());
-            exporter
-        });
+    ///
+    /// # Errors
+    ///
+    /// The exporter's bind error, naming the address.
+    pub fn from_args(args: &Args) -> io::Result<ObsContext> {
+        let exporter = match args.value::<u16>("--serve-metrics") {
+            Some(port) => {
+                let addr = format!("127.0.0.1:{port}");
+                let exporter =
+                    MetricsExporter::bind(&addr).map_err(naming(format!("bind {addr}")))?;
+                eprintln!("metrics: serving http://{}/metrics", exporter.local_addr());
+                Some(exporter)
+            }
+            None => None,
+        };
         let trace_path: Option<PathBuf> = args.value("--trace");
         let metrics_path: Option<PathBuf> = args.value("--metrics");
-        ObsContext {
+        Ok(ObsContext {
             recorder: trace_path.as_ref().map(|_| SharedRecorder::new()),
             metrics: (metrics_path.is_some() || exporter.is_some()).then(SharedRegistry::new),
             exporter,
@@ -70,7 +78,7 @@ impl ObsContext {
             metrics_path,
             serve_hold: args.value("--serve-hold"),
             phase_metrics: args.has("--phase-metrics"),
-        }
+        })
     }
 
     /// `true` when at least one output was requested.
@@ -176,6 +184,10 @@ impl ObsContext {
     /// Parent directories are created as needed. Call this once, after
     /// the binary has printed its tables.
     ///
+    /// # Errors
+    ///
+    /// The first output that could not be written, naming its path.
+    ///
     /// The wall-clock phase gauges (`wsu_phase_seconds`) are only
     /// exported under `--phase-metrics`: they measure this run's real
     /// elapsed time, so including them by default would make otherwise
@@ -185,7 +197,9 @@ impl ObsContext {
             eprintln!("phase {phase} finished in {:.3}s", elapsed.as_secs_f64());
         }
         if let (Some(recorder), Some(path)) = (&self.recorder, &self.trace_path) {
-            recorder.write_jsonl(path)?;
+            recorder
+                .write_jsonl(path)
+                .map_err(naming(format!("write {}", path.display())))?;
             eprintln!("trace: {} events -> {}", recorder.len(), path.display());
         }
         if let Some(metrics) = &self.metrics {
@@ -196,10 +210,11 @@ impl ObsContext {
             if let Some(path) = &self.metrics_path {
                 if let Some(dir) = path.parent() {
                     if !dir.as_os_str().is_empty() {
-                        fs::create_dir_all(dir)?;
+                        fs::create_dir_all(dir)
+                            .map_err(naming(format!("create {}", dir.display())))?;
                     }
                 }
-                fs::write(path, &rendered)?;
+                fs::write(path, &rendered).map_err(naming(format!("write {}", path.display())))?;
                 eprintln!("metrics: snapshot -> {}", path.display());
             }
             if let Some(exporter) = &self.exporter {
@@ -220,6 +235,12 @@ impl ObsContext {
     }
 }
 
+/// Puts `what` in front of an I/O error, so the one line a binary
+/// prints for it names the port or the path.
+fn naming(what: String) -> impl FnOnce(io::Error) -> io::Error {
+    move |error| io::Error::new(error.kind(), format!("{what}: {error}"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,6 +248,7 @@ mod tests {
 
     fn context(args: &[&str]) -> ObsContext {
         ObsContext::from_args(&TABLE5.read(args).expect("a valid table5 command line"))
+            .expect("an exporter on port 0 binds")
     }
 
     #[test]

@@ -1,20 +1,19 @@
 //! Scale study: throughput of the sharded demand loop at 1M+ demands.
 //!
-//! The epoch runner ([`run_epochs_local`]) exists to make
-//! million-demand runs cheap, so this experiment measures exactly
-//! that: one large weighted-fleet deployment served at shard counts
+//! One large weighted-fleet deployment is served at shard counts
 //! {1, 2, 4, 8}, reporting demands/sec per configuration, speedup
 //! versus the serial run and the cost of the final merge — while
 //! *asserting* the sharding determinism contract on every run (the
 //! merged dependability digest must be byte-identical at every shard
 //! count, or the study panics).
 //!
-//! # The shard-native world
+//! # Shards on the replication runner
 //!
-//! Each shard owns the demands `id % K == shard` ([`Shards::owner_of`])
-//! and serves them on a private [`DemandWorker`] built on the shard's
-//! own thread ([`run_epochs_local`] — the worker is deliberately not
-//! `Send`). Demand randomness is keyed by the *global* demand id
+//! Shard `s` of `K` serves the demand ids `s, s + K, s + 2K, …` below
+//! the run's length, in order, on a private [`DemandWorker`] that
+//! [`par_map`] builds on the shard's own thread (the worker is
+//! deliberately not `Send`; one shard runs on the calling thread).
+//! Demand randomness is keyed by the *global* demand id
 //! (`indexed_stream("serve-demand", id)`, the sharded-[`ServeSpec`]
 //! contract), so a demand's outcome depends only on `(seed, id,
 //! weights-at-id)` — never on the partition. Per-shard statistics are
@@ -22,29 +21,28 @@
 //! nanosecond latency sum, and a [`QuantileSketch`] whose bucket
 //! counts add; the merge folds shards in shard order `0..K`.
 //!
-//! # The cutover broadcast
+//! # The cutover
 //!
-//! Mid-run the fleet promotes its newest release. Only shard 0 — the
-//! controller shard — knows the upgrade plan; it announces the cutover
-//! through the epoch mailbox one epoch ahead of the cutover epoch, so
-//! every shard (including itself: self-sends deliver next epoch)
-//! holds the new weights before serving any demand with `id >=
-//! cutover`. The cutover id is epoch-aligned for every configured
-//! shard count (`cutover % (K·block) == 0`), which makes "applies from
-//! demand `cutover` onwards" the same statement at any `K` — the
-//! epoch-boundary weight-cutover contract from the sharding design.
+//! Mid-run the fleet promotes its newest release. Every shard calls
+//! [`DemandWorker::promote`] before it serves its first id at or past
+//! the cutover, so "applies from demand `cutover` onwards" is the same
+//! statement at any `K`, whatever the cutover, with nothing passed
+//! between shards.
+//!
+//! [`DemandWorker`]: wsu_core::serve::DemandWorker
+//! [`DemandWorker::promote`]: wsu_core::serve::DemandWorker::promote
 
 use std::time::{Duration, Instant};
 
 use wsu_core::middleware::MiddlewareConfig;
 use wsu_core::modes::OperatingMode;
-use wsu_core::serve::{DemandOutcome, DemandWorker, ReleaseSpec, ServeSpec};
+use wsu_core::serve::{DemandOutcome, ReleaseSpec, ServeSpec};
 use wsu_obs::quantile::QuantileSketch;
 use wsu_simcore::dist::DelayModel;
-use wsu_simcore::shard::{run_epochs_local, Outbox, ShardWorld, Shards};
+use wsu_simcore::par::{par_map, Jobs};
 use wsu_wstack::outcome::OutcomeProfile;
 
-/// Index of the release the controller promotes at the cutover.
+/// Index of the release the fleet promotes at the cutover.
 const PROMOTED_RELEASE: usize = 2;
 
 /// Configuration of one scale sweep.
@@ -54,12 +52,8 @@ pub struct ScaleConfig {
     pub demands: u64,
     /// Shard counts to sweep, in report order (first is the baseline).
     pub shard_counts: Vec<usize>,
-    /// Demands each shard serves per epoch.
-    pub block: u64,
-    /// Global demand id at which the promotion applies. Must be
-    /// aligned to `K * block` for every swept `K` (so the cutover sits
-    /// on an epoch boundary at any shard count) and lie inside the
-    /// run.
+    /// Global demand id from which the promoted release serves every
+    /// demand. Must lie inside the run.
     pub cutover: u64,
 }
 
@@ -70,7 +64,6 @@ impl ScaleConfig {
         ScaleConfig {
             demands: 1_000_000,
             shard_counts: vec![1, 2, 4, 8],
-            block: 4096,
             cutover: 524_288,
         }
     }
@@ -81,41 +74,27 @@ impl ScaleConfig {
         ScaleConfig {
             demands: 32_768,
             shard_counts: vec![1, 2, 4],
-            block: 512,
             cutover: 16_384,
         }
     }
 
-    /// Why the sweep cannot run, if it cannot: the cutover must be
-    /// epoch-aligned and in range for every swept shard count — the
-    /// preconditions the broadcast protocol needs.
+    /// Why the sweep cannot run, if it cannot: it needs at least one
+    /// shard count, every count at least 1, and a cutover inside the
+    /// run.
     pub fn validate(&self) -> Result<(), String> {
-        let require = |ok: bool, error: String| if ok { Ok(()) } else { Err(error) };
-        require(
-            !self.shard_counts.is_empty(),
-            "sweep at least one shard count".into(),
-        )?;
-        require(self.block > 0, "block must be positive".into())?;
-        for &k in &self.shard_counts {
-            require(k > 0, "shard counts must be positive".into())?;
-            let stride = (k as u64).saturating_mul(self.block);
-            let cutover = self.cutover;
-            require(
-                cutover.is_multiple_of(stride),
-                format!("cutover {cutover} must be a multiple of K*block = {stride} (K = {k})"),
-            )?;
-            require(
-                cutover >= stride,
-                format!("cutover {cutover} needs at least one epoch of lookahead at K = {k}"),
-            )?;
+        if self.shard_counts.is_empty() {
+            return Err("sweep at least one shard count".into());
         }
-        require(
-            self.cutover < self.demands,
-            format!(
+        if self.shard_counts.contains(&0) {
+            return Err("shard counts must be positive".into());
+        }
+        if self.cutover >= self.demands {
+            return Err(format!(
                 "cutover {} must happen inside the run ({} demands)",
                 self.cutover, self.demands
-            ),
-        )
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -254,107 +233,11 @@ impl ScaleStats {
     }
 }
 
-/// The weight cutover the controller shard broadcasts: promote
-/// `release` for all demands with global id `>= at`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Cutover {
-    at: u64,
-    release: usize,
-}
-
-/// One shard of the scale world: a private [`DemandWorker`] serving
-/// the demands this shard owns, one block per epoch.
-struct ScaleShard<'a> {
-    shard: usize,
-    shards: Shards,
-    config: &'a ScaleConfig,
-    worker: DemandWorker,
-    /// Demands this shard owns in total.
-    owned: u64,
-    /// Owned demands already served.
-    served: u64,
-    /// Cutover announced by the controller, not yet applied.
-    pending: Option<Cutover>,
-    stats: ScaleStats,
-}
-
-impl<'a> ScaleShard<'a> {
-    fn new(
-        shard: usize,
-        shards: Shards,
-        config: &'a ScaleConfig,
-        spec: &ServeSpec,
-    ) -> ScaleShard<'a> {
-        let k = shards.get() as u64;
-        let n = config.demands;
-        let owned = n / k + u64::from((shard as u64) < n % k);
-        ScaleShard {
-            shard,
-            shards,
-            config,
-            worker: spec.worker(shard as u64),
-            owned,
-            served: 0,
-            pending: None,
-            stats: ScaleStats::new(spec.releases.len()),
-        }
-    }
-}
-
-impl ShardWorld for ScaleShard<'_> {
-    type Msg = Cutover;
-
-    fn epoch(
-        &mut self,
-        epoch: u64,
-        inbox: Vec<(usize, Cutover)>,
-        outbox: &mut Outbox<Cutover>,
-    ) -> bool {
-        for (_src, cutover) in inbox {
-            self.pending = Some(cutover);
-        }
-        let k = self.shards.get() as u64;
-        // Controller duty: announce the cutover one epoch ahead so
-        // every shard holds it before serving any demand >= cutover.
-        let cutover_epoch = self.config.cutover / (k * self.config.block);
-        if self.shard == 0 && epoch + 1 == cutover_epoch {
-            let msg = Cutover {
-                at: self.config.cutover,
-                release: PROMOTED_RELEASE,
-            };
-            for dst in 0..self.shards.get() {
-                outbox.send(dst, msg);
-            }
-        }
-        // Serve this epoch's block of owned demands, applying the
-        // announced cutover at its exact global-id boundary.
-        let start = epoch * self.config.block;
-        let end = (start + self.config.block).min(self.owned);
-        for j in start..end.max(start) {
-            let global = self.shard as u64 + j * k;
-            if let Some(cutover) = self.pending.take_if(|c| global >= c.at) {
-                self.worker
-                    .promote(cutover.release)
-                    .expect("promoted release is deployed");
-            }
-            let outcome = self
-                .worker
-                .demand_indexed(global)
-                .expect("the scale spec deploys releases");
-            self.stats.record(&outcome);
-        }
-        self.served = end.max(self.served);
-        self.served < self.owned
-    }
-}
-
 /// One swept configuration's measurement.
 #[derive(Debug, Clone)]
 pub struct ScaleRun {
     /// Shard count.
     pub shards: usize,
-    /// Epochs the barrier executed.
-    pub epochs: u64,
     /// Wall-clock time of the sharded demand loop.
     pub elapsed: Duration,
     /// Wall-clock time of the final shard-order merge.
@@ -381,15 +264,19 @@ impl ScaleRun {
     }
 }
 
-/// Runs one configuration of the scale world.
-pub fn run_scale(config: &ScaleConfig, seed: u64, shards: Shards) -> ScaleRun {
+/// Runs one configuration of the scale world on `shards` shards, one
+/// thread each (one shard runs on the calling thread).
+///
+/// # Panics
+///
+/// If `shards` is 0.
+pub fn run_scale(config: &ScaleConfig, seed: u64, shards: usize) -> ScaleRun {
+    assert!(shards > 0, "shard counts must be positive");
     let spec = scale_spec(seed);
     let start = Instant::now();
-    let (per_shard, epochs) = run_epochs_local(
-        shards,
-        |shard| ScaleShard::new(shard, shards, config, &spec),
-        |_, world| world.stats,
-    );
+    let per_shard = par_map(Jobs::new(shards), shards, |shard| {
+        serve_shard(config, &spec, shard, shards)
+    });
     let elapsed = start.elapsed();
     let merge_start = Instant::now();
     let mut merged = ScaleStats::new(spec.releases.len());
@@ -398,12 +285,33 @@ pub fn run_scale(config: &ScaleConfig, seed: u64, shards: Shards) -> ScaleRun {
     }
     let merge_elapsed = merge_start.elapsed();
     ScaleRun {
-        shards: shards.get(),
-        epochs,
+        shards,
         elapsed,
         merge_elapsed,
         stats: merged,
     }
+}
+
+/// Shard `shard` of `shards`: serves the ids `shard, shard + shards, …`
+/// below `config.demands` in order on its own worker, promoting the
+/// newest release before its first id at or past the cutover.
+fn serve_shard(config: &ScaleConfig, spec: &ServeSpec, shard: usize, shards: usize) -> ScaleStats {
+    let mut worker = spec.worker(shard as u64);
+    let mut stats = ScaleStats::new(spec.releases.len());
+    let mut promoted = false;
+    for global in (shard as u64..config.demands).step_by(shards) {
+        if !promoted && global >= config.cutover {
+            worker
+                .promote(PROMOTED_RELEASE)
+                .expect("promoted release is deployed");
+            promoted = true;
+        }
+        let outcome = worker
+            .demand_indexed(global)
+            .expect("the scale spec deploys releases");
+        stats.record(&outcome);
+    }
+    stats
 }
 
 /// The whole sweep: one [`ScaleRun`] per configured shard count plus
@@ -443,7 +351,7 @@ pub fn run_scalestudy(config: &ScaleConfig, seed: u64) -> ScaleReport {
     let mut runs = Vec::with_capacity(config.shard_counts.len());
     let mut digest: Option<String> = None;
     for &k in &config.shard_counts {
-        let run = run_scale(config, seed, Shards::new(k));
+        let run = run_scale(config, seed, k);
         let d = run.stats.digest();
         match &digest {
             None => digest = Some(d),
@@ -491,15 +399,14 @@ pub fn render_timing(report: &ScaleReport) -> String {
     let mut out = String::with_capacity(512);
     let _ = writeln!(
         out,
-        "{:>7} {:>9} {:>14} {:>9} {:>11} {:>8}",
-        "shards", "epochs", "demands/sec", "speedup", "ns/demand", "merge%"
+        "{:>7} {:>14} {:>9} {:>11} {:>8}",
+        "shards", "demands/sec", "speedup", "ns/demand", "merge%"
     );
     for (i, run) in report.runs.iter().enumerate() {
         let _ = writeln!(
             out,
-            "{:>7} {:>9} {:>14.0} {:>8.2}x {:>11} {:>7.3}%",
+            "{:>7} {:>14.0} {:>8.2}x {:>11} {:>7.3}%",
             run.shards,
-            run.epochs,
             run.demands_per_sec(),
             report.speedup(i),
             run.ns_per_demand(),
@@ -577,7 +484,6 @@ mod tests {
         ScaleConfig {
             demands: 4_096,
             shard_counts: vec![1, 2, 4],
-            block: 128,
             cutover: 2_048,
         }
     }
@@ -592,8 +498,6 @@ mod tests {
             assert_eq!(run.stats.demands, 4_096);
             assert_eq!(run.stats.verdicts.iter().sum::<u64>(), 4_096);
             assert_eq!(run.stats.digest(), report.digest);
-            // Every shard serves blocks of 128 until its share is done.
-            assert!(run.epochs >= 4_096 / (128 * run.shards as u64));
         }
         assert!((report.speedup(0) - 1.0).abs() < 1e-9);
     }
@@ -644,10 +548,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "multiple of K*block")]
-    fn misaligned_cutover_is_rejected() {
+    #[should_panic(expected = "must happen inside the run (4096 demands)")]
+    fn cutover_at_the_end_of_the_run_is_rejected() {
         let mut config = tiny();
-        config.cutover = 2_050;
+        config.cutover = config.demands;
         run_scalestudy(&config, DEFAULT_SEED.value());
     }
 }

@@ -177,8 +177,12 @@ fn serve_and_loadgen_reject_an_unknown_flag_before_binding_or_connecting() {
 
 #[test]
 fn scalestudy_rejects_a_config_it_cannot_run_before_any_shard_starts() {
-    let stderr = rejects(SCALESTUDY, &["--quick", "--block", "0"], "--block");
-    assert!(error_line(&stderr).contains("--block"), "{stderr}");
+    let stderr = rejects(
+        SCALESTUDY,
+        &["--quick", "--shards-list", "0"],
+        "--shards-list",
+    );
+    assert!(error_line(&stderr).contains("shard counts"), "{stderr}");
     let stderr = rejects(SCALESTUDY, &["--quick", "--demands", "100"], "--demands");
     assert!(error_line(&stderr).contains("100 demands"), "{stderr}");
     rejects(
@@ -229,4 +233,72 @@ fn an_argument_that_is_not_utf8_exits_2_and_is_printed_lossily() {
     let path = OsStr::from_bytes(b"/\xff");
     let stderr = rejects(HTTPGET, &[OsStr::new("127.0.0.1:9"), path], "/\u{fffd}");
     assert!(error_line(&stderr).contains("not UTF-8"), "{stderr}");
+}
+
+/// Runs `bin` with `args`, whose command line is sound but whose output
+/// cannot be made, and checks the failure contract: status 1, no panic,
+/// and a last stderr line `<binary>: <what> failed: <error>`, which is
+/// returned.
+fn fails(bin: &str, args: &[&str]) -> String {
+    let out = Command::new(bin)
+        .args(args)
+        .output()
+        .unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(1), "{bin} {args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+    let name = std::path::Path::new(bin)
+        .file_name()
+        .unwrap()
+        .to_string_lossy();
+    let last = stderr.lines().last().unwrap_or_default().to_owned();
+    assert!(
+        last.starts_with(&format!("{name}: ")) && last.contains(" failed: "),
+        "{bin} {args:?}: {stderr}"
+    );
+    last
+}
+
+/// A path under a regular file, which no process can create.
+fn under_a_file(test: &str, name: &str) -> String {
+    let file = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(test);
+    std::fs::write(&file, "a regular file").expect("write the regular file");
+    file.join(name).to_str().expect("UTF-8 path").to_owned()
+}
+
+#[test]
+fn a_metrics_port_in_use_exits_1_without_a_panic() {
+    let held = std::net::TcpListener::bind("127.0.0.1:0").expect("hold a port");
+    let port = held.local_addr().expect("held address").port().to_string();
+    let line = fails(TABLE5, &["--quick", "--serve-metrics", &port]);
+    assert!(line.contains(&format!("bind 127.0.0.1:{port}")), "{line}");
+}
+
+#[test]
+fn an_observability_file_that_cannot_be_written_exits_1_without_a_panic() {
+    let path = under_a_file("cli_flags_metrics_file", "x.prom");
+    let line = fails(TABLE5, &["--quick", "--metrics", &path]);
+    assert!(line.contains("cli_flags_metrics_file"), "{line}");
+}
+
+#[test]
+fn analyze_exits_1_without_a_panic_when_it_cannot_write_an_output() {
+    let trace = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_flags_phases.jsonl");
+    std::fs::write(
+        &trace,
+        "{\"kind\":\"Adjudicated\",\"t\":10.0,\"verdict\":\"CR\",\"response_time\":0.5}\n",
+    )
+    .expect("write trace");
+    let path = under_a_file("cli_flags_phases_file", "x.tsv");
+    let trace = trace.to_str().expect("UTF-8 path");
+    let line = fails(ANALYZE, &[trace, "--phases", &path]);
+    assert!(line.contains(&format!("write {path}")), "{line}");
+}
+
+#[test]
+fn scalestudy_exits_1_without_a_panic_when_it_cannot_write_its_report() {
+    let path = under_a_file("cli_flags_bench_file", "x.json");
+    let args = ["--quick", "--shards-list", "1", "--bench-out", &path];
+    let line = fails(SCALESTUDY, &args);
+    assert!(line.contains(&format!("write {path}")), "{line}");
 }

@@ -12,7 +12,9 @@
 //! record in place, so it copies nothing of the plan. A per-demand
 //! allocation — an owned request envelope, a label string, a queue that
 //! regrows as it is filled — would make the counts grow with `n` and
-//! fail these tests.
+//! fail these tests. A capacity-study arrival holds its collected
+//! responses inline, so doubling the demands adds only the few
+//! regrowths of the run's buffers.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator. The
 //! counter is a const-initialised thread-local, so allocations made by
@@ -29,6 +31,7 @@ use wsu_core::fleet::{
 };
 use wsu_core::manage::RecoveryStrategy;
 use wsu_core::middleware::MiddlewareConfig;
+use wsu_experiments::capacity::{run_capacity, CapacityConfig, Dispatch};
 use wsu_experiments::midsim::{plan_run, simulate_cell};
 use wsu_faults::{
     FaultAction, FaultClause, FaultInjector, FaultTrigger, FleetFaultScenario, InjectionTally,
@@ -156,6 +159,34 @@ fn simulate_cell_allocations_do_not_grow_with_the_plan() {
         counts[0], counts[1],
         "simulate_cell allocations grew with the plan: {counts:?} for n = {SIZES:?}"
     );
+}
+
+#[test]
+fn capacity_arrivals_do_not_allocate() {
+    let gen = CorrelatedOutcomes::from_run(&RunSpec::run2());
+    for dispatch in [Dispatch::Parallel, Dispatch::Sequential] {
+        let counts: Vec<u64> = [2_000, 4_000]
+            .into_iter()
+            .map(|demands| {
+                let config = CapacityConfig {
+                    arrival_rate: 0.4,
+                    demands,
+                    timeout: 3.0,
+                    adjudication_delay: 0.1,
+                };
+                let seed = MasterSeed::new(71);
+                let (allocations, result) = allocations_of(|| {
+                    run_capacity(dispatch, &gen, ExecTimeModel::calibrated(), config, seed)
+                });
+                assert_eq!(result.response_time.count(), demands);
+                allocations
+            })
+            .collect();
+        assert!(
+            counts[1] < counts[0] + 100,
+            "{dispatch:?}: 2,000 and 4,000 demands made {counts:?} allocations"
+        );
+    }
 }
 
 fn fleet_service(release: &str) -> SyntheticService {

@@ -10,13 +10,9 @@
 //!   table and figure regenerated by the workspace is exactly reproducible;
 //! * [`dist`] — the random variates the paper's simulation model needs
 //!   (exponential and constant delays);
-//! * [`par`] — a deterministic replication-level parallel runner
-//!   (results merged in replication order, so outputs are byte-identical
-//!   for any worker count);
-//! * [`shard`] — deterministic intra-replication parallelism: per-core
-//!   shards synchronized by a virtual-time epoch barrier with a
-//!   `(epoch, src, seq)`-ordered cross-shard mailbox — outputs are
-//!   byte-identical at any shard count;
+//! * [`par`] — a deterministic parallel runner (results merged in
+//!   index order, so outputs are byte-identical for any worker count),
+//!   used for replications and for the scale study's shards alike;
 //! * [`queue`] — a stable priority queue of timestamped events;
 //! * [`engine`] — a minimal event-driven simulation loop over a
 //!   user-supplied world;
@@ -66,7 +62,6 @@ pub mod par;
 pub mod queue;
 pub mod rng;
 pub mod series;
-pub mod shard;
 pub mod stats;
 pub mod time;
 
