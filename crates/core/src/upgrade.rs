@@ -18,9 +18,7 @@ use wsu_detect::back2back::BackToBackDetector;
 use wsu_detect::oracle::{
     ChainDetector, FailureDetector, FalseAlarmOracle, OmissionOracle, PerfectOracle,
 };
-use wsu_obs::{
-    DemandSpan, NullRecorder, Recorder, SharedRegistry, SloConfig, SpanProfile, TraceEvent,
-};
+use wsu_obs::{NullRecorder, Recorder, SharedRegistry, SloConfig, TraceEvent};
 use wsu_simcore::rng::{MasterSeed, StreamRng};
 use wsu_wstack::endpoint::ServiceEndpoint;
 use wsu_wstack::message::Envelope;
@@ -253,8 +251,6 @@ pub struct ManagedUpgrade {
     /// times of all demands processed so far, per the paper's eq. (8)
     /// timing model with back-to-back demands.
     virtual_time: f64,
-    /// Per-phase decomposition of where the virtual time went.
-    span_profile: SpanProfile,
 }
 
 impl ManagedUpgrade {
@@ -300,7 +296,6 @@ impl ManagedUpgrade {
             monitor_rng: seed.stream("managed-upgrade/monitor"),
             recorder: Box::new(NullRecorder),
             virtual_time: 0.0,
-            span_profile: SpanProfile::new(),
         }
     }
 
@@ -359,19 +354,6 @@ impl ManagedUpgrade {
             .process(&self.request, &mut self.demand_rng)
             .expect("at least one active release");
         self.monitor.observe(&record, &mut self.monitor_rng);
-        // Same phase attribution as the middleware's SpanClosed event:
-        // the wait on releases is transport, the fixed `dT` is
-        // adjudication; detection, Bayes updates and recovery run
-        // between demands at zero virtual cost (paper eq. (8)).
-        let dt = self.middleware.config().adjudication_delay.as_secs();
-        let response_time = record.system.response_time.as_secs();
-        self.span_profile.record(&DemandSpan {
-            t: record.t,
-            demand: record.seq,
-            transport: (response_time - dt).max(0.0),
-            adjudication: dt,
-            ..DemandSpan::default()
-        });
         // Demands are back to back: the clock advances by what the
         // consumer waited.
         self.virtual_time += record.system.response_time.as_secs();
@@ -516,11 +498,6 @@ impl ManagedUpgrade {
     /// The monitoring subsystem.
     pub fn monitor(&self) -> &MonitoringSubsystem {
         &self.monitor
-    }
-
-    /// Per-phase decomposition of the accumulated virtual time.
-    pub fn span_profile(&self) -> &SpanProfile {
-        &self.span_profile
     }
 
     /// The management subsystem.
@@ -908,7 +885,7 @@ mod tests {
     }
 
     #[test]
-    fn span_profile_accounts_for_all_virtual_time() {
+    fn slo_telemetry_sees_every_demand() {
         let config = UpgradeConfig::default().with_resolution(small_res());
         let mut upgrade = upgrade_with(
             OutcomeProfile::always_correct(),
@@ -916,15 +893,7 @@ mod tests {
             config,
         );
         upgrade.run_demands(100);
-        let profile = upgrade.span_profile();
-        assert_eq!(profile.demands(), 100);
-        // Every virtual second the consumer waited is attributed to a
-        // phase — transport and adjudication partition the clock.
-        assert!((profile.total() - upgrade.virtual_time()).abs() < 1e-9);
-        let dt = upgrade.middleware().config().adjudication_delay.as_secs();
-        assert!((profile.phase_total("adjudication").unwrap() - 100.0 * dt).abs() < 1e-9);
-        assert_eq!(profile.phase_total("bayes"), Some(0.0));
-        // The SLO telemetry `new` configures saw the same demands.
+        // The SLO telemetry `new` configures saw every demand.
         let monitor = upgrade.monitor();
         assert_eq!(monitor.response_quantiles().map(|s| s.count()), Some(100));
         assert_eq!(

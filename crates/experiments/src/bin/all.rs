@@ -22,14 +22,21 @@ use wsu_simcore::par::Jobs;
 use wsu_simcore::rng::MasterSeed;
 use wsu_workload::timing::ExecTimeModel;
 
-fn main() -> std::io::Result<()> {
+fn main() {
     let args = cli::ALL.parse();
     let quick = args.has("--quick");
     let jobs = Jobs::from_request(args.value("--jobs"));
-    let mut ctx = ObsContext::from_args(&args)?;
+    let mut ctx = cli::ALL.or_exit("metrics exporter", ObsContext::from_args(&args));
     let sinks = ctx.sinks();
     let out_dir: PathBuf = args.value("--out").unwrap_or_else(|| "results".into());
-    fs::create_dir_all(&out_dir)?;
+    cli::ALL.or_exit(
+        &format!("create {}", out_dir.display()),
+        fs::create_dir_all(&out_dir),
+    );
+    let write = |name: &str, text: String| {
+        let path = out_dir.join(name);
+        cli::ALL.or_exit(&format!("write {}", path.display()), fs::write(&path, text));
+    };
 
     let res = if quick {
         Resolution {
@@ -68,17 +75,14 @@ fn main() -> std::io::Result<()> {
             &format!("table2/s{}/{:?}", run.scenario, run.detection),
         );
     }
-    fs::write(out_dir.join("table2.txt"), t2.render())?;
+    write("table2.txt", t2.render());
     let seeds: Vec<MasterSeed> = (0..10u64)
         .map(|i| MasterSeed::new(DEFAULT_SEED.value().wrapping_add(i)))
         .collect();
     let spread = ctx.time("all/table2-spread", || {
         table2::run_table2_spread(&seeds, &study1, &study2)
     });
-    fs::write(
-        out_dir.join("table2_spread.txt"),
-        table2::render_spread(&spread),
-    )?;
+    write("table2_spread.txt", table2::render_spread(&spread));
 
     eprintln!("[2/9] Fig. 7 ...");
     let (fig7, fig7_runs) = ctx.time("all/fig7", || figures::run_fig7(&study1));
@@ -87,7 +91,7 @@ fn main() -> std::io::Result<()> {
         ctx.record_study(omission, "fig7/omission");
     }
     ctx.record_study(&fig7_runs.back_to_back, "fig7/back-to-back");
-    fs::write(out_dir.join("fig7.tsv"), fig7.to_tsv())?;
+    write("fig7.tsv", fig7.to_tsv());
 
     eprintln!("[3/9] Fig. 8 ...");
     let (fig8, fig8_runs) = ctx.time("all/fig8", || figures::run_fig8(&study2));
@@ -96,7 +100,7 @@ fn main() -> std::io::Result<()> {
         ctx.record_study(omission, "fig8/omission");
     }
     ctx.record_study(&fig8_runs.back_to_back, "fig8/back-to-back");
-    fs::write(out_dir.join("fig8.tsv"), fig8.to_tsv())?;
+    write("fig8.tsv", fig8.to_tsv());
 
     eprintln!("[4/9] Table 5 ...");
     let t5 = ctx.time("all/table5", || {
@@ -109,7 +113,7 @@ fn main() -> std::io::Result<()> {
             jobs,
         )
     });
-    fs::write(out_dir.join("table5.txt"), t5.render())?;
+    write("table5.txt", t5.render());
 
     eprintln!("[5/9] Table 6 ...");
     let t6 = ctx.time("all/table6", || {
@@ -122,7 +126,7 @@ fn main() -> std::io::Result<()> {
             jobs,
         )
     });
-    fs::write(out_dir.join("table6.txt"), t6.render())?;
+    write("table6.txt", t6.render());
 
     eprintln!("[6/9] Calibrated-timing variants ...");
     let t5c = ctx.time("all/table5-calibrated", || {
@@ -135,7 +139,7 @@ fn main() -> std::io::Result<()> {
             jobs,
         )
     });
-    fs::write(out_dir.join("table5_calibrated.txt"), t5c.render())?;
+    write("table5_calibrated.txt", t5c.render());
     let t6c = ctx.time("all/table6-calibrated", || {
         table6::run_table6_jobs(
             DEFAULT_SEED,
@@ -146,7 +150,7 @@ fn main() -> std::io::Result<()> {
             jobs,
         )
     });
-    fs::write(out_dir.join("table6_calibrated.txt"), t6c.render())?;
+    write("table6_calibrated.txt", t6c.render());
 
     eprintln!("[7/9] Ablations ...");
     let ab = ctx.time("all/ablations", || {
@@ -193,7 +197,7 @@ fn main() -> std::io::Result<()> {
         ));
         ab
     });
-    fs::write(out_dir.join("ablations.txt"), ab)?;
+    write("ablations.txt", ab);
 
     eprintln!("[8/9] Fault-injection campaign ...");
     let campaign = ctx.time("all/faultcampaign", || {
@@ -209,7 +213,7 @@ fn main() -> std::io::Result<()> {
             jobs,
         )
     });
-    fs::write(out_dir.join("faultcampaign.txt"), campaign.render())?;
+    write("faultcampaign.txt", campaign.render());
 
     eprintln!("[9/9] Capacity study ...");
     let gen =
@@ -224,12 +228,8 @@ fn main() -> std::io::Result<()> {
             jobs,
         )
     });
-    fs::write(
-        out_dir.join("capacity.txt"),
-        capacity::render_capacity_table(&cap),
-    )?;
+    write("capacity.txt", capacity::render_capacity_table(&cap));
 
-    ctx.finish()?;
+    cli::ALL.or_exit("observability output", ctx.finish());
     eprintln!("done; outputs in {}", out_dir.display());
-    Ok(())
 }

@@ -1,6 +1,7 @@
 //! `wsu-serve` — the upgrade middleware as a real HTTP service.
 //!
-//! Binds a thread-per-core accept loop and serves:
+//! Starts the serving front, one worker per core by default, and
+//! serves:
 //!
 //! * `POST /demand` — one demand through the middleware (dispatch,
 //!   adjudicate, respond), answered as a small JSON outcome;
@@ -23,7 +24,9 @@
 //! on a fleet-global demand index instead of a per-worker stream, so
 //! the outcome stream is identical at any `--workers` count (see
 //! `ServeSpec::sharded`). Prints `listening on ADDR workers=N` once
-//! ready. Any other argument exits with status 2.
+//! ready, and `served N demands in SECSs` after a `--duration`; if any
+//! serving worker panicked, it then exits with status 1. Any other
+//! argument exits with status 2.
 
 use std::time::Duration;
 
@@ -59,21 +62,19 @@ fn main() {
     println!(
         "listening on {} workers={} spec={} seed={}",
         front.local_addr(),
-        if workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            workers
-        },
+        front.workers(),
         spec_name,
         seed,
     );
     if duration > 0.0 {
         std::thread::sleep(Duration::from_secs_f64(duration));
         let demands = front.demands();
-        front.shutdown();
+        let panicked = front.shutdown();
         println!("served {demands} demands in {duration:.1}s");
+        if panicked > 0 {
+            eprintln!("wsu-serve: {panicked} serving workers panicked");
+            std::process::exit(1);
+        }
     } else {
         // Serve until the process is killed.
         loop {

@@ -19,9 +19,9 @@
 //! tables.
 //!
 //! Serving: [`serve`] (binary `wsu-serve`) runs the upgrade middleware
-//! behind a thread-per-core HTTP accept loop, and [`loadgen`] (binary
-//! `wsu-loadgen`) drives it closed-loop and publishes
-//! `results/BENCH_http.json`.
+//! behind the workspace's one HTTP server, one worker per core, and
+//! [`loadgen`] (binary `wsu-loadgen`) drives it closed-loop and
+//! publishes `results/BENCH_http.json`.
 //!
 //! All experiments are deterministic given a [`MasterSeed`]; the
 //! binaries use [`DEFAULT_SEED`].

@@ -10,9 +10,12 @@
 //! # Shards on the replication runner
 //!
 //! Shard `s` of `K` serves the demand ids `s, s + K, s + 2K, …` below
-//! the run's length, in order, on a private [`DemandWorker`] that
-//! [`par_map`] builds on the shard's own thread (the worker is
-//! deliberately not `Send`; one shard runs on the calling thread).
+//! the run's length, in order, on a private [`DemandWorker`] built on
+//! the thread that runs the shard (the worker is deliberately not
+//! `Send`). [`par_map`] runs the shards on at most one thread per
+//! hardware thread: `K` at or below that count gets one thread per
+//! shard, a larger `K` queues its shards on those threads, and one
+//! shard runs on the calling thread.
 //! Demand randomness is keyed by the *global* demand id
 //! (`indexed_stream("serve-demand", id)`, the sharded-[`ServeSpec`]
 //! contract), so a demand's outcome depends only on `(seed, id,
@@ -264,8 +267,9 @@ impl ScaleRun {
     }
 }
 
-/// Runs one configuration of the scale world on `shards` shards, one
-/// thread each (one shard runs on the calling thread).
+/// Runs one configuration of the scale world on `shards` shards, on at
+/// most one thread per hardware thread (one shard runs on the calling
+/// thread).
 ///
 /// # Panics
 ///
@@ -274,7 +278,7 @@ pub fn run_scale(config: &ScaleConfig, seed: u64, shards: usize) -> ScaleRun {
     assert!(shards > 0, "shard counts must be positive");
     let spec = scale_spec(seed);
     let start = Instant::now();
-    let per_shard = par_map(Jobs::new(shards), shards, |shard| {
+    let per_shard = par_map(Jobs::auto(), shards, |shard| {
         serve_shard(config, &spec, shard, shards)
     });
     let elapsed = start.elapsed();

@@ -1,8 +1,8 @@
-//! The real serving front: the upgrade middleware behind a
-//! thread-per-core `std::net` accept loop.
+//! The real serving front: the upgrade middleware behind the
+//! workspace's one HTTP server, one worker per core.
 //!
-//! [`HttpFront`] binds a `TcpListener` and spawns `workers` serving
-//! threads. Every worker owns a **private** demand loop
+//! [`HttpFront`] starts a [`wsu_obs::http::Server`] with `workers`
+//! serving threads. Every worker owns a **private** demand loop
 //! ([`wsu_core::serve::DemandWorker`] — its own middleware, endpoints
 //! and RNG stream) plus a private metrics registry, so the steady-state
 //! request path shares nothing with other workers: the only lock a
@@ -34,23 +34,21 @@
 //!
 //! ## Accept model
 //!
-//! Each worker polls a shared nonblocking listener and then serves the
-//! accepted connection's keep-alive conversation to completion before
-//! accepting again. A closed-loop client fleet should therefore use at
-//! most `workers` concurrent connections — exactly what `wsu-loadgen`
-//! does. (With no epoll in `std`, one-connection-at-a-time per worker
-//! is the honest zero-dependency design; the poll sleep only costs
-//! when a worker is idle.)
+//! The front is a [`wsu_obs::http::Server`] whose handler is one
+//! worker's routes: each worker polls the shared listener and serves
+//! the accepted connection's keep-alive conversation to completion
+//! before accepting again. A closed-loop client fleet should therefore
+//! use at most `workers` concurrent connections — exactly what
+//! `wsu-loadgen` does.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use wsu_core::serve::ServeSpec;
-use wsu_obs::http::{HttpConn, RecvError, Request, Response};
+use wsu_core::serve::{DemandWorker, ServeSpec};
+use wsu_obs::http::{Handler, Request, Response, Server};
 use wsu_obs::metrics::{CounterId, MetricsRegistry, SketchId};
 
 /// Configuration for [`HttpFront::start`].
@@ -62,34 +60,21 @@ pub struct FrontConfig {
     pub workers: usize,
     /// The deployment blueprint every worker instantiates.
     pub spec: ServeSpec,
-    /// Per-connection read/write timeout.
-    pub io_timeout: Duration,
 }
 
 impl FrontConfig {
-    /// A front on `addr` with the given spec and default timeouts.
+    /// A front on `addr` with the given spec.
     pub fn new(addr: &str, workers: usize, spec: ServeSpec) -> FrontConfig {
         FrontConfig {
             addr: addr.to_string(),
             workers,
             spec,
-            io_timeout: Duration::from_secs(5),
         }
-    }
-
-    fn effective_workers(&self) -> usize {
-        if self.workers > 0 {
-            return self.workers;
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
     }
 }
 
 /// State shared by every serving thread.
 struct FrontShared {
-    shutdown: AtomicBool,
     /// One registry per worker; slot `w` is written only by worker `w`
     /// (scrapes briefly lock each slot to merge).
     registries: Vec<Mutex<MetricsRegistry>>,
@@ -105,53 +90,44 @@ struct FrontShared {
 
 /// A running serving front. Dropping it shuts the workers down.
 pub struct HttpFront {
-    addr: SocketAddr,
     shared: Arc<FrontShared>,
-    handles: Vec<JoinHandle<()>>,
+    server: Server,
 }
 
 impl HttpFront {
-    /// Binds the listener and spawns the serving threads.
+    /// Binds the listener and starts the serving threads.
     ///
     /// # Errors
     ///
-    /// Propagates bind/clone failures.
+    /// Propagates bind, clone and spawn failures.
     pub fn start(config: FrontConfig) -> io::Result<HttpFront> {
-        let workers = config.effective_workers();
-        let listener = TcpListener::bind(config.addr.as_str())?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
+        let workers = match config.workers {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        };
         let shared = Arc::new(FrontShared {
-            shutdown: AtomicBool::new(false),
             registries: (0..workers)
                 .map(|_| Mutex::new(MetricsRegistry::new()))
                 .collect(),
             demands: AtomicU64::new(0),
             promote: AtomicU64::new(0),
         });
-        let spec = Arc::new(config.spec);
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let listener = listener.try_clone()?;
-            let shared = Arc::clone(&shared);
-            let spec = Arc::clone(&spec);
-            let io_timeout = config.io_timeout;
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("wsu-serve-{w}"))
-                    .spawn(move || worker_loop(&listener, &shared, &spec, w, io_timeout))?,
-            );
-        }
-        Ok(HttpFront {
-            addr,
-            shared,
-            handles,
-        })
+        let spec = config.spec;
+        let routes_shared = Arc::clone(&shared);
+        let server = Server::start(&config.addr, workers, move |w| {
+            FrontWorker::new(&routes_shared, &spec, w)
+        })?;
+        Ok(HttpFront { shared, server })
     }
 
     /// The bound address (real port after binding `:0`).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.server.local_addr()
+    }
+
+    /// The number of serving threads (`--workers 0` resolved).
+    pub fn workers(&self) -> usize {
+        self.shared.registries.len()
     }
 
     /// Total demands served so far, across all workers.
@@ -165,30 +141,18 @@ impl HttpFront {
         render_merged_metrics(&self.shared)
     }
 
-    /// Stops the workers and waits for them to exit.
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for HttpFront {
-    fn drop(&mut self) {
-        self.stop();
+    /// Stops the workers, waits for them to exit and returns how many
+    /// panicked.
+    pub fn shutdown(self) -> usize {
+        self.server.shutdown()
     }
 }
 
 impl std::fmt::Debug for HttpFront {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HttpFront")
-            .field("addr", &self.addr)
-            .field("workers", &self.handles.len())
+            .field("addr", &self.local_addr())
+            .field("workers", &self.workers())
             .finish()
     }
 }
@@ -200,9 +164,6 @@ impl std::fmt::Debug for HttpFront {
 fn lock_registry(slot: &Mutex<MetricsRegistry>) -> MutexGuard<'_, MetricsRegistry> {
     slot.lock().unwrap_or_else(PoisonError::into_inner)
 }
-
-/// How long an idle worker sleeps between accept polls.
-const ACCEPT_POLL: Duration = Duration::from_micros(500);
 
 /// Pre-resolved metric ids for one worker's registry.
 struct WorkerMetrics {
@@ -249,211 +210,149 @@ impl WorkerMetrics {
     }
 }
 
-/// One serving thread: poll-accept, then serve each connection's
-/// keep-alive conversation to completion.
-fn worker_loop(
-    listener: &TcpListener,
-    shared: &FrontShared,
-    spec: &ServeSpec,
+/// One serving thread's routes and private state.
+struct FrontWorker {
+    shared: Arc<FrontShared>,
     worker: usize,
-    io_timeout: Duration,
-) {
-    let mut demand_worker = spec.worker(worker as u64);
-    let sharded = spec.sharded;
-    let mut applied_promote = 0u64;
-    let worker_label = worker.to_string();
-    let metrics = {
-        let mut registry = lock_registry(&shared.registries[worker]);
-        WorkerMetrics::resolve(&mut registry, &worker_label)
-    };
-    // Reused per-response JSON buffer: the demand path allocates only
-    // inside the HTTP layer's own reused buffers.
-    let mut json = String::with_capacity(160);
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = serve_connection(
-                    stream,
-                    shared,
-                    &mut demand_worker,
-                    sharded,
-                    &mut applied_promote,
-                    &metrics,
-                    worker,
-                    io_timeout,
-                    &mut json,
-                );
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-            Err(_) => continue,
-        }
-    }
-}
-
-/// Serves one connection until close, error or shutdown.
-#[allow(clippy::too_many_arguments)]
-fn serve_connection(
-    stream: TcpStream,
-    shared: &FrontShared,
-    demand_worker: &mut wsu_core::serve::DemandWorker,
+    demand_worker: DemandWorker,
     sharded: bool,
-    applied_promote: &mut u64,
-    metrics: &WorkerMetrics,
-    worker: usize,
-    io_timeout: Duration,
-    json: &mut String,
-) -> io::Result<()> {
-    stream.set_nonblocking(false)?;
-    stream.set_read_timeout(Some(io_timeout))?;
-    stream.set_write_timeout(Some(io_timeout))?;
-    stream.set_nodelay(true)?;
-    let mut conn = HttpConn::new(stream);
-    loop {
-        match conn.recv() {
-            Ok(request) => {
-                let started = Instant::now();
-                let response = route(
-                    &request,
-                    shared,
-                    demand_worker,
-                    sharded,
-                    applied_promote,
-                    metrics,
-                    worker,
-                    json,
-                );
-                let served_demand = request.method == "POST" && request.path == "/demand";
-                if served_demand {
-                    let mut registry = lock_registry(&shared.registries[worker]);
-                    registry.observe_sketch_id(
-                        metrics.service_seconds,
-                        started.elapsed().as_secs_f64(),
-                    );
-                }
-                let keep_alive = request.keep_alive() && !shared.shutdown.load(Ordering::SeqCst);
-                conn.send(&response, keep_alive)?;
-                if !keep_alive {
-                    return Ok(());
-                }
-            }
-            Err(err) => {
-                if let Some(response) = err.response() {
-                    {
-                        let mut registry = lock_registry(&shared.registries[worker]);
-                        registry.inc_counter_id(metrics.errors);
-                    }
-                    let _ = conn.send(&response, false);
-                }
-                return match err {
-                    RecvError::Io(io) => Err(io),
-                    _ => Ok(()),
-                };
-            }
-        }
-    }
+    metrics: WorkerMetrics,
+    /// The promotion this worker's middleware has applied, encoded as
+    /// [`FrontShared::promote`] is.
+    applied_promote: u64,
+    /// Reused per-response JSON buffer: the demand path allocates only
+    /// inside the HTTP layer's own reused buffers.
+    json: String,
 }
 
-/// Applies any promotion posted since this worker last served a
-/// demand. One relaxed load on the hot path; the weight rewrite runs
-/// only when the stored value changes.
-fn apply_pending_promote(
-    shared: &FrontShared,
-    demand_worker: &mut wsu_core::serve::DemandWorker,
-    applied_promote: &mut u64,
-) {
-    let pending = shared.promote.load(Ordering::Acquire);
-    if pending != *applied_promote {
-        if pending > 0 {
-            let _ = demand_worker.promote((pending - 1) as usize);
-        }
-        *applied_promote = pending;
-    }
-}
-
-/// Routes one request on worker `worker`.
-#[allow(clippy::too_many_arguments)]
-fn route(
-    request: &Request,
-    shared: &FrontShared,
-    demand_worker: &mut wsu_core::serve::DemandWorker,
-    sharded: bool,
-    applied_promote: &mut u64,
-    metrics: &WorkerMetrics,
-    worker: usize,
-    json: &mut String,
-) -> Response {
-    let route_index = match request.path.as_str() {
-        "/demand" => 0,
-        "/metrics" => 1,
-        "/snapshot" => 2,
-        "/health" => 3,
-        _ => 4,
-    };
-    {
-        let mut registry = lock_registry(&shared.registries[worker]);
-        registry.inc_counter_id(metrics.requests[route_index]);
-    }
-    if let Some(rest) = request.path.strip_prefix("/promote/") {
-        return match (request.method.as_str(), rest.parse::<usize>()) {
-            ("POST", Ok(release)) => {
-                // Validate against this worker's fleet before
-                // publishing — every worker deploys the same spec.
-                if demand_worker.promote(release).is_err() {
-                    return Response::text(404, format!("unknown release {release}\n"));
-                }
-                *applied_promote = release as u64 + 1;
-                shared.promote.store(release as u64 + 1, Ordering::Release);
-                Response::json(200, format!("{{\"promoted\":{release}}}"))
-            }
-            ("POST", Err(_)) => Response::text(400, "promote wants /promote/<release>\n"),
-            (_, _) => Response::method_not_allowed("POST"),
+impl FrontWorker {
+    fn new(shared: &Arc<FrontShared>, spec: &ServeSpec, worker: usize) -> FrontWorker {
+        let metrics = {
+            let mut registry = lock_registry(&shared.registries[worker]);
+            WorkerMetrics::resolve(&mut registry, &worker.to_string())
         };
-    }
-    match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/demand") => {
-            apply_pending_promote(shared, demand_worker, applied_promote);
-            // Sharded specs key each demand's randomness on a
-            // fleet-global index claimed atomically before serving, so
-            // the outcome is identical no matter which worker gets the
-            // request (see `ServeSpec::sharded`). The plain path keeps
-            // the per-worker sequential stream and counts afterwards.
-            let result = if sharded {
-                let global = shared.demands.fetch_add(1, Ordering::Relaxed);
-                demand_worker.demand_indexed(global)
-            } else {
-                demand_worker.demand()
-            };
-            match result {
-                Ok(outcome) => {
-                    {
-                        let mut registry = lock_registry(&shared.registries[worker]);
-                        registry.inc_counter_id(metrics.demands);
-                        registry.inc_counter_id(metrics.verdict_id(outcome.verdict_label()));
-                        registry.observe_sketch_id(metrics.virtual_seconds, outcome.response_time);
-                    }
-                    if !sharded {
-                        shared.demands.fetch_add(1, Ordering::Relaxed);
-                    }
-                    render_outcome_json(json, &outcome);
-                    Response::json(200, json.clone())
-                }
-                Err(err) => Response::text(503, format!("no active releases: {err:?}\n")),
-            }
+        FrontWorker {
+            shared: Arc::clone(shared),
+            worker,
+            demand_worker: spec.worker(worker as u64),
+            sharded: spec.sharded,
+            metrics,
+            applied_promote: 0,
+            json: String::with_capacity(160),
         }
-        ("GET" | "HEAD", "/demand") => Response::method_not_allowed("POST"),
-        ("GET", "/metrics") => Response::bytes(
-            200,
-            "text/plain; version=0.0.4; charset=utf-8",
-            render_merged_metrics(shared).into_bytes(),
-        ),
-        ("GET", "/snapshot") => Response::json(200, render_snapshot_json(shared)),
-        ("GET", "/health") => Response::text(200, "ok\n"),
-        (_, "/metrics" | "/snapshot" | "/health") => Response::method_not_allowed("GET"),
-        ("GET", _) => Response::text(404, "not found\n"),
-        (_, _) => Response::method_not_allowed("GET, POST"),
+    }
+
+    fn registry(&self) -> MutexGuard<'_, MetricsRegistry> {
+        lock_registry(&self.shared.registries[self.worker])
+    }
+
+    /// Applies any promotion posted since this worker last served a
+    /// demand. One acquire load on the hot path; the weight rewrite runs
+    /// only when the stored value changes.
+    fn apply_pending_promote(&mut self) {
+        let pending = self.shared.promote.load(Ordering::Acquire);
+        if pending != self.applied_promote {
+            if pending > 0 {
+                let _ = self.demand_worker.promote((pending - 1) as usize);
+            }
+            self.applied_promote = pending;
+        }
+    }
+
+    /// Routes one request.
+    fn route(&mut self, request: &Request) -> Response {
+        let route_index = match request.path.as_str() {
+            "/demand" => 0,
+            "/metrics" => 1,
+            "/snapshot" => 2,
+            "/health" => 3,
+            _ => 4,
+        };
+        self.registry()
+            .inc_counter_id(self.metrics.requests[route_index]);
+        if let Some(rest) = request.path.strip_prefix("/promote/") {
+            return match (request.method.as_str(), rest.parse::<usize>()) {
+                ("POST", Ok(release)) => {
+                    // Validate against this worker's fleet before
+                    // publishing — every worker deploys the same spec.
+                    if self.demand_worker.promote(release).is_err() {
+                        return Response::text(404, format!("unknown release {release}\n"));
+                    }
+                    self.applied_promote = release as u64 + 1;
+                    self.shared
+                        .promote
+                        .store(release as u64 + 1, Ordering::Release);
+                    Response::json(200, format!("{{\"promoted\":{release}}}"))
+                }
+                ("POST", Err(_)) => Response::text(400, "promote wants /promote/<release>\n"),
+                (_, _) => Response::method_not_allowed("POST"),
+            };
+        }
+        match (request.method.as_str(), request.path.as_str()) {
+            ("POST", "/demand") => {
+                self.apply_pending_promote();
+                // Sharded specs key each demand's randomness on a
+                // fleet-global index claimed atomically before serving,
+                // so the outcome is identical no matter which worker gets
+                // the request (see `ServeSpec::sharded`). The plain path
+                // keeps the per-worker sequential stream and counts
+                // afterwards.
+                let result = if self.sharded {
+                    let global = self.shared.demands.fetch_add(1, Ordering::Relaxed);
+                    self.demand_worker.demand_indexed(global)
+                } else {
+                    self.demand_worker.demand()
+                };
+                match result {
+                    Ok(outcome) => {
+                        {
+                            let mut registry = self.registry();
+                            registry.inc_counter_id(self.metrics.demands);
+                            registry
+                                .inc_counter_id(self.metrics.verdict_id(outcome.verdict_label()));
+                            registry.observe_sketch_id(
+                                self.metrics.virtual_seconds,
+                                outcome.response_time,
+                            );
+                        }
+                        if !self.sharded {
+                            self.shared.demands.fetch_add(1, Ordering::Relaxed);
+                        }
+                        render_outcome_json(&mut self.json, &outcome);
+                        Response::json(200, self.json.clone())
+                    }
+                    Err(err) => Response::text(503, format!("no active releases: {err:?}\n")),
+                }
+            }
+            ("GET" | "HEAD", "/demand") => Response::method_not_allowed("POST"),
+            ("GET", "/metrics") => Response::bytes(
+                200,
+                "text/plain; version=0.0.4; charset=utf-8",
+                render_merged_metrics(&self.shared).into_bytes(),
+            ),
+            ("GET", "/snapshot") => Response::json(200, render_snapshot_json(&self.shared)),
+            ("GET", "/health") => Response::text(200, "ok\n"),
+            (_, "/metrics" | "/snapshot" | "/health") => Response::method_not_allowed("GET"),
+            ("GET", _) => Response::text(404, "not found\n"),
+            (_, _) => Response::method_not_allowed("GET, POST"),
+        }
+    }
+}
+
+impl Handler for FrontWorker {
+    fn handle(&mut self, request: &Request) -> Response {
+        let started = Instant::now();
+        let response = self.route(request);
+        if request.method == "POST" && request.path == "/demand" {
+            let elapsed = started.elapsed().as_secs_f64();
+            self.registry()
+                .observe_sketch_id(self.metrics.service_seconds, elapsed);
+        }
+        response
+    }
+
+    fn rejected(&mut self) {
+        self.registry().inc_counter_id(self.metrics.errors);
     }
 }
 
@@ -535,6 +434,7 @@ fn render_snapshot_json(shared: &FrontShared) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
     use wsu_obs::http::{http_get, HttpClient};
 
     fn deterministic_front(workers: usize) -> HttpFront {

@@ -237,8 +237,9 @@ fn an_argument_that_is_not_utf8_exits_2_and_is_printed_lossily() {
 
 /// Runs `bin` with `args`, whose command line is sound but whose output
 /// cannot be made, and checks the failure contract: status 1, no panic,
-/// and a last stderr line `<binary>: <what> failed: <error>`, which is
-/// returned.
+/// no `Debug` rendering of an `io::Error` (what a `main` returning
+/// `io::Result` prints), and a last stderr line `<binary>: <what>
+/// failed: <error>`, which is returned.
 fn fails(bin: &str, args: &[&str]) -> String {
     let out = Command::new(bin)
         .args(args)
@@ -247,6 +248,7 @@ fn fails(bin: &str, args: &[&str]) -> String {
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert_eq!(out.status.code(), Some(1), "{bin} {args:?}: {stderr}");
     assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+    assert!(!stderr.contains("Error: Os"), "{bin} {args:?}: {stderr}");
     let name = std::path::Path::new(bin)
         .file_name()
         .unwrap()
@@ -301,4 +303,13 @@ fn scalestudy_exits_1_without_a_panic_when_it_cannot_write_its_report() {
     let args = ["--quick", "--shards-list", "1", "--bench-out", &path];
     let line = fails(SCALESTUDY, &args);
     assert!(line.contains(&format!("write {path}")), "{line}");
+}
+
+const ALL: &str = env!("CARGO_BIN_EXE_all");
+
+#[test]
+fn all_exits_1_without_a_panic_when_it_cannot_write_its_outputs() {
+    let path = under_a_file("cli_flags_all_out", "x");
+    let line = fails(ALL, &["--quick", "--out", &path]);
+    assert!(line.contains(&format!("create {path}")), "{line}");
 }

@@ -2,6 +2,8 @@
 //! front, over real sockets, with at least two worker threads — the
 //! in-process version of the CI http-smoke job.
 
+use std::io::{Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
 
 use wsu_core::serve::ServeSpec;
@@ -237,4 +239,57 @@ fn front_shutdown_is_prompt_and_clean() {
     });
     rx.recv_timeout(Duration::from_secs(5))
         .expect("front shutdown hung");
+}
+
+/// Writes `request` on a fresh connection, closes the write side and
+/// returns everything the server sends back. Write and read errors are
+/// tolerated: a server that rejects a request may reset the connection
+/// around its answer.
+fn raw_roundtrip(addr: SocketAddr, request: &[u8]) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let _ = stream.write_all(request);
+    let _ = stream.shutdown(Shutdown::Write);
+    let mut response = Vec::new();
+    let mut buf = [0u8; 4096];
+    while let Ok(n @ 1..) = stream.read(&mut buf) {
+        response.extend_from_slice(&buf[..n]);
+    }
+    String::from_utf8_lossy(&response).into_owned()
+}
+
+#[test]
+fn front_answers_unreadable_requests_and_counts_each() {
+    let front = start_front(2);
+    let addr = front.local_addr();
+
+    let malformed = raw_roundtrip(addr, b"total garbage\r\n\r\n");
+    assert!(malformed.starts_with("HTTP/1.1 400 "), "{malformed:?}");
+    // A head past the 8 KiB bound, sent whole so the front reads it all.
+    let mut oversized = b"GET /metrics HTTP/1.1\r\nX-Pad: ".to_vec();
+    oversized.extend(std::iter::repeat_n(b'a', 9_000));
+    oversized.extend_from_slice(b"\r\n\r\n");
+    let too_large = raw_roundtrip(addr, &oversized);
+    assert!(
+        too_large.starts_with("HTTP/1.1 431 "),
+        "{:?}",
+        &too_large[..too_large.len().min(64)]
+    );
+    let closed = raw_roundtrip(addr, b"");
+    assert!(
+        closed.is_empty(),
+        "a clean close gets no response: {closed:?}"
+    );
+
+    // The front counts an error before it answers, so both are in.
+    let errors: u64 = front
+        .metrics_text()
+        .lines()
+        .filter(|l| l.starts_with("wsu_http_request_errors_total{"))
+        .filter_map(|l| l.rsplit(' ').next()?.parse::<u64>().ok())
+        .sum();
+    assert_eq!(errors, 2, "one per rejected request, none for the close");
+    front.shutdown();
 }

@@ -1,10 +1,11 @@
 //! The [`FaultInjector`] endpoint wrapper.
 //!
-//! Follows the same composable-wrapper pattern as
-//! [`TransportLink`](wsu_wstack::transport::TransportLink): the injector
-//! *is* a [`ServiceEndpoint`], so it can sit anywhere in an endpoint
-//! stack — between the middleware and a release, or around or under a
-//! transport link.
+//! The injector *is* a [`ServiceEndpoint`], so it can sit anywhere in an
+//! endpoint stack — between the middleware and a release, or around or
+//! under another wrapper. Its network faults
+//! ([`FaultAction::DropResponse`], [`FaultAction::LatencySpike`],
+//! [`FaultAction::CorruptMessage`]) are the workspace's model of a
+//! lossy, delaying network.
 //!
 //! All randomness comes from per-clause
 //! [`MasterSeed`] streams derived at
@@ -24,9 +25,8 @@ use wsu_wstack::outcome::ResponseClass;
 
 use crate::plan::{FaultAction, FaultClause, FaultPlan, FaultTrigger};
 
-/// An execution time no middleware timeout will ever accept — the same
-/// "response never arrives" sentinel the transport layer uses (about one
-/// year of virtual time).
+/// An execution time no middleware timeout will ever accept: the
+/// "response never arrives" sentinel (about one year of virtual time).
 const NEVER_SECS: f64 = 3.15e7;
 
 #[derive(Debug, Default)]

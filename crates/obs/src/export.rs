@@ -1,8 +1,7 @@
-//! The live `/metrics` + `/snapshot` + `/health` endpoint, built on the
-//! shared hand-rolled HTTP layer ([`crate::http`]).
+//! The live `/metrics` + `/snapshot` + `/health` endpoint: one
+//! [`Server`] worker with three `GET` routes.
 //!
-//! [`MetricsExporter`] binds a `TcpListener` and serves three `GET`
-//! routes from a background thread:
+//! [`MetricsExporter`] serves:
 //!
 //! * `/metrics` — the last published Prometheus-text snapshot,
 //! * `/snapshot` — the last published JSON dependability snapshot,
@@ -17,84 +16,55 @@
 //! allocates on its own thread). Responses are therefore byte-identical
 //! to the in-process rendering at publish time.
 //!
-//! Protocol behaviour (the PR 8 bug fixes):
-//!
-//! * request framing, keep-alive and bounded reads come from
-//!   [`crate::http`] — one buffered reader instead of the old
-//!   one-syscall-per-byte loop;
-//! * an empty or malformed head is answered `400 Bad Request` (the old
-//!   code parsed it as method `""` and said `405`); genuine method
-//!   mismatches earn `405` **with an `Allow: GET` header**;
-//! * shutdown no longer relies on a throwaway connect to the bound
-//!   address (which fails when bound to `0.0.0.0`): the accept loop
-//!   polls a nonblocking listener, and the wake-up connect — a latency
-//!   optimisation, not a correctness requirement — targets a
-//!   loopback-rewritten address and tolerates failure.
+//! A head that does not parse earns the server's `400`; a parsed request
+//! whose method is not `GET` earns `405` with an `Allow: GET` header, and
+//! any other path `404`.
 
 use std::io;
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
 
-use crate::http::{HttpConn, RecvError, Request, Response};
+use crate::http::{Handler, Request, Response, Server};
 
-// Re-exported here for compatibility: these types originated in this
-// module before the HTTP layer was factored out.
-pub use crate::http::{http_get, HttpResponse};
-
-/// State shared between the owning thread and the server thread.
+/// The published bodies, shared by the owning thread and the server's
+/// worker.
 #[derive(Debug)]
-struct ExporterState {
+struct Bodies {
     metrics: Mutex<String>,
     snapshot: Mutex<String>,
-    shutdown: AtomicBool,
 }
 
 /// A live `/metrics` + `/snapshot` + `/health` endpoint.
 ///
-/// Dropping the exporter shuts the server thread down.
+/// Dropping the exporter shuts its server down.
 #[derive(Debug)]
 pub struct MetricsExporter {
-    state: Arc<ExporterState>,
-    addr: SocketAddr,
-    handle: Option<JoinHandle<()>>,
+    bodies: Arc<Bodies>,
+    server: Server,
 }
 
 impl MetricsExporter {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// starts the server thread. Both published bodies start empty.
+    /// starts the server's one worker. `/metrics` serves an empty body
+    /// and `/snapshot` `{}` until something is published.
     pub fn bind(addr: &str) -> io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        // Nonblocking so the accept loop can observe the shutdown flag
-        // even if nobody ever connects again (see `stop`).
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let state = Arc::new(ExporterState {
+        let bodies = Arc::new(Bodies {
             metrics: Mutex::new(String::new()),
             snapshot: Mutex::new(String::from("{}")),
-            shutdown: AtomicBool::new(false),
         });
-        let server_state = Arc::clone(&state);
-        let handle = std::thread::Builder::new()
-            .name("wsu-metrics-exporter".into())
-            .spawn(move || serve(&listener, &server_state))?;
-        Ok(Self {
-            state,
-            addr,
-            handle: Some(handle),
-        })
+        let served = Arc::clone(&bodies);
+        let server = Server::start(addr, 1, move |_| Routes(Arc::clone(&served)))?;
+        Ok(Self { bodies, server })
     }
 
     /// The bound address (reports the actual port after binding `:0`).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.server.local_addr()
     }
 
     /// Publishes the Prometheus-text body served on `/metrics`.
     pub fn publish_metrics(&self, text: &str) {
-        if let Ok(mut slot) = self.state.metrics.lock() {
+        if let Ok(mut slot) = self.bodies.metrics.lock() {
             slot.clear();
             slot.push_str(text);
         }
@@ -102,146 +72,54 @@ impl MetricsExporter {
 
     /// Publishes the JSON body served on `/snapshot`.
     pub fn publish_snapshot(&self, json: &str) {
-        if let Ok(mut slot) = self.state.snapshot.lock() {
+        if let Ok(mut slot) = self.bodies.snapshot.lock() {
             slot.clear();
             slot.push_str(json);
         }
     }
 
-    /// Stops the server thread and waits for it to exit.
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        let Some(handle) = self.handle.take() else {
-            return;
-        };
-        self.state.shutdown.store(true, Ordering::SeqCst);
-        // Best-effort wake-up so the accept loop notices the flag
-        // immediately instead of on its next poll tick. The bound
-        // address may be unspecified (`0.0.0.0` / `::`), which is not
-        // connectable — rewrite it to the matching loopback. Shutdown
-        // stays correct even if this connect fails (the poll loop exits
-        // on its own), so the result is deliberately ignored.
-        let _ = TcpStream::connect_timeout(&wake_addr(self.addr), Duration::from_millis(100));
-        let _ = handle.join();
+    /// Stops the server and waits for its worker to exit.
+    pub fn shutdown(self) {
+        self.server.shutdown();
     }
 }
 
-/// The address `stop` connects to in order to nudge the accept loop:
-/// the listener's own address with unspecified IPs (`0.0.0.0`, `::`)
-/// rewritten to the matching loopback.
-fn wake_addr(bound: SocketAddr) -> SocketAddr {
-    let mut addr = bound;
-    if addr.ip().is_unspecified() {
-        addr.set_ip(match addr.ip() {
-            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
-            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
-        });
-    }
-    addr
-}
+/// The exporter's routes, held by its server's one worker.
+struct Routes(Arc<Bodies>);
 
-impl Drop for MetricsExporter {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-/// How long the accept loop sleeps between polls when idle. Shutdown
-/// latency is bounded by this even when the wake-up connect fails.
-const ACCEPT_POLL: Duration = Duration::from_millis(20);
-
-/// Per-connection read timeout: bounds slow-loris heads and idle
-/// keep-alive connections (the exporter serves one connection at a
-/// time, so a stalled peer must not block later scrapes for long).
-const READ_TIMEOUT: Duration = Duration::from_secs(2);
-
-/// The accept loop run on the exporter thread (nonblocking poll).
-fn serve(listener: &TcpListener, state: &ExporterState) {
-    loop {
-        if state.shutdown.load(Ordering::SeqCst) {
-            return;
+impl Handler for Routes {
+    fn handle(&mut self, request: &Request) -> Response {
+        if request.method != "GET" {
+            return Response::method_not_allowed("GET");
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = handle_connection(stream, state);
+        let bodies = &self.0;
+        match request.path.as_str() {
+            "/metrics" => {
+                let body = bodies.metrics.lock().map(|s| s.clone()).unwrap_or_default();
+                Response::bytes(
+                    200,
+                    "text/plain; version=0.0.4; charset=utf-8",
+                    body.into_bytes(),
+                )
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
+            "/snapshot" => {
+                let body = bodies
+                    .snapshot
+                    .lock()
+                    .map(|s| s.clone())
+                    .unwrap_or_default();
+                Response::json(200, body)
             }
-            Err(_) => continue,
+            "/health" => Response::text(200, "ok\n"),
+            _ => Response::text(404, "not found\n"),
         }
-    }
-}
-
-/// Serves one connection: requests are answered until the peer stops
-/// keeping the connection alive, errors out, or the exporter shuts
-/// down.
-fn handle_connection(stream: TcpStream, state: &ExporterState) -> io::Result<()> {
-    // The listener is nonblocking; accepted sockets inherit that on
-    // some platforms. Serve the connection with blocking, bounded
-    // reads.
-    stream.set_nonblocking(false)?;
-    stream.set_read_timeout(Some(READ_TIMEOUT))?;
-    stream.set_write_timeout(Some(READ_TIMEOUT))?;
-    stream.set_nodelay(true)?;
-    let mut conn = HttpConn::new(stream);
-    loop {
-        match conn.recv() {
-            Ok(request) => {
-                let shutting_down = state.shutdown.load(Ordering::SeqCst);
-                let keep_alive = request.keep_alive() && !shutting_down;
-                conn.send(&route(&request, state), keep_alive)?;
-                if !keep_alive {
-                    return Ok(());
-                }
-            }
-            Err(err) => {
-                // A malformed, oversized or stalled request earns its
-                // diagnostic status; a clean close or idle timeout
-                // earns silence. Either way the connection is done.
-                if let Some(response) = err.response() {
-                    let _ = conn.send(&response, false);
-                }
-                return match err {
-                    RecvError::Io(io) => Err(io),
-                    _ => Ok(()),
-                };
-            }
-        }
-    }
-}
-
-/// Routes one parsed request to its response.
-fn route(request: &Request, state: &ExporterState) -> Response {
-    if request.method != "GET" {
-        // The head parsed fine, the method is just not allowed here —
-        // a genuine 405, with the Allow header 405 requires.
-        return Response::method_not_allowed("GET");
-    }
-    match request.path.as_str() {
-        "/metrics" => {
-            let body = state.metrics.lock().map(|s| s.clone()).unwrap_or_default();
-            Response::bytes(
-                200,
-                "text/plain; version=0.0.4; charset=utf-8",
-                body.into_bytes(),
-            )
-        }
-        "/snapshot" => {
-            let body = state.snapshot.lock().map(|s| s.clone()).unwrap_or_default();
-            Response::json(200, body)
-        }
-        "/health" => Response::text(200, "ok\n"),
-        _ => Response::text(404, "not found\n"),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::http_get;
 
     #[test]
     fn serves_published_metrics_byte_identically() {

@@ -9,7 +9,10 @@
 //!
 //! * **server** — [`HttpConn::recv`] reads one framed [`Request`]
 //!   (bounded head, `Content-Length` body, keep-alive bookkeeping) and
-//!   [`HttpConn::send`] writes a framed [`Response`];
+//!   [`HttpConn::send`] writes a framed [`Response`]; [`Server`] is the
+//!   workspace's one listener, whose worker threads run those two calls
+//!   for a [`Handler`] that supplies only the routes (the metrics
+//!   exporter's and the serving front's);
 //! * **client** — [`HttpClient`] drives persistent (keep-alive)
 //!   connections for the load generator, and [`http_get`] stays the
 //!   one-shot scrape helper used by tests, `wsu-httpget` and CI.
@@ -30,7 +33,10 @@
 //! method earns `405` with an `Allow` header, never `400`.
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Size bounds applied while reading a request or response.
@@ -731,6 +737,165 @@ pub fn http_get(addr: impl ToSocketAddrs, path: &str) -> io::Result<HttpResponse
     Ok(conn.recv_response()?)
 }
 
+/// The routes of one [`Server`] worker. The worker owns its handler, so
+/// the handler keeps its state without a lock and need not be `Send`.
+pub trait Handler {
+    /// Answers one parsed request.
+    fn handle(&mut self, request: &Request) -> Response;
+
+    /// Called before the worker answers a request it could not read
+    /// with [`RecvError::response`] (`400`, `408`, `413` or `431`). A
+    /// clean close or an idle timeout calls nothing.
+    fn rejected(&mut self) {}
+}
+
+/// How long an idle worker sleeps between accept polls; it also bounds
+/// how long [`Server::shutdown`] waits for a worker with no connection.
+const ACCEPT_POLL: Duration = Duration::from_micros(500);
+
+/// Read and write timeout of an accepted connection. It bounds a stalled
+/// request (answered `408`) and an idle keep-alive connection, which
+/// holds its worker until then.
+const IO_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// The workspace's HTTP/1.1 server: worker threads on one nonblocking
+/// listener, each answering with its own [`Handler`].
+///
+/// A worker polls the listener, then serves the accepted connection's
+/// keep-alive conversation to completion before it accepts again, so a
+/// server with `workers` threads serves at most that many connections
+/// at once. (With no epoll in `std`, one connection at a time per worker
+/// is the honest zero-dependency design; the poll sleep costs only when
+/// a worker is idle.) Once shutdown has begun, a worker closes its
+/// connection after the request in hand.
+///
+/// Dropping a server shuts it down as [`shutdown`](Server::shutdown)
+/// does.
+#[derive(Debug)]
+pub struct Server {
+    addr: SocketAddr,
+    shutdown: Arc<AtomicBool>,
+    workers: Vec<JoinHandle<()>>,
+}
+
+impl Server {
+    /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
+    /// starts `workers` threads named `wsu-http-{w}`. Worker `w` builds
+    /// its handler with `make_handler(w)` on its own thread.
+    ///
+    /// # Errors
+    ///
+    /// A bind, listener-clone or spawn failure. The workers already
+    /// started are stopped first.
+    pub fn start<H, F>(addr: &str, workers: usize, make_handler: F) -> io::Result<Server>
+    where
+        H: Handler,
+        F: Fn(usize) -> H + Send + Sync + 'static,
+    {
+        let listener = TcpListener::bind(addr)?;
+        listener.set_nonblocking(true)?;
+        let mut server = Server {
+            addr: listener.local_addr()?,
+            shutdown: Arc::new(AtomicBool::new(false)),
+            workers: Vec::with_capacity(workers),
+        };
+        let make_handler = Arc::new(make_handler);
+        for w in 0..workers {
+            // An early return drops `server`, which stops the workers
+            // already running.
+            let listener = listener.try_clone()?;
+            let shutdown = Arc::clone(&server.shutdown);
+            let make_handler = Arc::clone(&make_handler);
+            let worker = std::thread::Builder::new()
+                .name(format!("wsu-http-{w}"))
+                .spawn(move || serve(&listener, &shutdown, &mut make_handler(w)))?;
+            server.workers.push(worker);
+        }
+        Ok(server)
+    }
+
+    /// The bound address (the real port after binding `:0`).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Stops the workers, waits for every one to exit and returns how
+    /// many panicked. A worker without a connection stops within one
+    /// accept poll; one with a connection first finishes the request in
+    /// hand or waits out its idle read.
+    pub fn shutdown(mut self) -> usize {
+        self.stop()
+    }
+
+    fn stop(&mut self) -> usize {
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.workers
+            .drain(..)
+            .map(JoinHandle::join)
+            .filter(Result::is_err)
+            .count()
+    }
+}
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
+/// One worker: poll-accept, then serve each connection's keep-alive
+/// conversation to completion.
+fn serve(listener: &TcpListener, shutdown: &AtomicBool, handler: &mut impl Handler) {
+    while !shutdown.load(Ordering::SeqCst) {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                // A failed socket option or write ends only this
+                // connection.
+                let _ = converse(stream, shutdown, handler);
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
+            Err(_) => {}
+        }
+    }
+}
+
+/// Serves one connection until the peer closes it or stops keeping it
+/// alive, a request cannot be read, or shutdown begins.
+fn converse(
+    stream: TcpStream,
+    shutdown: &AtomicBool,
+    handler: &mut impl Handler,
+) -> io::Result<()> {
+    // Accepted sockets may inherit the listener's nonblocking mode;
+    // serve with blocking, bounded reads.
+    stream.set_nonblocking(false)?;
+    stream.set_read_timeout(Some(IO_TIMEOUT))?;
+    stream.set_write_timeout(Some(IO_TIMEOUT))?;
+    stream.set_nodelay(true)?;
+    let mut conn = HttpConn::new(stream);
+    loop {
+        let request = match conn.recv() {
+            Ok(request) => request,
+            Err(err) => {
+                // A malformed, oversized or stalled request earns its
+                // diagnostic status; a clean close or an idle timeout
+                // earns silence. Either way the connection is done.
+                if let Some(response) = err.response() {
+                    handler.rejected();
+                    conn.send(&response, false)?;
+                }
+                return Ok(());
+            }
+        };
+        let response = handler.handle(&request);
+        let keep_alive = request.keep_alive() && !shutdown.load(Ordering::SeqCst);
+        conn.send(&response, keep_alive)?;
+        if !keep_alive {
+            return Ok(());
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -959,6 +1124,34 @@ mod tests {
             .expect("parse");
         assert_eq!(resp.bytes, vec![0xff, 0xfe, 0x01, 0x02]);
         assert_eq!(resp.body.chars().next(), Some('\u{fffd}'));
+    }
+
+    /// Answers `ok`, except that `/boom` panics its worker.
+    struct Boom;
+
+    impl Handler for Boom {
+        fn handle(&mut self, request: &Request) -> Response {
+            if request.path == "/boom" {
+                panic!("a handler panicked on /boom");
+            }
+            Response::text(200, "ok\n")
+        }
+    }
+
+    #[test]
+    fn a_panicked_worker_is_counted_and_the_other_keeps_serving() {
+        let server = Server::start("127.0.0.1:0", 2, |_| Boom).expect("start");
+        let addr = server.local_addr();
+        assert!(
+            http_get(addr, "/boom").is_err(),
+            "the connection whose request panicked its worker drops"
+        );
+        for _ in 0..3 {
+            let response = http_get(addr, "/health").expect("the other worker serves");
+            assert_eq!(response.status, 200);
+            assert_eq!(response.body, "ok\n");
+        }
+        assert_eq!(server.shutdown(), 1);
     }
 
     #[test]

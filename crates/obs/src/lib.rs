@@ -32,15 +32,17 @@
 //! * [`http`] — the shared hand-rolled HTTP/1.1 layer over `std::net`
 //!   (framed request/response parsing, `Content-Length` bodies,
 //!   keep-alive, bounded reads) behind every network surface in the
-//!   workspace.
+//!   workspace, and [`http::Server`], the one listener both HTTP
+//!   endpoints run on.
 //! * [`export::MetricsExporter`] — a `/metrics` + `/health` +
-//!   `/snapshot` endpoint built on that layer.
+//!   `/snapshot` endpoint: that server with one worker.
 //!
 //! Everything is plain `std`: the crate adds no dependencies, its only
 //! global state is the default quantile sketch's bucket table (built
-//! once per process, read-only from then on), and the only thread it
-//! ever spawns is the opt-in metrics exporter's server thread (the
-//! simulation itself stays single-threaded).
+//! once per process, read-only from then on), and the only threads it
+//! ever spawns are an [`http::Server`]'s workers, such as the opt-in
+//! metrics exporter's one (the simulation itself stays
+//! single-threaded).
 //!
 //! # Example
 //!

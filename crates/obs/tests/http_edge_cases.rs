@@ -212,7 +212,7 @@ fn oversized_head_is_431() {
 fn slow_loris_partial_head_times_out_with_408() {
     let exporter = MetricsExporter::bind("127.0.0.1:0").expect("bind");
     let mut stream = raw_connect(exporter.local_addr());
-    // Send a partial head and then stall: the server's 2 s read
+    // Send a partial head and then stall: the server's 5 s read
     // timeout must cut the connection off with 408, not hang.
     stream.write_all(b"GET /metrics HT").expect("write partial");
     let mut response = Vec::new();

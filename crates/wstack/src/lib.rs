@@ -14,8 +14,11 @@
 //! * [`registry`] — a UDDI-like registry with release links (the
 //!   notification option of Section 7.2);
 //! * [`endpoint`] — the [`endpoint::ServiceEndpoint`] abstraction plus
-//!   synthetic and scripted implementations used by the simulations;
-//! * [`transport`] — a simulated transport adding latency and loss.
+//!   synthetic and scripted implementations used by the simulations.
+//!
+//! A lossy, delaying network between the middleware and a release is
+//! modelled by `wsu_faults::FaultInjector`'s network faults (dropped
+//! responses, latency spikes, corrupted messages).
 //!
 //! # Example
 //!
@@ -41,7 +44,6 @@ pub mod endpoint;
 pub mod message;
 pub mod outcome;
 pub mod registry;
-pub mod transport;
 pub mod wsdl;
 
 pub use endpoint::{Invocation, ServiceEndpoint, SyntheticService};

@@ -37,7 +37,7 @@ fn fleet_scale_world_digest_is_shard_invariant() {
 fn any_shard_count_gives_the_serial_digest_at_any_cutover() {
     let config = ScaleConfig {
         demands: 8_192,
-        shard_counts: vec![1, 2, 3, 4, 8],
+        shard_counts: vec![1, 2, 3, 4, 8, 16],
         cutover: 4_099,
     };
     let serial = run_scale(&config, 0x0BAD_5EED, 1);
@@ -50,6 +50,6 @@ fn any_shard_count_gives_the_serial_digest_at_any_cutover() {
         );
     }
     let report = run_scalestudy(&config, 0x0BAD_5EED);
-    assert_eq!(report.runs.len(), 5);
+    assert_eq!(report.runs.len(), 6);
     assert_eq!(report.digest, serial.stats.digest());
 }
