@@ -63,3 +63,28 @@ fn perf_report_rejects_a_bad_command_line_before_timing_anything() {
     }
     assert!(!Path::new(out).join("BENCH_experiments.json").exists());
 }
+
+#[test]
+fn perf_report_fails_before_timing_anything_when_it_cannot_write() {
+    // A path under a regular file, which no process can create.
+    let file = Path::new(env!("CARGO_TARGET_TMPDIR")).join("perf_report_out_file");
+    std::fs::write(&file, "a regular file").expect("write the regular file");
+    let out = file.join("x");
+    let out = out.to_str().expect("UTF-8 path");
+    let run = Command::new(PERF_REPORT)
+        .args(["--out", out])
+        .output()
+        .expect("spawn perf_report");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(1), "{stderr}");
+    assert!(
+        !stderr.contains("experiments/"),
+        "timed something: {stderr}"
+    );
+    assert!(!stderr.contains("Error: Os"), "{stderr}");
+    let last = stderr.lines().last().unwrap_or_default();
+    assert!(
+        last.starts_with(&format!("perf_report: create {out} failed: ")),
+        "{stderr}"
+    );
+}

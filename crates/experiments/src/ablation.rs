@@ -1,15 +1,23 @@
 //! Ablation studies for the design choices DESIGN.md calls out.
 //!
-//! * [`run_adjudicator_ablation`] (A1) — how the selection policy among
-//!   valid, differing responses (random — the paper's choice — vs
+//! * [`run_adjudicator_ablation_jobs`] (A1) — how the selection policy
+//!   among valid, differing responses (random — the paper's choice — vs
 //!   fastest vs majority) shifts system correctness and responsiveness;
-//! * [`run_mode_ablation`] (A2) — the four operating modes of
+//! * [`run_mode_ablation_jobs`] (A2) — the four operating modes of
 //!   Section 4.2 on one workload: reliability vs response time vs
 //!   back-end load;
-//! * [`run_coverage_ablation`] (A3) — Section 5.1.2's open question: how
-//!   detection coverage maps to confidence error and switch timing;
-//! * [`run_prior_ablation`] (A4) — sensitivity of the switch timing to
-//!   the coincidence prior (indifference vs more optimistic choices).
+//! * [`run_coverage_ablation_jobs`] (A3) — Section 5.1.2's open
+//!   question: how detection coverage maps to confidence error and
+//!   switch timing;
+//! * [`run_prior_ablation_jobs`] (A4) — sensitivity of the switch timing
+//!   to the coincidence prior (indifference vs more optimistic choices);
+//! * [`run_class_detection_ablation`] (A5) — uniform omission vs
+//!   class-aware detection at equal average coverage;
+//! * [`run_abort_ablation_jobs`] (A6) — the rollback guard's operating
+//!   characteristic.
+//!
+//! `results/ablations.txt` is the six tables at paper size, built by
+//! [`ABLATIONS`](crate::artefacts::ABLATIONS).
 
 use wsu_bayes::whitebox::{CoincidencePrior, Resolution};
 use wsu_core::adjudicate::{Adjudicator, SelectionPolicy};
@@ -38,14 +46,10 @@ pub struct AdjudicatorRow {
     pub cell: CellResult,
 }
 
-/// A1: selection-policy ablation on the run-1 correlated workload.
-pub fn run_adjudicator_ablation(seed: MasterSeed, requests: u64) -> Vec<AdjudicatorRow> {
-    run_adjudicator_ablation_jobs(seed, requests, Jobs::serial())
-}
-
-/// [`run_adjudicator_ablation`] over a worker pool: one replication per
-/// policy, all sharing the demand plan computed up front. Rows come back
-/// in policy order, so the output is identical for any `jobs`.
+/// A1: selection-policy ablation on the run-1 correlated workload, over
+/// a worker pool: one replication per policy, all sharing the demand
+/// plan computed up front. Rows come back in policy order, so the output
+/// is identical for any `jobs`.
 pub fn run_adjudicator_ablation_jobs(
     seed: MasterSeed,
     requests: u64,
@@ -83,14 +87,10 @@ pub struct ModeRow {
     pub backend_invocations: u64,
 }
 
-/// A2: operating-mode ablation on the run-2 correlated workload.
-pub fn run_mode_ablation(seed: MasterSeed, requests: u64) -> Vec<ModeRow> {
-    run_mode_ablation_jobs(seed, requests, Jobs::serial())
-}
-
-/// [`run_mode_ablation`] over a worker pool: one replication per
-/// operating mode, all sharing the demand plan computed up front. Rows
-/// come back in mode order, so the output is identical for any `jobs`.
+/// A2: operating-mode ablation on the run-2 correlated workload, over a
+/// worker pool: one replication per operating mode, all sharing the
+/// demand plan computed up front. Rows come back in mode order, so the
+/// output is identical for any `jobs`.
 pub fn run_mode_ablation_jobs(seed: MasterSeed, requests: u64, jobs: Jobs) -> Vec<ModeRow> {
     let spec = RunSpec::run2();
     let gen = CorrelatedOutcomes::from_run(&spec);
@@ -135,15 +135,10 @@ pub struct CoverageRow {
     pub bound_held: f64,
 }
 
-/// A3: detection-coverage sweep on Scenario 1.
-pub fn run_coverage_ablation(config: &StudyConfig, p_omits: &[f64]) -> Vec<CoverageRow> {
-    run_coverage_ablation_jobs(config, p_omits, Jobs::serial())
-}
-
-/// [`run_coverage_ablation`] over a worker pool: the perfect-detection
-/// baseline runs first (every row compares against it), then one
-/// replication per omission probability. Rows come back in `p_omits`
-/// order, so the output is identical for any `jobs`.
+/// A3: detection-coverage sweep on Scenario 1, over a worker pool: the
+/// perfect-detection baseline runs first (every row compares against
+/// it), then one replication per omission probability. Rows come back in
+/// `p_omits` order, so the output is identical for any `jobs`.
 pub fn run_coverage_ablation_jobs(
     config: &StudyConfig,
     p_omits: &[f64],
@@ -178,14 +173,9 @@ pub struct PriorRow {
 }
 
 /// A4: coincidence-prior sensitivity on Scenario 1 with perfect
-/// detection.
-pub fn run_prior_ablation(config: &StudyConfig) -> Vec<PriorRow> {
-    run_prior_ablation_jobs(config, Jobs::serial())
-}
-
-/// [`run_prior_ablation`] over a worker pool: one replication per prior
-/// variant. Rows come back in variant order, so the output is identical
-/// for any `jobs`.
+/// detection, over a worker pool: one replication per prior variant.
+/// Rows come back in variant order, so the output is identical for any
+/// `jobs`.
 pub fn run_prior_ablation_jobs(config: &StudyConfig, jobs: Jobs) -> Vec<PriorRow> {
     let variants: [(&str, CoincidencePrior); 4] = [
         (
@@ -313,7 +303,7 @@ mod tests {
 
     #[test]
     fn adjudicator_ablation_shapes() {
-        let rows = run_adjudicator_ablation(MasterSeed::new(51), 2_000);
+        let rows = run_adjudicator_ablation_jobs(MasterSeed::new(51), 2_000, Jobs::serial());
         assert_eq!(rows.len(), 3);
         // Fastest trades correctness for speed: its MET must be the
         // smallest... no — in parallel-reliability the wait is the same;
@@ -330,7 +320,7 @@ mod tests {
 
     #[test]
     fn mode_ablation_shapes() {
-        let rows = run_mode_ablation(MasterSeed::new(52), 2_000);
+        let rows = run_mode_ablation_jobs(MasterSeed::new(52), 2_000, Jobs::serial());
         assert_eq!(rows.len(), 4);
         let by_label = |needle: &str| {
             rows.iter()
@@ -357,7 +347,7 @@ mod tests {
 
     #[test]
     fn coverage_ablation_monotone_bias() {
-        let rows = run_coverage_ablation(&quick_study(), &[0.0, 0.5]);
+        let rows = run_coverage_ablation_jobs(&quick_study(), &[0.0, 0.5], Jobs::serial());
         assert_eq!(rows.len(), 2);
         // With perfect detection the bound holds trivially.
         assert!((rows[0].bound_held - 1.0).abs() < 1e-12);
@@ -399,7 +389,7 @@ mod tests {
 
     #[test]
     fn abort_ablation_directionality() {
-        let rows = run_abort_ablation(
+        let rows = run_abort_ablation_jobs(
             3,
             4_000,
             Resolution {
@@ -409,6 +399,7 @@ mod tests {
             },
             MasterSeed::new(123),
             &[0.5, 20.0],
+            Jobs::serial(),
         );
         assert_eq!(rows.len(), 2);
         // A much better new release never gets aborted.
@@ -422,7 +413,7 @@ mod tests {
 
     #[test]
     fn prior_ablation_runs_all_variants() {
-        let rows = run_prior_ablation(&quick_study());
+        let rows = run_prior_ablation_jobs(&quick_study(), Jobs::serial());
         assert_eq!(rows.len(), 4);
         let text = render_prior_table(&rows);
         assert!(text.contains("indifference"));
@@ -594,24 +585,8 @@ pub struct AbortRow {
 /// the abort guard (99%) armed, and count the decisions. A good guard
 /// aborts quickly when the ratio is large and never fires when the new
 /// release is genuinely better.
-pub fn run_abort_ablation(
-    seeds: u64,
-    demands: u64,
-    resolution: Resolution,
-    base_seed: MasterSeed,
-    ratios: &[f64],
-) -> Vec<AbortRow> {
-    run_abort_ablation_jobs(
-        seeds,
-        demands,
-        resolution,
-        base_seed,
-        ratios,
-        Jobs::serial(),
-    )
-}
-
-/// [`run_abort_ablation`] over a worker pool: one replication per
+///
+/// The sweep runs over a worker pool: one replication per
 /// `(ratio, seed)` pair, ratio-major and seed-minor (the sequential
 /// iteration order). Each pair's upgrade uses its own derived seed, so
 /// trials are independent; the terminal phases are folded back into

@@ -76,34 +76,6 @@ pub struct StudyConfig {
     pub seed: MasterSeed,
 }
 
-impl StudyConfig {
-    /// The paper's configuration for Scenario 1: 50,000 demands,
-    /// checkpoints every 500.
-    pub fn paper_scenario1(seed: MasterSeed) -> StudyConfig {
-        StudyConfig {
-            demands: 50_000,
-            checkpoint_every: 500,
-            resolution: Resolution::default(),
-            confidence: 0.99,
-            target: 1e-3,
-            seed,
-        }
-    }
-
-    /// The paper's configuration for Scenario 2: 10,000 demands,
-    /// checkpoints every 100.
-    pub fn paper_scenario2(seed: MasterSeed) -> StudyConfig {
-        StudyConfig {
-            demands: 10_000,
-            checkpoint_every: 100,
-            resolution: Resolution::default(),
-            confidence: 0.99,
-            target: 1e-3,
-            seed,
-        }
-    }
-}
-
 /// The posterior state at one checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Checkpoint {

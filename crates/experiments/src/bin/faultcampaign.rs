@@ -13,10 +13,10 @@
 //! snapshots on `/snapshot`; `--phase-metrics` adds the wall-clock
 //! `wsu_phase_seconds` gauges. Any other argument exits with status 2.
 
-use wsu_experiments::campaign::{run_campaign_jobs, standard_plans, CampaignConfig};
+use wsu_experiments::artefacts::{self, Scale};
+use wsu_experiments::campaign::standard_plans;
 use wsu_experiments::cli;
 use wsu_experiments::obs::ObsContext;
-use wsu_experiments::DEFAULT_SEED;
 use wsu_simcore::par::Jobs;
 
 fn main() {
@@ -38,16 +38,10 @@ fn main() {
         }
     }
     let mut ctx = cli::FAULTCAMPAIGN.or_exit("metrics exporter", ObsContext::from_args(&args));
-    let config = if args.has("--quick") {
-        CampaignConfig::quick()
-    } else {
-        CampaignConfig::paper()
-    };
-    let sinks = ctx.sinks();
-    let table = ctx.time("faultcampaign/simulate", || {
-        run_campaign_jobs(&specs, &config, DEFAULT_SEED, &sinks, jobs)
+    let scale = Scale::new(args.has("--quick"));
+    let table = ctx.time(artefacts::FAULTCAMPAIGN.name, |ctx| {
+        artefacts::faultcampaign(scale, &specs, jobs, ctx)
     });
-    print!("{}", table.render());
-    ctx.publish_snapshot(&table.snapshots_json());
+    print!("{table}");
     cli::FAULTCAMPAIGN.or_exit("observability output", ctx.finish());
 }

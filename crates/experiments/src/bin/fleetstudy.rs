@@ -12,10 +12,10 @@
 //! `/snapshot`; `--phase-metrics` adds the wall-clock
 //! `wsu_phase_seconds` gauges. Any other argument exits with status 2.
 
+use wsu_experiments::artefacts::{self, Scale};
 use wsu_experiments::cli;
-use wsu_experiments::fleetstudy::{run_fleetstudy_jobs, standard_cells, FleetStudyConfig};
+use wsu_experiments::fleetstudy::standard_cells;
 use wsu_experiments::obs::ObsContext;
-use wsu_experiments::DEFAULT_SEED;
 use wsu_simcore::par::Jobs;
 
 fn main() {
@@ -34,16 +34,10 @@ fn main() {
         }
     }
     let mut ctx = cli::FLEETSTUDY.or_exit("metrics exporter", ObsContext::from_args(&args));
-    let config = if args.has("--quick") {
-        FleetStudyConfig::quick()
-    } else {
-        FleetStudyConfig::paper()
-    };
-    let sinks = ctx.sinks();
-    let table = ctx.time("fleetstudy/simulate", || {
-        run_fleetstudy_jobs(&cells, &config, DEFAULT_SEED, &sinks, jobs)
+    let scale = Scale::new(args.has("--quick"));
+    let table = ctx.time(artefacts::FLEETSTUDY.name, |ctx| {
+        artefacts::fleetstudy(scale, &cells, jobs, ctx)
     });
-    print!("{}", table.render());
-    ctx.publish_snapshot(&table.rows_json());
+    print!("{table}");
     cli::FLEETSTUDY.or_exit("observability output", ctx.finish());
 }

@@ -3,29 +3,26 @@
 //! merged outputs while measuring throughput.
 //!
 //! Usage: `scalestudy [--quick] [--demands N] [--shards-list K,K,...]
-//! [--bench-out PATH]` — a configuration that [`ScaleConfig::validate`]
+//! [--bench-out PATH]` — a configuration that
+//! [`ScaleConfig::validate`](wsu_experiments::scalestudy::ScaleConfig::validate)
 //! rejects exits with status 2 before any shard starts.
 //!
-//! Stdout carries only the deterministic dependability digest (safe to
-//! diff against a golden); the wall-clock table — demands/sec, speedup
-//! versus the first swept shard count, merge overhead — goes to
-//! stderr, and `--bench-out` additionally publishes it as a
-//! `wsu-bench/1` report (the `results/BENCH_scale.json` format) for
-//! the stock `bench_compare` regression guard.
+//! Stdout carries only the deterministic dependability digest: with no
+//! flag but `--quick`, the text `all` writes as `scalestudy.txt`. The
+//! wall-clock table — demands/sec, speedup versus the first swept shard
+//! count, merge overhead — goes to stderr, and `--bench-out`
+//! additionally publishes it as a `wsu-bench/1` report (the
+//! `results/BENCH_scale.json` format) for the stock `bench_compare`
+//! regression guard.
 
+use wsu_experiments::artefacts::Scale;
 use wsu_experiments::cli;
-use wsu_experiments::scalestudy::{
-    render_bench_json, render_table, render_timing, run_scalestudy, ScaleConfig,
-};
+use wsu_experiments::scalestudy::{render_bench_json, render_table, render_timing, run_scalestudy};
 use wsu_experiments::DEFAULT_SEED;
 
 fn main() {
     let args = cli::SCALESTUDY.parse();
-    let mut config = if args.has("--quick") {
-        ScaleConfig::quick()
-    } else {
-        ScaleConfig::paper()
-    };
+    let mut config = Scale::new(args.has("--quick")).scale_study();
     config.demands = args.value("--demands").unwrap_or(config.demands);
     if let Some(list) = args.value::<String>("--shards-list") {
         config.shard_counts = list

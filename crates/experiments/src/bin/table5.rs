@@ -13,10 +13,10 @@
 //! the wall-clock `wsu_phase_seconds` gauges to the snapshot. Any other
 //! argument exits with status 2.
 
+use wsu_experiments::artefacts::{self, Scale};
 use wsu_experiments::cli;
 use wsu_experiments::obs::ObsContext;
 use wsu_experiments::table5::run_table5_jobs;
-use wsu_experiments::{DEFAULT_SEED, PAPER_REQUESTS, PAPER_TIMEOUTS};
 use wsu_simcore::par::Jobs;
 use wsu_workload::timing::ExecTimeModel;
 
@@ -24,24 +24,15 @@ fn main() {
     let args = cli::TABLE5.parse();
     let jobs = Jobs::from_request(args.value("--jobs"));
     let mut ctx = cli::TABLE5.or_exit("metrics exporter", ObsContext::from_args(&args));
-    let timing = if args.has("--calibrated") {
-        ExecTimeModel::calibrated()
+    let scale = Scale::new(args.has("--quick"));
+    let (artefact, timing) = if args.has("--calibrated") {
+        (artefacts::TABLE5_CALIBRATED, ExecTimeModel::calibrated())
     } else {
-        ExecTimeModel::paper()
+        (artefacts::TABLE5, ExecTimeModel::paper())
     };
-    let quick = args.has("--quick");
-    let requests = if quick { 2_000 } else { PAPER_REQUESTS };
-    let sinks = ctx.sinks();
-    let table = ctx.time("table5/simulate", || {
-        run_table5_jobs(
-            DEFAULT_SEED,
-            requests,
-            &PAPER_TIMEOUTS,
-            timing,
-            &sinks,
-            jobs,
-        )
+    let table = ctx.time(artefact.name, |ctx| {
+        artefacts::simulation_table(run_table5_jobs, timing, scale, jobs, ctx)
     });
-    print!("{}", table.render());
+    print!("{table}");
     cli::TABLE5.or_exit("observability output", ctx.finish());
 }

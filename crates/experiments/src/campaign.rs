@@ -334,17 +334,6 @@ impl CampaignTable {
     }
 }
 
-/// Runs the standard matrix at paper scale, serially.
-pub fn run_campaign(seed: MasterSeed) -> CampaignTable {
-    run_campaign_jobs(
-        &standard_plans(),
-        &CampaignConfig::paper(),
-        seed,
-        &ObsSinks::default(),
-        Jobs::serial(),
-    )
-}
-
 /// Runs `specs` over a worker pool: each plan is one replication.
 /// Results, traces and metrics merge in matrix order, so every output
 /// is byte-identical for any `jobs`.

@@ -13,7 +13,6 @@
 //! corresponds to the 90%-perfect curve staying below the 99%-imperfect
 //! curves; [`confidence_error_bound_holds`] checks it programmatically.
 
-use wsu_simcore::rng::MasterSeed;
 use wsu_simcore::series::{Series, SeriesSet};
 use wsu_workload::scenario::Scenario;
 
@@ -115,16 +114,6 @@ pub fn run_fig8(config: &StudyConfig) -> (SeriesSet, FigureRuns) {
     )
 }
 
-/// Fig. 7/8 with the paper's parameters.
-pub fn run_fig7_paper(seed: MasterSeed) -> (SeriesSet, FigureRuns) {
-    run_fig7(&StudyConfig::paper_scenario1(seed))
-}
-
-/// Fig. 8 with the paper's parameters.
-pub fn run_fig8_paper(seed: MasterSeed) -> (SeriesSet, FigureRuns) {
-    run_fig8(&StudyConfig::paper_scenario2(seed))
-}
-
 /// The paper's confidence-error observation: the 90% percentile under
 /// perfect detection stays at or below the 99% percentile under the given
 /// imperfect run, over (at least) the leading fraction `up_to` of the
@@ -152,6 +141,7 @@ pub fn confidence_error_bound_holds(perfect: &StudyRun, imperfect: &StudyRun, up
 mod tests {
     use super::*;
     use wsu_bayes::whitebox::Resolution;
+    use wsu_simcore::rng::MasterSeed;
 
     fn quick(demands: u64, every: u64) -> StudyConfig {
         StudyConfig {

@@ -2,16 +2,23 @@
 //!
 //! One module per experiment, each exposing a `run_*` function returning
 //! structured results plus a text rendering that mirrors the paper's
-//! table/figure:
+//! table/figure. [`artefacts`] holds one builder per `results/` golden
+//! and the one [`Scale`](artefacts::Scale) (`Paper` or `Quick`) that
+//! sizes them; each binary prints its builder's text, and `all` writes
+//! every golden:
 //!
-//! | Paper artefact | Module | Binary |
-//! |---|---|---|
-//! | Table 2 (duration of managed upgrade) | [`table2`] | `table2` |
-//! | Fig. 7 (Scenario 1 percentiles) | [`figures`] | `fig7` |
-//! | Fig. 8 (Scenario 2 percentiles) | [`figures`] | `fig8` |
-//! | Table 5 (correlated releases) | [`table5`] | `table5` |
-//! | Table 6 (independent releases) | [`table6`] | `table6` |
-//! | Ablations (adjudicators, modes, coverage, priors) | [`ablation`] | `ablations` |
+//! | Paper artefact | Module | Binary | Golden |
+//! |---|---|---|---|
+//! | Table 2 (duration of managed upgrade) | [`table2`] | `table2 [--seeds N]` | `table2.txt`, `table2_spread.txt` |
+//! | Fig. 7 (Scenario 1 percentiles) | [`figures`] | `fig7` | `fig7.tsv` |
+//! | Fig. 8 (Scenario 2 percentiles) | [`figures`] | `fig8` | `fig8.tsv` |
+//! | Table 5 (correlated releases) | [`table5`] | `table5 [--calibrated]` | `table5[_calibrated].txt` |
+//! | Table 6 (independent releases) | [`table6`] | `table6 [--calibrated]` | `table6[_calibrated].txt` |
+//! | Ablations A1–A6 | [`ablation`] | `ablations` | `ablations.txt` |
+//! | Fault-injection campaign | [`campaign`] | `faultcampaign` | `faultcampaign.txt` |
+//! | Server capacity (E6) | [`capacity`] | `capacity` | `capacity.txt` |
+//! | Fleet recovery | [`fleetstudy`] | `fleetstudy` | `fleetstudy.txt` |
+//! | Sharded scale study | [`scalestudy`] | `scalestudy` | `scalestudy.txt` |
 //!
 //! Shared drivers: [`bayes_study`] (Monte-Carlo demands + white-box
 //! inference checkpoints, Section 5.1) and [`midsim`] (the event-driven
@@ -33,6 +40,7 @@
 
 pub mod ablation;
 pub mod analyze;
+pub mod artefacts;
 pub mod bayes_study;
 pub mod campaign;
 pub mod capacity;
@@ -49,7 +57,6 @@ pub mod serve;
 pub mod table2;
 pub mod table5;
 pub mod table6;
-pub mod validation;
 
 use wsu_simcore::rng::MasterSeed;
 
@@ -62,3 +69,6 @@ pub const PAPER_REQUESTS: u64 = 10_000;
 
 /// The timeouts of the paper's middleware simulation, in seconds.
 pub const PAPER_TIMEOUTS: [f64; 3] = [1.5, 2.0, 3.0];
+
+#[cfg(test)]
+mod validation;

@@ -206,27 +206,6 @@ pub fn simulate_cell_observed(
     }
 }
 
-/// Plans `requests` demands for a run and simulates every timeout column
-/// over the *same* plan.
-pub fn simulate_run(
-    outcomes: &dyn OutcomePairGen,
-    timing: ExecTimeModel,
-    requests: u64,
-    timeouts: &[f64],
-    seed: MasterSeed,
-    run_tag: &str,
-) -> Vec<CellResult> {
-    simulate_run_observed(
-        outcomes,
-        timing,
-        requests,
-        timeouts,
-        seed,
-        run_tag,
-        &ObsSinks::default(),
-    )
-}
-
 /// Plans one run's demands: the joint outcomes and execution times all
 /// timeout columns of that run replay.
 ///
@@ -286,7 +265,8 @@ pub(crate) fn simulate_planned_runs(
     })
 }
 
-/// [`simulate_run`] with observability sinks attached; each timeout
+/// Plans `requests` demands for a run and simulates every timeout column
+/// over the *same* plan, with observability sinks attached; each timeout
 /// column's engine gauges are tagged `"{run_tag}/t{timeout}"`.
 ///
 /// Each column runs the way a table's cells run, as one replication
@@ -321,10 +301,12 @@ mod tests {
         let seed = MasterSeed::new(31);
         if correlated {
             let gen = CorrelatedOutcomes::from_run(&run);
-            simulate_run(&gen, timing, requests, &[1.5, 3.0], seed, "t")
+            let sinks = ObsSinks::default();
+            simulate_run_observed(&gen, timing, requests, &[1.5, 3.0], seed, "t", &sinks)
         } else {
             let gen = IndependentOutcomes::from_run(&run);
-            simulate_run(&gen, timing, requests, &[1.5, 3.0], seed, "t")
+            let sinks = ObsSinks::default();
+            simulate_run_observed(&gen, timing, requests, &[1.5, 3.0], seed, "t", &sinks)
         }
     }
 

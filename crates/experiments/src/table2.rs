@@ -88,18 +88,9 @@ impl Table2 {
     }
 }
 
-/// Runs the full Table 2 experiment with the paper's parameters.
-pub fn run_table2(seed: MasterSeed) -> Table2 {
-    run_table2_with(
-        seed,
-        &StudyConfig::paper_scenario1(seed),
-        &StudyConfig::paper_scenario2(seed),
-    )
-}
-
-/// Runs Table 2 with explicit per-scenario configurations (used by tests
-/// and quick modes).
-pub fn run_table2_with(_seed: MasterSeed, config1: &StudyConfig, config2: &StudyConfig) -> Table2 {
+/// Runs Table 2 with one study configuration per scenario; each
+/// configuration carries its own seed.
+pub fn run_table2_with(config1: &StudyConfig, config2: &StudyConfig) -> Table2 {
     let mut rows = Vec::new();
     let mut runs = Vec::new();
     for (scenario, config) in [(Scenario::one(), config1), (Scenario::two(), config2)] {
@@ -194,7 +185,7 @@ mod tests {
     #[test]
     fn produces_six_rows_in_paper_order() {
         let (c1, c2) = quick_configs();
-        let table = run_table2_with(MasterSeed::new(5), &c1, &c2);
+        let table = run_table2_with(&c1, &c2);
         assert_eq!(table.rows.len(), 6);
         assert_eq!(table.rows[0].scenario, 1);
         assert_eq!(table.rows[3].scenario, 2);
@@ -206,7 +197,7 @@ mod tests {
     fn scenario2_fires_within_quick_horizon() {
         // Even at reduced scale, scenario 2's criteria 1 and 3 fire fast.
         let (c1, c2) = quick_configs();
-        let table = run_table2_with(MasterSeed::new(5), &c1, &c2);
+        let table = run_table2_with(&c1, &c2);
         let s2_perfect = &table.rows[3];
         assert!(s2_perfect.cells[0].first_met.is_some(), "criterion 1");
         assert!(s2_perfect.cells[2].first_met.is_some(), "criterion 3");
@@ -217,7 +208,7 @@ mod tests {
         // At a 6k-demand horizon, scenario 1's explicit 1e-3 target at 99%
         // cannot be met (the paper needs >50k even with perfect oracles).
         let (c1, c2) = quick_configs();
-        let table = run_table2_with(MasterSeed::new(5), &c1, &c2);
+        let table = run_table2_with(&c1, &c2);
         let s1_perfect = &table.rows[0];
         assert_eq!(s1_perfect.cells[1].first_met, None);
         assert!(s1_perfect.cells[1].render().contains("Not attainable"));
@@ -257,7 +248,7 @@ mod tests {
     #[test]
     fn render_contains_headers() {
         let (c1, c2) = quick_configs();
-        let table = run_table2_with(MasterSeed::new(5), &c1, &c2);
+        let table = run_table2_with(&c1, &c2);
         let text = table.render();
         assert!(text.contains("Criterion 1"));
         assert!(text.contains("Scenario 2"));
@@ -333,7 +324,7 @@ pub fn run_table2_spread(
     for &seed in seeds {
         let c1 = StudyConfig { seed, ..*config1 };
         let c2 = StudyConfig { seed, ..*config2 };
-        let table = run_table2_with(seed, &c1, &c2);
+        let table = run_table2_with(&c1, &c2);
         if rows.is_empty() {
             rows = table
                 .rows

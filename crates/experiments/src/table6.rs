@@ -15,39 +15,12 @@ use wsu_workload::timing::ExecTimeModel;
 
 use crate::midsim::ObsSinks;
 use crate::table5::{group_cells, simulate_table_cells, SimulationTable};
-use crate::{PAPER_REQUESTS, PAPER_TIMEOUTS};
 
-/// Runs Table 6 with the paper's parameters.
-pub fn run_table6(seed: MasterSeed) -> SimulationTable {
-    run_table6_with(
-        seed,
-        PAPER_REQUESTS,
-        &PAPER_TIMEOUTS,
-        ExecTimeModel::paper(),
-    )
-}
-
-/// Runs Table 6 with explicit request count, timeouts and timing model.
-pub fn run_table6_with(
-    seed: MasterSeed,
-    requests: u64,
-    timeouts: &[f64],
-    timing: ExecTimeModel,
-) -> SimulationTable {
-    run_table6_jobs(
-        seed,
-        requests,
-        timeouts,
-        timing,
-        &ObsSinks::default(),
-        Jobs::serial(),
-    )
-}
-
-/// [`run_table6_with`] with observability sinks threaded into every
-/// simulated cell (tagged `table6/run{n}/t{timeout}`), over a worker
-/// pool: every `(run, timeout)` cell is one replication. Results,
-/// traces and metrics are merged in replication order, so the output is
+/// Runs Table 6 with explicit request count, timeouts and timing
+/// model, with observability sinks threaded into every simulated cell
+/// (tagged `table6/run{n}/t{timeout}`), over a worker pool: every
+/// `(run, timeout)` cell is one replication. Results, traces and
+/// metrics are merged in replication order, so the output is
 /// byte-identical for any `jobs`.
 pub fn run_table6_jobs(
     seed: MasterSeed,
@@ -80,7 +53,14 @@ mod tests {
     use super::*;
 
     fn quick() -> SimulationTable {
-        run_table6_with(MasterSeed::new(43), 4_000, &[2.0], ExecTimeModel::paper())
+        run_table6_jobs(
+            MasterSeed::new(43),
+            4_000,
+            &[2.0],
+            ExecTimeModel::paper(),
+            &ObsSinks::default(),
+            Jobs::serial(),
+        )
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use wsu_core::serve::ServeSpec;
 use wsu_experiments::loadgen::{render_bench_json, run_load, scrape_demand_total, LoadgenConfig};
@@ -239,6 +239,27 @@ fn front_shutdown_is_prompt_and_clean() {
     });
     rx.recv_timeout(Duration::from_secs(5))
         .expect("front shutdown hung");
+}
+
+#[test]
+fn front_shutdown_closes_idle_keep_alive_connections_at_once() {
+    let front = start_front(2);
+    let addr = front.local_addr();
+    // Two keep-alive clients, each holding one of the two workers with
+    // an idle connection.
+    let clients: Vec<HttpClient> = (0..2)
+        .map(|_| {
+            let mut client = HttpClient::connect(addr, Duration::from_secs(5)).expect("connect");
+            let demand = client.request("POST", "/demand", b"").expect("demand");
+            assert_eq!(demand.status, 200);
+            client
+        })
+        .collect();
+    let start = Instant::now();
+    assert_eq!(front.shutdown(), 0, "no worker panicked");
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+    drop(clients);
 }
 
 /// Writes `request` on a fresh connection, closes the write side and

@@ -33,9 +33,9 @@
 //! method earns `405` with an `Allow` header, never `400`.
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -755,7 +755,7 @@ const ACCEPT_POLL: Duration = Duration::from_micros(500);
 
 /// Read and write timeout of an accepted connection. It bounds a stalled
 /// request (answered `408`) and an idle keep-alive connection, which
-/// holds its worker until then.
+/// holds its worker until then or until shutdown.
 const IO_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// The workspace's HTTP/1.1 server: worker threads on one nonblocking
@@ -767,15 +767,25 @@ const IO_TIMEOUT: Duration = Duration::from_secs(5);
 /// at once. (With no epoll in `std`, one connection at a time per worker
 /// is the honest zero-dependency design; the poll sleep costs only when
 /// a worker is idle.) Once shutdown has begun, a worker closes its
-/// connection after the request in hand.
+/// connection after the request in hand, and a worker waiting for a
+/// keep-alive client's next request stops waiting at once.
 ///
 /// Dropping a server shuts it down as [`shutdown`](Server::shutdown)
 /// does.
 #[derive(Debug)]
 pub struct Server {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
+}
+
+/// What the workers share with [`Server::shutdown`]: the flag, and each
+/// worker's open connection (a clone of it), whose read side shutdown
+/// closes so that an idle keep-alive read ends at once.
+#[derive(Debug)]
+struct Shared {
+    shutdown: AtomicBool,
+    open: Vec<Mutex<Option<TcpStream>>>,
 }
 
 impl Server {
@@ -796,7 +806,10 @@ impl Server {
         listener.set_nonblocking(true)?;
         let mut server = Server {
             addr: listener.local_addr()?,
-            shutdown: Arc::new(AtomicBool::new(false)),
+            shared: Arc::new(Shared {
+                shutdown: AtomicBool::new(false),
+                open: (0..workers).map(|_| Mutex::new(None)).collect(),
+            }),
             workers: Vec::with_capacity(workers),
         };
         let make_handler = Arc::new(make_handler);
@@ -804,11 +817,11 @@ impl Server {
             // An early return drops `server`, which stops the workers
             // already running.
             let listener = listener.try_clone()?;
-            let shutdown = Arc::clone(&server.shutdown);
+            let shared = Arc::clone(&server.shared);
             let make_handler = Arc::clone(&make_handler);
             let worker = std::thread::Builder::new()
                 .name(format!("wsu-http-{w}"))
-                .spawn(move || serve(&listener, &shutdown, &mut make_handler(w)))?;
+                .spawn(move || serve(&listener, &shared, w, &mut make_handler(w)))?;
             server.workers.push(worker);
         }
         Ok(server)
@@ -821,14 +834,20 @@ impl Server {
 
     /// Stops the workers, waits for every one to exit and returns how
     /// many panicked. A worker without a connection stops within one
-    /// accept poll; one with a connection first finishes the request in
-    /// hand or waits out its idle read.
+    /// accept poll; one with a connection first answers the request in
+    /// hand, if any, and a keep-alive client's idle connection is closed
+    /// at once.
     pub fn shutdown(mut self) -> usize {
         self.stop()
     }
 
     fn stop(&mut self) -> usize {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        for slot in &self.shared.open {
+            if let Some(stream) = &*slot.lock().unwrap_or_else(PoisonError::into_inner) {
+                let _ = stream.shutdown(Shutdown::Read);
+            }
+        }
         self.workers
             .drain(..)
             .map(JoinHandle::join)
@@ -845,17 +864,41 @@ impl Drop for Server {
 
 /// One worker: poll-accept, then serve each connection's keep-alive
 /// conversation to completion.
-fn serve(listener: &TcpListener, shutdown: &AtomicBool, handler: &mut impl Handler) {
-    while !shutdown.load(Ordering::SeqCst) {
+fn serve(listener: &TcpListener, shared: &Shared, w: usize, handler: &mut impl Handler) {
+    while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
-                // A failed socket option or write ends only this
-                // connection.
-                let _ = converse(stream, shutdown, handler);
+                // Registered before the flag is read again, so either
+                // `stop` closes its read side or this worker sees the
+                // flag.
+                let _open = Open::register(&shared.open[w], &stream);
+                if !shared.shutdown.load(Ordering::SeqCst) {
+                    // A failed socket option or write ends only this
+                    // connection.
+                    let _ = converse(stream, &shared.shutdown, handler);
+                }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
             Err(_) => {}
         }
+    }
+}
+
+/// A worker's open connection, in its slot while the guard lives; the
+/// slot empties on drop, unwinding included, so no clone outlives the
+/// conversation.
+struct Open<'a>(&'a Mutex<Option<TcpStream>>);
+
+impl<'a> Open<'a> {
+    fn register(slot: &'a Mutex<Option<TcpStream>>, stream: &TcpStream) -> Open<'a> {
+        *slot.lock().unwrap_or_else(PoisonError::into_inner) = stream.try_clone().ok();
+        Open(slot)
+    }
+}
+
+impl Drop for Open<'_> {
+    fn drop(&mut self) {
+        *self.0.lock().unwrap_or_else(PoisonError::into_inner) = None;
     }
 }
 

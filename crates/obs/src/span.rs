@@ -1,6 +1,6 @@
 //! Phase attribution, on both clocks.
 //!
-//! [`PhaseTimings`] measures real elapsed time: where does an
+//! [`PhaseTimings`] collects real elapsed times: where does an
 //! experiment binary actually spend its seconds? [`DemandSpan`] and
 //! [`SpanProfile`] work on the **virtual** clock instead: each demand's
 //! simulated response time is decomposed into middleware phases
@@ -9,7 +9,7 @@
 //! per-phase profile table.
 
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::event::TraceEvent;
 use crate::metrics::SharedRegistry;
@@ -33,14 +33,6 @@ impl PhaseTimings {
     /// An empty set of timings.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Runs `f`, recording its wall-clock duration under `name`.
-    pub fn time<R>(&mut self, name: &str, f: impl FnOnce() -> R) -> R {
-        let start = Instant::now();
-        let result = f();
-        self.record(name, start.elapsed());
-        result
     }
 
     /// Records an externally measured duration.
@@ -234,8 +226,7 @@ mod tests {
     #[test]
     fn time_records_in_order() {
         let mut spans = PhaseTimings::new();
-        let x = spans.time("first", || 41 + 1);
-        assert_eq!(x, 42);
+        spans.record("first", Duration::from_millis(1));
         spans.record("second", Duration::from_millis(5));
         assert_eq!(spans.entries().len(), 2);
         assert_eq!(spans.entries()[0].0, "first");

@@ -239,7 +239,13 @@ fn keep_alive_serves_multiple_requests_per_connection() {
     }
     let health = client.request("GET", "/health", b"").expect("health");
     assert_eq!(health.status, 200);
+    // The client stays connected and idle: shutdown closes its
+    // connection at once rather than wait out the 5 s read timeout.
+    let start = Instant::now();
     exporter.shutdown();
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+    drop(client);
 }
 
 // ---------------------------------------------------------------

@@ -5,8 +5,10 @@
 use wsu_bayes::whitebox::Resolution;
 use wsu_experiments::bayes_study::{run_study, Detection, StudyConfig};
 use wsu_experiments::figures::confidence_error_bound_holds;
+use wsu_experiments::midsim::ObsSinks;
 use wsu_experiments::table5::run_table5_with;
-use wsu_experiments::table6::run_table6_with;
+use wsu_experiments::table6::run_table6_jobs;
+use wsu_simcore::par::Jobs;
 use wsu_simcore::rng::MasterSeed;
 use wsu_workload::scenario::Scenario;
 use wsu_workload::timing::ExecTimeModel;
@@ -151,7 +153,14 @@ fn table5_correlation_shape() {
 /// "fault-tolerance works".
 #[test]
 fn table6_independence_shape() {
-    let table = run_table6_with(SEED, 4_000, &[3.0], ExecTimeModel::paper());
+    let table = run_table6_jobs(
+        SEED,
+        4_000,
+        &[3.0],
+        ExecTimeModel::paper(),
+        &ObsSinks::default(),
+        Jobs::serial(),
+    );
     for run in &table.runs {
         let cell = &run.cells[0];
         let best = cell
