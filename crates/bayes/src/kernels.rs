@@ -1,13 +1,11 @@
 //! Vectorized grid kernels for the white-box posterior hot path.
 //!
 //! The white-box updater sweeps ~300k grid cells per checkpoint. Every
-//! sweep is one of four shapes, and this module implements each as an
+//! sweep is one of three shapes, and this module implements each as an
 //! explicitly lane-chunked kernel (a `[f64; LANES]` accumulator block
 //! that LLVM lowers to packed SIMD) next to a plain [`scalar`] reference
 //! implementation used for equivalence testing:
 //!
-//! * [`axpy`] — `w[i] += d·p[i]`;
-//! * [`axpy_max`] — the same, fused with a running-max scan;
 //! * [`fused_axpy_max`] — the multi-term update `w[i] += Σ_k d_k·p_k[i]`
 //!   applied term-by-term per cell, fused with the max scan (one memory
 //!   pass instead of one per event class);
@@ -311,27 +309,6 @@ fn exp4_core(x: [f64; LANES]) -> [f64; LANES] {
 /// chunked kernels against these, bit for bit, in both debug and
 /// release builds).
 pub mod scalar {
-    /// `w[i] += d·p[i]`. `d` must be non-zero and finite so that dead
-    /// cells (`-inf`) stay dead instead of turning into `NaN`.
-    pub fn axpy(w: &mut [f64], p: &[f64], d: f64) {
-        for (w, &p) in w.iter_mut().zip(p) {
-            *w += d * p;
-        }
-    }
-
-    /// As [`axpy`], fused with a running-max scan over the updated
-    /// values.
-    pub fn axpy_max(w: &mut [f64], p: &[f64], d: f64) -> f64 {
-        let mut max = f64::NEG_INFINITY;
-        for (w, &p) in w.iter_mut().zip(p) {
-            *w += d * p;
-            if *w > max {
-                max = *w;
-            }
-        }
-        max
-    }
-
     /// Multi-term fused update: per cell, each term is added as its own
     /// rounded `+=` in slice order, then the updated value feeds the
     /// running max.
@@ -417,58 +394,6 @@ fn fold_max(lanes: [f64; LANES], mut max: f64) -> f64 {
     for m in lanes {
         if m > max {
             max = m;
-        }
-    }
-    max
-}
-
-/// `w[i] += d·p[i]`, lane-chunked. Bit-identical to [`scalar::axpy`].
-///
-/// `d` must be non-zero and finite (see the module docs on dead cells).
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-pub fn axpy(w: &mut [f64], p: &[f64], d: f64) {
-    assert_eq!(w.len(), p.len(), "axpy length mismatch");
-    let (wc, wt) = w.as_chunks_mut::<LANES>();
-    let (pc, pt) = p.as_chunks::<LANES>();
-    for (wl, pl) in wc.iter_mut().zip(pc) {
-        for l in 0..LANES {
-            wl[l] += d * pl[l];
-        }
-    }
-    for (w, &p) in wt.iter_mut().zip(pt) {
-        *w += d * p;
-    }
-}
-
-/// As [`axpy`], fused with the running-max scan. Bit-identical to
-/// [`scalar::axpy_max`].
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-pub fn axpy_max(w: &mut [f64], p: &[f64], d: f64) -> f64 {
-    assert_eq!(w.len(), p.len(), "axpy_max length mismatch");
-    let mut maxl = [f64::NEG_INFINITY; LANES];
-    let (wc, wt) = w.as_chunks_mut::<LANES>();
-    let (pc, pt) = p.as_chunks::<LANES>();
-    for (wl, pl) in wc.iter_mut().zip(pc) {
-        for l in 0..LANES {
-            let v = wl[l] + d * pl[l];
-            wl[l] = v;
-            if v > maxl[l] {
-                maxl[l] = v;
-            }
-        }
-    }
-    let mut max = fold_max(maxl, f64::NEG_INFINITY);
-    for (w, &p) in wt.iter_mut().zip(pt) {
-        let v = *w + d * p;
-        *w = v;
-        if v > max {
-            max = v;
         }
     }
     max
@@ -1211,11 +1136,13 @@ mod tests {
 
     #[test]
     fn chunked_axpy_matches_scalar_bitwise() {
+        // A one-term update over a length with a lane tail.
         let p: Vec<f64> = (0..103).map(|i| -(i as f64) * 0.37 - 0.01).collect();
         let mut w1: Vec<f64> = (0..103).map(|i| -(i as f64) * 1.7).collect();
         let mut w2 = w1.clone();
-        axpy(&mut w1, &p, 13.0);
-        scalar::axpy(&mut w2, &p, 13.0);
+        let max1 = fused_axpy_max(&mut w1, &[(&p, 13.0)]);
+        let max2 = scalar::fused_axpy_max(&mut w2, &[(&p, 13.0)]);
+        assert_eq!(max1.to_bits(), max2.to_bits());
         assert_eq!(
             w1.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             w2.iter().map(|v| v.to_bits()).collect::<Vec<_>>()

@@ -65,39 +65,6 @@ fn assert_bit_eq(got: f64, want: f64, what: &str, seed: u64) {
 }
 
 #[test]
-fn axpy_matches_scalar() {
-    for seed in 0..SEEDS {
-        let mut rng = StreamRng::from_seed(seed);
-        let len = random_len(&mut rng);
-        let base = random_weights(&mut rng, len);
-        let p = random_table(&mut rng, len);
-        let d = random_delta(&mut rng);
-        let mut chunked = base.clone();
-        let mut reference = base;
-        kernels::axpy(&mut chunked, &p, d);
-        scalar::axpy(&mut reference, &p, d);
-        assert_bits_eq(&chunked, &reference, "axpy", seed);
-    }
-}
-
-#[test]
-fn axpy_max_matches_scalar() {
-    for seed in 0..SEEDS {
-        let mut rng = StreamRng::from_seed(seed);
-        let len = random_len(&mut rng);
-        let base = random_weights(&mut rng, len);
-        let p = random_table(&mut rng, len);
-        let d = random_delta(&mut rng);
-        let mut chunked = base.clone();
-        let mut reference = base;
-        let got = kernels::axpy_max(&mut chunked, &p, d);
-        let want = scalar::axpy_max(&mut reference, &p, d);
-        assert_bits_eq(&chunked, &reference, "axpy_max weights", seed);
-        assert_bit_eq(got, want, "axpy_max max", seed);
-    }
-}
-
-#[test]
 fn fused_axpy_max_matches_scalar_for_one_to_four_terms() {
     for seed in 0..SEEDS {
         let mut rng = StreamRng::from_seed(seed);
@@ -220,7 +187,7 @@ fn all_dead_slices_stay_dead_through_every_kernel() {
     let len = 23; // odd tail on purpose
     let p = vec![-1.5; len];
     let mut w = vec![f64::NEG_INFINITY; len];
-    let max = kernels::axpy_max(&mut w, &p, 7.0);
+    let max = kernels::fused_axpy_max(&mut w, &[(&p, 7.0)]);
     assert!(max.is_infinite() && max < 0.0);
     assert!(w.iter().all(|v| v.is_infinite() && *v < 0.0));
     let max = kernels::fused_axpy_max(&mut w, &[(&p, 3.0), (&p, 1.0)]);

@@ -211,14 +211,6 @@ fn whitebox_kernels(c: &mut Criterion) {
         .collect();
 
     let mut w = base.clone();
-    group.bench_function("axpy/96x96x32", |b| {
-        b.iter(|| kernels::axpy(black_box(&mut w), black_box(&p1), 500.0));
-    });
-    let mut w = base.clone();
-    group.bench_function("axpy_max/96x96x32", |b| {
-        b.iter(|| black_box(kernels::axpy_max(black_box(&mut w), black_box(&p1), 500.0)));
-    });
-    let mut w = base.clone();
     group.bench_function("fused3/96x96x32", |b| {
         b.iter(|| {
             black_box(kernels::fused_axpy_max(

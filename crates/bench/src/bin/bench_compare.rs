@@ -4,6 +4,11 @@
 //! Usage: `bench_compare <baseline.json> <fresh.json> [--threshold X]
 //! [--min-ns N]`
 //!
+//! Both reports are read whole through [`BenchRecord::parse`], the one
+//! `wsu-bench/1` reader: a file that is not a well-formed record (not
+//! JSON, truncated, another schema, a row without its counts, a row
+//! name given twice) exits with status 2 before any row is judged.
+//!
 //! Rows are matched by name; a row slower than `threshold ×` its
 //! baseline median fails the run. The threshold is a finite number
 //! above 0 and defaults to 2× —
@@ -13,60 +18,22 @@
 //! below `--min-ns` (default 1000) are reported but never failed:
 //! single-digit-nanosecond medians jitter by integer factors on busy
 //! machines. Rows present on only one side are informational — adding
-//! or retiring a benchmark must not break CI.
+//! or retiring a benchmark must not break CI — but two reports that
+//! share no row at all compared nothing, and exit with status 1.
 //!
-//! The parser handles exactly the `wsu-bench/1` shape that
-//! [`wsu_bench::report::render_json`] emits (one `{ "name": …,
-//! "median_ns": … }` object per result); it is not a general JSON
-//! reader.
+//! When the two reports' stamps differ, or one has none, one line names
+//! both before the rows: the reports were measured on different hosts
+//! or builds. The rows are judged the same way either way.
+//!
+//! Exit status: 0 when every shared row is within the threshold, 1 on a
+//! regression or when no row is shared, 2 on a bad command line or a
+//! report that cannot be read.
 
-use std::path::Path;
 use std::process::ExitCode;
 
 use wsu_experiments::cli;
-
-/// One `(name, median_ns)` row from a report.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Row {
-    name: String,
-    median_ns: u64,
-}
-
-/// Extracts the string value following `"<key>": "` at `from`.
-fn string_field(text: &str, key: &str, from: usize) -> Option<(String, usize)> {
-    let marker = format!("\"{key}\": \"");
-    let start = text[from..].find(&marker)? + from + marker.len();
-    let end = text[start..].find('"')? + start;
-    Some((text[start..end].to_string(), end))
-}
-
-/// Extracts the integer value following `"<key>": ` at `from`.
-fn int_field(text: &str, key: &str, from: usize) -> Option<(u64, usize)> {
-    let marker = format!("\"{key}\": ");
-    let start = text[from..].find(&marker)? + from + marker.len();
-    let digits: String = text[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    let value = digits.parse().ok()?;
-    Some((value, start + digits.len()))
-}
-
-/// Parses a `wsu-bench/1` report into its result rows.
-fn parse_report(text: &str) -> Result<Vec<Row>, String> {
-    let (schema, mut cursor) = string_field(text, "schema", 0).ok_or("missing \"schema\" field")?;
-    if schema != "wsu-bench/1" {
-        return Err(format!("unsupported schema {schema:?}"));
-    }
-    let mut rows = Vec::new();
-    while let Some((name, after_name)) = string_field(text, "name", cursor) {
-        let (median_ns, after_median) = int_field(text, "median_ns", after_name)
-            .ok_or_else(|| format!("row {name:?} has no median_ns"))?;
-        rows.push(Row { name, median_ns });
-        cursor = after_median;
-    }
-    Ok(rows)
-}
+use wsu_obs::bench::BenchRecord;
+use wsu_obs::jsonl::JsonValue;
 
 /// Outcome of comparing one shared row.
 #[derive(Debug, PartialEq)]
@@ -91,9 +58,13 @@ fn judge(baseline_ns: u64, fresh_ns: u64, threshold: f64, min_ns: u64) -> Verdic
     }
 }
 
-fn load(path: &str) -> Result<Vec<Row>, String> {
-    let text = std::fs::read_to_string(Path::new(path)).map_err(|err| format!("{path}: {err}"))?;
-    parse_report(&text).map_err(|err| format!("{path}: {err}"))
+fn load(path: &str) -> Result<BenchRecord, String> {
+    let text = std::fs::read_to_string(path).map_err(|err| format!("{path}: {err}"))?;
+    BenchRecord::parse(&text).map_err(|err| format!("{path}: {err}"))
+}
+
+fn describe(stamp: Option<&JsonValue>) -> String {
+    stamp.map_or_else(|| "(no stamp)".to_owned(), JsonValue::to_string)
 }
 
 fn main() -> ExitCode {
@@ -109,11 +80,18 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if baseline.stamp != fresh.stamp {
+        println!(
+            "  stamps   baseline {} | fresh {}",
+            describe(baseline.stamp.as_ref()),
+            describe(fresh.stamp.as_ref())
+        );
+    }
 
     let mut regressions = 0usize;
     let mut compared = 0usize;
-    for row in &fresh {
-        let Some(base) = baseline.iter().find(|b| b.name == row.name) else {
+    for row in &fresh.rows {
+        let Some(base) = baseline.rows.iter().find(|b| b.name == row.name) else {
             println!(
                 "  new      {:<50} {} ns (no baseline)",
                 row.name, row.median_ns
@@ -121,35 +99,31 @@ fn main() -> ExitCode {
             continue;
         };
         compared += 1;
-        match judge(base.median_ns, row.median_ns, threshold, min_ns) {
+        let (name, fresh_ns, base_ns) = (&row.name, row.median_ns, base.median_ns);
+        match judge(base_ns, fresh_ns, threshold, min_ns) {
             Verdict::Ok { ratio } => {
-                println!(
-                    "  ok       {:<50} {} ns vs {} ns ({ratio:.2}x)",
-                    row.name, row.median_ns, base.median_ns
-                );
+                println!("  ok       {name:<50} {fresh_ns} ns vs {base_ns} ns ({ratio:.2}x)")
             }
             Verdict::TooSmall => {
-                println!(
-                    "  skipped  {:<50} baseline {} ns < {min_ns} ns floor",
-                    row.name, base.median_ns
-                );
+                println!("  skipped  {name:<50} baseline {base_ns} ns < {min_ns} ns floor")
             }
             Verdict::Regressed { ratio } => {
                 regressions += 1;
-                println!(
-                    "  SLOWER   {:<50} {} ns vs {} ns ({ratio:.2}x > {threshold:.2}x)",
-                    row.name, row.median_ns, base.median_ns
-                );
+                let over = format!("({ratio:.2}x > {threshold:.2}x)");
+                println!("  SLOWER   {name:<50} {fresh_ns} ns vs {base_ns} ns {over}");
             }
         }
     }
-    for base in &baseline {
-        if !fresh.iter().any(|r| r.name == base.name) {
+    for base in &baseline.rows {
+        if !fresh.rows.iter().any(|r| r.name == base.name) {
             println!("  retired  {:<50} (baseline only)", base.name);
         }
     }
 
-    if regressions > 0 {
+    if compared == 0 {
+        eprintln!("bench_compare: {baseline_path} and {fresh_path} share no row");
+        ExitCode::FAILURE
+    } else if regressions > 0 {
         eprintln!(
             "bench_compare: {regressions} of {compared} shared rows regressed past {threshold:.2}x"
         );
@@ -163,47 +137,6 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsu_bench::report::{render_json, Entry};
-
-    fn entry(name: &str, median_ns: u64) -> Entry {
-        let d = std::time::Duration::from_nanos(median_ns);
-        Entry {
-            name: name.to_string(),
-            median: d,
-            min: d,
-            max: d,
-        }
-    }
-
-    #[test]
-    fn parses_rendered_reports_round_trip() {
-        let json = render_json(
-            "BENCH_test",
-            &[entry("a/b", 1234), entry("c/d/e", 9_999_999)],
-        );
-        let rows = parse_report(&json).unwrap();
-        assert_eq!(
-            rows,
-            vec![
-                Row {
-                    name: "a/b".to_string(),
-                    median_ns: 1234
-                },
-                Row {
-                    name: "c/d/e".to_string(),
-                    median_ns: 9_999_999
-                },
-            ]
-        );
-    }
-
-    #[test]
-    fn rejects_foreign_schemas_and_empty_input() {
-        assert!(parse_report("{\"schema\": \"other/2\"}").is_err());
-        assert!(parse_report("").is_err());
-        let empty = render_json("BENCH_empty", &[]);
-        assert_eq!(parse_report(&empty).unwrap(), Vec::<Row>::new());
-    }
 
     #[test]
     fn judge_applies_threshold_and_floor() {

@@ -8,7 +8,7 @@
 //! repeated and the median reported. `--out` defaults to `results`; a
 //! bad command line exits with status 2, and an `--out` directory that
 //! cannot be created with status 1, before anything is timed. The
-//! JSON format is documented in [`wsu_bench::report`]; pair this file
+//! file is a stamped [`BenchRecord`]; pair it
 //! with `BENCH_bayes.json` (`WSU_BENCH_JSON=... cargo bench --bench
 //! bench_bayes`) to track both the micro ns/op and the end-to-end
 //! trajectory across commits.
@@ -18,7 +18,6 @@ use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use wsu_bench::report::{write_json, Entry};
 use wsu_experiments::artefacts::{spread_seeds, Scale, TableRunner, SPREAD_SEEDS};
 use wsu_experiments::campaign::{run_campaign_jobs, standard_plans};
 use wsu_experiments::fleetstudy::{run_fleetstudy_jobs, standard_cells};
@@ -26,26 +25,21 @@ use wsu_experiments::midsim::ObsSinks;
 use wsu_experiments::{
     ablation, cli, figures, table2, table5, table6, DEFAULT_SEED, PAPER_TIMEOUTS,
 };
+use wsu_obs::bench::{BenchRecord, BenchRow};
 use wsu_simcore::par::Jobs;
 use wsu_workload::timing::ExecTimeModel;
 
-fn time_runs<F: FnMut()>(name: &str, samples: usize, mut run: F) -> Entry {
-    let mut measurements: Vec<Duration> = (0..samples.max(1))
+fn time_runs<F: FnMut()>(name: &str, samples: usize, mut run: F) -> BenchRow {
+    let mut measurements: Vec<_> = (0..samples.max(1))
         .map(|_| {
             let start = Instant::now();
             run();
             start.elapsed()
         })
         .collect();
-    measurements.sort();
-    let entry = Entry {
-        name: name.to_string(),
-        median: measurements[measurements.len() / 2],
-        min: measurements[0],
-        max: measurements[measurements.len() - 1],
-    };
-    eprintln!("{name:<40} {:?}", entry.median);
-    entry
+    let row = BenchRow::from_samples(name, &mut measurements);
+    eprintln!("{name:<40} {:?}", Duration::from_nanos(row.median_ns));
+    row
 }
 
 fn main() {
@@ -68,9 +62,9 @@ fn main() {
     };
     let (study1, study2) = (scale.study1(), scale.study2());
 
-    let mut entries = Vec::new();
+    let mut record = BenchRecord::new("BENCH_experiments");
     let mut row = |name: String, run: &mut dyn FnMut()| {
-        entries.push(time_runs(&name, samples, run));
+        record.rows.push(time_runs(&name, samples, run));
     };
     row(format!("experiments/table2/{label}"), &mut || {
         black_box(table2::run_table2_with(&study1, &study2));
@@ -139,9 +133,6 @@ fn main() {
     }
 
     let path = out_dir.join("BENCH_experiments.json");
-    cli::PERF_REPORT.or_exit(
-        &format!("write {}", path.display()),
-        write_json(&path, "BENCH_experiments", &entries),
-    );
+    cli::PERF_REPORT.or_exit(&format!("write {}", path.display()), record.write(&path));
     eprintln!("wrote {}", path.display());
 }

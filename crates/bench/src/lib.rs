@@ -12,16 +12,20 @@
 //! stays dependency-free (the container building this workspace has no
 //! registry access). Timing is median-of-samples over auto-calibrated
 //! iteration batches; results print as `name  median  (min .. max)`.
+//! Every report is a [`wsu_obs::bench::BenchRecord`], the one
+//! `wsu-bench/1` writer and reader.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt;
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-/// Formats a duration the way the reports print it.
-fn fmt_duration(d: Duration) -> String {
-    let nanos = d.as_nanos();
+use wsu_obs::bench::{BenchRecord, BenchRow};
+
+/// Formats nanoseconds the way the reports print them.
+fn fmt_ns(nanos: u64) -> String {
     if nanos < 1_000 {
         format!("{nanos} ns")
     } else if nanos < 1_000_000 {
@@ -167,7 +171,7 @@ impl BenchmarkGroup<'_> {
 /// The top-level harness state, compatible with `criterion::Criterion`.
 #[derive(Debug, Default)]
 pub struct Criterion {
-    results: Vec<(String, Duration, Duration, Duration)>,
+    rows: Vec<BenchRow>,
 }
 
 impl Criterion {
@@ -185,166 +189,47 @@ impl Criterion {
         }
     }
 
-    /// Runs a stand-alone benchmark.
-    pub fn bench_function<F>(&mut self, name: impl fmt::Display, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        self.run_one(&name.to_string(), 10, |b| f(b));
-        self
-    }
-
     fn run_one<F: FnMut(&mut Bencher)>(&mut self, name: &str, samples: usize, mut f: F) {
         let mut bencher = Bencher::new(samples);
         f(&mut bencher);
-        let mut m = bencher.measurements;
-        if m.is_empty() {
-            m.push(Duration::ZERO);
-        }
-        m.sort();
-        let median = m[m.len() / 2];
-        let min = m[0];
-        let max = m[m.len() - 1];
+        let row = BenchRow::from_samples(name, &mut bencher.measurements);
         println!(
             "{name:<60} {:>12}   ({} .. {})",
-            fmt_duration(median),
-            fmt_duration(min),
-            fmt_duration(max)
+            fmt_ns(row.median_ns),
+            fmt_ns(row.min_ns),
+            fmt_ns(row.max_ns)
         );
-        self.results.push((name.to_string(), median, min, max));
+        self.rows.push(row);
     }
 
-    /// Median timings collected so far, as `(name, median)` pairs.
-    pub fn medians(&self) -> impl Iterator<Item = (&str, Duration)> {
-        self.results.iter().map(|(n, med, _, _)| (n.as_str(), *med))
-    }
-
-    /// Full results collected so far, as `(name, median, min, max)`.
-    pub fn results(&self) -> impl Iterator<Item = (&str, Duration, Duration, Duration)> {
-        self.results
-            .iter()
-            .map(|(n, med, min, max)| (n.as_str(), *med, *min, *max))
+    /// The rows collected so far, in the order they ran, as a stamped
+    /// `wsu-bench/1` record named `bench`.
+    pub fn record(&self, bench: &str) -> BenchRecord {
+        BenchRecord {
+            rows: self.rows.clone(),
+            ..BenchRecord::new(bench)
+        }
     }
 }
 
-/// Machine-readable benchmark reports (the `BENCH_*.json` files).
-///
-/// The format is deliberately small and dependency-free:
-///
-/// ```json
-/// {
-///   "schema": "wsu-bench/1",
-///   "bench": "BENCH_bayes",
-///   "unit": "ns",
-///   "results": [
-///     { "name": "bayes/incremental/checkpoint", "median_ns": 1234,
-///       "min_ns": 1200, "max_ns": 1300 }
-///   ]
-/// }
-/// ```
-///
-/// `median_ns` is the median ns/op (micro-benchmarks) or the median wall
-/// time of a whole run (experiment trajectories); `min_ns`/`max_ns` bound
-/// the observed samples.
-pub mod report {
-    use std::path::Path;
-    use std::time::Duration;
-
-    /// One named measurement destined for a `BENCH_*.json` file.
-    #[derive(Debug, Clone)]
-    pub struct Entry {
-        /// Benchmark name (e.g. `bayes/incremental/checkpoint`).
-        pub name: String,
-        /// Median time per operation (or per run).
-        pub median: Duration,
-        /// Fastest observed sample.
-        pub min: Duration,
-        /// Slowest observed sample.
-        pub max: Duration,
-    }
-
-    fn escape(s: &str) -> String {
-        let mut out = String::with_capacity(s.len());
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out
-    }
-
-    /// Renders a report to its JSON string. `bench` names the report
-    /// (conventionally the output file stem, e.g. `BENCH_bayes`).
-    pub fn render_json(bench: &str, entries: &[Entry]) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"wsu-bench/1\",\n");
-        out.push_str(&format!("  \"bench\": \"{}\",\n", escape(bench)));
-        out.push_str("  \"unit\": \"ns\",\n");
-        out.push_str("  \"results\": [\n");
-        for (i, e) in entries.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{ \"name\": \"{}\", \"median_ns\": {}, \"min_ns\": {}, \"max_ns\": {} }}{}\n",
-                escape(&e.name),
-                e.median.as_nanos(),
-                e.min.as_nanos(),
-                e.max.as_nanos(),
-                if i + 1 < entries.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Writes a report to `path` (creating parent directories).
-    ///
-    /// # Errors
-    ///
-    /// Propagates any I/O error from creating directories or writing.
-    pub fn write_json(path: &Path, bench: &str, entries: &[Entry]) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        std::fs::write(path, render_json(bench, entries))
-    }
-}
-
-/// Writes the collected results to the JSON path named by the
-/// `WSU_BENCH_JSON` environment variable, if set. Called by
+/// Writes the collected rows to the JSON path named by the
+/// `WSU_BENCH_JSON` environment variable, if set, as a record named
+/// after the file stem. Called by
 /// [`criterion_main!`] after all groups have run, so
 /// `WSU_BENCH_JSON=results/BENCH_bayes.json cargo bench --bench
 /// bench_bayes` emits the machine-readable report alongside the usual
-/// stdout table.
-pub fn maybe_write_json_report(criterion: &Criterion) {
-    let Ok(path) = std::env::var("WSU_BENCH_JSON") else {
+/// stdout table. A report that cannot be written prints `<bench>: write
+/// PATH failed: <error>` and exits with status 1.
+pub fn maybe_write_json_report(criterion: &Criterion, bench: &str) {
+    let Some(path) = std::env::var_os("WSU_BENCH_JSON").map(PathBuf::from) else {
         return;
     };
-    let path = std::path::PathBuf::from(path);
-    let bench = path
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or("bench")
-        .to_string();
-    let entries: Vec<report::Entry> = criterion
-        .results()
-        .map(|(name, median, min, max)| report::Entry {
-            name: name.to_string(),
-            median,
-            min,
-            max,
-        })
-        .collect();
-    match report::write_json(&path, &bench, &entries) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(err) => eprintln!("failed to write {}: {err}", path.display()),
+    let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("bench");
+    if let Err(error) = criterion.record(stem).write(&path) {
+        eprintln!("{bench}: write {} failed: {error}", path.display());
+        std::process::exit(1);
     }
+    eprintln!("wrote {}", path.display());
 }
 
 /// Declares the benchmark entry list, compatible with
@@ -361,16 +246,17 @@ macro_rules! criterion_group {
 /// Declares the benchmark `main`, compatible with
 /// `criterion::criterion_main!`.
 ///
-/// After all groups have run, the collected medians are written to the
+/// After all groups have run, the collected rows are written to the
 /// JSON path in `WSU_BENCH_JSON` (if set) via
-/// [`maybe_write_json_report`].
+/// [`maybe_write_json_report`], which names the bench target when the
+/// write fails.
 #[macro_export]
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
             let mut criterion = $crate::Criterion::new();
             $($group(&mut criterion);)+
-            $crate::maybe_write_json_report(&criterion);
+            $crate::maybe_write_json_report(&criterion, env!("CARGO_CRATE_NAME"));
         }
     };
 }
@@ -386,10 +272,31 @@ mod tests {
             .sample_size(5)
             .bench_function("noop", |b| b.iter(|| 1 + 1))
             .finish();
-        assert_eq!(c.medians().count(), 1);
-        let (name, median) = c.medians().next().unwrap();
-        assert_eq!(name, "g/noop");
-        assert!(median < Duration::from_millis(100));
+        let rows = c.record("BENCH_unit").rows;
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].name, "g/noop");
+        assert!(rows[0].min_ns <= rows[0].median_ns && rows[0].median_ns <= rows[0].max_ns);
+        assert!(rows[0].median_ns < 100_000_000);
+    }
+
+    #[test]
+    fn the_report_is_a_stamped_record_or_an_error() {
+        let mut c = Criterion::new();
+        c.benchmark_group("g")
+            .bench_function("noop", |b| b.iter(|| 1 + 1));
+        let record = c.record("BENCH_unit");
+        let dir = std::env::temp_dir().join(format!("wsu_bench_report_{}", std::process::id()));
+        let path = dir.join("nested/BENCH_unit.json");
+        record.write(&path).expect("write the report");
+        let text = std::fs::read_to_string(&path).expect("read it back");
+        assert_eq!(BenchRecord::parse(&text), Ok(record.clone()));
+        assert!(record.stamp.is_some());
+        // A path under a regular file cannot be written.
+        let error = record
+            .write(&path.join("x.json"))
+            .expect_err("not a directory");
+        assert!(!error.to_string().is_empty());
+        std::fs::remove_dir_all(&dir).expect("clean up");
     }
 
     #[test]

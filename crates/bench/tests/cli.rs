@@ -1,8 +1,11 @@
 //! `bench_compare` and `perf_report` reject a bad command line with
-//! status 2 before they read a report or time anything.
+//! status 2 before they read a report or time anything, and
+//! `bench_compare` judges only what it could read whole.
 
-use std::path::Path;
-use std::process::Command;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+use wsu_obs::bench::{BenchRecord, BenchRow};
 
 const BENCH_COMPARE: &str = env!("CARGO_BIN_EXE_bench_compare");
 const PERF_REPORT: &str = env!("CARGO_BIN_EXE_perf_report");
@@ -87,4 +90,135 @@ fn perf_report_fails_before_timing_anything_when_it_cannot_write() {
         last.starts_with(&format!("perf_report: create {out} failed: ")),
         "{stderr}"
     );
+}
+
+/// The six committed reports.
+fn committed_reports() -> Vec<PathBuf> {
+    let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let mut reports: Vec<PathBuf> = std::fs::read_dir(&results)
+        .expect("read results/")
+        .map(|entry| entry.expect("a results/ entry").path())
+        .filter(|path| {
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            name.starts_with("BENCH_") && name.ends_with(".json")
+        })
+        .collect();
+    reports.sort();
+    assert_eq!(reports.len(), 6, "{reports:?}");
+    reports
+}
+
+fn compare(baseline: &Path, fresh: &Path) -> Output {
+    Command::new(BENCH_COMPARE)
+        .args([baseline, fresh])
+        .output()
+        .expect("spawn bench_compare")
+}
+
+/// A report file under the test target's temporary directory.
+fn temp_report(name: &str, contents: &str) -> PathBuf {
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    std::fs::write(&path, contents).expect("write a temporary report");
+    path
+}
+
+#[test]
+fn bench_compare_exits_2_on_a_report_it_cannot_read_whole() {
+    // Not JSON, though it holds the schema marker.
+    let not_json = temp_report(
+        "bench_compare_not_json.json",
+        "\"schema\": \"wsu-bench/1\"\n",
+    );
+    for report in committed_reports() {
+        let text = std::fs::read_to_string(&report).expect("read a committed report");
+        let name = report
+            .file_name()
+            .and_then(|n| n.to_str())
+            .expect("UTF-8 name");
+        // The first 300 bytes, and all but the closing brace.
+        for cut in [300, text.trim_end().len() - 1] {
+            let truncated = temp_report(&format!("truncated_{cut}_{name}"), &text[..cut]);
+            for (baseline, fresh) in [(&report, &truncated), (&truncated, &report)] {
+                let out = compare(baseline, fresh);
+                let stderr = String::from_utf8_lossy(&out.stderr);
+                assert_eq!(out.status.code(), Some(2), "{name} cut at {cut}: {stderr}");
+                assert!(out.stdout.is_empty(), "{name} cut at {cut} judged rows");
+                assert!(stderr.contains("truncated_"), "{stderr}");
+            }
+        }
+        let out = compare(&report, &not_json);
+        assert_eq!(out.status.code(), Some(2), "{name} vs not JSON");
+        assert!(out.stdout.is_empty());
+    }
+}
+
+#[test]
+fn bench_compare_exits_1_when_the_reports_share_no_row() {
+    let report = |bench: &str, name: &str| BenchRecord {
+        rows: vec![BenchRow {
+            name: name.to_owned(),
+            median_ns: 5_000,
+            min_ns: 4_000,
+            max_ns: 6_000,
+        }],
+        ..BenchRecord::new(bench)
+    };
+    let a = temp_report("bench_compare_a.json", &report("BENCH_a", "a/row").render());
+    let b = temp_report("bench_compare_b.json", &report("BENCH_b", "b/row").render());
+    let out = compare(&a, &b);
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    assert_eq!(out.status.code(), Some(1), "{stdout}{stderr}");
+    assert!(stdout.contains("new      b/row"), "{stdout}");
+    assert!(stdout.contains("retired  a/row"), "{stdout}");
+    assert!(stderr.contains("share no row"), "{stderr}");
+}
+
+#[test]
+fn bench_compare_passes_each_committed_report_against_itself_row_for_row() {
+    for report in committed_reports() {
+        let text = std::fs::read_to_string(&report).expect("read a committed report");
+        let record = BenchRecord::parse(&text).expect("a committed report is a record");
+        assert!(record.stamp.is_some(), "{} has no stamp", report.display());
+        let out = compare(&report, &report);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{stdout}");
+        let judged = stdout
+            .lines()
+            .filter(|line| line.starts_with("  ok ") || line.starts_with("  skipped "))
+            .count();
+        assert_eq!(judged, record.rows.len(), "{stdout}");
+        assert!(!stdout.contains("stamps"), "{stdout}");
+        let last = stdout.lines().last().unwrap_or_default();
+        let summary = format!(
+            "bench_compare: {} shared rows within 2.00x",
+            record.rows.len()
+        );
+        assert_eq!(last, summary);
+    }
+}
+
+#[test]
+fn bench_compare_names_both_stamps_when_they_differ() {
+    let mut record = BenchRecord::new("BENCH_stamps");
+    record.rows.push(BenchRow {
+        name: "r".to_owned(),
+        median_ns: 5_000,
+        min_ns: 5_000,
+        max_ns: 5_000,
+    });
+    let stamped = temp_report("bench_compare_stamped.json", &record.render());
+    record.stamp = None;
+    let bare = temp_report("bench_compare_bare.json", &record.render());
+    let out = compare(&stamped, &bare);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    let line = stdout.lines().next().unwrap_or_default();
+    assert!(
+        line.starts_with("  stamps   baseline {\"nproc\":") && line.ends_with("| fresh (no stamp)"),
+        "{stdout}"
+    );
+    assert_eq!(stdout.lines().filter(|l| l.contains("stamp")).count(), 1);
 }

@@ -145,12 +145,6 @@ impl UpgradeConfig {
         self
     }
 
-    /// Sets the coincidence prior.
-    pub fn with_coincidence(mut self, coincidence: CoincidencePrior) -> UpgradeConfig {
-        self.coincidence = coincidence;
-        self
-    }
-
     /// Sets the assessment cadence (in demands).
     ///
     /// # Panics

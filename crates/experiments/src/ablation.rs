@@ -25,7 +25,6 @@ use wsu_core::middleware::MiddlewareConfig;
 use wsu_core::modes::{OperatingMode, SequentialOrder};
 use wsu_simcore::par::{par_map, par_map_slice, Jobs};
 use wsu_simcore::rng::MasterSeed;
-use wsu_simcore::time::SimDuration;
 use wsu_workload::demand::DemandPlanner;
 use wsu_workload::outcomes::CorrelatedOutcomes;
 use wsu_workload::runs::RunSpec;
@@ -276,149 +275,6 @@ pub fn render_prior_table(rows: &[PriorRow]) -> String {
         ]);
     }
     table.render()
-}
-
-/// A convenience duration used by the mode ablation tests: the paper's
-/// `dT`.
-pub const ADJUDICATION_DELAY: SimDuration = SimDuration::ZERO;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn quick_study() -> StudyConfig {
-        StudyConfig {
-            demands: 4_000,
-            checkpoint_every: 500,
-            resolution: Resolution {
-                a_cells: 32,
-                b_cells: 32,
-                q_cells: 8,
-            },
-            confidence: 0.99,
-            target: 1e-3,
-            seed: MasterSeed::new(61),
-        }
-    }
-
-    #[test]
-    fn adjudicator_ablation_shapes() {
-        let rows = run_adjudicator_ablation_jobs(MasterSeed::new(51), 2_000, Jobs::serial());
-        assert_eq!(rows.len(), 3);
-        // Fastest trades correctness for speed: its MET must be the
-        // smallest... no — in parallel-reliability the wait is the same;
-        // the *policy* only changes which response is forwarded. What
-        // must hold: all policies see identical per-release stats.
-        for w in rows.windows(2) {
-            assert_eq!(w[0].cell.rel1, w[1].cell.rel1);
-            assert_eq!(w[0].cell.rel2, w[1].cell.rel2);
-        }
-        let text = render_adjudicator_table(&rows);
-        assert!(text.contains("Random"));
-        assert!(text.contains("Majority"));
-    }
-
-    #[test]
-    fn mode_ablation_shapes() {
-        let rows = run_mode_ablation_jobs(MasterSeed::new(52), 2_000, Jobs::serial());
-        assert_eq!(rows.len(), 4);
-        let by_label = |needle: &str| {
-            rows.iter()
-                .find(|r| r.mode.contains(needle))
-                .unwrap_or_else(|| panic!("mode {needle} missing"))
-        };
-        let reliability = by_label("parallel-reliability");
-        let responsiveness = by_label("parallel-responsiveness");
-        let sequential = by_label("sequential");
-        // Responsiveness answers faster than reliability.
-        assert!(responsiveness.cell.system.met < reliability.cell.system.met);
-        // Sequential loads the back end less than any parallel mode.
-        assert!(sequential.backend_invocations < reliability.backend_invocations);
-        // Every mode sees the same demands: the system goes without a
-        // response exactly when both releases time out, in any mode.
-        assert_eq!(sequential.cell.system.nrdt, reliability.cell.system.nrdt);
-        assert_eq!(
-            responsiveness.cell.system.nrdt,
-            reliability.cell.system.nrdt
-        );
-        let text = render_mode_table(&rows);
-        assert!(text.contains("Backend invocations"));
-    }
-
-    #[test]
-    fn coverage_ablation_monotone_bias() {
-        let rows = run_coverage_ablation_jobs(&quick_study(), &[0.0, 0.5], Jobs::serial());
-        assert_eq!(rows.len(), 2);
-        // With perfect detection the bound holds trivially.
-        assert!((rows[0].bound_held - 1.0).abs() < 1e-12);
-        let text = render_coverage_table(&rows);
-        assert!(text.contains("P_omit"));
-    }
-
-    #[test]
-    fn class_detection_ablation_bias_direction() {
-        let rows = run_class_detection_ablation(
-            3_000,
-            Resolution {
-                a_cells: 32,
-                b_cells: 32,
-                q_cells: 8,
-            },
-            MasterSeed::new(77),
-            0.5,
-            &[1.0, 0.5],
-        );
-        assert_eq!(rows.len(), 2);
-        // Full coverage: both detectors match the perfect posterior.
-        assert!((rows[0].uniform_b_p99 - rows[0].perfect_b_p99).abs() < 1e-9);
-        assert!((rows[0].class_aware_b_p99 - rows[0].perfect_b_p99).abs() < 1e-9);
-        // Reduced coverage: both detectors can only hide failures, so
-        // their posteriors stay close to the perfect one, but neither
-        // direction is guaranteed pointwise — masking one side of a
-        // *coincident* failure converts an r1 count into r3, which the
-        // coincidence prior can translate into a *higher* marginal for
-        // B. Only loose relative bounds hold for every seed.
-        let rel_uniform =
-            (rows[1].uniform_b_p99 - rows[1].perfect_b_p99).abs() / rows[1].perfect_b_p99;
-        assert!(rel_uniform < 0.3, "uniform deviated {rel_uniform}");
-        let rel = (rows[1].class_aware_b_p99 - rows[1].perfect_b_p99).abs() / rows[1].perfect_b_p99;
-        assert!(rel < 0.3, "class-aware deviated {rel}");
-        let text = render_class_detection_table(&rows);
-        assert!(text.contains("class-aware"));
-    }
-
-    #[test]
-    fn abort_ablation_directionality() {
-        let rows = run_abort_ablation_jobs(
-            3,
-            4_000,
-            Resolution {
-                a_cells: 32,
-                b_cells: 32,
-                q_cells: 8,
-            },
-            MasterSeed::new(123),
-            &[0.5, 20.0],
-            Jobs::serial(),
-        );
-        assert_eq!(rows.len(), 2);
-        // A much better new release never gets aborted.
-        assert_eq!(rows[0].aborted, 0, "{:?}", rows[0]);
-        // A 20x worse release is caught on every seed.
-        assert_eq!(rows[1].aborted, 3, "{:?}", rows[1]);
-        assert!(rows[1].median_abort_demand.is_some());
-        let text = render_abort_table(&rows);
-        assert!(text.contains("rollback-guard"));
-    }
-
-    #[test]
-    fn prior_ablation_runs_all_variants() {
-        let rows = run_prior_ablation_jobs(&quick_study(), Jobs::serial());
-        assert_eq!(rows.len(), 4);
-        let text = render_prior_table(&rows);
-        assert!(text.contains("indifference"));
-        assert!(text.contains("independence"));
-    }
 }
 
 /// A5 result row: uniform omission vs class-aware detection at equal
@@ -707,4 +563,143 @@ pub fn render_abort_table(rows: &[AbortRow]) -> String {
         ]);
     }
     table.render()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn quick_study() -> StudyConfig {
+        StudyConfig {
+            demands: 4_000,
+            checkpoint_every: 500,
+            resolution: Resolution {
+                a_cells: 32,
+                b_cells: 32,
+                q_cells: 8,
+            },
+            confidence: 0.99,
+            target: 1e-3,
+            seed: MasterSeed::new(61),
+        }
+    }
+
+    #[test]
+    fn adjudicator_ablation_shapes() {
+        let rows = run_adjudicator_ablation_jobs(MasterSeed::new(51), 2_000, Jobs::serial());
+        assert_eq!(rows.len(), 3);
+        // Fastest trades correctness for speed: its MET must be the
+        // smallest... no — in parallel-reliability the wait is the same;
+        // the *policy* only changes which response is forwarded. What
+        // must hold: all policies see identical per-release stats.
+        for w in rows.windows(2) {
+            assert_eq!(w[0].cell.rel1, w[1].cell.rel1);
+            assert_eq!(w[0].cell.rel2, w[1].cell.rel2);
+        }
+        let text = render_adjudicator_table(&rows);
+        assert!(text.contains("Random"));
+        assert!(text.contains("Majority"));
+    }
+
+    #[test]
+    fn mode_ablation_shapes() {
+        let rows = run_mode_ablation_jobs(MasterSeed::new(52), 2_000, Jobs::serial());
+        assert_eq!(rows.len(), 4);
+        let by_label = |needle: &str| {
+            rows.iter()
+                .find(|r| r.mode.contains(needle))
+                .unwrap_or_else(|| panic!("mode {needle} missing"))
+        };
+        let reliability = by_label("parallel-reliability");
+        let responsiveness = by_label("parallel-responsiveness");
+        let sequential = by_label("sequential");
+        // Responsiveness answers faster than reliability.
+        assert!(responsiveness.cell.system.met < reliability.cell.system.met);
+        // Sequential loads the back end less than any parallel mode.
+        assert!(sequential.backend_invocations < reliability.backend_invocations);
+        // Every mode sees the same demands: the system goes without a
+        // response exactly when both releases time out, in any mode.
+        assert_eq!(sequential.cell.system.nrdt, reliability.cell.system.nrdt);
+        assert_eq!(
+            responsiveness.cell.system.nrdt,
+            reliability.cell.system.nrdt
+        );
+        let text = render_mode_table(&rows);
+        assert!(text.contains("Backend invocations"));
+    }
+
+    #[test]
+    fn coverage_ablation_monotone_bias() {
+        let rows = run_coverage_ablation_jobs(&quick_study(), &[0.0, 0.5], Jobs::serial());
+        assert_eq!(rows.len(), 2);
+        // With perfect detection the bound holds trivially.
+        assert!((rows[0].bound_held - 1.0).abs() < 1e-12);
+        let text = render_coverage_table(&rows);
+        assert!(text.contains("P_omit"));
+    }
+
+    #[test]
+    fn class_detection_ablation_bias_direction() {
+        let rows = run_class_detection_ablation(
+            3_000,
+            Resolution {
+                a_cells: 32,
+                b_cells: 32,
+                q_cells: 8,
+            },
+            MasterSeed::new(77),
+            0.5,
+            &[1.0, 0.5],
+        );
+        assert_eq!(rows.len(), 2);
+        // Full coverage: both detectors match the perfect posterior.
+        assert!((rows[0].uniform_b_p99 - rows[0].perfect_b_p99).abs() < 1e-9);
+        assert!((rows[0].class_aware_b_p99 - rows[0].perfect_b_p99).abs() < 1e-9);
+        // Reduced coverage: both detectors can only hide failures, so
+        // their posteriors stay close to the perfect one, but neither
+        // direction is guaranteed pointwise — masking one side of a
+        // *coincident* failure converts an r1 count into r3, which the
+        // coincidence prior can translate into a *higher* marginal for
+        // B. Only loose relative bounds hold for every seed.
+        let rel_uniform =
+            (rows[1].uniform_b_p99 - rows[1].perfect_b_p99).abs() / rows[1].perfect_b_p99;
+        assert!(rel_uniform < 0.3, "uniform deviated {rel_uniform}");
+        let rel = (rows[1].class_aware_b_p99 - rows[1].perfect_b_p99).abs() / rows[1].perfect_b_p99;
+        assert!(rel < 0.3, "class-aware deviated {rel}");
+        let text = render_class_detection_table(&rows);
+        assert!(text.contains("class-aware"));
+    }
+
+    #[test]
+    fn abort_ablation_directionality() {
+        let rows = run_abort_ablation_jobs(
+            3,
+            4_000,
+            Resolution {
+                a_cells: 32,
+                b_cells: 32,
+                q_cells: 8,
+            },
+            MasterSeed::new(123),
+            &[0.5, 20.0],
+            Jobs::serial(),
+        );
+        assert_eq!(rows.len(), 2);
+        // A much better new release never gets aborted.
+        assert_eq!(rows[0].aborted, 0, "{:?}", rows[0]);
+        // A 20x worse release is caught on every seed.
+        assert_eq!(rows[1].aborted, 3, "{:?}", rows[1]);
+        assert!(rows[1].median_abort_demand.is_some());
+        let text = render_abort_table(&rows);
+        assert!(text.contains("rollback-guard"));
+    }
+
+    #[test]
+    fn prior_ablation_runs_all_variants() {
+        let rows = run_prior_ablation_jobs(&quick_study(), Jobs::serial());
+        assert_eq!(rows.len(), 4);
+        let text = render_prior_table(&rows);
+        assert!(text.contains("indifference"));
+        assert!(text.contains("independence"));
+    }
 }

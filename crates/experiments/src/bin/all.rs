@@ -6,8 +6,10 @@
 //! [--metrics PATH] [--serve-metrics PORT] [--serve-hold SECS]
 //! [--phase-metrics]` — `--out` names the directory (default
 //! `results`); `--jobs` sizes the replication worker pool for the
-//! simulation-backed studies without changing any output byte. Any
-//! other argument exits with status 2.
+//! simulation-backed studies without changing any output byte;
+//! `--serve-metrics` serves the metrics on `/metrics` and, on
+//! `/snapshot`, the fault campaign's and the fleet study's documents as
+//! one JSON list. Any other argument exits with status 2.
 
 use std::fs;
 use std::path::PathBuf;

@@ -15,6 +15,7 @@ use std::path::{Path, PathBuf};
 
 use wsu_experiments::analyze::analyze_trace;
 use wsu_experiments::cli;
+use wsu_obs::jsonl::write_file;
 
 fn main() {
     let args = cli::WSU_ANALYZE.parse();
@@ -30,11 +31,7 @@ fn main() {
     );
     print!("{}", analysis.render_summary());
     let write = |path: &Path, content: String, what: &str| {
-        let written = match path.parent() {
-            Some(dir) if !dir.as_os_str().is_empty() => fs::create_dir_all(dir),
-            _ => Ok(()),
-        }
-        .and_then(|()| fs::write(path, content));
+        let written = write_file(path, content);
         cli::WSU_ANALYZE.or_exit(&format!("write {}", path.display()), written);
         eprintln!("{what}: -> {}", path.display());
     };

@@ -3,7 +3,7 @@
 //! Opens `--connections` keep-alive connections and drives each in a
 //! closed loop (one request in flight per connection), capturing
 //! per-request wall latency in a mergeable quantile sketch. Prints a
-//! summary and, with `--out`, writes a `wsu-bench/1` report
+//! summary and, with `--out`, writes a stamped `wsu-bench/1` record
 //! (`results/BENCH_http.json`) the stock `bench_compare` guard can
 //! diff.
 //!
@@ -34,7 +34,7 @@ use std::process::exit;
 use std::time::Duration;
 
 use wsu_experiments::cli;
-use wsu_experiments::loadgen::{render_bench_json, run_load, scrape_demand_total, LoadgenConfig};
+use wsu_experiments::loadgen::{bench_record, run_load, scrape_demand_total, LoadgenConfig};
 
 fn main() {
     let args = cli::WSU_LOADGEN.parse();
@@ -72,13 +72,8 @@ fn main() {
         summary.latency_ns(0.999),
     );
     if let Some(path) = args.value::<String>("--out") {
-        let json = render_bench_json(&summary);
-        if let Some(parent) = std::path::Path::new(&path).parent() {
-            if !parent.as_os_str().is_empty() {
-                let _ = std::fs::create_dir_all(parent);
-            }
-        }
-        cli::WSU_LOADGEN.or_exit(&format!("write {path}"), std::fs::write(&path, json));
+        let written = bench_record(&summary).write(path.as_ref());
+        cli::WSU_LOADGEN.or_exit(&format!("write {path}"), written);
         println!("wrote {path}");
     }
     let mut failed = false;

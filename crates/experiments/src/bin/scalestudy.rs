@@ -11,13 +11,13 @@
 //! flag but `--quick`, the text `all` writes as `scalestudy.txt`. The
 //! wall-clock table — demands/sec, speedup versus the first swept shard
 //! count, merge overhead — goes to stderr, and `--bench-out`
-//! additionally publishes it as a `wsu-bench/1` report (the
+//! additionally publishes it as a stamped `wsu-bench/1` record (the
 //! `results/BENCH_scale.json` format) for the stock `bench_compare`
 //! regression guard.
 
 use wsu_experiments::artefacts::Scale;
 use wsu_experiments::cli;
-use wsu_experiments::scalestudy::{render_bench_json, render_table, render_timing, run_scalestudy};
+use wsu_experiments::scalestudy::{bench_record, render_table, render_timing, run_scalestudy};
 use wsu_experiments::DEFAULT_SEED;
 
 fn main() {
@@ -41,7 +41,7 @@ fn main() {
     print!("{}", render_table(&report));
     eprint!("{}", render_timing(&report));
     if let Some(path) = args.value::<String>("--bench-out") {
-        let written = std::fs::write(&path, render_bench_json(&report));
+        let written = bench_record(&report).write(path.as_ref());
         cli::SCALESTUDY.or_exit(&format!("write {path}"), written);
         eprintln!("wrote {path}");
     }

@@ -27,18 +27,17 @@
 //! count of 200s when the generator is the only client (the CI
 //! http-smoke job asserts exactly this).
 //!
-//! [`render_bench_json`] publishes the run as `results/BENCH_http.json`
-//! in the workspace's `wsu-bench/1` schema, so the stock
-//! `bench_compare` regression guard can diff runs. (The experiments
-//! crate deliberately does not depend on `wsu-bench` — the bench crate
-//! depends on experiments — so the few lines of JSON are rendered
-//! here.)
+//! [`bench_record`] publishes the run as `results/BENCH_http.json`, a
+//! stamped `wsu-bench/1` record, so the stock `bench_compare`
+//! regression guard can diff runs.
 
 use std::io;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
+use wsu_obs::bench::{BenchRecord, BenchRow};
 use wsu_obs::http::{http_get, HttpClient};
+use wsu_obs::jsonl::JsonValue;
 use wsu_obs::quantile::QuantileSketch;
 
 /// Relative-error bound for the latency sketches (1%).
@@ -320,51 +319,40 @@ fn sum_counter(body: &str, name: &str) -> u64 {
     total
 }
 
-/// Renders the run as a `wsu-bench/1` report (the `BENCH_http.json`
-/// format): throughput plus latency quantiles, all in nanoseconds so
-/// the stock `bench_compare` guard can diff two runs. The extra
-/// `requests_per_sec` field is informational — `bench_compare` ignores
-/// unknown fields.
-pub fn render_bench_json(summary: &LoadSummary) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(640);
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"wsu-bench/1\",\n");
-    out.push_str("  \"bench\": \"BENCH_http\",\n");
-    out.push_str("  \"unit\": \"ns\",\n");
-    let _ = writeln!(
-        out,
-        "  \"requests_per_sec\": {:.1},",
-        summary.requests_per_sec
-    );
-    let _ = writeln!(out, "  \"connections\": {},", summary.connections);
-    let _ = writeln!(out, "  \"requests_ok\": {},", summary.ok);
-    let _ = writeln!(out, "  \"requests_failed\": {},", summary.errors);
-    let _ = writeln!(out, "  \"requests_dropped\": {},", summary.dropped);
-    let _ = writeln!(out, "  \"drop_rate\": {:.6},", summary.drop_rate());
-    out.push_str("  \"results\": [\n");
-    let min = to_ns(summary.latency.min().unwrap_or(0.0));
-    let max = to_ns(summary.latency.max().unwrap_or(0.0));
-    let mean_ns = if summary.ok > 0 {
-        to_ns(summary.elapsed.as_secs_f64() * summary.connections as f64 / summary.ok as f64)
-    } else {
-        0
+/// The run as a `wsu-bench/1` record (the `BENCH_http.json` format):
+/// latency quantiles and the mean time per request, in nanoseconds so
+/// the stock `bench_compare` guard can diff two runs, each bounded by
+/// the fastest and slowest request. Throughput and the request counts
+/// are informational fields.
+pub fn bench_record(summary: &LoadSummary) -> BenchRecord {
+    let min_ns = to_ns(summary.latency.min().unwrap_or(0.0));
+    let max_ns = to_ns(summary.latency.max().unwrap_or(0.0));
+    let busy = summary.elapsed.as_secs_f64() * summary.connections as f64;
+    let mean = (summary.ok > 0).then(|| to_ns(busy / summary.ok as f64));
+    let row = |name: &str, median_ns| BenchRow {
+        name: name.to_owned(),
+        median_ns,
+        min_ns,
+        max_ns,
     };
-    let entries = [
-        ("http/demand/latency_p50", summary.latency_ns(0.50)),
-        ("http/demand/latency_p99", summary.latency_ns(0.99)),
-        ("http/demand/latency_p999", summary.latency_ns(0.999)),
-        ("http/demand/mean_ns_per_req", mean_ns),
-    ];
-    for (i, (name, median)) in entries.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{ \"name\": \"{name}\", \"median_ns\": {median}, \"min_ns\": {min}, \"max_ns\": {max} }}{}",
-            if i + 1 < entries.len() { "," } else { "" }
-        );
+    let number = |key: &str, value: f64| (key.to_owned(), JsonValue::Number(value));
+    BenchRecord {
+        info: vec![
+            number("requests_per_sec", summary.requests_per_sec),
+            number("connections", summary.connections as f64),
+            number("requests_ok", summary.ok as f64),
+            number("requests_failed", summary.errors as f64),
+            number("requests_dropped", summary.dropped as f64),
+            number("drop_rate", summary.drop_rate()),
+        ],
+        rows: vec![
+            row("http/demand/latency_p50", summary.latency_ns(0.50)),
+            row("http/demand/latency_p99", summary.latency_ns(0.99)),
+            row("http/demand/latency_p999", summary.latency_ns(0.999)),
+            row("http/demand/mean_ns_per_req", mean.unwrap_or(0)),
+        ],
+        ..BenchRecord::new("BENCH_http")
     }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 #[cfg(test)]
@@ -405,15 +393,24 @@ mod tests {
             requests_per_sec: 10_000.0,
             latency,
         };
-        let json = render_bench_json(&summary);
-        assert!(json.contains("\"schema\": \"wsu-bench/1\""));
-        assert!(json.contains("\"bench\": \"BENCH_http\""));
-        assert!(json.contains("\"name\": \"http/demand/latency_p50\""));
-        assert!(json.contains("\"name\": \"http/demand/latency_p999\""));
-        assert!(json.contains("\"requests_per_sec\": 10000.0,"));
-        // The workspace's own JSON parser must accept it.
-        let parsed = wsu_obs::jsonl::parse_jsonl(&json.replace('\n', " ")).expect("valid JSON");
-        assert_eq!(parsed.len(), 1);
+        let record = bench_record(&summary);
+        assert_eq!(record.bench, "BENCH_http");
+        let names: Vec<&str> = record.rows.iter().map(|row| row.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "http/demand/latency_p50",
+                "http/demand/latency_p99",
+                "http/demand/latency_p999",
+                "http/demand/mean_ns_per_req"
+            ]
+        );
+        // 10 ms over two connections and 100 requests: 200 µs each.
+        assert_eq!(record.rows[3].median_ns, 200_000);
+        let rate = JsonValue::Number(10_000.0);
+        assert_eq!(record.info[0], ("requests_per_sec".to_owned(), rate));
+        // The one reader reads back what the one writer wrote.
+        assert_eq!(BenchRecord::parse(&record.render()), Ok(record));
     }
 
     #[test]

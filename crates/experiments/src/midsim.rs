@@ -265,49 +265,40 @@ pub(crate) fn simulate_planned_runs(
     })
 }
 
-/// Plans `requests` demands for a run and simulates every timeout column
-/// over the *same* plan, with observability sinks attached; each timeout
-/// column's engine gauges are tagged `"{run_tag}/t{timeout}"`.
-///
-/// Each column runs the way a table's cells run, as one replication
-/// with private observability sinks merged in column order; this is the
-/// tables' per-run code for a single run, run serially.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_run_observed(
-    outcomes: &dyn OutcomePairGen,
-    timing: ExecTimeModel,
-    requests: u64,
-    timeouts: &[f64],
-    seed: MasterSeed,
-    run_tag: &str,
-    sinks: &ObsSinks,
-) -> Vec<CellResult> {
-    let run = RunPlan {
-        tag: run_tag.to_owned(),
-        demands: plan_run(outcomes, timing, requests, seed, run_tag),
-    };
-    simulate_planned_runs(&[run], timeouts, seed, sinks, Jobs::serial())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use wsu_workload::outcomes::{CorrelatedOutcomes, IndependentOutcomes};
     use wsu_workload::runs::RunSpec;
 
+    /// Run 1 planned once and simulated at timeouts 1.5 and 3.0 s, the
+    /// way a table's cells run.
     fn quick_run(correlated: bool, requests: u64) -> Vec<CellResult> {
         let run = RunSpec::run1();
-        let timing = ExecTimeModel::paper();
-        let seed = MasterSeed::new(31);
-        if correlated {
-            let gen = CorrelatedOutcomes::from_run(&run);
-            let sinks = ObsSinks::default();
-            simulate_run_observed(&gen, timing, requests, &[1.5, 3.0], seed, "t", &sinks)
+        let (timing, seed) = (ExecTimeModel::paper(), MasterSeed::new(31));
+        let demands = if correlated {
+            plan_run(
+                &CorrelatedOutcomes::from_run(&run),
+                timing,
+                requests,
+                seed,
+                "t",
+            )
         } else {
-            let gen = IndependentOutcomes::from_run(&run);
-            let sinks = ObsSinks::default();
-            simulate_run_observed(&gen, timing, requests, &[1.5, 3.0], seed, "t", &sinks)
-        }
+            plan_run(
+                &IndependentOutcomes::from_run(&run),
+                timing,
+                requests,
+                seed,
+                "t",
+            )
+        };
+        let run = RunPlan {
+            tag: "t".to_owned(),
+            demands,
+        };
+        let sinks = ObsSinks::default();
+        simulate_planned_runs(&[run], &[1.5, 3.0], seed, &sinks, Jobs::serial())
     }
 
     #[test]

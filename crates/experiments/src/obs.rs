@@ -19,11 +19,12 @@
 //! stdout stays byte-identical to the unobserved run. Diagnostics about
 //! the written files go to stderr so they never disturb the tables.
 
-use std::fs;
+use std::cell::RefCell;
 use std::io;
 use std::path::PathBuf;
 use std::time::Instant;
 
+use wsu_obs::jsonl::write_file;
 use wsu_obs::{
     MetricsExporter, PhaseTimings, Recorder, SharedRecorder, SharedRegistry, TraceEvent,
 };
@@ -41,6 +42,8 @@ pub struct ObsContext {
     /// `--serve-metrics` was given.
     pub metrics: Option<SharedRegistry>,
     exporter: Option<MetricsExporter>,
+    /// The JSON documents published on `/snapshot` so far, in order.
+    snapshots: RefCell<Vec<String>>,
     timings: PhaseTimings,
     trace_path: Option<PathBuf>,
     metrics_path: Option<PathBuf>,
@@ -74,6 +77,7 @@ impl ObsContext {
             recorder: trace_path.as_ref().map(|_| SharedRecorder::new()),
             metrics: (metrics_path.is_some() || exporter.is_some()).then(SharedRegistry::new),
             exporter,
+            snapshots: RefCell::default(),
             timings: PhaseTimings::new(),
             trace_path,
             metrics_path,
@@ -99,11 +103,17 @@ impl ObsContext {
         }
     }
 
-    /// Publishes a JSON document on the exporter's `/snapshot` route. A
-    /// no-op without `--serve-metrics`.
+    /// Publishes a JSON document on the exporter's `/snapshot` route (a
+    /// no-op without `--serve-metrics`). A second document joins the
+    /// first: the route then serves all published, as one JSON list.
     pub fn publish_snapshot(&self, json: &str) {
         if let Some(exporter) = &self.exporter {
-            exporter.publish_snapshot(json);
+            let mut snapshots = self.snapshots.borrow_mut();
+            snapshots.push(json.to_owned());
+            match snapshots.as_slice() {
+                [only] => exporter.publish_snapshot(only),
+                all => exporter.publish_snapshot(&format!("[{}]", all.join(","))),
+            }
         }
     }
 
@@ -213,13 +223,7 @@ impl ObsContext {
             }
             let rendered = metrics.render_snapshot();
             if let Some(path) = &self.metrics_path {
-                if let Some(dir) = path.parent() {
-                    if !dir.as_os_str().is_empty() {
-                        fs::create_dir_all(dir)
-                            .map_err(naming(format!("create {}", dir.display())))?;
-                    }
-                }
-                fs::write(path, &rendered).map_err(naming(format!("write {}", path.display())))?;
+                write_file(path, &rendered).map_err(naming(format!("write {}", path.display())))?;
                 eprintln!("metrics: snapshot -> {}", path.display());
             }
             if let Some(exporter) = &self.exporter {
@@ -304,7 +308,60 @@ mod tests {
         assert_eq!(resp.body, metrics.render_snapshot());
         let resp = wsu_obs::http_get(addr, "/snapshot").expect("GET /snapshot");
         assert_eq!(resp.body, "{\"ok\":true}");
+        // A second document joins the first rather than replacing it.
+        ctx.publish_snapshot("{\"n\":2}");
+        let resp = wsu_obs::http_get(addr, "/snapshot").expect("GET /snapshot");
+        assert_eq!(resp.body, "[{\"ok\":true},{\"n\":2}]");
         ctx.finish().expect("finish without output files");
+    }
+
+    #[test]
+    fn every_study_snapshot_stays_on_the_route() {
+        use crate::artefacts::{Artefact, Scale, FAULTCAMPAIGN, FLEETSTUDY};
+        use crate::campaign::{run_campaign_jobs, standard_plans};
+        use crate::fleetstudy::{run_fleetstudy_jobs, standard_cells};
+        use crate::DEFAULT_SEED;
+        use wsu_simcore::par::Jobs;
+
+        let (scale, serial, unobserved) = (Scale::Quick, Jobs::serial(), ObsSinks::default());
+        let campaign = run_campaign_jobs(
+            &standard_plans(),
+            &scale.campaign(),
+            DEFAULT_SEED,
+            &unobserved,
+            serial,
+        )
+        .snapshots_json();
+        let fleet = run_fleetstudy_jobs(
+            &standard_cells(),
+            &scale.fleet(),
+            DEFAULT_SEED,
+            &unobserved,
+            serial,
+        )
+        .rows_json();
+        // What `/snapshot` serves once a binary has built `artefacts`.
+        let served = |artefacts: &[Artefact]| {
+            let mut ctx = context(&["--serve-metrics", "0"]);
+            for artefact in artefacts {
+                artefact.build(scale, serial, &mut ctx);
+            }
+            let addr = ctx.exporter.as_ref().expect("an exporter").local_addr();
+            let body = wsu_obs::http_get(addr, "/snapshot")
+                .expect("GET /snapshot")
+                .body;
+            ctx.finish().expect("finish without output files");
+            body
+        };
+        // faultcampaign and fleetstudy serve their own document.
+        assert_eq!(served(&[FAULTCAMPAIGN]), campaign);
+        assert_eq!(served(&[FLEETSTUDY]), fleet);
+        // `all` builds both, campaign first, and serves both.
+        let both: Vec<Artefact> = crate::artefacts::ARTEFACTS
+            .into_iter()
+            .filter(|a| [FAULTCAMPAIGN.name, FLEETSTUDY.name].contains(&a.name))
+            .collect();
+        assert_eq!(served(&both), format!("[{campaign},{fleet}]"));
     }
 
     #[test]

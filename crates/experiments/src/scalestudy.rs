@@ -40,6 +40,8 @@ use std::time::{Duration, Instant};
 use wsu_core::middleware::MiddlewareConfig;
 use wsu_core::modes::OperatingMode;
 use wsu_core::serve::{DemandOutcome, ReleaseSpec, ServeSpec};
+use wsu_obs::bench::{BenchRecord, BenchRow};
+use wsu_obs::jsonl::JsonValue;
 use wsu_obs::quantile::QuantileSketch;
 use wsu_simcore::dist::DelayModel;
 use wsu_simcore::par::{par_map, Jobs};
@@ -420,63 +422,44 @@ pub fn render_timing(report: &ScaleReport) -> String {
     out
 }
 
-/// Renders the sweep as a `wsu-bench/1` report (the `BENCH_scale.json`
-/// format): one `scale/shardsK/loop_ns` row per configuration plus one
-/// merge-cost row, all in nanoseconds so the stock `bench_compare`
-/// guard can diff two runs. The `demands_per_sec`, `speedup` and
-/// `ns_per_demand` arrays are informational — `bench_compare` ignores
-/// unknown fields.
-pub fn render_bench_json(report: &ScaleReport) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(1024);
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"wsu-bench/1\",\n");
-    out.push_str("  \"bench\": \"BENCH_scale\",\n");
-    out.push_str("  \"unit\": \"ns\",\n");
-    let _ = writeln!(out, "  \"demands\": {},", report.demands);
-    let counts: Vec<String> = report.runs.iter().map(|r| r.shards.to_string()).collect();
-    let _ = writeln!(out, "  \"shard_counts\": [{}],", counts.join(", "));
-    let dps: Vec<String> = report
-        .runs
-        .iter()
-        .map(|r| format!("{:.1}", r.demands_per_sec()))
-        .collect();
-    let _ = writeln!(out, "  \"demands_per_sec\": [{}],", dps.join(", "));
-    let speedups: Vec<String> = (0..report.runs.len())
-        .map(|i| format!("{:.3}", report.speedup(i)))
-        .collect();
-    let _ = writeln!(out, "  \"speedup\": [{}],", speedups.join(", "));
-    let per_demand: Vec<String> = report
-        .runs
-        .iter()
-        .map(|r| r.ns_per_demand().to_string())
-        .collect();
-    let _ = writeln!(out, "  \"ns_per_demand\": [{}],", per_demand.join(", "));
-    out.push_str("  \"results\": [\n");
+/// The sweep as a `wsu-bench/1` record (the `BENCH_scale.json`
+/// format): one `scale/shardsK/loop_ns` row per configuration, then
+/// one merge-cost row per configuration, all in nanoseconds so the
+/// stock `bench_compare` guard can diff two runs. The demand count and
+/// the per-configuration shard counts, demands/sec, speedups and
+/// ns/demand are informational fields.
+pub fn bench_record(report: &ScaleReport) -> BenchRecord {
+    let runs = &report.runs;
+    let list = |value: &dyn Fn(usize) -> f64| {
+        JsonValue::Array(
+            (0..runs.len())
+                .map(|i| JsonValue::Number(value(i)))
+                .collect(),
+        )
+    };
+    let info = [
+        ("demands", JsonValue::Number(report.demands as f64)),
+        ("shard_counts", list(&|i| runs[i].shards as f64)),
+        ("demands_per_sec", list(&|i| runs[i].demands_per_sec())),
+        ("speedup", list(&|i| report.speedup(i))),
+        ("ns_per_demand", list(&|i| runs[i].ns_per_demand() as f64)),
+    ];
     // Gate on the whole loop's wall clock (ns/demand sits under
     // bench_compare's too-small floor and would never fail).
-    let mut entries: Vec<(String, u64)> = Vec::new();
-    for run in &report.runs {
-        entries.push((
-            format!("scale/shards{}/loop_ns", run.shards),
-            run.elapsed.as_nanos() as u64,
-        ));
+    let loops = runs.iter().map(|run| ("loop", run.elapsed, run.shards));
+    let merges = runs
+        .iter()
+        .map(|run| ("merge", run.merge_elapsed, run.shards));
+    BenchRecord {
+        info: info.map(|(key, value)| (key.to_owned(), value)).into(),
+        rows: loops
+            .chain(merges)
+            .map(|(what, elapsed, k)| {
+                BenchRow::from_samples(format!("scale/shards{k}/{what}_ns"), &mut [elapsed])
+            })
+            .collect(),
+        ..BenchRecord::new("BENCH_scale")
     }
-    for run in &report.runs {
-        entries.push((
-            format!("scale/shards{}/merge_ns", run.shards),
-            run.merge_elapsed.as_nanos() as u64,
-        ));
-    }
-    for (i, (name, value)) in entries.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{ \"name\": \"{name}\", \"median_ns\": {value}, \"min_ns\": {value}, \"max_ns\": {value} }}{}",
-            if i + 1 < entries.len() { "," } else { "" }
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 #[cfg(test)]
@@ -539,13 +522,28 @@ mod tests {
     #[test]
     fn bench_json_has_the_wsu_bench_rows() {
         let report = run_scalestudy(&tiny(), DEFAULT_SEED.value());
-        let json = render_bench_json(&report);
-        assert!(json.contains("\"schema\": \"wsu-bench/1\""));
-        assert!(json.contains("\"bench\": \"BENCH_scale\""));
-        assert!(json.contains("\"name\": \"scale/shards1/loop_ns\""));
-        assert!(json.contains("\"name\": \"scale/shards4/merge_ns\""));
-        assert!(json.contains("\"ns_per_demand\": ["));
-        assert!(json.contains("\"speedup\": [1.000, "));
+        let record = bench_record(&report);
+        assert_eq!(record.bench, "BENCH_scale");
+        let names: Vec<&str> = record.rows.iter().map(|row| row.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "scale/shards1/loop_ns",
+                "scale/shards2/loop_ns",
+                "scale/shards4/loop_ns",
+                "scale/shards1/merge_ns",
+                "scale/shards2/merge_ns",
+                "scale/shards4/merge_ns"
+            ]
+        );
+        let info = |key: &str| record.info.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+        assert_eq!(info("demands"), Some(&JsonValue::Number(4_096.0)));
+        let JsonValue::Array(speedups) = info("speedup").expect("speedups") else {
+            panic!("speedup is a list");
+        };
+        assert_eq!(speedups.len(), 3);
+        assert_eq!(speedups[0], JsonValue::Number(1.0));
+        assert_eq!(BenchRecord::parse(&record.render()), Ok(record));
         let timing = render_timing(&report);
         assert!(timing.contains("demands/sec"));
         assert_eq!(timing.lines().count(), 1 + report.runs.len());

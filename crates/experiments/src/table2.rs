@@ -112,6 +112,129 @@ pub fn run_table2_with(config1: &StudyConfig, config2: &StudyConfig) -> Table2 {
     Table2 { rows, runs }
 }
 
+/// Spread of one Table 2 cell across seeds.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SpreadCell {
+    /// Durations for the seeds where the criterion was met, sorted.
+    pub met: Vec<u64>,
+    /// How many seeds were run.
+    pub seeds: usize,
+}
+
+impl SpreadCell {
+    /// Minimum duration among seeds that met the criterion.
+    pub fn min(&self) -> Option<u64> {
+        self.met.first().copied()
+    }
+
+    /// Median duration among seeds that met the criterion.
+    pub fn median(&self) -> Option<u64> {
+        if self.met.is_empty() {
+            None
+        } else {
+            Some(self.met[self.met.len() / 2])
+        }
+    }
+
+    /// Maximum duration among seeds that met the criterion.
+    pub fn max(&self) -> Option<u64> {
+        self.met.last().copied()
+    }
+
+    /// Renders `median [min..max] (k/n seeds)`.
+    pub fn render(&self) -> String {
+        match (self.min(), self.median(), self.max()) {
+            (Some(lo), Some(mid), Some(hi)) => format!(
+                "{} [{}..{}] ({}/{} seeds)",
+                thousands(mid),
+                thousands(lo),
+                thousands(hi),
+                self.met.len(),
+                self.seeds
+            ),
+            _ => format!("not met (0/{} seeds)", self.seeds),
+        }
+    }
+}
+
+/// One row of the multi-seed spread table.
+#[derive(Debug, Clone)]
+pub struct SpreadRow {
+    /// Scenario number.
+    pub scenario: usize,
+    /// Detection label.
+    pub detection: String,
+    /// Spread per criterion.
+    pub cells: [SpreadCell; 3],
+}
+
+/// Runs Table 2 across several seeds and reports the per-cell spread —
+/// the Monte-Carlo variability the paper's single-run Table 2 hides.
+pub fn run_table2_spread(
+    seeds: &[MasterSeed],
+    config1: &StudyConfig,
+    config2: &StudyConfig,
+) -> Vec<SpreadRow> {
+    assert!(!seeds.is_empty(), "need at least one seed");
+    let mut rows: Vec<SpreadRow> = Vec::new();
+    for &seed in seeds {
+        let c1 = StudyConfig { seed, ..*config1 };
+        let c2 = StudyConfig { seed, ..*config2 };
+        let table = run_table2_with(&c1, &c2);
+        if rows.is_empty() {
+            rows = table
+                .rows
+                .iter()
+                .map(|r| SpreadRow {
+                    scenario: r.scenario,
+                    detection: r.detection.clone(),
+                    cells: std::array::from_fn(|_| SpreadCell {
+                        met: Vec::new(),
+                        seeds: seeds.len(),
+                    }),
+                })
+                .collect();
+        }
+        for (row, spread) in table.rows.iter().zip(rows.iter_mut()) {
+            for (cell, target) in row.cells.iter().zip(spread.cells.iter_mut()) {
+                if let Some(d) = cell.first_met {
+                    target.met.push(d);
+                }
+            }
+        }
+    }
+    for row in &mut rows {
+        for cell in &mut row.cells {
+            cell.met.sort_unstable();
+        }
+    }
+    rows
+}
+
+/// Renders the spread table.
+pub fn render_spread(rows: &[SpreadRow]) -> String {
+    let mut table = TextTable::new(
+        "Table 2 spread across seeds: median [min..max] (seeds meeting criterion)",
+        &[
+            "Scenario",
+            "Detection",
+            "Criterion 1",
+            "Criterion 2",
+            "Criterion 3",
+        ],
+    );
+    for row in rows {
+        table.push_row(vec![
+            format!("Scenario {}", row.scenario),
+            row.detection.clone(),
+            row.cells[0].render(),
+            row.cells[1].render(),
+            row.cells[2].render(),
+        ]);
+    }
+    table.render()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,127 +377,4 @@ mod tests {
         assert!(text.contains("Scenario 2"));
         assert!(text.contains("Back-to-back"));
     }
-}
-
-/// Spread of one Table 2 cell across seeds.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpreadCell {
-    /// Durations for the seeds where the criterion was met, sorted.
-    pub met: Vec<u64>,
-    /// How many seeds were run.
-    pub seeds: usize,
-}
-
-impl SpreadCell {
-    /// Minimum duration among seeds that met the criterion.
-    pub fn min(&self) -> Option<u64> {
-        self.met.first().copied()
-    }
-
-    /// Median duration among seeds that met the criterion.
-    pub fn median(&self) -> Option<u64> {
-        if self.met.is_empty() {
-            None
-        } else {
-            Some(self.met[self.met.len() / 2])
-        }
-    }
-
-    /// Maximum duration among seeds that met the criterion.
-    pub fn max(&self) -> Option<u64> {
-        self.met.last().copied()
-    }
-
-    /// Renders `median [min..max] (k/n seeds)`.
-    pub fn render(&self) -> String {
-        match (self.min(), self.median(), self.max()) {
-            (Some(lo), Some(mid), Some(hi)) => format!(
-                "{} [{}..{}] ({}/{} seeds)",
-                thousands(mid),
-                thousands(lo),
-                thousands(hi),
-                self.met.len(),
-                self.seeds
-            ),
-            _ => format!("not met (0/{} seeds)", self.seeds),
-        }
-    }
-}
-
-/// One row of the multi-seed spread table.
-#[derive(Debug, Clone)]
-pub struct SpreadRow {
-    /// Scenario number.
-    pub scenario: usize,
-    /// Detection label.
-    pub detection: String,
-    /// Spread per criterion.
-    pub cells: [SpreadCell; 3],
-}
-
-/// Runs Table 2 across several seeds and reports the per-cell spread —
-/// the Monte-Carlo variability the paper's single-run Table 2 hides.
-pub fn run_table2_spread(
-    seeds: &[MasterSeed],
-    config1: &StudyConfig,
-    config2: &StudyConfig,
-) -> Vec<SpreadRow> {
-    assert!(!seeds.is_empty(), "need at least one seed");
-    let mut rows: Vec<SpreadRow> = Vec::new();
-    for &seed in seeds {
-        let c1 = StudyConfig { seed, ..*config1 };
-        let c2 = StudyConfig { seed, ..*config2 };
-        let table = run_table2_with(&c1, &c2);
-        if rows.is_empty() {
-            rows = table
-                .rows
-                .iter()
-                .map(|r| SpreadRow {
-                    scenario: r.scenario,
-                    detection: r.detection.clone(),
-                    cells: std::array::from_fn(|_| SpreadCell {
-                        met: Vec::new(),
-                        seeds: seeds.len(),
-                    }),
-                })
-                .collect();
-        }
-        for (row, spread) in table.rows.iter().zip(rows.iter_mut()) {
-            for (cell, target) in row.cells.iter().zip(spread.cells.iter_mut()) {
-                if let Some(d) = cell.first_met {
-                    target.met.push(d);
-                }
-            }
-        }
-    }
-    for row in &mut rows {
-        for cell in &mut row.cells {
-            cell.met.sort_unstable();
-        }
-    }
-    rows
-}
-
-/// Renders the spread table.
-pub fn render_spread(rows: &[SpreadRow]) -> String {
-    let mut table = TextTable::new(
-        "Table 2 spread across seeds: median [min..max] (seeds meeting criterion)",
-        &[
-            "Scenario",
-            "Detection",
-            "Criterion 1",
-            "Criterion 2",
-            "Criterion 3",
-        ],
-    );
-    for row in rows {
-        table.push_row(vec![
-            format!("Scenario {}", row.scenario),
-            row.detection.clone(),
-            row.cells[0].render(),
-            row.cells[1].render(),
-            row.cells[2].render(),
-        ]);
-    }
-    table.render()
 }

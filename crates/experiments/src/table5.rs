@@ -179,7 +179,6 @@ pub(crate) fn group_cells(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::midsim::simulate_run_observed;
     use wsu_obs::{SharedRecorder, SharedRegistry};
 
     fn quick() -> SimulationTable {
@@ -228,9 +227,8 @@ mod tests {
 
     #[test]
     fn single_run_path_matches_the_table_path() {
-        // `simulate_run_observed` is the tables' per-run code run
-        // serially: the same cells, trace and metrics as the table path
-        // at any jobs.
+        // One run planned by `plan_run` and simulated serially: the same
+        // cells, trace and metrics as the table path at any jobs.
         let observed = || ObsSinks {
             recorder: Some(SharedRecorder::new()),
             metrics: Some(SharedRegistry::new()),
@@ -250,15 +248,16 @@ mod tests {
             CorrelatedOutcomes::from_run,
         );
         let run_sinks = observed();
-        let run_cells = simulate_run_observed(
+        let tag = "table5/run2".to_owned();
+        let demands = plan_run(
             &CorrelatedOutcomes::from_run(&spec),
             timing,
             1_000,
-            &timeouts,
             seed,
-            "table5/run2",
-            &run_sinks,
+            &tag,
         );
+        let run = RunPlan { tag, demands };
+        let run_cells = simulate_planned_runs(&[run], &timeouts, seed, &run_sinks, Jobs::serial());
         assert_eq!(run_cells, table_cells);
         let trace = |sinks: &ObsSinks| sinks.recorder.as_ref().map(SharedRecorder::snapshot);
         assert_eq!(trace(&run_sinks), trace(&table_sinks));

@@ -7,7 +7,7 @@ use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use wsu_core::serve::ServeSpec;
-use wsu_experiments::loadgen::{render_bench_json, run_load, scrape_demand_total, LoadgenConfig};
+use wsu_experiments::loadgen::{bench_record, run_load, scrape_demand_total, LoadgenConfig};
 use wsu_experiments::serve::{FrontConfig, HttpFront};
 use wsu_obs::http::{http_get, HttpClient};
 
@@ -83,10 +83,13 @@ fn closed_loop_roundtrip_against_two_workers() {
         "both workers must serve demands, got {per_worker:?}"
     );
 
-    // The bench report renders from a real run.
-    let json = render_bench_json(&summary);
-    assert!(json.contains("\"bench\": \"BENCH_http\""));
-    assert!(json.contains("http/demand/latency_p999"));
+    // The bench record comes from a real run.
+    let record = bench_record(&summary);
+    assert_eq!(record.bench, "BENCH_http");
+    assert!(record
+        .rows
+        .iter()
+        .any(|row| row.name == "http/demand/latency_p999"));
 
     front.shutdown();
 }
@@ -145,10 +148,11 @@ fn open_loop_reports_drops_under_overload_and_none_when_feasible() {
         summary.dropped
     );
     assert_eq!(summary.ok + summary.dropped, 300);
-    // The bench report carries the drop accounting.
-    let json = render_bench_json(&summary);
-    assert!(json.contains("\"requests_dropped\":"));
-    assert!(json.contains("\"drop_rate\":"));
+    // The bench record carries the drop accounting.
+    let record = bench_record(&summary);
+    for key in ["requests_dropped", "drop_rate"] {
+        assert!(record.info.iter().any(|(k, _)| k == key), "no {key}");
+    }
 
     // A non-positive rate is a config error, not a hang.
     let bad = LoadgenConfig {

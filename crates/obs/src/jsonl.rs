@@ -6,12 +6,13 @@
 //! can validate traces without external crates; it supports the full
 //! JSON grammar the exporter emits plus arrays/nesting for generality.
 
+use std::fmt;
 use std::fs;
 use std::io;
 use std::path::Path;
 use std::str;
 
-use crate::event::TraceEvent;
+use crate::event::{json_escape, TraceEvent};
 
 /// Renders events as JSONL text (one object per line, trailing newline).
 pub fn render_events(events: &[TraceEvent]) -> String {
@@ -23,14 +24,22 @@ pub fn render_events(events: &[TraceEvent]) -> String {
     out
 }
 
+/// Writes `contents` to `path`, creating its parent directories: the
+/// one way the trace, metrics, benchmark and analysis files are written.
+///
+/// # Errors
+///
+/// The first I/O error from creating a directory or writing.
+pub fn write_file(path: &Path, contents: impl AsRef<[u8]>) -> io::Result<()> {
+    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+        fs::create_dir_all(parent)?;
+    }
+    fs::write(path, contents)
+}
+
 /// Writes events as JSONL to `path`, creating parent directories.
 pub fn write_events(path: &Path, events: &[TraceEvent]) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            fs::create_dir_all(parent)?;
-        }
-    }
-    fs::write(path, render_events(events))
+    write_file(path, render_events(events))
 }
 
 /// A parsed JSON value.
@@ -105,6 +114,31 @@ impl JsonValue {
         match self {
             JsonValue::Bool(b) => Some(*b),
             _ => None,
+        }
+    }
+}
+
+/// Renders the value as compact JSON, which [`JsonValue::parse`] reads
+/// back as an equal value. A number that is not finite has no JSON form
+/// and renders as `null`.
+impl fmt::Display for JsonValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JsonValue::Null => f.write_str("null"),
+            JsonValue::Bool(b) => write!(f, "{b}"),
+            JsonValue::Number(n) if n.is_finite() => write!(f, "{n}"),
+            JsonValue::Number(_) => f.write_str("null"),
+            JsonValue::String(s) => write!(f, "\"{}\"", json_escape(s)),
+            JsonValue::Array(items) => {
+                let items: Vec<String> = items.iter().map(JsonValue::to_string).collect();
+                write!(f, "[{}]", items.join(","))
+            }
+            JsonValue::Object(fields) => {
+                let fields: Vec<String> = (fields.iter())
+                    .map(|(key, value)| format!("\"{}\":{value}", json_escape(key)))
+                    .collect();
+                write!(f, "{{{}}}", fields.join(","))
+            }
         }
     }
 }
@@ -412,6 +446,30 @@ mod tests {
                 .and_then(JsonValue::as_bool),
             Some(true)
         );
+    }
+
+    #[test]
+    fn display_renders_what_parse_reads_back() {
+        let value = JsonValue::Object(vec![
+            (
+                "a \"b\"\n".to_owned(),
+                JsonValue::String("tab\there é 😀".to_owned()),
+            ),
+            (
+                "list".to_owned(),
+                JsonValue::Array(vec![
+                    JsonValue::Number(1e6),
+                    JsonValue::Number(-2.5e-7),
+                    JsonValue::Null,
+                    JsonValue::Bool(false),
+                    JsonValue::Object(Vec::new()),
+                ]),
+            ),
+        ]);
+        let text = value.to_string();
+        assert!(!text.contains('\n'), "compact: {text}");
+        assert_eq!(JsonValue::parse(&text), Ok(value));
+        assert_eq!(JsonValue::Number(f64::NAN).to_string(), "null");
     }
 
     #[test]

@@ -25,7 +25,10 @@
 //!   availability, fault rate, false-alarm rate and latency-threshold
 //!   violations, polled as a [`slo::DependabilitySnapshot`].
 //! * [`jsonl`] — a hand-rolled JSONL exporter (no serde) plus a small
-//!   JSON parser used to validate traces in tests.
+//!   JSON parser and renderer ([`jsonl::JsonValue`]).
+//! * [`bench`](mod@bench) — the `wsu-bench/1` record of every `BENCH_*.json`
+//!   file ([`bench::BenchRecord`]): its one writer, its one reader and
+//!   the [`bench::stamp`] of the host and build it was measured on.
 //! * [`span`] — wall-clock phase timers ([`span::PhaseTimings`]) and
 //!   per-demand virtual-time span decomposition
 //!   ([`span::DemandSpan`], [`span::SpanProfile`]).
@@ -68,6 +71,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod bench;
 pub mod event;
 pub mod export;
 pub mod fleet;
@@ -79,6 +83,7 @@ pub mod recorder;
 pub mod slo;
 pub mod span;
 
+pub use bench::{BenchRecord, BenchRow};
 pub use event::TraceEvent;
 pub use export::MetricsExporter;
 pub use fleet::FleetGauges;
